@@ -45,8 +45,7 @@ class PlannerConfig:
     """Tolerances, step sizes and caps for the whole pipeline."""
 
     # covariance engine
-    periodic_tol: float = 1e-9          # max-abs change of the period-start covariance
-    periodic_max_iters: int = 10_000
+    periodic_tol: float = 1e-9          # one period's max-abs drift, relative to max(1, |omega|)
     residual_tol: float = 1e-8          # steady-state equation residuals
     psd_tol: float = 1e-10              # eigenvalue floor for covariance checks
 

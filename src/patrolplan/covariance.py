@@ -16,8 +16,13 @@ block exponentials.
 
 The periodic steady state of an on/off visit pattern is the fixed point of the
 one-period composition of these maps; it is unique and attractive whenever the
-target is observed for part of the period, so plain map iteration from the
-always-observed steady state both finds it and certifies it.
+target is observed for part of the period.  It is solved directly: the
+composed scalar map is a Moebius map whose attractive fixed point is the
+positive root of a quadratic, and the matrix fixed point spans the dominant
+invariant subspace of the period monodromy (Bittanti, Colaneri & De Nicolao,
+"The periodic Riccati equation", 1991; Hench & Laub, IEEE TAC 39(6), 1994).
+One walk around the period then collects the peaks and certifies the
+solution: it must return to its start.
 """
 
 from __future__ import annotations
@@ -93,8 +98,10 @@ def _scalar_unobs_coeffs(a: float, q: float, t: float) -> tuple[float, float]:
     if x > 700.0:
         return math.inf, math.inf
     alpha = math.exp(x)
-    if a == 0.0:
-        beta = q * t
+    if abs(x) < 1e-8:
+        # expm1(x) / x to double precision; also exact for a = 0 and safe
+        # for subnormal a, where x / (2a) loses the digits of t
+        beta = q * t * (1.0 + 0.5 * x)
     else:
         beta = q * math.expm1(x) / (2.0 * a)
     return alpha, beta
@@ -138,6 +145,28 @@ def _scalar_apply(m: tuple[float, float, float, float], w: float) -> float:
     return (m21 + m22 * w) / (m11 + m12 * w)
 
 
+def _scalar_fixed_point(p: tuple[float, float, float, float]) -> float:
+    """Attractive fixed point of w -> (p21 + p22 w) / (p11 + p12 w): the
+    positive root of p12 w^2 + (p11 - p22) w - p21 = 0, in the form that
+    avoids cancellation."""
+    scale = max(map(abs, p))
+    if not 0.0 < scale < math.inf:
+        return math.nan
+    p11, p12, p21, p22 = (v / scale for v in p)
+    b = p11 - p22
+    root = math.sqrt(b * b + 4.0 * p12 * p21)
+    if b >= 0.0:
+        return 2.0 * p21 / (b + root) if b + root > 0.0 else 0.0
+    return (root - b) / (2.0 * p12) if p12 > 0.0 else math.inf
+
+
+def _rescaled(mat: np.ndarray) -> np.ndarray:
+    """Divide a homogeneous (projective) map by its largest entry once that
+    passes 1e100; the map on covariances is unchanged."""
+    scale = float(np.abs(mat).max())
+    return mat / scale if scale > 1e100 else mat
+
+
 # ---------------------------------------------------------------------------
 # phase flows (precomputed propagators for a fixed duration)
 # ---------------------------------------------------------------------------
@@ -155,7 +184,7 @@ class _ScalarFlow:
 
 
 class _MatrixUnobservedFlow:
-    __slots__ = ("F", "V")
+    __slots__ = ("E", "F", "V")
 
     def __init__(self, A: np.ndarray, Q: np.ndarray, t: float):
         dim = A.shape[0]
@@ -164,16 +193,24 @@ class _MatrixUnobservedFlow:
         block[:dim, dim:] = Q
         block[dim:, dim:] = -A.T
         with np.errstate(over="ignore", invalid="ignore"):
-            E = scipy.linalg.expm(block * t)
-        self.F = E[:dim, :dim]
-        self.V = symmetrize(E[:dim, dim:] @ self.F.T)
+            self.E = scipy.linalg.expm(block * t)
+        self.F = self.E[:dim, :dim]
+        self.V = symmetrize(self.E[:dim, dim:] @ self.F.T)
 
     def apply(self, omega: np.ndarray) -> np.ndarray:
         return symmetrize(self.F @ omega @ self.F.T + self.V)
 
+    def homogeneous(self) -> np.ndarray:
+        """The flow on ``[X; Y]`` with ``omega = Y X^-1``:
+        ``[[e^{-A't}, 0], [V e^{-A't}, F]]``, where ``V e^{-A't}`` is the
+        exponential's upper-right block."""
+        dim = self.F.shape[0]
+        E = self.E
+        return np.block([[E[dim:, dim:], np.zeros((dim, dim))], [E[:dim, dim:], self.F]])
+
 
 class _MatrixObservedFlow:
-    __slots__ = ("E11", "E12", "E21", "E22", "chunks")
+    __slots__ = ("E", "E11", "E12", "E21", "E22", "chunks")
 
     def __init__(self, A: np.ndarray, Q: np.ndarray, G: np.ndarray, t: float):
         dim = A.shape[0]
@@ -186,7 +223,7 @@ class _MatrixObservedFlow:
         # conditioned over long dwells
         scale = float(np.abs(M).sum(axis=1).max()) * t
         self.chunks = max(1, min(100_000, math.ceil(scale / 20.0)))
-        E = scipy.linalg.expm(M * (t / self.chunks))
+        self.E = E = scipy.linalg.expm(M * (t / self.chunks))
         self.E11 = E[:dim, :dim]
         self.E12 = E[:dim, dim:]
         self.E21 = E[dim:, :dim]
@@ -198,6 +235,19 @@ class _MatrixObservedFlow:
             den = self.E11 + self.E12 @ omega
             omega = symmetrize(np.linalg.solve(den.T, num.T).T)
         return omega
+
+    def homogeneous(self) -> np.ndarray:
+        """The flow on ``[X; Y]`` with ``omega = Y X^-1``: the chunk
+        exponential to the power ``chunks``, up to a positive scale."""
+        out = None
+        base, k = self.E, self.chunks
+        while True:
+            if k & 1:
+                out = base if out is None else _rescaled(base @ out)
+            k >>= 1
+            if not k:
+                return out
+            base = _rescaled(base @ base)
 
 
 class _IdentityFlow:
@@ -326,13 +376,18 @@ def steady_states_for(target: TargetSpec, residual_tol: float | None = None) -> 
 # periodic steady state
 # ---------------------------------------------------------------------------
 
+_NOT_FIXED = "periodic covariance is not a fixed point of the period map"
+
+
 @dataclass
 class PeakSet:
     """Per-visit covariance extrema of the periodic steady state.
 
     ``upper[k]`` is the covariance at the start of visit k (the off->on
     switch, where the per-visit maximum occurs); ``lower[k]`` at its end.
-    Switch instants are measured from the start of visit 0.
+    Switch instants are measured from the start of visit 0.  ``iterations``
+    counts the walks around the period (one, the certificate) and
+    ``residual`` is that walk's distance from its start.
     """
 
     upper: list[np.ndarray]
@@ -352,44 +407,44 @@ def _scalar_periodic_peaks(
     g: float,
     t_on: Sequence[float],
     t_off: Sequence[float],
-    seed: float,
     tol: float,
-    max_iters: int,
 ) -> tuple[list[float], list[float], int, float]:
+    """Scalar periodic peaks from the closed-form fixed point; returns the
+    upper and lower peaks, the number of certifying walks (one) and the
+    walk's residual."""
+    obs = [_scalar_obs_coeffs(a, q, g, on) for on in t_on]
+    unobs = [_scalar_unobs_coeffs(a, q, off) for off in t_off]
     phase_maps: list[tuple[float, float, float, float]] = []
-    for on, off in zip(t_on, t_off):
-        phase_maps.append(_scalar_obs_coeffs(a, q, g, on))
-        al, be = _scalar_unobs_coeffs(a, q, off)
+    for m, (al, be) in zip(obs, unobs):
+        phase_maps.append(m)
         phase_maps.append((1.0, 0.0, be, al))
-    p = _scalar_compose(phase_maps)
-    p11, p12, p21, p22 = p
-    x, y = 1.0, seed
-    omega = seed
-    residual = math.inf
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        x, y = p11 * x + p12 * y, p21 * x + p22 * y
-        scale = max(abs(x), abs(y))
-        if scale == 0.0 or not math.isfinite(scale):
-            raise EngineError("periodic map iteration produced a degenerate state")
-        x /= scale
-        y /= scale
-        new_omega = y / x
-        residual = abs(new_omega - omega)
-        omega = new_omega
-        if residual <= tol:
-            break
-    else:
-        raise ConvergenceError("periodic covariance did not converge", residual)
+    omega = _scalar_fixed_point(_scalar_compose(phase_maps))
     uppers, lowers = [], []
     w = omega
-    for on, off in zip(t_on, t_off):
+    for m, (al, be) in zip(obs, unobs):
         uppers.append(w)
-        w = _scalar_apply(_scalar_obs_coeffs(a, q, g, on), w)
+        w = _scalar_apply(m, w)
         lowers.append(w)
-        al, be = _scalar_unobs_coeffs(a, q, off)
         w = al * w + be
-    return uppers, lowers, iters, residual
+    residual = abs(w - omega)
+    if not residual <= tol * max(1.0, abs(omega)):
+        raise ConvergenceError(_NOT_FIXED, residual)
+    return uppers, lowers, 1, residual
+
+
+def _dominant_graph(monodromy: np.ndarray) -> np.ndarray:
+    """Symmetric ``omega`` whose graph ``[I; omega]`` spans the invariant
+    subspace of the ``n`` largest-modulus eigenvalues of a 2n x 2n map."""
+    dim = monodromy.shape[0] // 2
+    moduli = np.sort(np.abs(np.linalg.eigvals(monodromy)))[::-1]
+    cut = math.sqrt(moduli[dim - 1] * moduli[dim])
+    _, Z, sdim = scipy.linalg.schur(
+        monodromy, output="real", sort=lambda re, im: math.hypot(re, im) > cut
+    )
+    if sdim != dim:
+        raise ConvergenceError("period monodromy has no dominant invariant subspace", math.inf)
+    Z1, Z2 = Z[:dim, :dim], Z[dim:, :dim]
+    return symmetrize(np.linalg.solve(Z1.T, Z2.T).T)
 
 
 def periodic_steady_state(
@@ -399,23 +454,21 @@ def periodic_steady_state(
     t_on: Sequence[float],
     t_off: Sequence[float],
     omega_ss: np.ndarray | None = None,
-    omega_seed: np.ndarray | float | None = None,
     tol: float | None = None,
-    max_iters: int | None = None,
 ) -> PeakSet:
     """Fixed point of the one-period covariance map for one target.
 
     ``t_on[k]`` / ``t_off[k]`` describe visit k and the gap after it; the
-    period starts at the off->on switch of visit 0.  Iterates the period map
-    from the always-observed steady state (or ``omega_seed`` when given; the
-    fixed point is unique either way) until the period-start covariance moves
-    by at most ``tol`` in any entry.
+    period starts at the off->on switch of visit 0.  The fixed point is
+    solved directly (see the module docstring); one walk around the period
+    then collects the peaks and must return to the period-start covariance
+    within ``tol`` times ``max(1, max|omega|)``, else ``ConvergenceError``.
+    ``omega_ss`` is accepted for compatibility and not used.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     G = np.atleast_2d(np.asarray(G, dtype=float))
     tol = DEFAULT_CONFIG.periodic_tol if tol is None else tol
-    max_iters = DEFAULT_CONFIG.periodic_max_iters if max_iters is None else max_iters
     t_on = [float(v) for v in t_on]
     t_off = [float(v) for v in t_off]
     if len(t_on) != len(t_off) or not t_on:
@@ -426,8 +479,6 @@ def periodic_steady_state(
         raise ValueError("period must be positive")
     if sum(t_on) == 0:
         raise ValueError("at least one dwell must be positive")
-    if omega_ss is None:
-        omega_ss = solve_steady_states(A, Q, G).omega_ss
 
     taus_u, taus_l = [], []
     t = 0.0
@@ -438,16 +489,15 @@ def periodic_steady_state(
         t += off
 
     if A.shape == (1, 1):
-        seed = float(np.atleast_2d(omega_seed)[0, 0]) if omega_seed is not None else float(omega_ss[0, 0])
-        uppers, lowers, iters, residual = _scalar_periodic_peaks(
-            float(A[0, 0]), float(Q[0, 0]), float(G[0, 0]), t_on, t_off, seed, tol, max_iters
+        uppers, lowers, walks, residual = _scalar_periodic_peaks(
+            float(A[0, 0]), float(Q[0, 0]), float(G[0, 0]), t_on, t_off, tol
         )
         return PeakSet(
             upper=[np.array([[u]]) for u in uppers],
             lower=[np.array([[l]]) for l in lowers],
             tau_upper=taus_u,
             tau_lower=taus_l,
-            iterations=iters,
+            iterations=walks,
             residual=residual,
         )
 
@@ -455,19 +505,15 @@ def periodic_steady_state(
     for on, off in zip(t_on, t_off):
         flows.append(observed_flow(A, Q, G, on))
         flows.append(unobserved_flow(A, Q, off))
-    omega = _as_cov(omega_seed) if omega_seed is not None else omega_ss.copy()
-    residual = math.inf
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        new_omega = omega
-        for flow in flows:
-            new_omega = flow.apply(new_omega)
-        residual = float(np.abs(new_omega - omega).max())
-        omega = new_omega
-        if residual <= tol:
-            break
-    if residual > tol:
-        raise ConvergenceError("periodic covariance did not converge", residual)
+    monodromy = None
+    for flow in flows:
+        if flow is not _IDENTITY:
+            H = flow.homogeneous()
+            monodromy = H if monodromy is None else _rescaled(H @ monodromy)
+    try:
+        omega = _dominant_graph(monodromy)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise ConvergenceError(f"no periodic covariance ({exc})", math.inf) from exc
     uppers, lowers = [], []
     w = omega
     for k in range(len(t_on)):
@@ -475,12 +521,15 @@ def periodic_steady_state(
         w = flows[2 * k].apply(w)
         lowers.append(w)
         w = flows[2 * k + 1].apply(w)
+    residual = float(np.abs(w - omega).max())
+    if not residual <= tol * max(1.0, float(np.abs(omega).max())):
+        raise ConvergenceError(_NOT_FIXED, residual)
     return PeakSet(
         upper=uppers,
         lower=lowers,
         tau_upper=taus_u,
         tau_lower=taus_l,
-        iterations=iters,
+        iterations=1,
         residual=residual,
     )
 

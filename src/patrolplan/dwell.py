@@ -125,36 +125,18 @@ class DwellState:
         return max(self.costs.values())
 
 
-class _PeakEvaluator:
-    """Computes per-visit peak costs for one target, reusing the previous
-    fixed point as the next iteration's seed."""
-
-    def __init__(self, cache: SteadyStateCache, config: PlannerConfig):
-        self.cache = cache
-        self.tol = config.periodic_tol
-        self.max_iters = config.periodic_max_iters
-        self._seeds: dict[int, object] = {}
-
-    def visit_costs(self, tid: int, t_on: list[float], t_off: list[float]) -> list[float]:
-        target = self.cache.target(tid)
-        steady = self.cache.steady(tid)
-        if target.is_scalar:
-            seed = self._seeds.get(tid)
-            if seed is None:
-                seed = float(steady.omega_ss[0, 0])
-            uppers, _, _, _ = _scalar_periodic_peaks(
-                float(target.A[0, 0]), float(target.Q[0, 0]), float(target.G[0, 0]),
-                t_on, t_off, seed, self.tol, self.max_iters,
-            )
-            self._seeds[tid] = uppers[0]
-            return [target.g(u) for u in uppers]
-        peaks = periodic_steady_state(
-            target.A, target.Q, target.G, t_on, t_off,
-            omega_ss=steady.omega_ss, omega_seed=self._seeds.get(tid),
-            tol=self.tol, max_iters=self.max_iters,
+def _visit_costs(cache: SteadyStateCache, tid: int, t_on: list[float], t_off: list[float],
+                 tol: float) -> list[float]:
+    """Per-visit peak costs of one target's periodic steady state."""
+    target = cache.target(tid)
+    if target.is_scalar:
+        uppers, _, _, _ = _scalar_periodic_peaks(
+            float(target.A[0, 0]), float(target.Q[0, 0]), float(target.G[0, 0]),
+            t_on, t_off, tol,
         )
-        self._seeds[tid] = peaks.upper[0]
-        return [target.g(cov_norm(u)) for u in peaks.upper]
+        return [target.g(u) for u in uppers]
+    peaks = periodic_steady_state(target.A, target.Q, target.G, t_on, t_off, tol=tol)
+    return [target.g(cov_norm(u)) for u in peaks.upper]
 
 
 def _geometric_mean(values: list[float]) -> float:
@@ -227,7 +209,6 @@ def balance_single_visit(
         )
     gain = cfg.k_p if k_p is None else k_p
     tol = cfg.balance_tol if tol is None else tol
-    evaluator = _PeakEvaluator(cache, cfg)
     dwells = _init_dwells(cycle, budget, eligible, initial_dwells)
     dwell_ids = sorted(eligible)
     slot = {tid: eligible[tid][0] for tid in dwell_ids}
@@ -245,7 +226,7 @@ def balance_single_visit(
             if ton <= 0.0:
                 costs[tid] = never[tid]
             else:
-                costs[tid] = evaluator.visit_costs(tid, [ton], [period - ton])[0]
+                costs[tid] = _visit_costs(cache, tid, [ton], [period - ton], cfg.periodic_tol)[0]
         max_cost = max(costs.values())
         if prev is not None and max_cost > prev[2] * (1.0 + 1e-12) + 1e-15:
             dwells, costs, max_cost = prev[0], dict(prev[1]), prev[2]
@@ -303,31 +284,12 @@ def balance_single_visit(
 # multi-visit balancing
 # ---------------------------------------------------------------------------
 
-def _toff_for(cycle: Cycle, dwells: list[float], tid: int) -> list[float]:
-    n = len(cycle.instances)
-    positions = cycle.positions_of(tid)
-    m = len(positions)
-    if n == 1:
-        return [0.0]
-    offs = []
-    for k in range(m):
-        here = positions[k]
-        nxt = positions[(k + 1) % m]
-        off = cycle.legs[here]
-        pos = (here + 1) % n
-        while pos != nxt:
-            off += dwells[pos] + cycle.legs[pos]
-            pos = (pos + 1) % n
-        offs.append(off)
-    return offs
-
-
 def balance_within_target(
     tid: int,
     splits: list[float],
     t_off: list[float],
     eligible_mask: list[bool],
-    evaluator: _PeakEvaluator,
+    cache: SteadyStateCache,
     config: PlannerConfig,
     k_p: float | None = None,
 ) -> tuple[list[float], list[float]]:
@@ -344,7 +306,8 @@ def balance_within_target(
     gain = config.mv_k_p if k_p is None else k_p
     n = len(splits)
     n_eligible = sum(eligible_mask)
-    costs = evaluator.visit_costs(tid, splits, t_off)
+    tol = config.periodic_tol
+    costs = _visit_costs(cache, tid, splits, t_off, tol)
     if n_eligible <= 1 or total <= 0.0:
         return list(splits), costs
     spread = math.inf
@@ -375,7 +338,7 @@ def balance_within_target(
             proposed = [total / n_eligible if e else 0.0 for e in eligible_mask]
             subtotal = total
         splits = [p * total / subtotal for p in proposed]
-        costs = evaluator.visit_costs(tid, splits, t_off)
+        costs = _visit_costs(cache, tid, splits, t_off, tol)
     raise ConvergenceError(f"within-target split for target {tid} did not converge", spread)
 
 
@@ -405,7 +368,6 @@ def balance_multi_visit(
         )
     gain = cfg.k_p if k_p is None else k_p
     tol = cfg.balance_tol if tol is None else tol
-    evaluator = _PeakEvaluator(cache, cfg)
     dwells = _init_dwells(cycle, budget, eligible, initial_dwells)
     dwell_ids = sorted(eligible)
     never = {tid: cache.never_observed_cost(tid) for tid in dwell_ids}
@@ -421,19 +383,18 @@ def balance_multi_visit(
     spread = math.inf
     iters = 0
     for iters in range(1, cfg.balance_max_iters + 1):
-        snapshot = [*dwells]
+        timelines = timeline_from_schedule(cycle, dwells)
         costs = {}
         visit_costs = {}
         for tid in dwell_ids:
             positions = cycle.positions_of(tid)
-            splits = [snapshot[p] for p in positions]
-            if sum(splits) <= 0.0:
+            timeline = timelines[tid]
+            if sum(timeline.t_on) <= 0.0:
                 costs[tid] = never[tid]
                 visit_costs[tid] = [never[tid]] * len(positions)
                 continue
-            t_off = _toff_for(cycle, snapshot, tid)
             new_splits, vcosts = balance_within_target(
-                tid, splits, t_off, masks[tid], evaluator, cfg
+                tid, timeline.t_on, timeline.t_off, masks[tid], cache, cfg
             )
             for p, s in zip(positions, new_splits):
                 dwells[p] = s

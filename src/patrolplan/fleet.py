@@ -1,9 +1,8 @@
 """Fleet planning: partition the target network and plan each cluster.
 
 The partition quality hinges on the pairwise disparity metric: the cost floor
-of the best single cycle covering both targets, estimated by greedily growing
-a cycle from each start target and accumulating half the grown cycle's metric
-whenever a target joins.  A Gaussian kernel turns disparities into
+of the best single cycle covering both targets, which the alternating
+two-target cycle attains.  A Gaussian kernel turns disparities into
 similarities, normalized spectral clustering splits the network, a greedy
 cycle is built per cluster, and a target-exchange pass rebalances clusters
 while it strictly improves the fleet's worst cost floor.
@@ -190,58 +189,25 @@ def enumerate_ceos(cycle: Cycle, external: int, max_bypass: int = 2) -> list[Cyc
 def disparity_matrix(
     network: TargetNetwork,
     cache: SteadyStateCache | None = None,
-    config: PlannerConfig | None = None,
-    method: str = "exact-pair",
 ) -> DisparityMatrix:
     """Covering-cycle disparity for every target pair.
 
-    ``exact-pair`` (default) evaluates the definition directly: any cycle
-    covering both targets forces each one's worst revisit gap to at least the
-    round-trip travel between them, and the alternating two-target cycle
-    attains that bound, so the best covering-cycle cost is
+    Any cycle covering both targets forces each one's worst revisit gap to at
+    least the round-trip travel between them, and the alternating two-target
+    cycle attains that bound, so the best covering-cycle cost is
     ``max(L_i(2 T_ij), L_j(2 T_ij))``.
-
-    ``greedy-sweep`` instead grows a cycle from each start target, always
-    taking the expansion with the least metric increase, and credits half the
-    grown cycle's metric to the pair (start, joined); each unordered pair
-    receives exactly two contributions.  The sweep overestimates pairs that
-    join late (their value reflects the whole grown club), which washes out
-    the pairwise structure on larger networks; it is kept for comparison.
     """
-    cfg = config or DEFAULT_CONFIG
     cache = cache or SteadyStateCache(network)
     ids = sorted(network.ids)
-    index = {tid: k for k, tid in enumerate(ids)}
     m = len(ids)
     values = np.zeros((m, m))
-    if method == "exact-pair":
-        for a, i in enumerate(ids):
-            for b in range(a + 1, m):
-                j = ids[b]
-                round_trip = 2.0 * network.travel[i][j]
-                d = max(cache.lower_bound(i, round_trip),
-                        cache.lower_bound(j, round_trip))
-                values[a, b] = values[b, a] = d
-        return DisparityMatrix(ids=ids, values=values)
-    if method != "greedy-sweep":
-        raise FleetError(f"unknown disparity method: {method}")
-    for start in ids:
-        cycle = Cycle.from_targets(network, [start])
-        metric = cycle_lower_bound(cycle, cache)
-        remaining = [t for t in ids if t != start]
-        while remaining:
-            best = None
-            for j in remaining:
-                for cand in enumerate_ceos(cycle, j):
-                    cand_metric = cycle_lower_bound(cand, cache)
-                    gain = metric.value - cand_metric.value
-                    if best is None or gain > best[0] + 1e-15:
-                        best = (gain, j, cand, cand_metric)
-            _, joined, cycle, metric = best
-            half = 0.5 * metric.value
-            values[index[start], index[joined]] += half
-            values[index[joined], index[start]] += half
-            remaining.remove(joined)
+    for a, i in enumerate(ids):
+        for b in range(a + 1, m):
+            j = ids[b]
+            round_trip = 2.0 * network.travel[i][j]
+            d = max(cache.lower_bound(i, round_trip),
+                    cache.lower_bound(j, round_trip))
+            values[a, b] = values[b, a] = d
     return DisparityMatrix(ids=ids, values=values)
 
 
@@ -323,15 +289,17 @@ def spectral_cluster(
     n_clusters: int,
     seed: int = 0,
     restarts: int | None = None,
+    max_iters: int | None = None,
 ) -> list[set[int]]:
     """Normalized spectral clustering of the similarity graph.
 
     Solves the generalized eigenproblem L u = lambda D u (the symmetric form
     of the random-walk normalized Laplacian), embeds targets into the first
-    ``n_clusters`` eigenvectors, and k-means-clusters the rows with restarts.
+    ``n_clusters`` eigenvectors, and k-means-clusters the rows with restarts
+    of at most ``max_iters`` Lloyd steps each.
     """
-    cfg = DEFAULT_CONFIG
-    restarts = cfg.kmeans_restarts if restarts is None else restarts
+    restarts = DEFAULT_CONFIG.kmeans_restarts if restarts is None else restarts
+    max_iters = DEFAULT_CONFIG.kmeans_max_iters if max_iters is None else max_iters
     ids = similarity.ids
     m = len(ids)
     if not 1 <= n_clusters <= m:
@@ -347,7 +315,7 @@ def spectral_cluster(
     best_labels, best_wcss = None, math.inf
     for _ in range(restarts):
         centers = _kmeans_plus_plus(U, n_clusters, rng)
-        labels, wcss = _lloyd(U, centers.copy(), cfg.kmeans_max_iters)
+        labels, wcss = _lloyd(U, centers.copy(), max_iters)
         if len(set(labels.tolist())) < n_clusters:
             continue
         if wcss < best_wcss:
@@ -431,13 +399,14 @@ def plan_fleet(
     if num_agents > len(network.ids):
         raise FleetError("more agents than targets")
     if disparity == "covering-cycle":
-        disp = disparity_matrix(network, cache, cfg)
+        disp = disparity_matrix(network, cache)
     elif disparity == "shortest-path":
         disp = shortest_path_disparity(network)
     else:
         raise FleetError(f"unknown disparity kind: {disparity}")
     sim = similarity_from_disparity(disp, cfg.sigma)
-    clusters = spectral_cluster(sim, num_agents, seed=cfg.seed, restarts=cfg.kmeans_restarts)
+    clusters = spectral_cluster(sim, num_agents, seed=cfg.seed, restarts=cfg.kmeans_restarts,
+                                max_iters=cfg.kmeans_max_iters)
     subs, cycles, metrics = [], [], []
     for members in clusters:
         sub, cycle, metric = _build_cluster(network, members, cache, cfg)

@@ -98,10 +98,7 @@ def steady_initial_covariances(
             continue
         # drop zero-dwell visits: their phases merge into the gaps
         t_on, t_off = _merged_phases(tl.t_on, tl.t_off)
-        peaks = periodic_steady_state(
-            target.A, target.Q, target.G, t_on, t_off,
-            omega_ss=cache.steady(tid).omega_ss,
-        )
+        peaks = periodic_steady_state(target.A, target.Q, target.G, t_on, t_off)
         # walk the orbit from the first dwell start back around to t = 0
         first_start = starts[tid]
         remaining = (period - first_start) % period

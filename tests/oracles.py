@@ -3,7 +3,8 @@
 Everything here is deliberately written from first principles, separate from
 the package code paths: closed-form scalar solutions, a fixed-step RK4
 integrator for the matrix equations, a bisection fixed-point solver for the
-single-visit periodic peaks, and brute-force cycle enumeration.
+single-visit periodic peaks, plain iteration of the one-period map for any
+visit pattern, and brute-force cycle enumeration.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 
 
 # --- closed-form scalar solutions -----------------------------------------
@@ -123,6 +125,71 @@ def scalar_single_visit_peak(a: float, q: float, g: float,
         if hi - lo < tol * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
+
+
+# --- periodic fixed point by iterating the period map -----------------------
+
+def _unobserved_map(A: np.ndarray, Q: np.ndarray, t: float):
+    """w -> F w F' + V with F = e^{At} and V the noise Gramian (Van Loan)."""
+    dim = A.shape[0]
+    E = scipy.linalg.expm(np.block([[-A, Q], [np.zeros_like(A), A.T]]) * t)
+    F = E[dim:, dim:].T
+    V = F @ E[:dim, dim:]
+
+    def step(w):
+        w = F @ w @ F.T + V
+        return 0.5 * (w + w.T)
+    return step
+
+
+def _observed_map(A: np.ndarray, Q: np.ndarray, G: np.ndarray, t: float, h: float = 0.05):
+    """Riccati flow as the linear-fractional action of the Hamiltonian
+    exponential, applied in steps of at most ``h``."""
+    dim = A.shape[0]
+    n = max(1, math.ceil(t / h))
+    E = scipy.linalg.expm(np.block([[-A.T, G], [Q, A]]) * (t / n))
+
+    def step(w):
+        for _ in range(n):
+            x = E[:dim, :dim] + E[:dim, dim:] @ w
+            y = E[dim:, :dim] + E[dim:, dim:] @ w
+            w = y @ np.linalg.inv(x)
+            w = 0.5 * (w + w.T)
+        return w
+    return step
+
+
+def period_steps(A, Q, G, t_on, t_off) -> list:
+    """The phase maps of one period in order: observed ``t_on[k]``, then
+    unobserved ``t_off[k]``, for each visit k."""
+    A, Q, G = (np.atleast_2d(np.asarray(m, dtype=float)) for m in (A, Q, G))
+    steps = []
+    for on, off in zip(t_on, t_off):
+        steps.append(_observed_map(A, Q, G, on))
+        steps.append(_unobserved_map(A, Q, off))
+    return steps
+
+
+def apply_period(w: np.ndarray, steps: list) -> np.ndarray:
+    for step in steps:
+        w = step(w)
+    return w
+
+
+def iterated_periodic_start(A, Q, G, t_on, t_off, tol: float = 1e-13,
+                            max_iters: int = 100_000) -> np.ndarray:
+    """Period-start covariance of the periodic steady state, by iterating the
+    period map from zero until a period moves it by at most ``tol``
+    relative to its size."""
+    steps = period_steps(A, Q, G, t_on, t_off)
+    dim = np.atleast_2d(A).shape[0]
+    w = np.zeros((dim, dim))
+    for _ in range(max_iters):
+        new = apply_period(w, steps)
+        if np.abs(new - w).max() <= tol * max(1.0, np.abs(new).max()):
+            return new
+        w = new
+    raise RuntimeError("period map iteration did not converge")
 
 
 # --- brute-force cycle enumeration ------------------------------------------

@@ -19,6 +19,7 @@ from patrolplan.model import TargetSpec
 
 from oracles import (
     TABLE1,
+    iterated_periodic_start,
     rk4_propagate,
     scalar_care,
     scalar_observed,
@@ -181,10 +182,20 @@ class TestPeriodicSteadyState:
         with pytest.raises(ValueError):
             periodic_steady_state([[0.3]], [[1.0]], [[0.4]], t_on=[0.0], t_off=[1.0])
 
-    def test_nonconvergence_raises(self):
+    def test_weak_contraction_solves(self):
+        # a 1e-5 dwell barely contracts the period map; the direct solve
+        # needs no iterations to reach its fixed point
+        peaks = periodic_steady_state([[0.9]], [[1.0]], [[0.2]], t_on=[1e-5], t_off=[12.0])
+        oracle = iterated_periodic_start([[0.9]], [[1.0]], [[0.2]], [1e-5], [12.0])
+        assert peaks.upper[0][0, 0] == pytest.approx(oracle[0, 0], rel=1e-8)
+        assert peaks.iterations == 1
+
+    def test_beyond_double_precision_raises(self):
+        # the period grows the covariance by ~e^40: no double-precision
+        # covariance returns to itself, so the certifying walk must fail
+        A = np.array([[0.5, 0.1], [0.0, 0.3]])
         with pytest.raises(ConvergenceError):
-            periodic_steady_state([[0.9]], [[1.0]], [[0.2]], t_on=[1e-5], t_off=[12.0],
-                                  max_iters=3)
+            periodic_steady_state(A, np.eye(2), 0.5 * np.eye(2), t_on=[1e-3], t_off=[40.0])
 
 
 class TestLowerBound:

@@ -12,7 +12,7 @@ from patrolplan.dwell import (
     plan_single_agent,
     random_initial_dwells,
     timeline_from_schedule,
-    _PeakEvaluator,
+    _visit_costs,
 )
 from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance
 
@@ -198,19 +198,17 @@ class TestBalanceMultiVisit:
         net = self.line3_network()
         cache = SteadyStateCache(net)
         cfg = PlannerConfig()
-        ev = _PeakEvaluator(cache, cfg)
         total = 0.8
         t_off = [1.0, 3.0]
         splits, costs = balance_within_target(
-            1, [0.4, 0.4], t_off, [True, True], ev, cfg
+            1, [0.4, 0.4], t_off, [True, True], cache, cfg
         )
         assert sum(splits) == pytest.approx(total, rel=1e-12)
         assert costs[0] == pytest.approx(costs[1], rel=1e-5)
         # bisection oracle on the fraction given to the first visit
-        ev2 = _PeakEvaluator(cache, cfg)
 
         def diff(frac):
-            c = ev2.visit_costs(1, [frac * total, (1 - frac) * total], t_off)
+            c = _visit_costs(cache, 1, [frac * total, (1 - frac) * total], t_off, cfg.periodic_tol)
             return c[0] - c[1]
 
         lo, hi = 1e-6, 1 - 1e-6

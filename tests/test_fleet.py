@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from patrolplan import fleet as fleet_module
+from patrolplan.config import PlannerConfig
 from patrolplan.cycles import Cycle, SteadyStateCache, cycle_lower_bound, greedy_construct
 from patrolplan.fleet import (
     FleetError,
@@ -62,6 +64,10 @@ class TestEnumerateCeos:
             assert b >= a - 1e-9
 
 
+# the covering-cycle disparity, under the id its cases have always had
+DISPARITIES = pytest.mark.parametrize("disparity", [disparity_matrix], ids=["exact-pair"])
+
+
 class TestDisparity:
     def test_single_target(self):
         net, _ = generate_random_instance(1, seed=5)
@@ -69,21 +75,21 @@ class TestDisparity:
         assert disp.values.shape == (1, 1)
         assert disp.values[0, 0] == 0.0
 
-    @pytest.mark.parametrize("method", ["exact-pair", "greedy-sweep"])
-    def test_two_targets_equals_cycle_metric(self, method):
+    @DISPARITIES
+    def test_two_targets_equals_cycle_metric(self, disparity):
         net, _ = generate_random_instance(2, seed=6)
         cache = SteadyStateCache(net)
-        disp = disparity_matrix(net, cache, method=method)
+        disp = disparity(net, cache)
         two_cycle = Cycle.from_targets(net, [1, 2])
         expected = cycle_lower_bound(two_cycle, cache).value
         assert disp.of(1, 2) == pytest.approx(expected, rel=1e-9)
         assert disp.of(2, 1) == disp.of(1, 2)
 
-    @pytest.mark.parametrize("method", ["exact-pair", "greedy-sweep"])
-    def test_dominates_zero_gap_floors(self, method):
+    @DISPARITIES
+    def test_dominates_zero_gap_floors(self, disparity):
         net, _ = generate_random_instance(5, seed=7)
         cache = SteadyStateCache(net)
-        disp = disparity_matrix(net, cache, method=method)
+        disp = disparity(net, cache)
         for i in net.ids:
             for j in net.ids:
                 if i == j:
@@ -91,10 +97,10 @@ class TestDisparity:
                 floor = max(cache.lower_bound(i, 0.0), cache.lower_bound(j, 0.0))
                 assert disp.of(i, j) >= floor - 1e-9
 
-    @pytest.mark.parametrize("method", ["exact-pair", "greedy-sweep"])
-    def test_symmetric(self, method):
+    @DISPARITIES
+    def test_symmetric(self, disparity):
         net, _ = generate_random_instance(6, seed=8)
-        disp = disparity_matrix(net, method=method)
+        disp = disparity(net)
         assert np.allclose(disp.values, disp.values.T)
         assert np.all(np.diag(disp.values) == 0.0)
 
@@ -168,6 +174,20 @@ class TestSpectralCluster:
         sim = self.block_similarity()
         with pytest.raises(FleetError):
             spectral_cluster(sim, 7)
+
+    def test_plan_fleet_passes_kmeans_max_iters(self, monkeypatch):
+        seen = set()
+        lloyd = fleet_module._lloyd
+
+        def recording_lloyd(points, centers, max_iters):
+            seen.add(max_iters)
+            return lloyd(points, centers, max_iters)
+
+        monkeypatch.setattr(fleet_module, "_lloyd", recording_lloyd)
+        net, _ = generate_random_instance(6, seed=14)
+        cfg = PlannerConfig(kmeans_max_iters=7, kmeans_restarts=3)
+        plan_fleet(net, 2, config=cfg, refine=False, with_dwells=False)
+        assert seen == {7}
 
 
 class TestClusterSubnetwork:
