@@ -1,11 +1,12 @@
 """Shared numeric defaults for the planner.
 
-Every tolerance and iteration cap used by the engine, the balancers and the
-fleet pipeline lives here so callers (and the CLI) can override them in one
-place.
+Every tolerance and iteration cap a caller can set for the engine, the
+balancers and the fleet pipeline lives here, so callers (and the CLI) can
+override them in one place.  The covariance engine's fixed numeric floors are
+constants in ``covariance``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -46,8 +47,6 @@ class PlannerConfig:
 
     # covariance engine
     periodic_tol: float = 1e-9          # one period's max-abs drift, relative to max(1, |omega|)
-    residual_tol: float = 1e-8          # steady-state equation residuals
-    psd_tol: float = 1e-10              # eigenvalue floor for covariance checks
 
     # dwell balancing
     k_p: float = 1e-2                   # consensus gain
@@ -78,8 +77,6 @@ class PlannerConfig:
     # simulation
     num_periods: int = 20
     grid_points_per_period: int = 2000
-
-    param_ranges: ParamRanges = field(default_factory=ParamRanges)
 
 
 DEFAULT_CONFIG = PlannerConfig()

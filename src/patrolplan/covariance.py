@@ -37,6 +37,9 @@ import scipy.linalg
 from .config import DEFAULT_CONFIG
 from .model import TargetSpec
 
+RESIDUAL_TOL = 1e-8   # relative residual of the algebraic steady-state equations
+PSD_TOL = 1e-10       # eigenvalue floor for a positive semidefinite covariance
+
 __all__ = [
     "EngineError",
     "ConvergenceError",
@@ -305,7 +308,7 @@ def propagate_observed(omega0, A, Q, G, t: float) -> np.ndarray:
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     G = np.atleast_2d(np.asarray(G, dtype=float))
     omega0 = _as_cov(omega0)
-    if np.linalg.eigvalsh(omega0).min() < -DEFAULT_CONFIG.psd_tol:
+    if np.linalg.eigvalsh(omega0).min() < -PSD_TOL:
         raise ValueError("omega0 must be positive semidefinite")
     if t == 0.0:
         return omega0
@@ -329,7 +332,7 @@ class SteadyStates:
     a_is_hurwitz: bool
 
 
-def solve_steady_states(A, Q, G, H=None, R=None, residual_tol: float | None = None) -> SteadyStates:
+def solve_steady_states(A, Q, G, H=None, R=None) -> SteadyStates:
     """Solve the algebraic Riccati / Lyapunov equations for one target.
 
     ``H`` and ``R`` are used when available (the solver prefers the factored
@@ -338,7 +341,6 @@ def solve_steady_states(A, Q, G, H=None, R=None, residual_tol: float | None = No
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     G = np.atleast_2d(np.asarray(G, dtype=float))
-    tol = DEFAULT_CONFIG.residual_tol if residual_tol is None else residual_tol
     if H is not None and R is not None:
         b = np.atleast_2d(np.asarray(H, dtype=float)).T
         r = np.atleast_2d(np.asarray(R, dtype=float))
@@ -352,7 +354,7 @@ def solve_steady_states(A, Q, G, H=None, R=None, residual_tol: float | None = No
     omega_ss = scipy.linalg.solve_continuous_are(A.T, b, Q, r)
     omega_ss = symmetrize(omega_ss)
     res = A @ omega_ss + omega_ss @ A.T + Q - omega_ss @ G @ omega_ss
-    if np.linalg.norm(res) > tol * (1.0 + np.linalg.norm(omega_ss)):
+    if np.linalg.norm(res) > RESIDUAL_TOL * (1.0 + np.linalg.norm(omega_ss)):
         raise EngineError(
             f"Riccati solution residual {np.linalg.norm(res):.3e} above tolerance"
         )
@@ -361,15 +363,15 @@ def solve_steady_states(A, Q, G, H=None, R=None, residual_tol: float | None = No
     if hurwitz:
         omega_inf = symmetrize(scipy.linalg.solve_continuous_lyapunov(A, -Q))
         res_inf = A @ omega_inf + omega_inf @ A.T + Q
-        if np.linalg.norm(res_inf) > tol * (1.0 + np.linalg.norm(omega_inf)):
+        if np.linalg.norm(res_inf) > RESIDUAL_TOL * (1.0 + np.linalg.norm(omega_inf)):
             raise EngineError(
                 f"Lyapunov solution residual {np.linalg.norm(res_inf):.3e} above tolerance"
             )
     return SteadyStates(omega_ss=omega_ss, omega_inf_finite=omega_inf, a_is_hurwitz=hurwitz)
 
 
-def steady_states_for(target: TargetSpec, residual_tol: float | None = None) -> SteadyStates:
-    return solve_steady_states(target.A, target.Q, target.G, target.H, target.R, residual_tol)
+def steady_states_for(target: TargetSpec) -> SteadyStates:
+    return solve_steady_states(target.A, target.Q, target.G, target.H, target.R)
 
 
 # ---------------------------------------------------------------------------

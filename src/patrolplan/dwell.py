@@ -1,13 +1,14 @@
 """Dwell-time allocation over a fixed visiting sequence.
 
-For a given cycle and period, dwell times are balanced by a multiplicative
-consensus law: each visited target's dwell moves proportionally to the log
-ratio of its peak cost to the geometric mean across active targets, which
-keeps the total dwell (and hence the period) constant while all active peak
-costs converge to a common value.  A two-level variant splits a target's
-total dwell across multiple visits.  The period itself is optimized by a
-golden-section search, and an outer loop drops targets that are cheaper
-never observed than the balanced consensus cost.
+One law governs the dwells: in a balanced allocation every observed target
+peaks at the same cost, whether the cycle visits it once or several times.
+One consensus loop enforces it.  Each target's total dwell moves
+proportionally to the log ratio of its peak cost to the geometric mean across
+active targets, which keeps the period constant while all active peak costs
+converge to a common value; a target with several dwell slots also has its
+total split across them until its per-visit peaks agree.  The period itself
+is optimized by a golden-section search, and an outer loop drops targets that
+are cheaper never observed than the balanced consensus cost.
 """
 
 from __future__ import annotations
@@ -110,15 +111,10 @@ class DwellState:
     period: float
     costs: dict[int, float]              # per-target worst peak cost
     visit_costs: dict[int, list[float]]  # per-visit peak costs (instance order)
-    g_avg: float
+    g_con: float                         # consensus level of the active peaks
     active: set[int]
     trace: list[float] = field(repr=False)
     iterations: int = 0
-    converged: bool = True
-
-    @property
-    def g_con(self) -> float:
-        return self.g_avg
 
     @property
     def max_cost(self) -> float:
@@ -181,107 +177,8 @@ def _init_dwells(cycle: Cycle, budget: float, eligible: dict[int, list[int]],
     return dwells
 
 
-def balance_single_visit(
-    cycle: Cycle,
-    period: float,
-    cache: SteadyStateCache | None = None,
-    config: PlannerConfig | None = None,
-    initial_dwells: list[float] | None = None,
-    k_p: float | None = None,
-    tol: float | None = None,
-) -> DwellState:
-    """Equalize peak costs when each target dwells at most once per cycle.
-
-    Iterates the log-ratio consensus update with the period held exactly
-    constant; clipped dwell mass is redistributed proportionally.  The gain is
-    halved whenever a discrete step would raise the worst cost.
-    """
-    cfg = config or DEFAULT_CONFIG
-    cache = cache or SteadyStateCache(cycle.network)
-    eligible = _eligible_map(cycle)
-    for tid, positions in eligible.items():
-        if len(positions) > 1:
-            raise PlanningError(f"target {tid} has multiple dwell slots; use the multi-visit balancer")
-    budget = period - cycle.travel_time
-    if budget <= 0:
-        raise PlanningError(
-            f"period {period:.6g} does not exceed the travel time {cycle.travel_time:.6g}"
-        )
-    gain = cfg.k_p if k_p is None else k_p
-    tol = cfg.balance_tol if tol is None else tol
-    dwells = _init_dwells(cycle, budget, eligible, initial_dwells)
-    dwell_ids = sorted(eligible)
-    slot = {tid: eligible[tid][0] for tid in dwell_ids}
-    never = {tid: cache.never_observed_cost(tid) for tid in dwell_ids}
-
-    trace: list[float] = []
-    prev: tuple[list[float], dict[int, float], float] | None = None
-    costs: dict[int, float] = {}
-    spread = math.inf
-    iters = 0
-    for iters in range(1, cfg.balance_max_iters + 1):
-        costs = {}
-        for tid in dwell_ids:
-            ton = dwells[slot[tid]]
-            if ton <= 0.0:
-                costs[tid] = never[tid]
-            else:
-                costs[tid] = _visit_costs(cache, tid, [ton], [period - ton], cfg.periodic_tol)[0]
-        max_cost = max(costs.values())
-        if prev is not None and max_cost > prev[2] * (1.0 + 1e-12) + 1e-15:
-            dwells, costs, max_cost = prev[0], dict(prev[1]), prev[2]
-            gain *= 0.5
-            if gain < cfg.k_p * 2.0 ** -40:
-                raise ConvergenceError("dwell balancing stalled", spread)
-        trace.append(max_cost)
-        active = [tid for tid in dwell_ids if dwells[slot[tid]] > 0.0]
-        if not active:
-            raise PlanningError("no active target; every dwell collapsed to zero")
-        g_avg = _geometric_mean([costs[tid] for tid in active])
-        spread = max(abs(costs[tid] - g_avg) for tid in active) / g_avg
-        inactive_ok = all(
-            costs[tid] <= g_avg * (1.0 + tol)
-            for tid in dwell_ids if dwells[slot[tid]] <= 0.0
-        )
-        if spread <= tol and inactive_ok:
-            break
-        prev = ([*dwells], dict(costs), max_cost)
-        proposed = {}
-        for tid in dwell_ids:
-            ton = dwells[slot[tid]]
-            if ton <= 0.0 and costs[tid] <= g_avg:
-                proposed[tid] = 0.0
-                continue
-            step = gain * _log_ratio(costs[tid], g_avg, cfg.log_ratio_cap)
-            proposed[tid] = max(0.0, ton + step)
-        total = sum(proposed.values())
-        if total <= 0.0:
-            share = budget / len(dwell_ids)
-            proposed = {tid: share for tid in dwell_ids}
-            total = budget
-        scale = budget / total
-        for tid in dwell_ids:
-            dwells[slot[tid]] = proposed[tid] * scale
-    else:
-        raise ConvergenceError("dwell balancing did not converge", spread)
-
-    active_set = {tid for tid in dwell_ids if dwells[slot[tid]] > 0.0}
-    return DwellState(
-        cycle=cycle,
-        dwells=dwells,
-        period=period,
-        costs=costs,
-        visit_costs={tid: [costs[tid]] for tid in dwell_ids},
-        g_avg=_geometric_mean([costs[t] for t in sorted(active_set)]),
-        active=active_set,
-        trace=trace,
-        iterations=iters,
-        converged=True,
-    )
-
-
 # ---------------------------------------------------------------------------
-# multi-visit balancing
+# consensus balancing
 # ---------------------------------------------------------------------------
 
 def balance_within_target(
@@ -351,12 +248,18 @@ def balance_multi_visit(
     k_p: float | None = None,
     tol: float | None = None,
 ) -> DwellState:
-    """Two-level dwell balancing for cycles with repeated visits.
+    """Equalize the peak costs of every active target on (cycle, period).
 
-    Outer iterations move each target's total dwell by the consensus law;
-    after every move the per-visit split is rescaled proportionally and then
-    re-balanced within each target against gaps computed from the other
-    targets' current dwells.
+    Each sweep costs every target at the current dwells and moves its total
+    dwell by the consensus law with the period held exactly constant; clipped
+    dwell mass is redistributed proportionally.  A target with one dwell slot
+    is costed directly over the period.  A target with several slots has its
+    total rescaled proportionally across them, and the split re-balanced
+    within the target against gaps computed from the other targets' current
+    dwells.  The gain is halved whenever a step raises the worst cost by more
+    than a rise tolerance: round-off when every target has one slot, 1e-3
+    otherwise (the within-target split lags one sweep, which allows small
+    transient rises; only a gross increase signals an unstable step size).
     """
     cfg = config or DEFAULT_CONFIG
     cache = cache or SteadyStateCache(cycle.network)
@@ -371,55 +274,59 @@ def balance_multi_visit(
     dwells = _init_dwells(cycle, budget, eligible, initial_dwells)
     dwell_ids = sorted(eligible)
     never = {tid: cache.never_observed_cost(tid) for tid in dwell_ids}
-    masks = {
-        tid: [cycle.instances[p].dwell_eligible for p in cycle.positions_of(tid)]
-        for tid in dwell_ids
-    }
+    slot = {tid: eligible[tid][0] for tid in dwell_ids if len(eligible[tid]) == 1}
+    # targets with several dwell slots: all their instance positions
+    split = {tid: cycle.positions_of(tid) for tid in dwell_ids if tid not in slot}
+    masks = {tid: [cycle.instances[p].dwell_eligible for p in split[tid]] for tid in split}
+    rise_rel, rise_abs = (1e-3, 0.0) if split else (1e-12, 1e-15)
 
     trace: list[float] = []
     prev: tuple[list[float], dict[int, float], dict[int, list[float]], float] | None = None
-    costs: dict[int, float] = {}
-    visit_costs: dict[int, list[float]] = {}
     spread = math.inf
-    iters = 0
     for iters in range(1, cfg.balance_max_iters + 1):
-        timelines = timeline_from_schedule(cycle, dwells)
-        costs = {}
-        visit_costs = {}
+        timelines = timeline_from_schedule(cycle, dwells) if split else {}
+        costs: dict[int, float] = {}
+        visit_costs: dict[int, list[float]] = {}  # targets with several slots only
         for tid in dwell_ids:
-            positions = cycle.positions_of(tid)
+            pos = slot.get(tid)
+            if pos is not None:
+                ton = dwells[pos]
+                if ton <= 0.0:
+                    costs[tid] = never[tid]
+                else:
+                    costs[tid] = _visit_costs(cache, tid, [ton], [period - ton], cfg.periodic_tol)[0]
+                continue
             timeline = timelines[tid]
             if sum(timeline.t_on) <= 0.0:
                 costs[tid] = never[tid]
-                visit_costs[tid] = [never[tid]] * len(positions)
+                visit_costs[tid] = [never[tid]] * len(split[tid])
                 continue
             new_splits, vcosts = balance_within_target(
                 tid, timeline.t_on, timeline.t_off, masks[tid], cache, cfg
             )
-            for p, s in zip(positions, new_splits):
+            for p, s in zip(split[tid], new_splits):
                 dwells[p] = s
             visit_costs[tid] = vcosts
             costs[tid] = max(vcosts)
         max_cost = max(costs.values())
-        # the staggered total/split updates allow small transient rises of the
-        # maximum (the within-target equalization lags one sweep); only a
-        # gross increase signals a genuinely unstable step size
-        if prev is not None and max_cost > prev[3] * (1.0 + 1e-3):
+        if prev is not None and max_cost > prev[3] * (1.0 + rise_rel) + rise_abs:
             dwells, costs, visit_costs, max_cost = (
                 [*prev[0]], dict(prev[1]), dict(prev[2]), prev[3],
             )
             gain *= 0.5
             if gain < cfg.k_p * 2.0 ** -40:
-                raise ConvergenceError("multi-visit balancing stalled", spread)
+                raise ConvergenceError("dwell balancing stalled", spread)
         trace.append(max_cost)
-        totals = {tid: sum(dwells[p] for p in cycle.positions_of(tid)) for tid in dwell_ids}
+        totals = {tid: dwells[pos] for tid, pos in slot.items()}
+        for tid, positions in split.items():
+            totals[tid] = sum(dwells[p] for p in positions)
         active = [tid for tid in dwell_ids if totals[tid] > 0.0]
         if not active:
             raise PlanningError("no active target; every dwell collapsed to zero")
-        g_avg = _geometric_mean([costs[tid] for tid in active])
-        spread = max(abs(costs[tid] - g_avg) for tid in active) / g_avg
+        g_con = _geometric_mean([costs[tid] for tid in active])
+        spread = max(abs(costs[tid] - g_con) for tid in active) / g_con
         inactive_ok = all(
-            costs[tid] <= g_avg * (1.0 + tol)
+            costs[tid] <= g_con * (1.0 + tol)
             for tid in dwell_ids if totals[tid] <= 0.0
         )
         if spread <= tol and inactive_ok:
@@ -428,22 +335,22 @@ def balance_multi_visit(
         proposed = {}
         for tid in dwell_ids:
             total = totals[tid]
-            if total <= 0.0 and costs[tid] <= g_avg:
+            if total <= 0.0 and costs[tid] <= g_con:
                 proposed[tid] = 0.0
                 continue
-            step = gain * _log_ratio(costs[tid], g_avg, cfg.log_ratio_cap)
+            step = gain * _log_ratio(costs[tid], g_con, cfg.log_ratio_cap)
             proposed[tid] = max(0.0, total + step)
         grand = sum(proposed.values())
         if grand <= 0.0:
             proposed = {tid: budget / len(dwell_ids) for tid in dwell_ids}
             grand = budget
         scale = budget / grand
-        for tid in dwell_ids:
-            positions = cycle.positions_of(tid)
+        for tid, pos in slot.items():
+            dwells[pos] = proposed[tid] * scale
+        for tid, positions in split.items():
             new_total = proposed[tid] * scale
-            old_total = totals[tid]
-            if old_total > 0.0:
-                ratio = new_total / old_total
+            if totals[tid] > 0.0:
+                ratio = new_total / totals[tid]
                 for p in positions:
                     dwells[p] = dwells[p] * ratio
             elif new_total > 0.0:
@@ -451,30 +358,36 @@ def balance_multi_visit(
                 for p, e in zip(positions, masks[tid]):
                     dwells[p] = new_total / n_el if e else 0.0
     else:
-        raise ConvergenceError("multi-visit balancing did not converge", spread)
+        raise ConvergenceError("dwell balancing did not converge", spread)
 
-    totals = {tid: sum(dwells[p] for p in cycle.positions_of(tid)) for tid in dwell_ids}
-    active_set = {tid for tid in dwell_ids if totals[tid] > 0.0}
     return DwellState(
         cycle=cycle,
         dwells=dwells,
         period=period,
         costs=costs,
-        visit_costs=visit_costs,
-        g_avg=_geometric_mean([costs[t] for t in sorted(active_set)]),
-        active=active_set,
+        visit_costs={tid: visit_costs[tid] if tid in split else [costs[tid]] for tid in dwell_ids},
+        g_con=g_con,
+        active=set(active),
         trace=trace,
         iterations=iters,
-        converged=True,
     )
 
 
-def balance(cycle: Cycle, period: float, cache=None, config=None, initial_dwells=None) -> DwellState:
-    """Dispatch to the single- or multi-visit balancer by cycle structure."""
-    eligible = _eligible_map(cycle)
-    if all(len(p) <= 1 for p in eligible.values()):
-        return balance_single_visit(cycle, period, cache, config, initial_dwells)
-    return balance_multi_visit(cycle, period, cache, config, initial_dwells)
+def balance_single_visit(
+    cycle: Cycle,
+    period: float,
+    cache: SteadyStateCache | None = None,
+    config: PlannerConfig | None = None,
+    initial_dwells: list[float] | None = None,
+    k_p: float | None = None,
+    tol: float | None = None,
+) -> DwellState:
+    """``balance_multi_visit`` on a cycle where each target has at most one
+    dwell slot (raises ``PlanningError`` otherwise)."""
+    for tid, positions in _eligible_map(cycle).items():
+        if len(positions) > 1:
+            raise PlanningError(f"target {tid} has multiple dwell slots; use the multi-visit balancer")
+    return balance_multi_visit(cycle, period, cache, config, initial_dwells, k_p, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +425,7 @@ def golden_period_search(
     warm: dict[str, object] = {"dwells": None}
 
     def evaluate(period: float) -> DwellState:
-        state = balance(cycle, period, cache, cfg, initial_dwells=warm["dwells"])
+        state = balance_multi_visit(cycle, period, cache, cfg, initial_dwells=warm["dwells"])
         warm["dwells"] = state.dwells
         probes.append((period, state.g_con))
         return state

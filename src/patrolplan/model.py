@@ -33,18 +33,32 @@ class InstanceError(ValueError):
     """Raised when an instance document violates the schema or an invariant."""
 
 
+def _number(value: Any, name: str) -> float:
+    """A finite JSON number, else an error naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise InstanceError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value: Any, name: str) -> int:
+    """An integral JSON number (``3`` or ``3.0``), else an error naming ``name``."""
+    if not _number(value, name).is_integer():
+        raise InstanceError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_matrix(value: Any, name: str, tid: int) -> np.ndarray:
     """Accept a bare number as a 1x1 matrix, else row-major nested lists."""
-    if isinstance(value, (int, float)):
-        return np.array([[float(value)]])
     try:
         mat = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InstanceError(f"target {tid}: field {name} is not numeric") from exc
-    if mat.ndim == 1:
+    if mat.ndim < 2:
         mat = mat.reshape(1, -1)
     if mat.ndim != 2:
         raise InstanceError(f"target {tid}: field {name} must be a matrix")
+    if not np.all(np.isfinite(mat)):
+        raise InstanceError(f"target {tid}: field {name} has a non-finite entry")
     return mat
 
 
@@ -96,8 +110,8 @@ class TargetSpec:
             raise InstanceError(f"target {self.id}: R must be {m}x{m}")
         _check_spd(self.Q, "Q", self.id)
         _check_spd(self.R, "R", self.id)
-        if self.weight_alpha <= 0:
-            raise InstanceError(f"target {self.id}: weight_alpha must be positive")
+        if not 0 < self.weight_alpha < math.inf:
+            raise InstanceError(f"target {self.id}: weight_alpha must be positive and finite")
         if _observability_rank(self.A, self.H) < dim:
             raise InstanceError(f"target {self.id}: (A, H) is not observable")
         self.G = self.H.T @ np.linalg.solve(self.R, self.H)
@@ -160,8 +174,8 @@ class TargetNetwork:
                 raise InstanceError(f"edge ({i}, {j}) references an unknown target")
             if i == j:
                 raise InstanceError(f"edge ({i}, {j}) is a self-loop")
-            if d < 0:
-                raise InstanceError(f"edge ({i}, {j}) has negative travel time")
+            if not 0 <= d < math.inf:
+                raise InstanceError(f"edge ({i}, {j}) has a negative or non-finite travel time")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise InstanceError(f"duplicate edge ({i}, {j})")
@@ -286,14 +300,15 @@ def _parse_targets(raw: Any) -> list[TargetSpec]:
         missing = {"id", "A", "Q", "H", "R"} - entry.keys()
         if missing:
             raise InstanceError(f"target entry missing keys: {sorted(missing)}")
+        tid = _integer(entry["id"], "target id")
         targets.append(
             TargetSpec(
-                id=int(entry["id"]),
+                id=tid,
                 A=entry["A"],
                 Q=entry["Q"],
                 H=entry["H"],
                 R=entry["R"],
-                weight_alpha=float(entry.get("weight_alpha", 1.0)),
+                weight_alpha=_number(entry.get("weight_alpha", 1.0), f"target {tid}: weight_alpha"),
             )
         )
     return sorted(targets, key=lambda t: t.id)
@@ -314,12 +329,13 @@ def load_instance(document: dict) -> tuple[TargetNetwork, FleetSpec]:
     for entry in raw_edges:
         if not isinstance(entry, dict) or {"i", "j", "d"} - entry.keys():
             raise InstanceError("each edge must be an object with keys i, j, d")
-        edges.append((int(entry["i"]), int(entry["j"]), float(entry["d"])))
+        i, j = _integer(entry["i"], "edge i"), _integer(entry["j"], "edge j")
+        edges.append((i, j, _number(entry["d"], f"edge ({i}, {j}): d")))
     network = TargetNetwork(targets=targets, edges=edges)
     agents_raw = document.get("agents", {"count": 1})
     if not isinstance(agents_raw, dict) or "count" not in agents_raw:
         raise InstanceError("'agents' must be an object with a 'count' key")
-    fleet = FleetSpec(num_agents=int(agents_raw["count"]))
+    fleet = FleetSpec(num_agents=_integer(agents_raw["count"], "agents.count"))
     fleet.validate(len(targets))
     return network, fleet
 

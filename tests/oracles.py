@@ -19,11 +19,11 @@ import scipy.linalg
 # --- closed-form scalar solutions -----------------------------------------
 
 def scalar_unobserved(a: float, q: float, w0: float, t: float) -> float:
-    """w(t) = e^{2at} (w0 + q/2a) - q/2a, or w0 + q t when a = 0."""
-    if a == 0.0:
-        return w0 + q * t
-    c = q / (2.0 * a)
-    return math.exp(2.0 * a * t) * (w0 + c) - c
+    """w(t) = e^{2at} w0 + q t (e^{2at} - 1)/(2at), in expm1 form so that it
+    keeps its digits for tiny |a|; the a -> 0 limit is w0 + q t."""
+    x = 2.0 * a * t
+    growth = math.expm1(x) / x if x != 0.0 else 1.0
+    return math.exp(x) * w0 + q * t * growth
 
 
 def scalar_care(a: float, q: float, g: float) -> float:

@@ -115,7 +115,7 @@ def test_criterion_03_peak_equalization():
         state = balance_single_visit(cyc, 1.5 * cyc.travel_time, cache=cache)
         worst_time = max(worst_time, time.time() - t0)
         active = [state.costs[t] for t in sorted(state.active)]
-        worst_spread = max(worst_spread, (max(active) - min(active)) / state.g_avg)
+        worst_spread = max(worst_spread, (max(active) - min(active)) / state.g_con)
         for a, b in zip(state.trace[:-1], state.trace[1:]):
             worst_bump = max(worst_bump, b - a)
     report(3, worst_spread <= 1e-5 and worst_bump <= 1e-9 and worst_time < 10.0,

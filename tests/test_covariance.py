@@ -43,6 +43,11 @@ class TestPropagateUnobserved:
     def test_zero_drift_linear_growth(self):
         out = propagate_unobserved([[2.0]], [[0.0]], [[1.0]], 3.0)
         assert out[0, 0] == pytest.approx(5.0, abs=1e-12)
+        # zero and tiny drift: the oracle keeps the linear limit w0 + q t
+        for a, t, expected in ((0.0, 3.0, 5.0), (5.4e-65, 1.0, 3.0)):
+            assert scalar_unobserved(a, 1.0, 2.0, t) == pytest.approx(expected, rel=1e-15)
+            out = propagate_unobserved([[2.0]], [[a]], [[1.0]], t)
+            assert out[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_scalar_closed_form(self):
         a, q = 0.3487, 1.1924

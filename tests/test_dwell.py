@@ -1,6 +1,7 @@
 import pytest
 
 from patrolplan.config import PlannerConfig
+from patrolplan.covariance import ConvergenceError
 from patrolplan.cycles import Cycle, SteadyStateCache, tsp_heuristic
 from patrolplan.dwell import (
     PlanningError,
@@ -95,7 +96,7 @@ class TestBalanceSingleVisit:
         state = balance_single_visit(cyc, period, cache=cache)
         active_costs = [state.costs[t] for t in sorted(state.active)]
         assert len(state.active) == 5  # unstable targets all stay active
-        spread = (max(active_costs) - min(active_costs)) / state.g_avg
+        spread = (max(active_costs) - min(active_costs)) / state.g_con
         assert spread <= 1e-5
         # dwell differentiation: noisier targets get more time
         assert len(set(round(d, 6) for d in state.dwells)) > 1
@@ -130,7 +131,7 @@ class TestBalanceSingleVisit:
         assert 2 not in state.active
         assert state.dwells[1] == 0.0
         assert state.costs[2] == pytest.approx(cache.never_observed_cost(2))
-        assert state.costs[2] < state.g_avg
+        assert state.costs[2] < state.g_con
 
     def test_uniqueness_from_random_inits(self):
         net, _ = generate_random_instance(4, seed=77)
@@ -179,10 +180,10 @@ class TestBalanceMultiVisit:
         period = 2.2 * cyc.travel_time
         state = balance_multi_visit(cyc, period, cache=cache)
         v1 = state.visit_costs[1]
-        assert abs(v1[0] - v1[1]) <= 1e-5 * state.g_avg
+        assert abs(v1[0] - v1[1]) <= 1e-5 * state.g_con
         # across-target consensus too
-        spread = max(abs(state.costs[t] - state.g_avg) for t in state.active)
-        assert spread <= 1e-5 * state.g_avg
+        spread = max(abs(state.costs[t] - state.g_con) for t in state.active)
+        assert spread <= 1e-5 * state.g_con
 
     def test_period_preserved(self):
         net = self.line3_network()
@@ -220,6 +221,27 @@ class TestBalanceMultiVisit:
             else:
                 hi = mid
         assert splits[0] / total == pytest.approx(0.5 * (lo + hi), abs=1e-4)
+
+    # Known failures of the within-target split, kept visible until it is
+    # mended: each input has a split with equal peaks, but the split stalls.
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="stable, weakly sensed target: the fixed-gain split is too slow")
+    def test_split_converges_for_stable_target(self):
+        net = TargetNetwork(targets=[TargetSpec(id=1, A=-0.415, Q=0.64, H=1.0, R=7.5)], edges=[])
+        splits, costs = balance_within_target(
+            1, [0.53, 0.53], [1.79, 2.83], [True, True], SteadyStateCache(net), PlannerConfig()
+        )
+        assert costs[0] == pytest.approx(costs[1], rel=1e-6)
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="a dwell is paired with the peak of the pass-through after it")
+    def test_split_converges_across_pass_through(self):
+        net = TargetNetwork(targets=[TargetSpec(id=1, A=0.3, Q=1.0, H=1.0, R=1.0)], edges=[])
+        splits, costs = balance_within_target(
+            1, [0.3, 0.0, 0.3], [0.5, 0.5, 2.0], [True, False, True],
+            SteadyStateCache(net), PlannerConfig(),
+        )
+        assert costs[0] == pytest.approx(costs[2], rel=1e-6)
 
     def test_zero_dwell_visit_stays_clamped(self):
         # a pass-through instance can never receive dwell

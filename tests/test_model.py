@@ -100,6 +100,23 @@ class TestLoadInstance:
         with pytest.raises(InstanceError, match="99"):
             load_instance(doc)
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc["edges"][0].update(d=float("nan")), r"edge \(1, 2\): d"),
+        (lambda doc: doc["edges"][0].update(d=float("inf")), r"edge \(1, 2\): d"),
+        (lambda doc: doc["targets"][1].update(A=float("nan")), "target 2: field A"),
+        (lambda doc: doc["targets"][1].update(Q=[[float("inf")]]), "target 2: field Q"),
+        (lambda doc: doc["targets"][1].update(weight_alpha=float("nan")), "target 2: weight_alpha"),
+        (lambda doc: doc["targets"][1].update(id=2.5), "target id must be an integer"),
+        (lambda doc: doc["agents"].update(count=1.7), "agents.count"),
+        (lambda doc: doc["agents"].update(count="x"), "agents.count"),
+    ], ids=["nan-d", "inf-d", "nan-A", "inf-Q", "nan-alpha", "fractional-id",
+            "fractional-count", "string-count"])
+    def test_bad_number_rejected_naming_field(self, edit, field):
+        doc = table1_document()
+        edit(doc)
+        with pytest.raises(InstanceError, match=field):
+            load_instance(doc)
+
 
 class TestGenerateRandom:
     def test_deterministic_for_seed(self):
