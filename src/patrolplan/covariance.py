@@ -325,11 +325,26 @@ def propagate_observed(omega0, A, Q, G, t: float) -> np.ndarray:
 @dataclass
 class SteadyStates:
     """Always-observed Riccati fixed point and, when A is Hurwitz, the
-    never-observed Lyapunov fixed point."""
+    never-observed Lyapunov fixed point.  A drift so weak that this point
+    overflows (a = -5e-324) counts as not Hurwitz, like a = 0: its
+    never-observed cost is infinite."""
 
     omega_ss: np.ndarray
     omega_inf_finite: np.ndarray | None
     a_is_hurwitz: bool
+
+
+def _check_solution(name: str, omega: np.ndarray, res: np.ndarray) -> None:
+    """Raise unless ``omega`` is positive semidefinite and its residual meets
+    ``RESIDUAL_TOL * (1 + ||omega||)`` (Frobenius).  Both sides are divided by
+    ``max(1, max|omega|)`` first, so no norm overflows, and NaN fails."""
+    scale = max(1.0, float(np.abs(omega).max()))
+    rel_res = float(np.linalg.norm(res / scale))
+    if not rel_res <= RESIDUAL_TOL * (1.0 / scale + float(np.linalg.norm(omega / scale))):
+        raise EngineError(f"{name} solution residual {rel_res * scale:.3e} above tolerance")
+    low = float(np.linalg.eigvalsh(omega).min())
+    if low < -PSD_TOL * scale:
+        raise EngineError(f"{name} solution has negative eigenvalue {low:.3e}")
 
 
 def solve_steady_states(A, Q, G, H=None, R=None) -> SteadyStates:
@@ -353,20 +368,20 @@ def solve_steady_states(A, Q, G, H=None, R=None) -> SteadyStates:
         r = np.eye(G.shape[0])
     omega_ss = scipy.linalg.solve_continuous_are(A.T, b, Q, r)
     omega_ss = symmetrize(omega_ss)
-    res = A @ omega_ss + omega_ss @ A.T + Q - omega_ss @ G @ omega_ss
-    if np.linalg.norm(res) > RESIDUAL_TOL * (1.0 + np.linalg.norm(omega_ss)):
-        raise EngineError(
-            f"Riccati solution residual {np.linalg.norm(res):.3e} above tolerance"
-        )
+    _check_solution("Riccati", omega_ss, A @ omega_ss + omega_ss @ A.T + Q - omega_ss @ G @ omega_ss)
     hurwitz = bool(np.all(np.linalg.eigvals(A).real < 0))
     omega_inf = None
-    if hurwitz:
+    if hurwitz and A.shape == (1, 1):
+        # q / 2|a| in closed form: scipy's solver returns a negative value
+        # for |a| near 1e-300.  Past double range (a = -5e-324) there is no
+        # finite limit, as for a = 0.
+        resting = float(Q[0, 0]) / (-2.0 * float(A[0, 0]))
+        hurwitz = math.isfinite(resting)
+        omega_inf = np.array([[resting]]) if hurwitz else None
+    elif hurwitz:
         omega_inf = symmetrize(scipy.linalg.solve_continuous_lyapunov(A, -Q))
-        res_inf = A @ omega_inf + omega_inf @ A.T + Q
-        if np.linalg.norm(res_inf) > RESIDUAL_TOL * (1.0 + np.linalg.norm(omega_inf)):
-            raise EngineError(
-                f"Lyapunov solution residual {np.linalg.norm(res_inf):.3e} above tolerance"
-            )
+    if hurwitz:
+        _check_solution("Lyapunov", omega_inf, A @ omega_inf + omega_inf @ A.T + Q)
     return SteadyStates(omega_ss=omega_ss, omega_inf_finite=omega_inf, a_is_hurwitz=hurwitz)
 
 

@@ -180,6 +180,7 @@ class TargetNetwork:
             if key in seen:
                 raise InstanceError(f"duplicate edge ({i}, {j})")
             seen.add(key)
+        self._by_id = {t.id: t for t in self.targets}
         self._floyd_warshall()
         if len(self.targets) > 1:
             for i in ids:
@@ -238,10 +239,7 @@ class TargetNetwork:
         return [t.id for t in self.targets]
 
     def target(self, tid: int) -> TargetSpec:
-        for t in self.targets:
-            if t.id == tid:
-                return t
-        raise KeyError(tid)
+        return self._by_id[tid]
 
     def subnetwork(self, keep_ids: set[int], extra_edges: list[tuple[int, int, float, list[int]]] | None = None) -> "TargetNetwork":
         """Induced sub-network over ``keep_ids`` (intra edges only).
@@ -254,6 +252,7 @@ class TargetNetwork:
         edges = [(i, j, d) for (i, j, d) in self.edges if i in keep_ids and j in keep_ids]
         sub = TargetNetwork.__new__(TargetNetwork)
         sub.targets = targets
+        sub._by_id = {t.id: t for t in targets}
         sub.edges = edges
         sub.positions = {i: p for i, p in self.positions.items() if i in keep_ids}
         sub._composite = {}

@@ -5,11 +5,18 @@ from arbitrary initial conditions, using the engine's segment-exact
 propagators (uniform substeps inside each dwell/travel segment, exact values
 at segment boundaries), and checks the realized worst cost against the plan's
 prediction.
+
+The trace is columnar: each target is integrated in one loop over the
+segments (scalar targets apply the Moebius substep inline, with the same
+operations as ``_ScalarFlow``), and its samples land in a numpy column.
+Times, observed flags and the per-period maxima are array operations, and
+``trace_to_csv`` formats column by column in chunks of rows.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,15 +29,22 @@ from .model import TargetNetwork
 
 __all__ = ["SimTrace", "simulate", "validate", "trace_to_csv", "steady_initial_covariances"]
 
+CSV_CHUNK_ROWS = 5_000   # rows formatted per batch by trace_to_csv
+_FLAGS = ("0", "1")
+
 
 @dataclass
 class SimTrace:
-    """Sampled covariance trajectories under a plan's schedule."""
+    """Sampled covariance trajectories under a plan's schedule.
 
-    times: list[float]
-    norms: dict[int, list[float]]
-    costs: dict[int, list[float]]
-    observed: dict[int, list[int]]
+    ``times`` and the per-target ``norms``, ``costs`` and ``observed`` (0/1
+    int32 flags) are numpy columns with one entry per sample.  A target with
+    ``weight_alpha == 1`` has ``costs[tid] is norms[tid]``."""
+
+    times: np.ndarray
+    norms: dict[int, np.ndarray]
+    costs: dict[int, np.ndarray]
+    observed: dict[int, np.ndarray]
     period: float
     num_periods: int
     dt: float
@@ -137,6 +151,40 @@ def _merged_phases(t_on: list[float], t_off: list[float]) -> tuple[list[float], 
     return ons, offs
 
 
+def _scalar_column(w: float, seg_coeffs, num_periods: int) -> np.ndarray:
+    """Covariance of a scalar target at every sample: one Moebius substep
+    ``w -> (m21 + m22 w) / (m11 + m12 w)`` per row, as ``_ScalarFlow``
+    applies it."""
+    col = array("d", [w])
+    append = col.append
+    for _ in range(num_periods):
+        for (m11, m12, m21, m22), n_sub in seg_coeffs:
+            for _ in range(n_sub):
+                w = (m21 + m22 * w) / (m11 + m12 * w)
+                append(w)
+    return np.frombuffer(col, dtype=float)
+
+
+def _matrix_column(
+    w: np.ndarray, seg_flows, num_periods: int, n_rows: int, record_states: int
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """Trace norm of a matrix target at every sample, plus the full
+    covariance at every ``record_states``-th row."""
+    col = np.empty(n_rows)
+    col[0] = cov_norm(w)
+    kept = [(0, np.array(w))] if record_states else []
+    row = 0
+    for _ in range(num_periods):
+        for flow, n_sub in seg_flows:
+            for _ in range(n_sub):
+                w = flow.apply(w)
+                row += 1
+                col[row] = cov_norm(w)
+                if record_states and row % record_states == 0:
+                    kept.append((row, np.array(w)))
+    return col, kept
+
+
 def simulate(
     plan: Plan,
     network: TargetNetwork | None = None,
@@ -173,75 +221,61 @@ def simulate(
         initial = steady_initial_covariances(plan, network, cache)
 
     targets = sorted(network.ids)
-    specs = {t.id: t for t in network.targets}
-    # per segment: substep count and per-target flow for one substep
-    seg_plans = []
-    for duration, obs_tid in segments:
-        n_sub = max(1, math.ceil(duration / dt - 1e-9))
-        step = duration / n_sub
-        flows = {}
-        for tid in targets:
-            spec = specs[tid]
-            if tid == obs_tid:
-                flows[tid] = observed_flow(spec.A, spec.Q, spec.G, step)
-            else:
-                flows[tid] = unobserved_flow(spec.A, spec.Q, step)
-        seg_plans.append((duration, obs_tid, n_sub, flows))
+    column = {tid: k for k, tid in enumerate(targets)}
+    # one period of substeps: length, and the column of the target observed
+    # at the sample that ends it (-1: none).  A boundary sample belongs to
+    # the segment that starts there, so dwell-start instants carry the flag.
+    sub_counts = [max(1, math.ceil(duration / dt - 1e-9)) for duration, _ in segments]
+    steps: list[float] = []
+    row_obs: list[int] = []
+    for si, ((duration, obs_tid), n_sub) in enumerate(zip(segments, sub_counts)):
+        nxt = segments[(si + 1) % len(segments)][1]
+        steps += [duration / n_sub] * n_sub
+        row_obs += [column.get(obs_tid, -1)] * (n_sub - 1) + [column.get(nxt, -1)]
+    rows_per_period = len(steps)
+    n_rows = 1 + num_periods * rows_per_period
+    times = np.empty(n_rows)
+    times[0] = 0.0
+    # add.accumulate sums in order, as t += step does
+    np.cumsum(np.tile(steps, num_periods), out=times[1:])
+    obs_rows = np.empty(n_rows, dtype=np.int32)
+    obs_rows[0] = column.get(segments[0][1], -1)
+    obs_rows[1:] = np.tile(np.array(row_obs, dtype=np.int32), num_periods)
 
-    scalar = {tid: specs[tid].is_scalar for tid in targets}
-    state: dict[int, object] = {}
+    norms: dict[int, np.ndarray] = {}
+    costs: dict[int, np.ndarray] = {}
+    observed: dict[int, np.ndarray] = {}
+    state_samples: dict[int, list[tuple[float, np.ndarray]]] = {}
     for tid in targets:
+        spec = network.target(tid)
+        # per segment, the flow for one of its substeps
+        seg_flows = [
+            (observed_flow(spec.A, spec.Q, spec.G, duration / n_sub) if tid == obs_tid
+             else unobserved_flow(spec.A, spec.Q, duration / n_sub), n_sub)
+            for (duration, obs_tid), n_sub in zip(segments, sub_counts)
+        ]
         w0 = np.atleast_2d(np.asarray(initial[tid], dtype=float))
-        state[tid] = float(w0[0, 0]) if scalar[tid] else w0
+        if spec.is_scalar:
+            col = _scalar_column(float(w0[0, 0]), [(f.m, n) for f, n in seg_flows], num_periods)
+            kept = []
+            if record_states:
+                kept = [(r, np.array([[col[r]]])) for r in range(0, n_rows, record_states)]
+        else:
+            col, kept = _matrix_column(w0, seg_flows, num_periods, n_rows, record_states)
+        norms[tid] = col
+        # x * 1.0 == x exactly, so a weight-1 target shares its norm column
+        costs[tid] = col if spec.weight_alpha == 1.0 else spec.weight_alpha * col
+        observed[tid] = (obs_rows == column[tid]).astype(np.int32)
+        state_samples[tid] = [(float(times[r]), w) for r, w in kept]
 
-    times = [0.0]
-    norms = {tid: [] for tid in targets}
-    costs = {tid: [] for tid in targets}
-    observed = {tid: [] for tid in targets}
-    state_samples: dict[int, list[tuple[float, np.ndarray]]] = {tid: [] for tid in targets}
-
-    def record(tid, obs_tid):
-        w = state[tid]
-        n = w if scalar[tid] else cov_norm(w)
-        norms[tid].append(n)
-        costs[tid].append(specs[tid].g(n))
-        observed[tid].append(1 if tid == obs_tid else 0)
-        if record_states and (len(norms[tid]) - 1) % record_states == 0:
-            state_samples[tid].append(
-                (times[-1], np.array([[w]]) if scalar[tid] else np.array(w))
-            )
-
-    first_obs = segments[0][1]
-    for tid in targets:
-        record(tid, first_obs)
-
-    t = 0.0
-    period_maxima = {tid: [] for tid in targets}
-    for period_idx in range(num_periods):
-        start_idx = len(times) - 1
-        for si, (duration, obs_tid, n_sub, flows) in enumerate(seg_plans):
-            step = duration / n_sub
-            for k in range(n_sub):
-                for tid in targets:
-                    state[tid] = flows[tid].apply(state[tid])
-                t += step
-                times.append(t)
-                # a boundary sample belongs to the segment that starts there,
-                # so dwell-start instants carry the observed flag
-                nxt = seg_plans[(si + 1) % len(seg_plans)][1] if k == n_sub - 1 else obs_tid
-                for tid in targets:
-                    record(tid, nxt)
-        for tid in targets:
-            period_maxima[tid].append(max(costs[tid][start_idx:]))
-
-    per_target_realized = {}
-    last_start = None
-    for idx in range(len(times) - 1, -1, -1):
-        if times[idx] <= (num_periods - 1) * period + 1e-9:
-            last_start = idx
-            break
-    for tid in targets:
-        per_target_realized[tid] = max(costs[tid][last_start:])
+    period_maxima = {
+        tid: [float(costs[tid][p * rows_per_period:(p + 1) * rows_per_period + 1].max())
+              for p in range(num_periods)]
+        for tid in targets
+    }
+    # the last sample at or before the start of the last period
+    last_start = int(np.searchsorted(times, (num_periods - 1) * period + 1e-9, side="right")) - 1
+    per_target_realized = {tid: float(costs[tid][last_start:].max()) for tid in targets}
     realized = max(per_target_realized.values())
 
     settle = num_periods
@@ -306,12 +340,10 @@ def validate(
     # period must sit on an off->on switch (within one sample step)
     peak_alignment = {}
     last_period_start = (trace.num_periods - 1) * trace.period
+    lo = int(np.argmax(trace.times >= last_period_start - 1e-9))
     for tid, switches in trace.switch_times.items():
-        ts = trace.times
-        lo = next(k for k, t in enumerate(ts) if t >= last_period_start - 1e-9)
-        seg = trace.costs[tid][lo:]
-        k_max = max(range(len(seg)), key=seg.__getitem__)
-        t_peak = (ts[lo + k_max] % trace.period)
+        k_max = int(np.argmax(trace.costs[tid][lo:]))
+        t_peak = float(trace.times[lo + k_max]) % trace.period
         dist = min(
             min(abs(t_peak - s), trace.period - abs(t_peak - s)) for s in switches
         )
@@ -339,18 +371,29 @@ def validate(
     return report
 
 
+def _formatted(col: np.ndarray, spec: str) -> list[str]:
+    return list(map(spec.__mod__, col.tolist()))
+
+
 def trace_to_csv(trace: SimTrace) -> str:
-    """Delimiter-separated trace: t, then per target norm, cost, observed."""
+    """Delimiter-separated trace: t, then per target norm, cost, observed.
+
+    Formats column by column, ``CSV_CHUNK_ROWS`` rows at a time; a cost
+    column that is its norm column is formatted once."""
     tids = sorted(trace.norms)
     header = ["t"]
     for tid in tids:
         header += [f"norm_{tid}", f"g_{tid}", f"eta_{tid}"]
-    lines = [",".join(header)]
-    for k, t in enumerate(trace.times):
-        row = [f"{t:.9g}"]
+    parts = [",".join(header)]
+    for lo in range(0, len(trace.times), CSV_CHUNK_ROWS):
+        rows = slice(lo, lo + CSV_CHUNK_ROWS)
+        fields = [_formatted(trace.times[rows], "%.9g")]
         for tid in tids:
-            row.append(f"{trace.norms[tid][k]:.12g}")
-            row.append(f"{trace.costs[tid][k]:.12g}")
-            row.append(str(trace.observed[tid][k]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+            norm, cost = trace.norms[tid], trace.costs[tid]
+            norm_text = _formatted(norm[rows], "%.12g")
+            cost_text = norm_text if cost is norm else _formatted(cost[rows], "%.12g")
+            flags = map(_FLAGS.__getitem__, trace.observed[tid][rows].tolist())
+            fields += [norm_text, cost_text, flags]
+        parts.append("\n".join(map(",".join, zip(*fields))))
+    parts.append("")  # the final newline, without copying the whole text again
+    return "\n".join(parts)

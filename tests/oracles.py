@@ -4,7 +4,9 @@ Everything here is deliberately written from first principles, separate from
 the package code paths: closed-form scalar solutions, a fixed-step RK4
 integrator for the matrix equations, a bisection fixed-point solver for the
 single-visit periodic peaks, plain iteration of the one-period map for any
-visit pattern, and brute-force cycle enumeration.
+visit pattern, and brute-force cycle enumeration.  The forward simulation and
+its CSV export are kept in their plain per-sample form, as the reference for
+the columnar versions in ``patrolplan.simulate``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,11 @@ import math
 
 import numpy as np
 import scipy.linalg
+
+from patrolplan.config import DEFAULT_CONFIG
+from patrolplan.covariance import cov_norm, observed_flow, unobserved_flow
+from patrolplan.cycles import SteadyStateCache
+from patrolplan.simulate import SimTrace, _schedule_segments, steady_initial_covariances
 
 
 # --- closed-form scalar solutions -----------------------------------------
@@ -190,6 +197,132 @@ def iterated_periodic_start(A, Q, G, t_on, t_off, tol: float = 1e-13,
             return new
         w = new
     raise RuntimeError("period map iteration did not converge")
+
+
+# --- per-substep forward simulation -----------------------------------------
+
+def stepwise_simulate(plan, network=None, initial=None, num_periods=None, dt=None,
+                      config=None, cache=None, record_states=0):
+    """``simulate`` as a loop over substeps that applies every target's flow
+    and records one sample per target at a time, into Python lists.  It
+    shares the package's flows and schedule helpers: it checks the columnar
+    loop, not the propagators.  ``switch_times`` is left empty."""
+    cfg = config or DEFAULT_CONFIG
+    network = network or plan.cycle.network
+    cache = cache or SteadyStateCache(network)
+    num_periods = cfg.num_periods if num_periods is None else num_periods
+    period = plan.period
+    segments = _schedule_segments(plan)
+    min_seg = min(d for d, _ in segments)
+    if dt is None:
+        dt = min(period / cfg.grid_points_per_period, min_seg / 50.0)
+        dt = max(dt, period / 200_000.0)
+    if initial is None:
+        initial = steady_initial_covariances(plan, network, cache)
+
+    targets = sorted(network.ids)
+    specs = {t.id: t for t in network.targets}
+    seg_plans = []
+    for duration, obs_tid in segments:
+        n_sub = max(1, math.ceil(duration / dt - 1e-9))
+        step = duration / n_sub
+        flows = {}
+        for tid in targets:
+            spec = specs[tid]
+            if tid == obs_tid:
+                flows[tid] = observed_flow(spec.A, spec.Q, spec.G, step)
+            else:
+                flows[tid] = unobserved_flow(spec.A, spec.Q, step)
+        seg_plans.append((duration, obs_tid, n_sub, flows))
+
+    scalar = {tid: specs[tid].is_scalar for tid in targets}
+    state = {}
+    for tid in targets:
+        w0 = np.atleast_2d(np.asarray(initial[tid], dtype=float))
+        state[tid] = float(w0[0, 0]) if scalar[tid] else w0
+
+    times = [0.0]
+    norms = {tid: [] for tid in targets}
+    costs = {tid: [] for tid in targets}
+    observed = {tid: [] for tid in targets}
+    state_samples = {tid: [] for tid in targets}
+
+    def record(tid, obs_tid):
+        w = state[tid]
+        n = w if scalar[tid] else cov_norm(w)
+        norms[tid].append(n)
+        costs[tid].append(specs[tid].g(n))
+        observed[tid].append(1 if tid == obs_tid else 0)
+        if record_states and (len(norms[tid]) - 1) % record_states == 0:
+            state_samples[tid].append(
+                (times[-1], np.array([[w]]) if scalar[tid] else np.array(w))
+            )
+
+    first_obs = segments[0][1]
+    for tid in targets:
+        record(tid, first_obs)
+
+    t = 0.0
+    period_maxima = {tid: [] for tid in targets}
+    for _ in range(num_periods):
+        start_idx = len(times) - 1
+        for si, (duration, obs_tid, n_sub, flows) in enumerate(seg_plans):
+            step = duration / n_sub
+            for k in range(n_sub):
+                for tid in targets:
+                    state[tid] = flows[tid].apply(state[tid])
+                t += step
+                times.append(t)
+                nxt = seg_plans[(si + 1) % len(seg_plans)][1] if k == n_sub - 1 else obs_tid
+                for tid in targets:
+                    record(tid, nxt)
+        for tid in targets:
+            period_maxima[tid].append(max(costs[tid][start_idx:]))
+
+    last_start = None
+    for idx in range(len(times) - 1, -1, -1):
+        if times[idx] <= (num_periods - 1) * period + 1e-9:
+            last_start = idx
+            break
+    per_target_realized = {tid: max(costs[tid][last_start:]) for tid in targets}
+
+    settle = num_periods
+    for k in range(num_periods - 1):
+        ok = True
+        for tid in targets:
+            a, b = period_maxima[tid][k], period_maxima[tid][k + 1]
+            if math.isinf(a) or math.isinf(b) or abs(a - b) > 1e-6 * max(1.0, abs(b)):
+                ok = False
+                break
+        if ok:
+            settle = k + 1
+            break
+
+    return SimTrace(
+        times=times, norms=norms, costs=costs, observed=observed,
+        period=period, num_periods=num_periods, dt=dt, switch_times={},
+        realized_cost=max(per_target_realized.values()),
+        per_target_realized=per_target_realized, settle_period=settle,
+        converged=settle < num_periods, period_maxima=period_maxima,
+        state_samples=state_samples,
+    )
+
+
+def rowwise_trace_csv(trace) -> str:
+    """``trace_to_csv`` one row and one f-string per value at a time."""
+    tids = sorted(trace.norms)
+    header = ["t"]
+    for tid in tids:
+        header += [f"norm_{tid}", f"g_{tid}", f"eta_{tid}"]
+    lines = [",".join(header)]
+    for k, t in enumerate(trace.times):
+        row = [f"{t:.9g}"]
+        for tid in tids:
+            row.append(f"{trace.norms[tid][k]:.12g}")
+            row.append(f"{trace.costs[tid][k]:.12g}")
+            row.append(str(trace.observed[tid][k]))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
 
 
 # --- brute-force cycle enumeration ------------------------------------------

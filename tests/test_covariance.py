@@ -5,6 +5,7 @@ import pytest
 
 from patrolplan.covariance import (
     ConvergenceError,
+    EngineError,
     cov_norm,
     lower_bound,
     observed_flow,
@@ -126,6 +127,24 @@ class TestSteadyStates:
         ss = solve_steady_states([[0.1]], [[1.0]], [[0.5]])
         assert not ss.a_is_hurwitz
         assert ss.omega_inf_finite is None
+
+    def test_tiny_stable_drift(self):
+        # q / 2|a| = 5e299 is representable, but scipy's Lyapunov solver
+        # returns about -1e292 for it
+        ss = solve_steady_states([[-1e-300]], [[1.0]], [[1.0]])
+        assert ss.a_is_hurwitz
+        assert ss.omega_inf_finite[0, 0] == pytest.approx(5e299, rel=1e-12)
+        # past double range there is no finite limit, as for a = 0
+        ss = solve_steady_states([[-5e-324]], [[1.0]], [[1.0]])
+        assert not ss.a_is_hurwitz
+        assert ss.omega_inf_finite is None
+
+    @pytest.mark.filterwarnings("ignore:Input \"a\" has an eigenvalue pair:RuntimeWarning")
+    def test_negative_lyapunov_solution_raises(self):
+        # a 2x2 drift as weak as above goes through scipy, whose answer
+        # fails the positive-semidefinite check
+        with pytest.raises(EngineError):
+            solve_steady_states(np.diag([-1e-300, -1.0]), np.eye(2), np.eye(2))
 
     def test_matrix_residual(self):
         rng = np.random.default_rng(2)

@@ -197,3 +197,16 @@ class TestNetworkInvariants:
         sub = network.subnetwork({1, 3}, extra_edges=[(1, 3, 2.0, [2])])
         assert sub.travel[1][3] == pytest.approx(2.0)
         assert sub.path[1][3] == [2]
+
+    def test_target_lookup_by_id(self):
+        network = TargetNetwork(
+            targets=[TargetSpec(id=k, A=0.1, Q=1.0, H=1.0, R=1.0) for k in (4, 7, 9)],
+            edges=[(4, 7, 1.0), (7, 9, 1.0)],
+        )
+        assert [network.target(k).id for k in (9, 4, 7)] == [9, 4, 7]
+        sub = network.subnetwork({4, 9}, extra_edges=[(4, 9, 2.0, [7])])
+        assert sub.target(9) is network.target(9)
+        with pytest.raises(KeyError):
+            sub.target(7)
+        with pytest.raises(KeyError):
+            network.target(5)

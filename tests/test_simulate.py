@@ -1,10 +1,14 @@
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from patrolplan import simulate as simulate_module
 from patrolplan.covariance import cov_norm
 from patrolplan.cycles import SteadyStateCache
 from patrolplan.dwell import plan_single_agent
 from patrolplan.fleet import plan_fleet
-from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance
+from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance, load_instance_file
 from patrolplan.simulate import (
     simulate,
     steady_initial_covariances,
@@ -12,13 +16,69 @@ from patrolplan.simulate import (
     validate,
 )
 
+from oracles import rowwise_trace_csv, stepwise_simulate
+
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
+
+
+def _planned(net):
+    cache = SteadyStateCache(net)
+    return net, cache, plan_single_agent(net, cache)
+
 
 @pytest.fixture(scope="module")
 def small_plan():
     net, _ = generate_random_instance(4, seed=51)
-    cache = SteadyStateCache(net)
-    plan = plan_single_agent(net, cache)
+    return _planned(net)
+
+
+@pytest.fixture(scope="module")
+def sandwich_plan():
+    """Mixed stable/unstable two-dimensional targets."""
+    return _planned(TargetNetwork(
+        targets=[
+            TargetSpec(
+                id=1,
+                A=[[-0.5, 0.2], [0.0, -0.7]],
+                Q=[[0.6, 0.1], [0.1, 0.8]],
+                H=[[1.0, 0.0], [0.0, 1.0]],
+                R=[[2.0, 0.0], [0.0, 2.0]],
+            ),
+            TargetSpec(
+                id=2,
+                A=[[0.15, 0.0], [0.1, 0.05]],
+                Q=[[0.9, 0.0], [0.0, 0.5]],
+                H=[[1.0, 0.0], [0.0, 1.0]],
+                R=[[1.5, 0.0], [0.0, 2.5]],
+            ),
+        ],
+        edges=[(1, 2, 0.4)],
+    ))
+
+
+@pytest.fixture(scope="module")
+def weighted_plan():
+    """A weight-2.5 target and a stable target that is never visited."""
+    net, cache, plan = _planned(TargetNetwork(
+        targets=[
+            TargetSpec(id=1, A=0.4, Q=1.5, H=1.0, R=2.0, weight_alpha=2.5),
+            TargetSpec(id=2, A=0.2, Q=1.0, H=1.0, R=3.0),
+            TargetSpec(id=3, A=-1.5, Q=0.05, H=1.0, R=1.0),
+        ],
+        edges=[(1, 2, 0.4), (2, 3, 0.4), (1, 3, 0.5)],
+    ))
+    assert set(plan.excluded) == {3}
     return net, cache, plan
+
+
+@pytest.fixture(scope="module")
+def fleet_cluster_plan():
+    """The fleet15 cluster with the longest cycle (a target visited twice)."""
+    net, fleet = load_instance_file(str(INSTANCES / "fleet15.json"))
+    partition = plan_fleet(net, fleet.num_agents, cache=SteadyStateCache(net))
+    sub, plan = max(zip(partition.subnetworks, partition.plans),
+                    key=lambda pair: len(pair[1].cycle.instances))
+    return sub, SteadyStateCache(sub), plan
 
 
 class TestSimulate:
@@ -131,29 +191,8 @@ class TestTraceExport:
 
 
 class TestSandwichOnTrace:
-    def test_projected_profile_between_bounds(self):
-        # mixed stable/unstable two-dimensional targets
-        net = TargetNetwork(
-            targets=[
-                TargetSpec(
-                    id=1,
-                    A=[[-0.5, 0.2], [0.0, -0.7]],
-                    Q=[[0.6, 0.1], [0.1, 0.8]],
-                    H=[[1.0, 0.0], [0.0, 1.0]],
-                    R=[[2.0, 0.0], [0.0, 2.0]],
-                ),
-                TargetSpec(
-                    id=2,
-                    A=[[0.15, 0.0], [0.1, 0.05]],
-                    Q=[[0.9, 0.0], [0.0, 0.5]],
-                    H=[[1.0, 0.0], [0.0, 1.0]],
-                    R=[[1.5, 0.0], [0.0, 2.5]],
-                ),
-            ],
-            edges=[(1, 2, 0.4)],
-        )
-        cache = SteadyStateCache(net)
-        plan = plan_single_agent(net, cache)
+    def test_projected_profile_between_bounds(self, sandwich_plan):
+        net, cache, plan = sandwich_plan
         trace = simulate(plan, net, cache=cache, num_periods=4)
         report = validate(plan, trace)
         assert report["prediction_consistent"]
@@ -165,3 +204,34 @@ class TestSandwichOnTrace:
         settled = [n for t, n in zip(trace.times, trace.norms[1])
                    if t >= trace.period]
         assert all(lo < v < hi for v in settled)
+
+
+class TestColumnarMatchesStepwise:
+    """The columnar simulator and CSV writer against their per-sample forms:
+    every sample, every derived number and every CSV byte."""
+
+    @pytest.mark.parametrize(
+        "case", ["small_plan", "sandwich_plan", "weighted_plan", "fleet_cluster_plan"]
+    )
+    def test_identical_trace_and_csv(self, case, request, monkeypatch):
+        net, cache, plan = request.getfixturevalue(case)
+        got = simulate(plan, net, cache=cache, num_periods=3, record_states=25)
+        ref = stepwise_simulate(plan, net, cache=cache, num_periods=3, record_states=25)
+        assert got.times.tolist() == ref.times
+        for tid in ref.norms:
+            assert got.norms[tid].tolist() == ref.norms[tid]
+            assert got.costs[tid].tolist() == ref.costs[tid]
+            assert (got.costs[tid] is got.norms[tid]) == (net.target(tid).weight_alpha == 1.0)
+            assert got.observed[tid].tolist() == ref.observed[tid]
+            assert got.period_maxima[tid] == ref.period_maxima[tid]
+            assert got.per_target_realized[tid] == ref.per_target_realized[tid]
+            assert [t for t, _ in got.state_samples[tid]] == [t for t, _ in ref.state_samples[tid]]
+            for (_, a), (_, b) in zip(got.state_samples[tid], ref.state_samples[tid]):
+                assert a.shape == b.shape and np.array_equal(a, b)
+        assert got.realized_cost == ref.realized_cost
+        assert (got.settle_period, got.converged) == (ref.settle_period, ref.converged)
+        expected = rowwise_trace_csv(ref)
+        assert trace_to_csv(got) == expected
+        # several chunks, the last one short
+        monkeypatch.setattr(simulate_module, "CSV_CHUNK_ROWS", 997)
+        assert trace_to_csv(got) == expected
