@@ -48,6 +48,8 @@ def _config_from_args(args) -> PlannerConfig:
         cfg = dataclasses.replace(cfg, num_periods=args.periods)
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    if getattr(args, "agents", None) is not None and args.agents < 1:
+        raise InstanceError("--agents must be at least 1")
     return cfg
 
 
@@ -65,9 +67,8 @@ def _out_dir(args) -> Path:
 
 
 def cmd_gen(args) -> int:
-    network, fleet = generate_random_instance(
-        args.targets, seed=args.seed or 0, num_agents=args.agents or 1
-    )
+    cfg = _config_from_args(args)
+    network, fleet = generate_random_instance(args.targets, seed=cfg.seed, num_agents=args.agents)
     path = Path(args.out or "instance.json")
     _write_json(path, instance_to_document(network, fleet))
     print(f"wrote {path} ({args.targets} targets, {fleet.num_agents} agents)")
@@ -101,10 +102,10 @@ def cmd_plan_single(args) -> int:
 
 def cmd_plan_fleet(args) -> int:
     network, fleet = load_instance_file(args.instance)
-    agents = args.agents or fleet.num_agents
+    cfg = _config_from_args(args)
+    agents = fleet.num_agents if args.agents is None else args.agents
     if agents > len(network.ids):
         raise InstanceError(f"{agents} agents exceed {len(network.ids)} targets")
-    cfg = _config_from_args(args)
     out = _out_dir(args)
     if agents == 1:
         plan = _write_single_plan(network, cfg, out)
@@ -130,21 +131,34 @@ def _load_plan(args):
     network, _ = load_instance_file(args.instance)
     with open(args.plan, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("not a plan document")
     covers = set(doc.get("covers", network.ids))
+    if not covers or not covers <= set(network.ids):
+        raise ValueError(f"plan document field 'covers' must name targets of the instance, "
+                         f"got {doc['covers']!r}")
     if covers != set(network.ids):
         network = cluster_subnetwork(network, covers)
     return network, Plan.from_document(network, doc)
 
 
-def cmd_simulate(args) -> int:
+def _simulate_plan(args, write_trace: bool):
+    """Load the plan, simulate it (writing ``trace.csv`` if asked) and write
+    ``validation.json``; returns the trace, the report and the output dir."""
     network, plan = _load_plan(args)
     cfg = _config_from_args(args)
     out = _out_dir(args)
     trace = simulate(plan, network, num_periods=cfg.num_periods, config=cfg)
-    with open(out / "trace.csv", "w", encoding="utf-8") as fh:
-        fh.write(trace_to_csv(trace))
+    if write_trace:
+        with open(out / "trace.csv", "w", encoding="utf-8") as fh:
+            fh.write(trace_to_csv(trace))
     report = validate(plan, trace)
     _write_json(out / "validation.json", report)
+    return trace, report, out
+
+
+def cmd_simulate(args) -> int:
+    trace, report, out = _simulate_plan(args, write_trace=True)
     print(
         f"simulated {trace.num_periods} periods: realized {report['realized_cost']:.6g} "
         f"vs predicted {report['predicted_cost']:.6g} "
@@ -154,12 +168,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    network, plan = _load_plan(args)
-    cfg = _config_from_args(args)
-    out = _out_dir(args)
-    trace = simulate(plan, network, num_periods=cfg.num_periods, config=cfg)
-    report = validate(plan, trace)
-    _write_json(out / "validation.json", report)
+    _, report, out = _simulate_plan(args, write_trace=False)
     ok = report["prediction_consistent"] and report["metric_floor_holds"]
     print(
         f"validation: consistent={report['prediction_consistent']} "

@@ -84,16 +84,10 @@ class Cycle:
             return cls(network, seq, [])
         out_seq: list[tuple[int, bool]] = []
         out_legs: list[float] = []
-        n = len(seq)
-        for k in range(n):
-            u, eligible = seq[k]
-            v = seq[(k + 1) % n][0]
-            out_seq.append((u, eligible))
-            hops = [u] + network.path[u][v] + [v]
-            for a, b in zip(hops[:-1], hops[1:]):
-                out_legs.append(network.travel[a][b])
-                if b != v:
-                    out_seq.append((b, False))
+        for k, (u, eligible) in enumerate(seq):
+            hops, legs = _path_between(network, u, seq[(k + 1) % len(seq)][0])
+            out_seq += [(u, eligible)] + hops
+            out_legs += legs
         return cls(network, out_seq, out_legs)
 
     @classmethod
@@ -161,24 +155,6 @@ class Cycle:
 
     def sequence(self) -> list[tuple[int, bool]]:
         return [(i.target, i.dwell_eligible) for i in self.instances]
-
-    def canonical_key(self) -> tuple:
-        """Rotation/reflection-invariant identity for deduplication."""
-        seq = tuple((i.target, i.dwell_eligible) for i in self.instances)
-        legs = tuple(round(l, 12) for l in self.legs)
-        n = len(seq)
-        if n == 1:
-            return (seq, legs)
-        best = None
-        rev_seq = tuple(reversed(seq))
-        rev_legs = tuple(reversed(legs))
-        # reversed traversal: leg k joins rev_seq[k] to rev_seq[k+1]
-        for s, lg in ((seq, legs), (rev_seq, rev_legs[1:] + rev_legs[:1])):
-            for r in range(n):
-                cand = (s[r:] + s[:r], lg[r:] + lg[:r])
-                if best is None or cand < best:
-                    best = cand
-        return best
 
     def __repr__(self) -> str:
         body = ",".join(
@@ -374,16 +350,10 @@ def _critical_span(cycle: Cycle, metric: CycleMetric) -> tuple[int, list[int]]:
 
 
 def _splice(cycle: Cycle, at: int, new_seq: list[tuple[int, bool]], new_legs: list[float]) -> Cycle:
-    """Replace the adjacency after position ``at`` with a path of instances."""
-    n = len(cycle.instances)
+    """Replace the leg after position ``at`` with a path of instances."""
     seq = cycle.sequence()
-    legs = list(cycle.legs)
-    head_seq = seq[: at + 1]
-    tail_seq = seq[at + 1 :]
-    head_legs = legs[:at]
-    tail_legs = legs[at + 1 :]
-    return Cycle(cycle.network, head_seq + new_seq + tail_seq,
-                 head_legs + new_legs + tail_legs)
+    return Cycle(cycle.network, seq[: at + 1] + new_seq + seq[at + 1 :],
+                 cycle.legs[:at] + new_legs + cycle.legs[at + 1 :])
 
 
 def _path_between(network: TargetNetwork, u: int, v: int) -> tuple[list[tuple[int, bool]], list[float]]:
@@ -394,6 +364,21 @@ def _path_between(network: TargetNetwork, u: int, v: int) -> tuple[list[tuple[in
     return seq, legs
 
 
+def _visit_between(network: TargetNetwork, u: int, t: int, v: int) -> tuple[list[tuple[int, bool]], list[float]]:
+    """Fastest path u -> t -> v with a dwell visit to ``t``, endpoints excluded."""
+    seq_a, legs_a = _path_between(network, u, t)
+    seq_b, legs_b = _path_between(network, t, v)
+    return seq_a + [(t, True)] + seq_b, legs_a + legs_b
+
+
+def _detour(cycle: Cycle, pos: int, t: int, eligible: bool) -> Cycle:
+    """Out-and-back visit to ``t`` after position ``pos``; the repeated
+    instance, dwell-eligible as given, takes over the original outgoing leg."""
+    j = cycle.instances[pos].target
+    seq, legs = _visit_between(cycle.network, j, t, j)
+    return _splice(cycle, pos, seq + [(j, eligible)], legs + [cycle.legs[pos]])
+
+
 def enumerate_cmos(cycle: Cycle, metric: CycleMetric) -> list[tuple[str, Cycle]]:
     """Candidate modifications of the critical sub-cycle.
 
@@ -402,7 +387,7 @@ def enumerate_cmos(cycle: Cycle, metric: CycleMetric) -> list[tuple[str, Cycle]]
     II  split an interior edge with an extra visit to the critical target;
     III detour to the critical target right after an interior instance.
 
-    Returns (kind, candidate) pairs in deterministic order, deduplicated.
+    Returns (kind, candidate) pairs in deterministic order.
     """
     network = cycle.network
     tid = metric.critical_target
@@ -411,42 +396,21 @@ def enumerate_cmos(cycle: Cycle, metric: CycleMetric) -> list[tuple[str, Cycle]]
         return []
     prev, span = _critical_span(cycle, metric)
     edge_positions = [prev] + span[:-1]  # legs traversed inside the sub-cycle
-    candidates: list[tuple[str, Cycle]] = []
-    seen = {cycle.canonical_key()}
-
-    def push(kind: str, cand: Cycle):
-        key = cand.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            candidates.append((kind, cand))
-
     n = len(cycle.instances)
-    for pos in edge_positions:
-        u = cycle.instances[pos].target
-        v = cycle.instances[(pos + 1) % n].target
+    ends = [(pos, cycle.instances[pos].target, cycle.instances[(pos + 1) % n].target)
+            for pos in edge_positions]
+    candidates: list[tuple[str, Cycle]] = []
+    for pos, u, v in ends:
         if cycle.legs[pos] > network.travel[u][v] + 1e-12:
-            seq, legs = _path_between(network, u, v)
-            push("I", _splice(cycle, pos, seq, legs))
-    for pos in edge_positions:
-        u = cycle.instances[pos].target
-        v = cycle.instances[(pos + 1) % n].target
-        if u == tid or v == tid:
-            continue
-        seq_u, legs_u = _path_between(network, u, tid)
-        seq_v, legs_v = _path_between(network, tid, v)
-        push("II", _splice(cycle, pos, seq_u + [(tid, True)] + seq_v, legs_u + legs_v))
+            candidates.append(("I", _splice(cycle, pos, *_path_between(network, u, v))))
+    for pos, u, v in ends:
+        if tid not in (u, v):
+            candidates.append(("II", _splice(cycle, pos, *_visit_between(network, u, tid, v))))
     eligible_targets = cycle.dwell_targets
     for pos in span[:-1]:
         j = cycle.instances[pos].target
-        if j == tid:
-            continue
-        seq_a, legs_a = _path_between(network, j, tid)
-        seq_b, legs_b = _path_between(network, tid, j)
-        new_seq = seq_a + [(tid, True)] + seq_b + [(j, j in eligible_targets)]
-        # the detour ends with the original outgoing leg, now leaving the
-        # duplicated instance
-        new_legs = legs_a + legs_b + [cycle.legs[pos]]
-        push("III", _splice(cycle, pos, new_seq, new_legs))
+        if j != tid:
+            candidates.append(("III", _detour(cycle, pos, tid, j in eligible_targets)))
     return candidates
 
 

@@ -512,23 +512,44 @@ class Plan:
 
     @classmethod
     def from_document(cls, network: TargetNetwork, doc: dict) -> "Plan":
-        if doc.get("format") != "plan":
+        """Rebuild a plan over ``network``.  A missing or malformed field, an
+        instance target outside the network and a leg count that does not fit
+        the instances each raise a ``ValueError`` naming the field."""
+        if not isinstance(doc, dict) or doc.get("format") != "plan":
             raise ValueError("not a plan document")
-        seq = [(int(e["target"]), bool(e["dwell_eligible"])) for e in doc["instances"]]
-        legs = [float(x) for x in doc["leg_times"]]
-        cycle = Cycle(network, seq, legs)
-        dwells = [float(e["dwell"]) for e in doc["instances"]]
+
+        def read(key, parse):
+            if key not in doc:
+                raise ValueError(f"plan document has no {key!r} field")
+            try:
+                return parse(doc[key])
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"plan document field {key!r} is malformed: {exc!r}") from exc
+
+        entries = read("instances", lambda v: [
+            (int(e["target"]), bool(e["dwell_eligible"]), float(e["dwell"])) for e in v
+        ])
+        legs = read("leg_times", lambda v: [float(x) for x in v])
+        ids = set(network.ids)
+        for k, (target, _, _) in enumerate(entries):
+            if target not in ids:
+                raise ValueError(f"plan document field 'instances': entry {k} visits "
+                                 f"target {target}, which is not in the network")
+        if not entries or len(legs) != (len(entries) if len(entries) > 1 else 0):
+            raise ValueError(f"plan document fields 'instances' and 'leg_times': "
+                             f"{len(legs)} legs do not close {len(entries)} instances")
         return cls(
-            cycle=cycle,
-            dwells=dwells,
-            period=float(doc["period"]),
-            j_pred=float(doc["predicted_cost"]),
-            g_con=float(doc["consensus_cost"]),
-            costs={int(k): float(v) for k, v in doc["per_target_cost"].items()},
-            visit_costs={int(k): [float(x) for x in v] for k, v in doc["per_visit_cost"].items()},
-            active=set(int(x) for x in doc["active"]),
-            excluded={int(k): float(v) for k, v in doc["excluded"].items()},
-            metric_value=float(doc["metric_floor"]),
+            cycle=Cycle(network, [(t, elig) for t, elig, _ in entries], legs),
+            dwells=[dwell for _, _, dwell in entries],
+            period=read("period", float),
+            j_pred=read("predicted_cost", float),
+            g_con=read("consensus_cost", float),
+            costs=read("per_target_cost", lambda v: {int(k): float(x) for k, x in v.items()}),
+            visit_costs=read("per_visit_cost",
+                             lambda v: {int(k): [float(x) for x in xs] for k, xs in v.items()}),
+            active=read("active", lambda v: {int(x) for x in v}),
+            excluded=read("excluded", lambda v: {int(k): float(x) for k, x in v.items()}),
+            metric_value=read("metric_floor", float),
         )
 
 

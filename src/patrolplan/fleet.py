@@ -15,19 +15,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.csgraph import connected_components
 
 from .config import DEFAULT_CONFIG, PlannerConfig
 from .cycles import (
     Cycle,
     CycleMetric,
     SteadyStateCache,
+    _critical_span,
+    _detour,
+    _splice,
+    _visit_between,
     cycle_lower_bound,
     cycle_to_document,
     greedy_construct,
     improve_cycle,
 )
 from .dwell import Plan, plan_for_cycle
-from .model import TargetNetwork
+from .model import TargetNetwork, link_matrix
 
 __all__ = [
     "FleetError",
@@ -103,7 +108,7 @@ def enumerate_ceos(cycle: Cycle, external: int, max_bypass: int = 2) -> list[Cyc
 
     Three kinds: insert on an edge, out-and-back after an instance, and
     replace a short run of instances (each appearing elsewhere too) with the
-    external target.  Deduplicated; deterministic order.
+    external target.  Deterministic order.
     """
     network = cycle.network
     if external in cycle.target_ids and any(
@@ -115,42 +120,11 @@ def enumerate_ceos(cycle: Cycle, external: int, max_bypass: int = 2) -> list[Cyc
     if n == 1:
         return [Cycle.from_targets(network, [seq[0][0], external])]
     legs = cycle.legs
-    out: list[Cycle] = []
-    seen = set()
-
-    def push(new_seq, new_legs):
-        key = (tuple(new_seq), tuple(round(l, 12) for l in new_legs))
-        if key not in seen:
-            seen.add(key)
-            out.append(Cycle(network, new_seq, new_legs))
-
-    def path(u, v):
-        hops = [u] + network.path[u][v] + [v]
-        mids = [(h, False) for h in hops[1:-1]]
-        times = [network.travel[a][b] for a, b in zip(hops[:-1], hops[1:])]
-        return mids, times
-
-    # on-edge insertion
-    for pos in range(n):
-        u, v = seq[pos][0], seq[(pos + 1) % n][0]
-        mids_u, legs_u = path(u, external)
-        mids_v, legs_v = path(external, v)
-        new_seq = seq[: pos + 1] + mids_u + [(external, True)] + mids_v + seq[pos + 1 :]
-        new_legs = legs[:pos] + legs_u + legs_v + legs[pos + 1 :]
-        push(new_seq, new_legs)
-    # out-and-back detour after an instance; the duplicated instance takes
-    # over the original outgoing leg
-    for pos in range(n):
-        j, j_elig = seq[pos]
-        mids_a, legs_a = path(j, external)
-        mids_b, legs_b = path(external, j)
-        new_seq = (
-            seq[: pos + 1]
-            + mids_a + [(external, True)] + mids_b + [(j, j_elig)]
-            + seq[pos + 1 :]
-        )
-        new_legs = legs[:pos] + legs_a + legs_b + [legs[pos]] + legs[pos + 1 :]
-        push(new_seq, new_legs)
+    out = [
+        _splice(cycle, pos, *_visit_between(network, seq[pos][0], external, seq[(pos + 1) % n][0]))
+        for pos in range(n)
+    ]
+    out += [_detour(cycle, pos, external, seq[pos][1]) for pos in range(n)]
     # bypass a short interior run; every dwell visit removed must leave the
     # same target dwellable elsewhere in the cycle
     counts: dict[int, int] = {}
@@ -169,16 +143,14 @@ def enumerate_ceos(cycle: Cycle, external: int, max_bypass: int = 2) -> list[Cyc
                 break
             if any(removed[t] >= counts.get(t, 0) for t in removed):
                 break
-            u, v = seq[start][0], seq[end_pos][0]
-            mids_u, legs_u = path(u, external)
-            mids_v, legs_v = path(external, v)
+            mids, times = _visit_between(network, seq[start][0], external, seq[end_pos][0])
             if end_pos > start:
-                new_seq = seq[: start + 1] + mids_u + [(external, True)] + mids_v + seq[end_pos:]
-                new_legs = legs[:start] + legs_u + legs_v + legs[end_pos:]
+                new_seq = seq[: start + 1] + mids + seq[end_pos:]
+                new_legs = legs[:start] + times + legs[end_pos:]
             else:
-                new_seq = seq[end_pos : start + 1] + mids_u + [(external, True)] + mids_v
-                new_legs = legs[end_pos:start] + legs_u + legs_v
-            push(new_seq, new_legs)
+                new_seq = seq[end_pos : start + 1] + mids
+                new_legs = legs[end_pos:start] + times
+            out.append(Cycle(network, new_seq, new_legs))
     return out
 
 
@@ -336,39 +308,27 @@ def spectral_cluster(
 def cluster_subnetwork(network: TargetNetwork, members: set[int]) -> TargetNetwork:
     """Induced sub-network over ``members`` with intra-cluster edges only.
 
-    If that graph is disconnected, the fastest full-network paths between its
-    components are re-added as composite connectors (their pass-through
-    targets stay recorded for trajectory emission).
+    If that graph is disconnected, the component holding the first member
+    grows by the fastest full-network path to any other component (first
+    found on ties) until it spans them all; those paths become composite
+    connectors, whose pass-through targets stay recorded for trajectory
+    emission.
     """
-    extra: list[tuple[int, int, float, list[int]]] = []
-    while True:
-        sub = network.subnetwork(members, extra_edges=extra)
-        if sub.is_connected():
-            return sub
-        comp = _components(sub)
-        base = comp[0]
-        best = None
-        for other in comp[1:]:
-            for i in base:
-                for j in other:
-                    d = network.travel[i][j]
-                    if best is None or d < best[0]:
-                        best = (d, i, j)
-        d, i, j = best
-        extra.append((i, j, d, list(network.path[i][j])))
-
-
-def _components(network: TargetNetwork) -> list[list[int]]:
-    ids = network.ids
-    seen: set[int] = set()
-    comps = []
-    for root in ids:
-        if root in seen:
-            continue
-        comp = [t for t in ids if not math.isinf(network.travel[root][t])]
-        seen.update(comp)
-        comps.append(sorted(comp))
-    return comps
+    ids = [t for t in network.ids if t in members]
+    intra = [(i, j, d) for i, j, d in network.edges if i in members and j in members]
+    count, labels = connected_components(link_matrix(ids, intra), directed=False)
+    comps = [sorted(t for t, lab in zip(ids, labels) if lab == c) for c in range(count)]
+    base = comps.pop(0)
+    connectors = []
+    travel = network.travel
+    while comps:
+        d, i, j, c = min(
+            ((travel[i][j], i, j, c) for c, other in enumerate(comps) for i in base for j in other),
+            key=lambda link: link[0],
+        )
+        connectors.append((i, j, d, list(network.path[i][j])))
+        base = sorted(base + comps.pop(c))
+    return network.subnetwork(members, extra_edges=connectors)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +512,6 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None,
 
 def _critical_span_targets(cycle: Cycle, metric: CycleMetric) -> list[int]:
     """Member targets inside the critical sub-cycle, critical target included."""
-    from .cycles import _critical_span
-
     members = set(cycle.network.ids)
     _, span = _critical_span(cycle, metric)
     out = []

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import shortest_path
 
 from .config import ParamRanges
 
@@ -22,6 +24,7 @@ __all__ = [
     "TargetSpec",
     "TargetNetwork",
     "FleetSpec",
+    "link_matrix",
     "load_instance",
     "load_instance_file",
     "instance_to_document",
@@ -148,28 +151,43 @@ class FleetSpec:
             )
 
 
+def link_matrix(ids: list[int], links: list[tuple[int, int, float]]) -> scipy.sparse.csr_array:
+    """Sparse travel-time matrix over ``ids`` (in that order) with one stored
+    entry per link (i, j, d); a stored zero is a zero-length edge."""
+    index = {t: k for k, t in enumerate(ids)}
+    rows = np.array([index[i] for i, _, _ in links], dtype=int)
+    cols = np.array([index[j] for _, j, _ in links], dtype=int)
+    times = np.array([d for _, _, d in links], dtype=float)
+    return scipy.sparse.coo_array((times, (rows, cols)), shape=(len(ids), len(ids))).tocsr()
+
+
 @dataclass
 class TargetNetwork:
     """Targets plus the undirected travel graph and its shortest-path closure.
 
     ``travel[i][j]`` is the fastest travel time between targets i and j;
     ``path[i][j]`` lists the intermediate targets traversed (exclusive of the
-    endpoints).  Indices are target ids.  Immutable after construction.
+    endpoints).  Indices are target ids.  ``connectors`` are composite edges
+    (i, j, d, via) of a sub-network: travel time d from i to j through the
+    pass-through targets ``via``, which lie outside the network and are
+    spliced into every path that takes the connector.  Immutable after
+    construction.
     """
 
     targets: list[TargetSpec]
     edges: list[tuple[int, int, float]]
     positions: dict[int, tuple[float, float]] = field(default_factory=dict)
+    connectors: list[tuple[int, int, float, list[int]]] = field(default_factory=list)
     travel: dict[int, dict[int, float]] = field(init=False)
     path: dict[int, dict[int, list[int]]] = field(init=False)
 
     def __post_init__(self) -> None:
-        ids = [t.id for t in self.targets]
+        ids = self.ids
         if len(set(ids)) != len(ids):
             raise InstanceError("duplicate target ids")
         id_set = set(ids)
         seen = set()
-        for i, j, d in self.edges:
+        for i, j, d in self._links():
             if i not in id_set or j not in id_set:
                 raise InstanceError(f"edge ({i}, {j}) references an unknown target")
             if i == j:
@@ -181,58 +199,49 @@ class TargetNetwork:
                 raise InstanceError(f"duplicate edge ({i}, {j})")
             seen.add(key)
         self._by_id = {t.id: t for t in self.targets}
-        self._floyd_warshall()
-        if len(self.targets) > 1:
-            for i in ids:
-                for j in ids:
-                    if math.isinf(self.travel[i][j]):
-                        raise InstanceError(
-                            f"graph is disconnected: no route between {i} and {j}"
-                        )
-
-    def _floyd_warshall(self) -> None:
-        ids = [t.id for t in self.targets]
         self.direct = {}
         for i, j, d in self.edges:
-            self.direct[(i, j)] = d
-            self.direct[(j, i)] = d
-        dist = {i: {j: (0.0 if i == j else math.inf) for j in ids} for i in ids}
-        nxt: dict[int, dict[int, int | None]] = {
-            i: {j: None for j in ids} for i in ids
-        }
-        for i, j, d in self.edges:
-            if d < dist[i][j]:
-                dist[i][j] = dist[j][i] = d
-                nxt[i][j] = j
-                nxt[j][i] = i
-        for i in ids:
-            nxt[i][i] = i
-        for k in ids:
-            for i in ids:
-                dik = dist[i][k]
-                if math.isinf(dik):
-                    continue
-                row_i, row_k = dist[i], dist[k]
-                for j in ids:
-                    alt = dik + row_k[j]
-                    if alt < row_i[j]:
-                        row_i[j] = alt
-                        dist[j][i] = alt
-                        nxt[i][j] = nxt[i][k]
-                        nxt[j][i] = nxt[j][k]
-        self.travel = dist
-        self.path = {i: {} for i in ids}
+            self.direct[(i, j)] = self.direct[(j, i)] = d
+        self._floyd_warshall()
         for i in ids:
             for j in ids:
-                if i == j or nxt[i][j] is None:
-                    self.path[i][j] = []
-                    continue
+                if math.isinf(self.travel[i][j]):
+                    raise InstanceError(f"graph is disconnected: no route between {i} and {j}")
+
+    def _links(self) -> list[tuple[int, int, float]]:
+        """Edges and connectors as the (i, j, d) links of the travel graph."""
+        return self.edges + [(i, j, d) for i, j, d, _ in self.connectors]
+
+    def _floyd_warshall(self) -> None:
+        """All-pairs closure by Floyd-Warshall over a sparse link matrix (a
+        sparse entry keeps a zero-length edge, a dense zero would drop it)."""
+        ids = self.ids
+        dist, pred = shortest_path(link_matrix(ids, self._links()), method="FW",
+                                   directed=False, return_predecessors=True)
+        via = {}
+        for i, j, _, hops in self.connectors:
+            via[(i, j)], via[(j, i)] = list(hops), list(reversed(hops))
+        self.travel = {i: dict(zip(ids, row)) for i, row in zip(ids, dist.tolist())}
+        self.path = {}
+        for a, (i, row) in enumerate(zip(ids, pred.tolist())):
+            paths = self.path[i] = {}
+            for b, j in enumerate(ids):
+                # row[b] is b's predecessor on the fastest route from a;
+                # a negative entry means none (b == a, or no route)
                 hops = []
-                cur = i
-                while cur != j:
-                    cur = nxt[cur][j]  # type: ignore[assignment]
-                    hops.append(cur)
-                self.path[i][j] = hops[:-1]
+                k = row[b]
+                while k != a and k >= 0:
+                    hops.append(ids[k])
+                    k = row[k]
+                hops.reverse()
+                if via:
+                    nodes = [i] + hops + [j]
+                    hops = []
+                    for u, v in zip(nodes[:-1], nodes[1:]):
+                        hops.extend(via.get((u, v), ()))
+                        hops.append(v)
+                    hops.pop()
+                paths[j] = hops
 
     @property
     def ids(self) -> list[int]:
@@ -242,50 +251,13 @@ class TargetNetwork:
         return self._by_id[tid]
 
     def subnetwork(self, keep_ids: set[int], extra_edges: list[tuple[int, int, float, list[int]]] | None = None) -> "TargetNetwork":
-        """Induced sub-network over ``keep_ids`` (intra edges only).
-
-        ``extra_edges`` are composite connectors (i, j, d, via) whose ``via``
-        lists pass-through targets outside the cluster; they are recorded so
-        emitted trajectories stay physical.
-        """
-        targets = [t for t in self.targets if t.id in keep_ids]
-        edges = [(i, j, d) for (i, j, d) in self.edges if i in keep_ids and j in keep_ids]
-        sub = TargetNetwork.__new__(TargetNetwork)
-        sub.targets = targets
-        sub._by_id = {t.id: t for t in targets}
-        sub.edges = edges
-        sub.positions = {i: p for i, p in self.positions.items() if i in keep_ids}
-        sub._composite = {}
-        if extra_edges:
-            for i, j, d, via in extra_edges:
-                sub.edges.append((i, j, d))
-                sub._composite[(i, j)] = via
-                sub._composite[(j, i)] = list(reversed(via))
-        sub._floyd_warshall()
-        # splice composite connectors back into physical paths
-        if extra_edges:
-            for i in sub.path:
-                for j in sub.path[i]:
-                    sub.path[i][j] = sub._expand_composite(i, j)
-        return sub
-
-    def _expand_composite(self, i: int, j: int) -> list[int]:
-        comp = getattr(self, "_composite", {})
-        if not comp or i == j:
-            return self.path[i][j]
-        nodes = [i] + self.path[i][j] + [j]
-        out: list[int] = []
-        for a, b in zip(nodes[:-1], nodes[1:]):
-            out.extend(comp.get((a, b), []))
-            out.append(b)
-        return out[:-1]
-
-    def is_connected(self) -> bool:
-        ids = self.ids
-        if len(ids) <= 1:
-            return True
-        return all(
-            not math.isinf(self.travel[ids[0]][j]) for j in ids[1:]
+        """Sub-network over ``keep_ids`` with its intra edges, plus
+        ``extra_edges`` as its composite connectors (i, j, d, via)."""
+        return TargetNetwork(
+            targets=[t for t in self.targets if t.id in keep_ids],
+            edges=[(i, j, d) for (i, j, d) in self.edges if i in keep_ids and j in keep_ids],
+            positions={i: p for i, p in self.positions.items() if i in keep_ids},
+            connectors=list(extra_edges or []),
         )
 
 

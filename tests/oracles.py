@@ -4,9 +4,10 @@ Everything here is deliberately written from first principles, separate from
 the package code paths: closed-form scalar solutions, a fixed-step RK4
 integrator for the matrix equations, a bisection fixed-point solver for the
 single-visit periodic peaks, plain iteration of the one-period map for any
-visit pattern, and brute-force cycle enumeration.  The forward simulation and
-its CSV export are kept in their plain per-sample form, as the reference for
-the columnar versions in ``patrolplan.simulate``.
+visit pattern, the plain Floyd-Warshall loop for fastest paths, and
+brute-force cycle enumeration.  The forward simulation and its CSV export
+are kept in their plain per-sample form, as the reference for the columnar
+versions in ``patrolplan.simulate``.
 """
 
 from __future__ import annotations
@@ -323,6 +324,50 @@ def rowwise_trace_csv(trace) -> str:
             row.append(str(trace.observed[tid][k]))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+# --- all-pairs fastest paths -------------------------------------------------
+
+def python_floyd_warshall(ids: list[int], edges: list[tuple[int, int, float]]):
+    """Fastest travel times and intermediate hops by the plain Floyd-Warshall
+    triple loop over dicts: strict improvement, symmetric updates, and a
+    successor table walked from each source.  Returns ``(travel, path)`` in
+    the layout of ``TargetNetwork``."""
+    dist = {i: {j: (0.0 if i == j else math.inf) for j in ids} for i in ids}
+    nxt = {i: {j: None for j in ids} for i in ids}
+    for i, j, d in edges:
+        if d < dist[i][j]:
+            dist[i][j] = dist[j][i] = d
+            nxt[i][j] = j
+            nxt[j][i] = i
+    for i in ids:
+        nxt[i][i] = i
+    for k in ids:
+        for i in ids:
+            dik = dist[i][k]
+            if math.isinf(dik):
+                continue
+            row_i, row_k = dist[i], dist[k]
+            for j in ids:
+                alt = dik + row_k[j]
+                if alt < row_i[j]:
+                    row_i[j] = alt
+                    dist[j][i] = alt
+                    nxt[i][j] = nxt[i][k]
+                    nxt[j][i] = nxt[j][k]
+    path = {i: {} for i in ids}
+    for i in ids:
+        for j in ids:
+            if i == j or nxt[i][j] is None:
+                path[i][j] = []
+                continue
+            hops = []
+            cur = i
+            while cur != j:
+                cur = nxt[cur][j]
+                hops.append(cur)
+            path[i][j] = hops[:-1]
+    return dist, path
 
 
 # --- brute-force cycle enumeration ------------------------------------------

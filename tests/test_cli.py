@@ -84,6 +84,19 @@ class TestPlanFleet:
                        "--agents", "7", "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("plan-fleet", "--instance", str(INSTANCES / "line3.json"), "--agents", "-1"),
+        ("plan-fleet", "--instance", str(INSTANCES / "line3.json"), "--agents", "0"),
+        ("gen", "--targets", "4", "--agents", "0"),
+    ], ids=["fleet-negative", "fleet-zero", "gen-zero"])
+    def test_agents_below_one_is_input_error(self, tmp_path, capsys, argv):
+        code = run_cli(*argv, "--out", str(tmp_path / "out"))
+        assert code == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["type"] == "InstanceError"
+        assert "--agents" in error["message"]
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
     def test_one_agent_delegates_to_single(self, tmp_path):
         code = run_cli("plan-fleet", "--instance", str(INSTANCES / "line3.json"),
                        "--agents", "1", "--out", str(tmp_path))
@@ -130,6 +143,45 @@ class TestSimulateAndValidate:
         assert code == 0
         report = json.loads((tmp_path / "sim" / "validation.json").read_text())
         assert report["prediction_consistent"]
+
+
+def _drop_period(doc):
+    del doc["period"]
+
+
+def _visit_unknown_target(doc):
+    doc["instances"][1]["target"] = 99
+
+
+def _cover_unknown_target(doc):
+    doc["covers"] = doc["covers"] + [99]
+
+
+def _drop_leg(doc):
+    doc["leg_times"].pop()
+
+
+class TestPlanDocumentChecks:
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("corrupt, field", [
+        (_drop_period, "'period'"),
+        (_visit_unknown_target, "'instances'"),
+        (_cover_unknown_target, "'covers'"),
+        (_drop_leg, "'leg_times'"),
+    ], ids=["missing-key", "unknown-instance-target", "unknown-covers-target", "leg-count"])
+    def test_malformed_plan_is_input_error_naming_field(self, planned, tmp_path, capsys,
+                                                        command, corrupt, field):
+        doc = json.loads((planned / "plan.json").read_text())
+        corrupt(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run_cli(command, "--instance", str(INSTANCES / "line3.json"), "--plan", str(bad),
+                       "--periods", "2", "--out", str(tmp_path / "out"))
+        assert code == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "input"
+        assert field in error["message"]
+        assert not (tmp_path / "out" / "validation.json").exists()
 
 
 class TestEntryPoint:

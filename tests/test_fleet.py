@@ -197,9 +197,25 @@ class TestClusterSubnetwork:
             edges=[(1, 2, 1.0), (2, 3, 1.0)],
         )
         sub = cluster_subnetwork(net, {1, 3})
-        assert sub.is_connected()
+        assert all(math.isfinite(t) for row in sub.travel.values() for t in row.values())
         assert sub.travel[1][3] == pytest.approx(2.0)
         assert sub.path[1][3] == [2]  # pass-through stays physical
+
+    def test_three_components_bridged_in_order(self):
+        # {1, 3, 5, 7} induces only 1-7, so its components are {1, 7}, {3}
+        # and {5}.  {1, 7} first takes 1-2-3, tied at 2.0 with 7-6-5 and
+        # found first, then 7-6-5.
+        net = TargetNetwork(
+            targets=[TargetSpec(id=k, A=0.1, Q=1.0, H=1.0, R=1.0) for k in range(1, 8)],
+            edges=[(1, 2, 1.0), (2, 3, 1.0), (3, 4, 2.0), (4, 5, 0.5), (5, 6, 1.0),
+                   (6, 7, 1.0), (1, 7, 3.0), (2, 6, 2.5)],
+        )
+        sub = cluster_subnetwork(net, {1, 3, 5, 7})
+        assert sub.edges == [(1, 7, 3.0)]
+        assert sub.connectors == [(1, 3, 2.0, [2]), (7, 5, 2.0, [6])]
+        assert sub.travel[3][5] == 7.0
+        assert sub.path[3][5] == [2, 1, 7, 6]
+        assert sub.path[5][3] == [6, 7, 1, 2]
 
 
 class TestPlanFleet:

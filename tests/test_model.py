@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from patrolplan.config import ParamRanges
 from patrolplan.model import (
@@ -10,6 +12,7 @@ from patrolplan.model import (
     TargetNetwork,
     generate_random_instance,
     instance_to_document,
+    link_matrix,
     load_instance,
 )
 
@@ -136,7 +139,7 @@ class TestGenerateRandom:
     def test_complete_graph_edge_count(self):
         network, _ = generate_random_instance(15, seed=3)
         assert len(network.edges) == 15 * 14 // 2
-        assert network.is_connected()
+        assert all(math.isfinite(t) for row in network.travel.values() for t in row.values())
 
     def test_stable_fraction(self):
         ranges = ParamRanges(stable_fraction=0.4)
@@ -197,6 +200,18 @@ class TestNetworkInvariants:
         sub = network.subnetwork({1, 3}, extra_edges=[(1, 3, 2.0, [2])])
         assert sub.travel[1][3] == pytest.approx(2.0)
         assert sub.path[1][3] == [2]
+
+    def test_zero_length_edge_keeps_line_connected(self):
+        network = TargetNetwork(
+            targets=[TargetSpec(id=k, A=0.1, Q=1.0, H=1.0, R=1.0) for k in (1, 2, 3)],
+            edges=[(1, 2, 0.0), (2, 3, 1.5)],
+        )
+        assert network.travel[1][2] == 0.0
+        assert network.travel[1][3] == 1.5
+        assert network.path[1][3] == [2]
+        # the same graph as a dense matrix reads the zero as "no edge"
+        dense = link_matrix(network.ids, network.edges).toarray()
+        assert math.isinf(shortest_path(dense, method="FW", directed=False)[0, 1])
 
     def test_target_lookup_by_id(self):
         network = TargetNetwork(

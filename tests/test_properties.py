@@ -10,6 +10,10 @@ and checks the consensus dwell balancer: on a cycle with one repeated visit
 the period is kept and the active peaks meet at the consensus level above
 every inactive target, and on a single-visit tour the single- and
 multi-visit entry points agree exactly.
+
+The last draws a connected travel graph with tied and zero-length routes and
+checks the network's fastest times (bit for bit) and paths against the plain
+Floyd-Warshall loop.
 """
 
 import numpy as np
@@ -22,7 +26,7 @@ from patrolplan.cycles import Cycle, SteadyStateCache
 from patrolplan.dwell import balance_multi_visit, balance_single_visit
 from patrolplan.model import TargetNetwork, TargetSpec
 
-from oracles import apply_period, iterated_periodic_start, period_steps
+from oracles import apply_period, iterated_periodic_start, period_steps, python_floyd_warshall
 
 REL = 1e-8
 
@@ -150,3 +154,32 @@ def test_single_visit_tour_balances_alike(case):
     assert single.dwells == multi.dwells
     assert single.costs == multi.costs
     assert single.trace == multi.trace
+
+
+@st.composite
+def travel_graphs(draw):
+    """A connected travel graph over 2-14 targets with arbitrary ids in an
+    arbitrary order.  Travel times are small integers, so equally fast routes
+    tie, and some edges take no time at all."""
+    ids = draw(st.lists(st.integers(1, 60), min_size=2, max_size=14, unique=True))
+    times = st.integers(0, 3).map(float)
+    edges = [(ids[k - 1], ids[k], draw(times)) for k in range(1, len(ids))]
+    pairs = {frozenset(e[:2]) for e in edges}
+    for a, b, d in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids), times),
+                                 max_size=3 * len(ids))):
+        if a != b and frozenset((a, b)) not in pairs:
+            pairs.add(frozenset((a, b)))
+            edges.append((a, b, d))
+    order = draw(st.permutations(ids))
+    targets = [TargetSpec(id=k, A=0.1, Q=1.0, H=1.0, R=1.0) for k in order]
+    return TargetNetwork(targets=targets, edges=draw(st.permutations(edges)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(travel_graphs())
+def test_closure_matches_python_floyd_warshall(network):
+    travel, path = python_floyd_warshall(network.ids, network.edges)
+    for i in network.ids:
+        for j in network.ids:
+            assert np.float64(network.travel[i][j]).tobytes() == np.float64(travel[i][j]).tobytes()
+            assert network.path[i][j] == path[i][j]
