@@ -414,9 +414,6 @@ class PeakSet:
     iterations: int
     residual: float
 
-    def upper_norms(self) -> list[float]:
-        return [cov_norm(m) for m in self.upper]
-
 
 def _scalar_periodic_peaks(
     a: float,

@@ -90,24 +90,6 @@ class Cycle:
             out_legs += legs
         return cls(network, out_seq, out_legs)
 
-    @classmethod
-    def from_direct(cls, network: TargetNetwork, targets: list[int]) -> "Cycle":
-        """Join consecutive targets by their direct edges, even if dominated.
-
-        Used for externally specified tours; raises if an edge is missing.
-        """
-        seq = [(t, True) for t in targets]
-        if len(seq) == 1:
-            return cls(network, seq, [])
-        legs = []
-        n = len(targets)
-        for k in range(n):
-            u, v = targets[k], targets[(k + 1) % n]
-            if (u, v) not in network.direct:
-                raise ValueError(f"no direct edge between {u} and {v}")
-            legs.append(network.direct[(u, v)])
-        return cls(network, seq, legs)
-
     # -- views ---------------------------------------------------------------
 
     def __len__(self) -> int:

@@ -14,7 +14,6 @@ are cheaper never observed than the balanced consensus cost.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_CONFIG, PlannerConfig
@@ -512,9 +511,11 @@ class Plan:
 
     @classmethod
     def from_document(cls, network: TargetNetwork, doc: dict) -> "Plan":
-        """Rebuild a plan over ``network``.  A missing or malformed field, an
-        instance target outside the network and a leg count that does not fit
-        the instances each raise a ``ValueError`` naming the field."""
+        """Rebuild a plan over ``network``, a cluster's view for a fleet
+        plan.  A missing or malformed field, an instance target without a
+        route in the network, a dwell slot at a target the view does not
+        cover and a leg count that does not fit the instances each raise a
+        ``ValueError`` naming the field."""
         if not isinstance(doc, dict) or doc.get("format") != "plan":
             raise ValueError("not a plan document")
 
@@ -531,10 +532,13 @@ class Plan:
         ])
         legs = read("leg_times", lambda v: [float(x) for x in v])
         ids = set(network.ids)
-        for k, (target, _, _) in enumerate(entries):
-            if target not in ids:
+        for k, (target, eligible, dwell) in enumerate(entries):
+            if target not in network.travel:
                 raise ValueError(f"plan document field 'instances': entry {k} visits "
                                  f"target {target}, which is not in the network")
+            if target not in ids and (eligible or dwell != 0.0):
+                raise ValueError(f"plan document field 'instances': entry {k} may dwell at "
+                                 f"target {target}, which the plan does not cover")
         if not entries or len(legs) != (len(entries) if len(entries) > 1 else 0):
             raise ValueError(f"plan document fields 'instances' and 'leg_times': "
                              f"{len(legs)} legs do not close {len(entries)} instances")
@@ -621,13 +625,3 @@ def plan_single_agent(
             break  # the excluded target is the bottleneck now
     return _finish_plan(cycle, state, cache, excluded, probes)
 
-
-def random_initial_dwells(cycle: Cycle, budget: float, seed: int) -> list[float]:
-    """A random valid dwell vector (for uniqueness experiments)."""
-    rng = random.Random(seed)
-    dwells = [
-        rng.random() if inst.dwell_eligible else 0.0
-        for inst in cycle.instances
-    ]
-    total = sum(dwells)
-    return [d * budget / total for d in dwells]

@@ -10,12 +10,12 @@ while it strictly improves the fleet's worst cost floor.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.csgraph import connected_components
 
 from .config import DEFAULT_CONFIG, PlannerConfig
 from .cycles import (
@@ -32,7 +32,7 @@ from .cycles import (
     improve_cycle,
 )
 from .dwell import Plan, plan_for_cycle
-from .model import TargetNetwork, link_matrix
+from .model import TargetNetwork
 
 __all__ = [
     "FleetError",
@@ -73,11 +73,11 @@ class SimilarityMatrix:
 
 @dataclass
 class Partition:
-    """Disjoint target clusters with their sub-networks, cycles and metrics."""
+    """Disjoint target clusters with their cycles and metrics; a cycle's
+    network is its cluster's view of ``network``."""
 
     network: TargetNetwork
     clusters: list[set[int]]
-    subnetworks: list[TargetNetwork]
     cycles: list[Cycle]
     metrics: list[CycleMetric]
     tes_log: list[dict] = field(default_factory=list)
@@ -302,43 +302,31 @@ def spectral_cluster(
 
 
 # ---------------------------------------------------------------------------
-# sub-network assembly
+# cluster view
 # ---------------------------------------------------------------------------
 
 def cluster_subnetwork(network: TargetNetwork, members: set[int]) -> TargetNetwork:
-    """Induced sub-network over ``members`` with intra-cluster edges only.
-
-    If that graph is disconnected, the component holding the first member
-    grows by the fastest full-network path to any other component (first
-    found on ties) until it spans them all; those paths become composite
-    connectors, whose pass-through targets stay recorded for trajectory
-    emission.
+    """The cluster's view of ``network``: ``targets``, ``ids``, ``positions``
+    and ``target()`` cover ``members`` only, while ``edges``, ``travel`` and
+    ``path`` are the parent's own objects.  A fastest route may pass through
+    a target outside the cluster; a cycle carries it as a pass-through
+    instance, which takes no dwell and no part in the metric.
     """
-    ids = [t for t in network.ids if t in members]
-    intra = [(i, j, d) for i, j, d in network.edges if i in members and j in members]
-    count, labels = connected_components(link_matrix(ids, intra), directed=False)
-    comps = [sorted(t for t, lab in zip(ids, labels) if lab == c) for c in range(count)]
-    base = comps.pop(0)
-    connectors = []
-    travel = network.travel
-    while comps:
-        d, i, j, c = min(
-            ((travel[i][j], i, j, c) for c, other in enumerate(comps) for i in base for j in other),
-            key=lambda link: link[0],
-        )
-        connectors.append((i, j, d, list(network.path[i][j])))
-        base = sorted(base + comps.pop(c))
-    return network.subnetwork(members, extra_edges=connectors)
+    view = copy.copy(network)
+    view.targets = [t for t in network.targets if t.id in members]
+    view.positions = {i: p for i, p in network.positions.items() if i in members}
+    view._by_id = {t.id: t for t in view.targets}
+    return view
 
 
 # ---------------------------------------------------------------------------
 # fleet pipeline
 # ---------------------------------------------------------------------------
 
-def _build_cluster(network, members, cache, cfg) -> tuple[TargetNetwork, Cycle, CycleMetric]:
-    sub = cluster_subnetwork(network, members)
-    cycle, metric, _ = greedy_construct(sub, sorted(members), cache, cfg)
-    return sub, cycle, metric
+def _build_cluster(network, members, cache, cfg) -> tuple[Cycle, CycleMetric]:
+    cycle, metric, _ = greedy_construct(cluster_subnetwork(network, members),
+                                        sorted(members), cache, cfg)
+    return cycle, metric
 
 
 def plan_fleet(
@@ -367,18 +355,12 @@ def plan_fleet(
     sim = similarity_from_disparity(disp, cfg.sigma)
     clusters = spectral_cluster(sim, num_agents, seed=cfg.seed, restarts=cfg.kmeans_restarts,
                                 max_iters=cfg.kmeans_max_iters)
-    subs, cycles, metrics = [], [], []
-    for members in clusters:
-        sub, cycle, metric = _build_cluster(network, members, cache, cfg)
-        subs.append(sub)
-        cycles.append(cycle)
-        metrics.append(metric)
+    built = [_build_cluster(network, members, cache, cfg) for members in clusters]
     partition = Partition(
         network=network,
         clusters=clusters,
-        subnetworks=subs,
-        cycles=cycles,
-        metrics=metrics,
+        cycles=[cycle for cycle, _ in built],
+        metrics=[metric for _, metric in built],
     )
     if refine and num_agents > 1:
         partition = tes_refine(partition, cache, cfg)
@@ -398,8 +380,8 @@ def _contracted_metric(network, cache, cfg, cycle, drop: int) -> float:
     if not keep:
         return math.inf
     members = set(keep)
-    sub = cluster_subnetwork(network, members)
-    cand = Cycle.from_targets(sub, sorted(members, key=lambda t: keep.index(t)))
+    cand = Cycle.from_targets(cluster_subnetwork(network, members),
+                              sorted(members, key=lambda t: keep.index(t)))
     metric = cycle_lower_bound(cand, cache)
     cand, metric, _ = improve_cycle(cand, metric, cache, ("II", "III"), cfg)
     return metric.value
@@ -433,7 +415,6 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None,
     cache = cache or SteadyStateCache(partition.network)
     network = partition.network
     clusters = [set(c) for c in partition.clusters]
-    subs = list(partition.subnetworks)
     cycles = list(partition.cycles)
     metrics = list(partition.metrics)
     log: list[dict] = []
@@ -465,8 +446,8 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None,
         for est_gain, j, b in candidates:
             new_a = clusters[a_star] - {j}
             new_b = clusters[b] | {j}
-            sub_a, cyc_a, met_a = _build_cluster(network, new_a, cache, cfg)
-            sub_b, cyc_b, met_b = _build_cluster(network, new_b, cache, cfg)
+            cyc_a, met_a = _build_cluster(network, new_a, cache, cfg)
+            cyc_b, met_b = _build_cluster(network, new_b, cache, cfg)
             new_metrics = list(metrics)
             new_metrics[a_star] = met_a
             new_metrics[b] = met_b
@@ -482,7 +463,6 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None,
             )
             if improves or rebalances:
                 clusters[a_star], clusters[b] = new_a, new_b
-                subs[a_star], subs[b] = sub_a, sub_b
                 cycles[a_star], cycles[b] = cyc_a, cyc_b
                 metrics = new_metrics
                 log.append({
@@ -502,7 +482,6 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None,
     return Partition(
         network=network,
         clusters=clusters,
-        subnetworks=subs,
         cycles=cycles,
         metrics=metrics,
         tes_log=partition.tes_log + log,

@@ -167,17 +167,16 @@ class TargetNetwork:
 
     ``travel[i][j]`` is the fastest travel time between targets i and j;
     ``path[i][j]`` lists the intermediate targets traversed (exclusive of the
-    endpoints).  Indices are target ids.  ``connectors`` are composite edges
-    (i, j, d, via) of a sub-network: travel time d from i to j through the
-    pass-through targets ``via``, which lie outside the network and are
-    spliced into every path that takes the connector.  Immutable after
-    construction.
+    endpoints).  Indices are target ids.  A cluster's network is a view of
+    its parent (``fleet.cluster_subnetwork``): ``targets``, ``ids`` and
+    ``target()`` cover the members only, while ``edges``, ``travel`` and
+    ``path`` are the parent's, so a route may pass through a target outside
+    the view.  Immutable after construction.
     """
 
     targets: list[TargetSpec]
     edges: list[tuple[int, int, float]]
     positions: dict[int, tuple[float, float]] = field(default_factory=dict)
-    connectors: list[tuple[int, int, float, list[int]]] = field(default_factory=list)
     travel: dict[int, dict[int, float]] = field(init=False)
     path: dict[int, dict[int, list[int]]] = field(init=False)
 
@@ -187,7 +186,7 @@ class TargetNetwork:
             raise InstanceError("duplicate target ids")
         id_set = set(ids)
         seen = set()
-        for i, j, d in self._links():
+        for i, j, d in self.edges:
             if i not in id_set or j not in id_set:
                 raise InstanceError(f"edge ({i}, {j}) references an unknown target")
             if i == j:
@@ -199,28 +198,18 @@ class TargetNetwork:
                 raise InstanceError(f"duplicate edge ({i}, {j})")
             seen.add(key)
         self._by_id = {t.id: t for t in self.targets}
-        self.direct = {}
-        for i, j, d in self.edges:
-            self.direct[(i, j)] = self.direct[(j, i)] = d
         self._floyd_warshall()
         for i in ids:
             for j in ids:
                 if math.isinf(self.travel[i][j]):
                     raise InstanceError(f"graph is disconnected: no route between {i} and {j}")
 
-    def _links(self) -> list[tuple[int, int, float]]:
-        """Edges and connectors as the (i, j, d) links of the travel graph."""
-        return self.edges + [(i, j, d) for i, j, d, _ in self.connectors]
-
     def _floyd_warshall(self) -> None:
         """All-pairs closure by Floyd-Warshall over a sparse link matrix (a
         sparse entry keeps a zero-length edge, a dense zero would drop it)."""
         ids = self.ids
-        dist, pred = shortest_path(link_matrix(ids, self._links()), method="FW",
+        dist, pred = shortest_path(link_matrix(ids, self.edges), method="FW",
                                    directed=False, return_predecessors=True)
-        via = {}
-        for i, j, _, hops in self.connectors:
-            via[(i, j)], via[(j, i)] = list(hops), list(reversed(hops))
         self.travel = {i: dict(zip(ids, row)) for i, row in zip(ids, dist.tolist())}
         self.path = {}
         for a, (i, row) in enumerate(zip(ids, pred.tolist())):
@@ -234,13 +223,6 @@ class TargetNetwork:
                     hops.append(ids[k])
                     k = row[k]
                 hops.reverse()
-                if via:
-                    nodes = [i] + hops + [j]
-                    hops = []
-                    for u, v in zip(nodes[:-1], nodes[1:]):
-                        hops.extend(via.get((u, v), ()))
-                        hops.append(v)
-                    hops.pop()
                 paths[j] = hops
 
     @property
@@ -249,16 +231,6 @@ class TargetNetwork:
 
     def target(self, tid: int) -> TargetSpec:
         return self._by_id[tid]
-
-    def subnetwork(self, keep_ids: set[int], extra_edges: list[tuple[int, int, float, list[int]]] | None = None) -> "TargetNetwork":
-        """Sub-network over ``keep_ids`` with its intra edges, plus
-        ``extra_edges`` as its composite connectors (i, j, d, via)."""
-        return TargetNetwork(
-            targets=[t for t in self.targets if t.id in keep_ids],
-            edges=[(i, j, d) for (i, j, d) in self.edges if i in keep_ids and j in keep_ids],
-            positions={i: p for i, p in self.positions.items() if i in keep_ids},
-            connectors=list(extra_edges or []),
-        )
 
 
 def _parse_targets(raw: Any) -> list[TargetSpec]:

@@ -4,23 +4,24 @@ Everything here is deliberately written from first principles, separate from
 the package code paths: closed-form scalar solutions, a fixed-step RK4
 integrator for the matrix equations, a bisection fixed-point solver for the
 single-visit periodic peaks, plain iteration of the one-period map for any
-visit pattern, the plain Floyd-Warshall loop for fastest paths, and
-brute-force cycle enumeration.  The forward simulation and its CSV export
-are kept in their plain per-sample form, as the reference for the columnar
-versions in ``patrolplan.simulate``.
+visit pattern, the plain Floyd-Warshall loop for fastest paths, brute-force
+cycle enumeration, cycles along given direct edges and random dwell vectors.
+The forward simulation and its CSV export are kept in their plain per-sample
+form, as the reference for the columnar versions in ``patrolplan.simulate``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 import scipy.linalg
 
 from patrolplan.config import DEFAULT_CONFIG
 from patrolplan.covariance import cov_norm, observed_flow, unobserved_flow
-from patrolplan.cycles import SteadyStateCache
+from patrolplan.cycles import Cycle, SteadyStateCache
 from patrolplan.simulate import SimTrace, _schedule_segments, steady_initial_covariances
 
 
@@ -401,6 +402,31 @@ def enumerate_cycles(ids: list[int], max_len: int) -> list[tuple[int, ...]]:
             seen.add(canon)
             out.append(canon)
     return out
+
+
+def direct_cycle(network, targets: list[int]) -> Cycle:
+    """Join consecutive targets by their direct edges, even if dominated;
+    raises if an edge is missing."""
+    direct = {}
+    for i, j, d in network.edges:
+        direct[(i, j)] = direct[(j, i)] = d
+    seq = [(t, True) for t in targets]
+    if len(seq) == 1:
+        return Cycle(network, seq, [])
+    legs = []
+    for u, v in zip(targets, targets[1:] + targets[:1]):
+        if (u, v) not in direct:
+            raise ValueError(f"no direct edge between {u} and {v}")
+        legs.append(direct[(u, v)])
+    return Cycle(network, seq, legs)
+
+
+def random_initial_dwells(cycle: Cycle, budget: float, seed: int) -> list[float]:
+    """A random valid dwell vector (for uniqueness experiments)."""
+    rng = random.Random(seed)
+    dwells = [rng.random() if inst.dwell_eligible else 0.0 for inst in cycle.instances]
+    total = sum(dwells)
+    return [d * budget / total for d in dwells]
 
 
 # --- shared parameter table --------------------------------------------------

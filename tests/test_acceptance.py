@@ -23,7 +23,6 @@ from patrolplan.dwell import (
     balance_single_visit,
     golden_period_search,
     plan_single_agent,
-    random_initial_dwells,
 )
 from patrolplan.fleet import plan_fleet, tes_refine
 from patrolplan.model import generate_random_instance, load_instance_file
@@ -32,6 +31,7 @@ from patrolplan.simulate import simulate, validate
 from conftest import build_table1_network
 from oracles import (
     enumerate_cycles,
+    random_initial_dwells,
     rk4_propagate_batch,
     scalar_observed,
     scalar_unobserved,
@@ -322,9 +322,9 @@ def bundled_runs():
     net, fleet = load_instance_file(f"{INSTANCE_DIR}/fleet15.json")
     cache = SteadyStateCache(net)
     partition = plan_fleet(net, fleet.num_agents, cache=cache)
-    for k, (sub, plan) in enumerate(zip(partition.subnetworks, partition.plans)):
-        trace = simulate(plan, sub, record_states=25)
-        runs.append((f"fleet15/agent{k + 1}", sub, cache, plan, trace))
+    for k, plan in enumerate(partition.plans):
+        trace = simulate(plan, plan.cycle.network, record_states=25)
+        runs.append((f"fleet15/agent{k + 1}", plan.cycle.network, cache, plan, trace))
     return runs
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from patrolplan.cli import main
+from patrolplan.model import generate_random_instance, instance_to_document
 
 REPO = Path(__file__).resolve().parents[1]
 INSTANCES = REPO / "instances"
@@ -182,6 +183,60 @@ class TestPlanDocumentChecks:
         assert error["error"] == "input"
         assert field in error["message"]
         assert not (tmp_path / "out" / "validation.json").exists()
+
+
+@pytest.fixture(scope="module")
+def star_fleet(tmp_path_factory):
+    """Two agents on the star 2-{1, 3, 4}: the cluster {1, 4} reaches itself
+    only through target 2, which another agent covers.  Returns the instance
+    path and the plan document whose cycle passes through a foreign target."""
+    out = tmp_path_factory.mktemp("star")
+    network, fleet = generate_random_instance(4, seed=0, num_agents=2)
+    doc = instance_to_document(network, fleet)
+    doc["edges"] = [e for e in doc["edges"] if 2 in (e["i"], e["j"])]
+    instance = out / "star.json"
+    instance.write_text(json.dumps(doc))
+    assert run_cli("plan-fleet", "--instance", str(instance), "--out", str(out)) == 0
+    for k in (1, 2):
+        plan = json.loads((out / f"plan_agent{k}.json").read_text())
+        if {i["target"] for i in plan["instances"]} - set(plan["covers"]):
+            return instance, plan
+    pytest.fail("no agent's cycle passes through a foreign target")
+
+
+def _dwell_slot_at_foreign_target(doc):
+    next(i for i in doc["instances"] if i["target"] not in doc["covers"])["dwell_eligible"] = True
+
+
+def _dwell_at_foreign_target(doc):
+    next(i for i in doc["instances"] if i["target"] not in doc["covers"])["dwell"] = 0.1
+
+
+class TestSparseFleet:
+    def test_plan_passing_through_foreign_target_validates(self, star_fleet, tmp_path):
+        instance, plan = star_fleet
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        code = run_cli("validate", "--instance", str(instance), "--plan", str(path),
+                       "--periods", "4", "--out", str(tmp_path / "out"))
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "validation.json").read_text())
+        assert report["prediction_consistent"]
+
+    @pytest.mark.parametrize("corrupt", [_dwell_slot_at_foreign_target, _dwell_at_foreign_target],
+                             ids=["dwell-slot", "dwell"])
+    def test_dwell_outside_covers_is_input_error(self, star_fleet, tmp_path, capsys, corrupt):
+        instance, plan = star_fleet
+        doc = json.loads(json.dumps(plan))
+        corrupt(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli("validate", "--instance", str(instance), "--plan", str(path),
+                       "--periods", "2", "--out", str(tmp_path / "out"))
+        assert code == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "input"
+        assert "'instances'" in error["message"]
 
 
 class TestEntryPoint:

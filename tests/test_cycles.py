@@ -16,7 +16,7 @@ from patrolplan.cycles import (
 )
 from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance
 
-from oracles import enumerate_cycles
+from oracles import direct_cycle, enumerate_cycles
 
 
 def simple_network(edges, ids=None, a=0.2):
@@ -152,7 +152,7 @@ class TestEnumerateCmos:
 
     def test_type_one_replaces_slow_edge_with_path(self):
         net = self.fig7_style_network()
-        cyc = Cycle.from_direct(net, [2, 1, 3, 4])
+        cyc = direct_cycle(net, [2, 1, 3, 4])
         cache = SteadyStateCache(net)
         m = cycle_lower_bound(cyc, cache)
         cands = enumerate_cmos(cyc, m)

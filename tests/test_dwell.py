@@ -11,13 +11,12 @@ from patrolplan.dwell import (
     balance_within_target,
     golden_period_search,
     plan_single_agent,
-    random_initial_dwells,
     timeline_from_schedule,
     _visit_costs,
 )
 from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance
 
-from oracles import scalar_single_visit_peak
+from oracles import random_initial_dwells, scalar_single_visit_peak
 
 
 def two_identical_targets(d=1.0, a=0.3):

@@ -6,6 +6,7 @@ import pytest
 from scipy.sparse.csgraph import shortest_path
 
 from patrolplan.config import ParamRanges
+from patrolplan.fleet import cluster_subnetwork
 from patrolplan.model import (
     InstanceError,
     TargetSpec,
@@ -192,14 +193,16 @@ class TestNetworkInvariants:
         assert spec.G.shape == (2, 2)
 
     def test_subnetwork_restores_connectivity_paths(self):
-        # line 1-2-3: cluster {1, 3} is disconnected without a connector
+        # line 1-2-3: cluster {1, 3} has no edge of its own; its view keeps
+        # the parent's route through target 2
         network = TargetNetwork(
             targets=[TargetSpec(id=k, A=0.1, Q=1.0, H=1.0, R=1.0) for k in (1, 2, 3)],
             edges=[(1, 2, 1.0), (2, 3, 1.0)],
         )
-        sub = network.subnetwork({1, 3}, extra_edges=[(1, 3, 2.0, [2])])
-        assert sub.travel[1][3] == pytest.approx(2.0)
-        assert sub.path[1][3] == [2]
+        sub = cluster_subnetwork(network, {1, 3})
+        assert sub.ids == [1, 3]
+        assert sub.travel is network.travel and sub.path is network.path
+        assert sub.edges is network.edges
 
     def test_zero_length_edge_keeps_line_connected(self):
         network = TargetNetwork(
@@ -219,7 +222,7 @@ class TestNetworkInvariants:
             edges=[(4, 7, 1.0), (7, 9, 1.0)],
         )
         assert [network.target(k).id for k in (9, 4, 7)] == [9, 4, 7]
-        sub = network.subnetwork({4, 9}, extra_edges=[(4, 9, 2.0, [7])])
+        sub = cluster_subnetwork(network, {4, 9})
         assert sub.target(9) is network.target(9)
         with pytest.raises(KeyError):
             sub.target(7)

@@ -76,9 +76,8 @@ def fleet_cluster_plan():
     """The fleet15 cluster with the longest cycle (a target visited twice)."""
     net, fleet = load_instance_file(str(INSTANCES / "fleet15.json"))
     partition = plan_fleet(net, fleet.num_agents, cache=SteadyStateCache(net))
-    sub, plan = max(zip(partition.subnetworks, partition.plans),
-                    key=lambda pair: len(pair[1].cycle.instances))
-    return sub, SteadyStateCache(sub), plan
+    plan = max(partition.plans, key=lambda plan: len(plan.cycle.instances))
+    return plan.cycle.network, SteadyStateCache(plan.cycle.network), plan
 
 
 class TestSimulate:
@@ -167,8 +166,8 @@ class TestValidate:
     def test_fleet_plans_validate_per_cluster(self):
         net, _ = generate_random_instance(8, seed=31)
         part = plan_fleet(net, 2, refine=False, with_dwells=True)
-        for sub, plan in zip(part.subnetworks, part.plans):
-            trace = simulate(plan, sub, num_periods=4)
+        for plan in part.plans:
+            trace = simulate(plan, plan.cycle.network, num_periods=4)
             report = validate(plan, trace)
             assert report["prediction_consistent"]
             assert report["metric_floor_holds"]
