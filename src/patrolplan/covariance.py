@@ -425,7 +425,8 @@ def _scalar_periodic_peaks(
 ) -> tuple[list[float], list[float], int, float]:
     """Scalar periodic peaks from the closed-form fixed point; returns the
     upper and lower peaks, the number of certifying walks (one) and the
-    walk's residual."""
+    walk's residual.  A gap whose growth passes double range fails the walk
+    and takes ``_overflowed_peaks`` instead."""
     obs = [_scalar_obs_coeffs(a, q, g, on) for on in t_on]
     unobs = [_scalar_unobs_coeffs(a, q, off) for off in t_off]
     phase_maps: list[tuple[float, float, float, float]] = []
@@ -442,8 +443,34 @@ def _scalar_periodic_peaks(
         w = al * w + be
     residual = abs(w - omega)
     if not residual <= tol * max(1.0, abs(omega)):
+        if any(math.isinf(al) for al, _ in unobs):
+            return _overflowed_peaks(obs, unobs)
         raise ConvergenceError(_NOT_FIXED, residual)
     return uppers, lowers, 1, residual
+
+
+def _overflowed_peaks(obs, unobs) -> tuple[list[float], list[float], int, float]:
+    """Scalar periodic peaks when a gap's growth ``e^{2 a t_off}`` passes
+    double range: the peak at the next visit is infinite, as an unstable
+    target's never-observed cost is.  The walk starts there, and each
+    observed stretch brings the covariance back to the finite limit of its
+    flow from infinity."""
+    n = len(obs)
+    uppers, lowers = [math.inf] * n, [math.inf] * n
+    start = max(k for k, (al, _) in enumerate(unobs) if math.isinf(al))
+    w = math.inf
+    for j in range(1, n + 1):
+        k = (start + j) % n
+        uppers[k] = w
+        if math.isinf(w):
+            _, m12, _, m22 = obs[k]
+            w = m22 / m12 if m12 > 0.0 else math.inf
+        else:
+            w = _scalar_apply(obs[k], w)
+        lowers[k] = w
+        al, be = unobs[k]
+        w = math.inf if math.isinf(al) else al * w + be
+    return uppers, lowers, 1, 0.0
 
 
 def _dominant_graph(monodromy: np.ndarray) -> np.ndarray:

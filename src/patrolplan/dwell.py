@@ -2,12 +2,18 @@
 
 One law governs the dwells: in a balanced allocation every observed target
 peaks at the same cost, whether the cycle visits it once or several times.
-One consensus loop enforces it.  Each target's total dwell moves
-proportionally to the log ratio of its peak cost to the geometric mean across
-active targets, which keeps the period constant while all active peak costs
-converge to a common value; a target with several dwell slots also has its
-total split across them until its per-visit peaks agree.  The period itself
-is optimized by a golden-section search, and an outer loop drops targets that
+Two solvers reach it.  In a cycle where no target has two dwell slots, each
+target's peak cost falls strictly with its own dwell at a fixed period, so
+the common level is one root: ``balance_level_set`` solves for the level and
+the dwells together by Newton steps, with a bracketed root on the level as
+its fallback.  Any other cycle runs the paper's consensus law
+(``balance_multi_visit``): each target's total dwell moves proportionally to
+the log ratio of its peak cost to the geometric mean across active targets,
+which keeps the period constant while all active peak costs converge to a
+common value, and a target with several dwell slots also has its total split
+across them until its per-visit peaks agree.  Either way a target that is
+cheaper never observed than the level takes no dwell.  The period itself is
+optimized by a golden-section search, and an outer loop drops targets that
 are cheaper never observed than the balanced consensus cost.
 """
 
@@ -35,6 +41,7 @@ __all__ = [
     "balance_single_visit",
     "balance_multi_visit",
     "balance_within_target",
+    "balance_level_set",
     "golden_period_search",
     "plan_for_cycle",
     "plan_single_agent",
@@ -151,6 +158,13 @@ def _eligible_map(cycle: Cycle) -> dict[int, list[int]]:
         if inst.dwell_eligible:
             out.setdefault(inst.target, []).append(pos)
     return out
+
+
+def _require_single_slots(eligible: dict[int, list[int]]) -> None:
+    for tid, positions in eligible.items():
+        if len(positions) > 1:
+            raise PlanningError(f"target {tid} has multiple dwell slots; "
+                                "use the multi-visit balancer")
 
 
 def _init_dwells(cycle: Cycle, budget: float, eligible: dict[int, list[int]],
@@ -383,10 +397,225 @@ def balance_single_visit(
 ) -> DwellState:
     """``balance_multi_visit`` on a cycle where each target has at most one
     dwell slot (raises ``PlanningError`` otherwise)."""
-    for tid, positions in _eligible_map(cycle).items():
-        if len(positions) > 1:
-            raise PlanningError(f"target {tid} has multiple dwell slots; use the multi-visit balancer")
+    _require_single_slots(_eligible_map(cycle))
     return balance_multi_visit(cycle, period, cache, config, initial_dwells, k_p, tol)
+
+
+# ---------------------------------------------------------------------------
+# level-set balancing
+# ---------------------------------------------------------------------------
+
+LEVEL_NEWTON_STEPS = 50   # Newton steps before the bracketed root takes over
+FD_STEP = 1e-6            # relative dwell step of the first-step slopes
+
+
+def _to_budget(x: dict[int, float], budget: float) -> dict[int, float]:
+    scale = budget / sum(x.values())
+    return {tid: d * scale for tid, d in x.items()}
+
+
+def _illinois(fn, lo: float, hi: float, f_lo: float, f_hi: float, ftol: float) -> float:
+    """Root of a falling ``fn`` on [lo, hi] with ``f_lo >= 0 >= f_hi``, by
+    the Illinois form of regula falsi (bisection while an end value is
+    infinite).  Stops at ``|fn| <= ftol`` or once the bracket is down to
+    float resolution."""
+    if abs(f_hi) <= ftol:
+        return hi
+    side = 0
+    for _ in range(400):
+        if math.isfinite(f_lo) and math.isfinite(f_hi) and f_lo != f_hi:
+            x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        else:
+            x = 0.5 * (lo + hi)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                return x
+        fx = fn(x)
+        if abs(fx) <= ftol:
+            return x
+        if fx > 0.0:
+            lo, f_lo = x, fx
+            if side == 1:
+                f_hi *= 0.5
+            side = 1
+        else:
+            hi, f_hi = x, fx
+            if side == -1:
+                f_lo *= 0.5
+            side = -1
+    return x
+
+
+def _level_set_bracketed(cost, ids: list[int], never: dict[int, float], budget: float,
+                         tol: float) -> dict[int, float]:
+    """Balanced dwells by nested roots: for a level ``L`` each target's dwell
+    ``d_i(L)`` solves ``log f_i(d) = L`` (zero when its never-observed cost is
+    at most ``e^L``), and ``S(L) = Σ d_i(L)`` falls monotonically, so the
+    outer root ``S(L) = budget`` lies in ``[max_i log f_i(budget),
+    max_i log f_i(budget / m)]`` and is always found.  The dwells are
+    returned rescaled to sum to the budget exactly."""
+    full = {tid: math.log(cost(tid, budget)) for tid in ids}
+    lo = max(full.values())
+    if math.isinf(lo):
+        raise ConvergenceError("no finite balanced level: a peak overflows on the whole budget",
+                               math.inf)
+    hi = max(math.log(cost(tid, budget / len(ids))) for tid in ids)
+
+    def dwells_at(level: float) -> dict[int, float]:
+        out = {}
+        for tid in ids:
+            top = math.log(never[tid]) - level
+            if top <= 0.0:
+                out[tid] = 0.0
+            else:
+                out[tid] = _illinois(lambda d: math.log(cost(tid, d)) - level, 0.0, budget,
+                                     top, full[tid] - level, 0.01 * tol)
+        return out
+
+    def excess(level: float) -> float:
+        return sum(dwells_at(level).values()) - budget
+
+    ftol = 1e-3 * tol * budget
+    level = lo if hi <= lo else _illinois(excess, lo, hi, excess(lo), excess(hi), ftol)
+    return _to_budget(dwells_at(level), budget)
+
+
+def _newton_level_step(x: dict[int, float], logs: dict[int, float], slope: dict[int, float],
+                       never: dict[int, float], budget: float) -> dict[int, float] | None:
+    """One bordered Newton step of ``log f_i(d_i) = L``, ``Σ d_i = budget``
+    from dwells ``x`` with log costs ``logs`` and slopes ``slope``; None when
+    no slope is usable or the linear model leaves no dwell positive.
+
+    Each dwell's model at level ``L`` is ``max(0, x_i + (L - ℓ_i) / s_i)``,
+    which is zero from ``L = ℓ_i - s_i x_i`` on; ``L'`` is where the models
+    sum to the budget, over the targets whose model stays above zero.
+    """
+    model = [tid for tid, s in slope.items() if s < 0.0 and math.isfinite(s)]
+    if not model:
+        return None
+    while True:
+        level = (budget - sum(x[tid] for tid in model)
+                 + sum(logs[tid] / slope[tid] for tid in model)) / sum(
+                     1.0 / slope[tid] for tid in model)
+        kept = [tid for tid in model if logs[tid] - slope[tid] * x[tid] > level]
+        if len(kept) == len(model) or not kept:
+            break
+        model = kept
+    proposed = {}
+    for tid, d in x.items():
+        if math.log(never[tid]) <= level:
+            proposed[tid] = 0.0
+        elif not slope[tid] < 0.0:
+            proposed[tid] = d
+        else:
+            target = max(0.0, d + (level - logs[tid]) / slope[tid])
+            proposed[tid] = min(4.0 * d, max(0.25 * d, target)) if d > 0.0 else min(target, budget)
+    return _to_budget(proposed, budget) if sum(proposed.values()) > 0.0 else None
+
+
+def balance_level_set(
+    cycle: Cycle,
+    period: float,
+    cache: SteadyStateCache | None = None,
+    config: PlannerConfig | None = None,
+    initial_dwells: list[float] | None = None,
+    tol: float | None = None,
+) -> DwellState:
+    """Balance a cycle in which no target has two dwell slots by solving for
+    the common peak level directly; the result is the consensus law's fixed
+    point within ``tol``.
+
+    At a fixed period each target's peak cost ``f_i`` falls strictly with its
+    own dwell, so the balanced state solves ``log f_i(d_i) = L`` for every
+    active target with the dwells summing to the budget; a target whose
+    never-observed cost is at most ``e^L`` takes no dwell (the consensus
+    law's inactive set).  Each step solves the bordered Newton system of that
+    root in ``(d, L)``: ``δd_i = (L' - ℓ_i) / s_i`` with ``L'`` chosen so the
+    dwells keep the budget, where ``s_i`` is the slope of ``log f_i`` (one
+    finite difference on the first step, secants after).  A step moves a
+    dwell to between a quarter and four times its value, and the dwells are
+    then rescaled to the budget.  It stops once the active spread is at most
+    ``tol / 10``; should it not get there, ``_level_set_bracketed`` solves the
+    same root by bisection on ``L``.  ``trace`` is the running minimum of each
+    iterate's worst peak cost.
+    """
+    cfg = config or DEFAULT_CONFIG
+    cache = cache or SteadyStateCache(cycle.network)
+    eligible = _eligible_map(cycle)
+    budget = period - cycle.travel_time
+    if budget <= 0:
+        raise PlanningError(
+            f"period {period:.6g} does not exceed the travel time {cycle.travel_time:.6g}"
+        )
+    _require_single_slots(eligible)
+    tol = cfg.balance_tol if tol is None else tol
+    ids = sorted(eligible)
+    slot = {tid: eligible[tid][0] for tid in ids}
+    never = {tid: cache.never_observed_cost(tid) for tid in ids}
+
+    def cost(tid: int, d: float) -> float:
+        if d <= 0.0:
+            return never[tid]
+        return _visit_costs(cache, tid, [d], [period - d], cfg.periodic_tol)[0]
+
+    start = _init_dwells(cycle, budget, eligible, initial_dwells)
+    # an unstable target is never inactive
+    x = _to_budget({tid: start[slot[tid]] or (budget / len(ids) if math.isinf(never[tid]) else 0.0)
+                    for tid in ids}, budget)
+
+    trace: list[float] = []
+    slope: dict[int, float] = {}
+    prev: tuple[dict[int, float], dict[int, float]] | None = None
+    steps = 0
+    bracketed = False
+    while True:
+        costs = {tid: cost(tid, x[tid]) for tid in ids}
+        trace.append(min(max(costs.values()), trace[-1] if trace else math.inf))
+        active = [tid for tid in ids if x[tid] > 0.0]
+        g_con = _geometric_mean([costs[tid] for tid in active])
+        spread = max(abs(costs[tid] - g_con) for tid in active) / g_con
+        inactive_ok = all(never[tid] <= g_con * (1.0 + tol) for tid in ids if x[tid] <= 0.0)
+        if bracketed or (spread <= 0.1 * tol and inactive_ok):
+            if spread <= tol and inactive_ok:
+                break
+            raise ConvergenceError("level-set balancing did not converge", spread)
+        logs = {tid: math.log(c) for tid, c in costs.items()}
+        new_x = None
+        if steps < LEVEL_NEWTON_STEPS and all(math.isfinite(logs[tid]) for tid in active):
+            if prev is None:
+                for tid in ids:
+                    h = -FD_STEP * x[tid] if x[tid] > 0.0 else FD_STEP * budget
+                    slope[tid] = (math.log(cost(tid, x[tid] + h)) - logs[tid]) / h
+            else:
+                for tid in ids:
+                    step = x[tid] - prev[0][tid]
+                    if abs(step) > 1e-9 * max(x[tid], prev[0][tid]):
+                        secant = (logs[tid] - prev[1][tid]) / step
+                        if secant < 0.0 and math.isfinite(secant):
+                            slope[tid] = secant
+            new_x = _newton_level_step(x, logs, slope, never, budget)
+        if new_x is None:
+            new_x = _level_set_bracketed(cost, ids, never, budget, tol)
+            bracketed = True
+        prev = (x, logs)
+        x = new_x
+        steps += 1
+
+    dwells = [0.0] * len(cycle.instances)
+    for tid in ids:
+        dwells[slot[tid]] = x[tid]
+    return DwellState(
+        cycle=cycle,
+        dwells=dwells,
+        period=period,
+        costs=costs,
+        visit_costs={tid: [costs[tid]] for tid in ids},
+        g_con=g_con,
+        active=set(active),
+        trace=trace,
+        iterations=steps,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +631,12 @@ def golden_period_search(
 ) -> tuple[float, DwellState, list[tuple[float, float]]]:
     """Golden-section search of the period against the balanced peak cost.
 
-    Probes reuse the previous probe's dwell vector (rescaled) as a warm start;
-    the balanced cost is invariant to the start point.  Returns the bracket
-    midpoint, its balanced state, and the (period, cost) probe log.
+    A cycle in which no target has two dwell slots is balanced by
+    ``balance_level_set``, any other by the consensus law
+    (``balance_multi_visit``).  Probes reuse the previous probe's dwell
+    vector (rescaled) as a warm start; the balanced cost is invariant to the
+    start point.  Returns the bracket midpoint, its balanced state, and the
+    (period, cost) probe log.
     """
     cfg = config or DEFAULT_CONFIG
     cache = cache or SteadyStateCache(cycle.network)
@@ -422,9 +654,11 @@ def golden_period_search(
 
     probes: list[tuple[float, float]] = []
     warm: dict[str, object] = {"dwells": None}
+    balance = (balance_level_set if all(len(p) == 1 for p in _eligible_map(cycle).values())
+               else balance_multi_visit)
 
     def evaluate(period: float) -> DwellState:
-        state = balance_multi_visit(cycle, period, cache, cfg, initial_dwells=warm["dwells"])
+        state = balance(cycle, period, cache, cfg, initial_dwells=warm["dwells"])
         warm["dwells"] = state.dwells
         probes.append((period, state.g_con))
         return state

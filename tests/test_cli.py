@@ -254,3 +254,14 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert result.returncode == 2
+
+    def test_import_leaves_scipy_optimize_out(self):
+        # scipy.optimize adds about 0.25 s and 15 MB to every start-up; the
+        # planner's root finders are hand-written so no import path needs it
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import patrolplan.cli, patrolplan.fleet; import sys; "
+             "assert 'scipy.optimize' not in sys.modules"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr

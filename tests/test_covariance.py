@@ -221,6 +221,31 @@ class TestPeriodicSteadyState:
         with pytest.raises(ConvergenceError):
             periodic_steady_state(A, np.eye(2), 0.5 * np.eye(2), t_on=[1e-3], t_off=[40.0])
 
+    @pytest.mark.parametrize("a, t_on, t_off", [(20.0, 0.5, 18.0), (40.0, 1e-9, 10.0)])
+    def test_gap_growth_past_double_range_is_infinite(self, a, t_on, t_off):
+        # e^{2 a t_off} passes e^700: the peak is infinite, as the
+        # never-observed cost of an unstable target is
+        peaks = periodic_steady_state([[a]], [[1.0]], [[1.0]], t_on=[t_on], t_off=[t_off])
+        assert peaks.upper[0][0, 0] == math.inf
+        # one observed stretch from infinity ends at its flow's finite limit
+        u = math.tanh(math.sqrt(a * a + 1.0) * t_on) / math.sqrt(a * a + 1.0)
+        assert peaks.lower[0][0, 0] == pytest.approx((1.0 + a * u) / u, rel=1e-12)
+
+    def test_overflowed_gap_leaves_other_peaks_finite(self):
+        # only the visit after the overflowing gap peaks at infinity; the
+        # other starts from the first visit's finite end
+        peaks = periodic_steady_state([[20.0]], [[1.0]], [[1.0]],
+                                      t_on=[0.5, 0.5], t_off=[18.0, 0.1])
+        assert peaks.upper[1][0, 0] == math.inf
+        grown = propagate_unobserved(peaks.lower[1], [[20.0]], [[1.0]], 0.1)
+        assert peaks.upper[0][0, 0] == pytest.approx(grown[0, 0], rel=1e-9)
+
+    def test_finite_overflow_still_fails_certificate(self):
+        # every gap's growth stays finite (e^696), but the fixed point of a
+        # 1e-9 dwell passes double range: the certifying walk must fail
+        with pytest.raises(ConvergenceError):
+            periodic_steady_state([[20.0]], [[1.0]], [[1.0]], t_on=[1e-9], t_off=[17.4])
+
 
 class TestLowerBound:
     def make_target(self, k=0):

@@ -1,11 +1,16 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from patrolplan.config import PlannerConfig
-from patrolplan.covariance import ConvergenceError
+from patrolplan.config import ParamRanges, PlannerConfig
+from patrolplan.covariance import ConvergenceError, cov_norm, periodic_steady_state
+from patrolplan import dwell
 from patrolplan.cycles import Cycle, SteadyStateCache, tsp_heuristic
 from patrolplan.dwell import (
     PlanningError,
     Plan,
+    balance_level_set,
     balance_multi_visit,
     balance_single_visit,
     balance_within_target,
@@ -14,9 +19,12 @@ from patrolplan.dwell import (
     timeline_from_schedule,
     _visit_costs,
 )
-from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance
+from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance, load_instance
 
 from oracles import random_initial_dwells, scalar_single_visit_peak
+
+
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 
 
 def two_identical_targets(d=1.0, a=0.3):
@@ -342,3 +350,112 @@ class TestPlanSingleAgent:
             net, _ = generate_random_instance(4, seed=seed)
             plan = plan_single_agent(net)
             assert plan.metric_value <= plan.j_pred + 1e-6
+
+
+def assert_plan_consistent(plan):
+    """The period is the travel time plus the dwells, the active peaks meet
+    at ``g_con``, and each active cost matches a fresh fixed point on the
+    plan's own timeline."""
+    assert plan.cycle.travel_time + sum(plan.dwells) == pytest.approx(plan.period, rel=1e-9)
+    timelines = timeline_from_schedule(plan.cycle, plan.dwells)
+    for tid in plan.active:
+        assert plan.costs[tid] == pytest.approx(plan.g_con, rel=1e-4)
+        spec = plan.cycle.network.target(tid)
+        tl = timelines[tid]
+        peaks = periodic_steady_state(spec.A, spec.Q, spec.G, tl.t_on, tl.t_off)
+        fresh = max(spec.g(cov_norm(u)) for u in peaks.upper)
+        assert plan.costs[tid] == pytest.approx(fresh, rel=1e-6)
+
+
+class TestBalanceLevelSet:
+    def test_matches_consensus(self, table1_network):
+        cache = SteadyStateCache(table1_network)
+        cyc = tsp_heuristic(table1_network, table1_network.ids)
+        period = 1.5 * cyc.travel_time
+        level = balance_level_set(cyc, period, cache)
+        consensus = balance_multi_visit(cyc, period, cache, tol=1e-8)
+        assert level.active == consensus.active
+        assert level.g_con == pytest.approx(consensus.g_con, rel=1e-6)
+        assert sum(level.dwells) == pytest.approx(period - cyc.travel_time, rel=1e-12)
+        for a, b in zip(level.trace[:-1], level.trace[1:]):
+            assert b <= a
+
+    def test_cheap_target_goes_inactive(self):
+        net = TargetNetwork(
+            targets=[
+                TargetSpec(id=1, A=0.5, Q=2.0, H=1.0, R=2.0),
+                TargetSpec(id=2, A=-2.0, Q=0.1, H=1.0, R=1.0),
+            ],
+            edges=[(1, 2, 0.5)],
+        )
+        cache = SteadyStateCache(net)
+        state = balance_level_set(Cycle.from_targets(net, [1, 2]), 2.0, cache)
+        assert state.active == {1}
+        assert state.dwells[1] == 0.0
+        assert state.costs[2] == cache.never_observed_cost(2) < state.g_con
+
+    def test_bracketed_root_agrees(self, monkeypatch):
+        # with no Newton steps allowed, the bracketed root on the level
+        # lands on the Newton solution, inactive targets included
+        net, _ = generate_random_instance(6, 4, ParamRanges(stable_fraction=0.5))
+        cache = SteadyStateCache(net)
+        cyc = tsp_heuristic(net, net.ids)
+        period = 1.8 * cyc.travel_time
+        newton = balance_level_set(cyc, period, cache)
+        assert 0 < len(newton.active) < len(cyc.dwell_targets)
+        monkeypatch.setattr(dwell, "LEVEL_NEWTON_STEPS", 0)
+        bracketed = balance_level_set(cyc, period, cache)
+        assert bracketed.iterations == 1
+        assert bracketed.active == newton.active
+        assert sum(bracketed.dwells) == pytest.approx(period - cyc.travel_time, rel=1e-12)
+        assert bracketed.dwells == pytest.approx(newton.dwells, rel=1e-5, abs=1e-12)
+        assert bracketed.g_con == pytest.approx(newton.g_con, rel=1e-6)
+
+    def test_tiny_balanced_dwell(self):
+        # target 3 balances on a dwell of about 4e-5; the consensus law stalls
+        # here (spread 1e-5 after its 50,000 sweeps), the level set does not
+        specs = [(1, 0.486257, 0.684616, 5.332936), (2, -0.074021, 1.445794, 2.405802),
+                 (3, 0.0, 0.4, 3.108482), (4, 0.012487, 1.8, 2.00001),
+                 (5, -0.002908, 1.0, 4.331333), (6, 0.417994, 0.939283, 5.976861)]
+        order = [4, 6, 2, 1, 5, 3]
+        legs = [0.409834, 0.393422, 0.526865, 0.526865, 0.526865, 0.569078]
+        net = TargetNetwork(
+            targets=[TargetSpec(id=i, A=a, Q=q, H=1.0, R=r) for i, a, q, r in specs],
+            edges=[(order[k], order[(k + 1) % 6], legs[k]) for k in range(6)],
+        )
+        cache = SteadyStateCache(net)
+        cyc = Cycle.from_targets(net, order)
+        period = 1.893224 * cyc.travel_time
+        state = balance_level_set(cyc, period, cache)
+        assert state.active == {1, 3, 4, 6}
+        assert 0.0 < state.dwells[cyc.positions_of(3)[0]] < 1e-4
+        spread = max(abs(state.costs[t] - state.g_con) for t in state.active) / state.g_con
+        assert spread <= 0.1 * PlannerConfig().balance_tol
+        confirmed = balance_multi_visit(cyc, period, cache, initial_dwells=state.dwells, tol=1e-8)
+        assert confirmed.iterations == 1
+
+    def test_rejects_two_dwell_slots(self):
+        net, _ = generate_random_instance(3, seed=2)
+        cyc = Cycle.from_targets(net, [1, 2, 1, 3])
+        with pytest.raises(PlanningError):
+            balance_level_set(cyc, 2.0 * cyc.travel_time)
+
+    @pytest.mark.parametrize("a", [20.0, 40.0])
+    def test_fast_diverging_line3_plans(self, a):
+        # line3 with target 1 made fast-diverging: the optimum is finite, but
+        # the consensus law stalls on it
+        doc = json.loads((INSTANCES / "line3.json").read_text(encoding="utf-8"))
+        doc["targets"][0]["A"] = a
+        network, _ = load_instance(doc)
+        plan = plan_single_agent(network, SteadyStateCache(network), PlannerConfig())
+        assert 1 in plan.active
+        assert_plan_consistent(plan)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ring_with_chord_plans(self, seed):
+        base, _ = generate_random_instance(12, seed)
+        edges = [(k, k % 12 + 1, 1.0) for k in range(1, 13)] + [(1, 7, 1.0)]
+        network = TargetNetwork(targets=list(base.targets), edges=edges)
+        plan = plan_single_agent(network, SteadyStateCache(network))
+        assert plan.active | set(plan.excluded) == set(network.ids)
+        assert_plan_consistent(plan)
