@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,24 +25,19 @@ from .model import (
     generate_random_instance,
     instance_to_document,
     load_instance_file,
+    read_json_file,
 )
 from .simulate import simulate, trace_to_csv, validate
 
 
 def _config_from_args(args) -> PlannerConfig:
     cfg = PlannerConfig()
-    if getattr(args, "kp", None) is not None:
-        if args.kp <= 0:
-            raise InstanceError("--kp must be positive")
-        cfg = dataclasses.replace(cfg, k_p=args.kp)
-    if getattr(args, "tol", None) is not None:
-        if args.tol <= 0:
-            raise InstanceError("--tol must be positive")
-        cfg = dataclasses.replace(cfg, balance_tol=args.tol)
-    if getattr(args, "sigma", None) is not None:
-        if args.sigma <= 0:
-            raise InstanceError("--sigma must be positive")
-        cfg = dataclasses.replace(cfg, sigma=args.sigma)
+    for flag, name in (("kp", "k_p"), ("tol", "balance_tol"), ("sigma", "sigma")):
+        value = getattr(args, flag, None)
+        if value is not None:
+            if not (math.isfinite(value) and value > 0):
+                raise InstanceError(f"--{flag} must be positive and finite, got {value!r}")
+            cfg = dataclasses.replace(cfg, **{name: value})
     if getattr(args, "periods", None) is not None:
         if args.periods < 2:
             raise InstanceError("--periods must be at least 2")
@@ -129,11 +125,13 @@ def cmd_plan_fleet(args) -> int:
 
 def _load_plan(args):
     network, _ = load_instance_file(args.instance)
-    with open(args.plan, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json_file(args.plan)
     if not isinstance(doc, dict):
         raise ValueError("not a plan document")
-    covers = set(doc.get("covers", network.ids))
+    try:
+        covers = set(doc.get("covers", network.ids))
+    except TypeError:  # null, a number or unhashable entries
+        covers = set()
     if not covers or not covers <= set(network.ids):
         raise ValueError(f"plan document field 'covers' must name targets of the instance, "
                          f"got {doc['covers']!r}")
@@ -148,7 +146,7 @@ def _simulate_plan(args, write_trace: bool):
     network, plan = _load_plan(args)
     cfg = _config_from_args(args)
     out = _out_dir(args)
-    trace = simulate(plan, network, num_periods=cfg.num_periods, config=cfg)
+    trace = simulate(plan, network, num_periods=cfg.num_periods)
     if write_trace:
         with open(out / "trace.csv", "w", encoding="utf-8") as fh:
             fh.write(trace_to_csv(trace))
@@ -228,13 +226,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, FileNotFoundError) as exc:
-        _emit_error("input", exc)
-        return 2
     except (ConvergenceError, EngineError, PlanningError, FleetError) as exc:
         _emit_error("numeric", exc)
         return 1
-    except ValueError as exc:
+    except ValueError as exc:  # InstanceError included
         _emit_error("input", exc)
         return 2
 

@@ -1,9 +1,10 @@
-"""Shared numeric defaults for the planner.
+"""Planner settings and random-instance ranges.
 
-Every tolerance and iteration cap a caller can set for the engine, the
-balancers and the fleet pipeline lives here, so callers (and the CLI) can
-override them in one place.  The covariance engine's fixed numeric floors are
-constants in ``covariance``.
+``PlannerConfig`` holds only what a caller chooses, each field set by one CLI
+flag.  Fixed tolerances and iteration caps are module constants beside their
+only reader (``covariance.PERIODIC_TOL``, the ``dwell`` balancer and period
+search constants, ``cycles.GREEDY_GAIN_REL``, the ``fleet`` k-means and
+exchange caps, ``simulate.GRID_POINTS_PER_PERIOD``).
 """
 
 from dataclasses import dataclass
@@ -43,40 +44,13 @@ class ParamRanges:
 
 @dataclass
 class PlannerConfig:
-    """Tolerances, step sizes and caps for the whole pipeline."""
+    """The planner settings a caller can choose, one per CLI flag."""
 
-    # covariance engine
-    periodic_tol: float = 1e-9          # one period's max-abs drift, relative to max(1, |omega|)
-
-    # dwell balancing
-    k_p: float = 1e-2                   # consensus gain
-    balance_tol: float = 1e-6           # relative peak spread at convergence
-    balance_max_iters: int = 50_000
-    mv_tol: float = 1e-7                # within-target split convergence
-    mv_k_p: float = 5e-2                # within-target gain (damped on overshoot)
-    mv_max_iters: int = 10_000
-    log_ratio_cap: float = 50.0         # |log(g_i/g_avg)| cap (infinite-cost guard)
-
-    # period search
-    bracket_low: float = 0.1            # T_min = (1 + low) * travel time
-    bracket_high: float = 3.0           # T_max = high * travel time
-    golden_eps: float = 1e-6            # relative |g(T2) - g(T1)| stop
-    golden_max_iters: int = 200
-
-    # cycle construction
-    greedy_gain_rel: float = 1e-9       # accepted gain >= rel * current metric
-    compare_tol: float = 1e-6           # relative tolerance for cost comparisons
-
-    # fleet
-    sigma: float | None = None          # None -> median off-diagonal disparity
-    kmeans_restarts: int = 50
-    kmeans_max_iters: int = 300
-    tes_max_commits: int = 50
-    seed: int = 0
-
-    # simulation
-    num_periods: int = 20
-    grid_points_per_period: int = 2000
+    k_p: float = 1e-2                   # consensus gain (--kp)
+    balance_tol: float = 1e-6           # relative peak spread at convergence (--tol)
+    sigma: float | None = None          # similarity kernel width, None -> median disparity (--sigma)
+    seed: int = 0                       # k-means and `gen` instance seed (--seed)
+    num_periods: int = 20               # simulated periods (--periods)
 
 
 DEFAULT_CONFIG = PlannerConfig()

@@ -34,11 +34,11 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .config import DEFAULT_CONFIG
 from .model import TargetSpec
 
 RESIDUAL_TOL = 1e-8   # relative residual of the algebraic steady-state equations
 PSD_TOL = 1e-10       # eigenvalue floor for a positive semidefinite covariance
+PERIODIC_TOL = 1e-9   # one period's max-abs drift, relative to max(1, |omega|)
 
 __all__ = [
     "EngineError",
@@ -495,7 +495,7 @@ def periodic_steady_state(
     t_on: Sequence[float],
     t_off: Sequence[float],
     omega_ss: np.ndarray | None = None,
-    tol: float | None = None,
+    tol: float = PERIODIC_TOL,
 ) -> PeakSet:
     """Fixed point of the one-period covariance map for one target.
 
@@ -509,7 +509,6 @@ def periodic_steady_state(
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     G = np.atleast_2d(np.asarray(G, dtype=float))
-    tol = DEFAULT_CONFIG.periodic_tol if tol is None else tol
     t_on = [float(v) for v in t_on]
     t_off = [float(v) for v in t_off]
     if len(t_on) != len(t_off) or not t_on:

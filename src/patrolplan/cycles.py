@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .config import DEFAULT_CONFIG, PlannerConfig
 from .covariance import cov_norm, lower_bound, steady_states_for, SteadyStates
 from .model import TargetNetwork, TargetSpec
+
+GREEDY_GAIN_REL = 1e-9   # an accepted modification gains at least this share of the metric
 
 __all__ = [
     "Instance",
@@ -72,21 +73,16 @@ class Cycle:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_targets(cls, network: TargetNetwork, targets: list[int | tuple[int, bool]]) -> "Cycle":
-        """Expand a target sequence into a physical cycle along fastest paths."""
-        seq: list[tuple[int, bool]] = []
-        for entry in targets:
-            if isinstance(entry, tuple):
-                seq.append((entry[0], entry[1]))
-            else:
-                seq.append((entry, True))
-        if len(seq) == 1:
-            return cls(network, seq, [])
+    def from_targets(cls, network: TargetNetwork, targets: list[int]) -> "Cycle":
+        """Expand a sequence of dwell visits into a physical cycle along
+        fastest paths."""
+        if len(targets) == 1:
+            return cls(network, [(targets[0], True)], [])
         out_seq: list[tuple[int, bool]] = []
         out_legs: list[float] = []
-        for k, (u, eligible) in enumerate(seq):
-            hops, legs = _path_between(network, u, seq[(k + 1) % len(seq)][0])
-            out_seq += [(u, eligible)] + hops
+        for k, u in enumerate(targets):
+            hops, legs = _path_between(network, u, targets[(k + 1) % len(targets)])
+            out_seq += [(u, True)] + hops
             out_legs += legs
         return cls(network, out_seq, out_legs)
 
@@ -201,19 +197,11 @@ class CycleMetric:
     critical_ordinal: int
     max_gap: dict[int, float]
     per_target: dict[int, float] = field(repr=False)
-    missing_required: set[int] = field(default_factory=set)
 
 
-def cycle_lower_bound(
-    cycle: Cycle,
-    cache: SteadyStateCache,
-    required: set[int] | None = None,
-) -> CycleMetric:
-    """Evaluate the revisit-time cost floor of a cycle.
-
-    ``required`` targets absent from the cycle contribute their never-observed
-    cost; an absent unstable target makes the metric infinite.
-    """
+def cycle_lower_bound(cycle: Cycle, cache: SteadyStateCache) -> CycleMetric:
+    """Evaluate the revisit-time cost floor of a cycle over the targets of
+    its network."""
     gaps = cycle.visit_gaps()
     members = set(cycle.network.ids)
     per_target: dict[int, float] = {}
@@ -232,21 +220,12 @@ def cycle_lower_bound(
             ordinal = next(k + 1 for k, w in enumerate(gaps[tid]) if w == t_bar)
             best_val = val
             best_pair = (tid, ordinal)
-    missing = set()
-    if required:
-        for tid in sorted(required - cycle.target_ids):
-            cost = cache.never_observed_cost(tid)
-            missing.add(tid)
-            if cost > best_val:
-                best_val = cost
-                best_pair = (tid, 0)
     return CycleMetric(
         value=best_val,
         critical_target=best_pair[0],
         critical_ordinal=best_pair[1],
         max_gap=max_gap,
         per_target=per_target,
-        missing_required=missing,
     )
 
 
@@ -373,8 +352,7 @@ def enumerate_cmos(cycle: Cycle, metric: CycleMetric) -> list[tuple[str, Cycle]]
     """
     network = cycle.network
     tid = metric.critical_target
-    if len(cycle.instances) == 1 or metric.critical_ordinal == 0:
-        # nothing to modify, or the metric is driven by an absent target
+    if len(cycle.instances) == 1:
         return []
     prev, span = _critical_span(cycle, metric)
     edge_positions = [prev] + span[:-1]  # legs traversed inside the sub-cycle
@@ -401,13 +379,11 @@ def improve_cycle(
     metric: CycleMetric,
     cache: SteadyStateCache,
     kinds: tuple[str, ...],
-    config: PlannerConfig | None = None,
 ) -> tuple[Cycle, CycleMetric, list[float]]:
     """Apply best-gain modifications of the given kinds until none improves."""
-    cfg = config or DEFAULT_CONFIG
     trace = []
     while True:
-        eps = cfg.greedy_gain_rel * abs(metric.value) if math.isfinite(metric.value) else 0.0
+        eps = GREEDY_GAIN_REL * abs(metric.value) if math.isfinite(metric.value) else 0.0
         best = None
         for kind, cand in enumerate_cmos(cycle, metric):
             if kind not in kinds:
@@ -426,7 +402,6 @@ def greedy_construct(
     network: TargetNetwork,
     subset: set[int] | list[int],
     cache: SteadyStateCache | None = None,
-    config: PlannerConfig | None = None,
 ) -> tuple[Cycle, CycleMetric, list[float]]:
     """Greedy cycle construction: tour seed, then best-gain modifications.
 
@@ -434,13 +409,12 @@ def greedy_construct(
     insertions (kinds II/III); each accepted step strictly lowers the metric.
     Returns the cycle, its metric, and the metric trace across accepted steps.
     """
-    cfg = config or DEFAULT_CONFIG
     cache = cache or SteadyStateCache(network)
     cycle = tsp_heuristic(network, subset)
     metric = cycle_lower_bound(cycle, cache)
     trace = [metric.value]
     for kinds in (("I",), ("II", "III")):
-        cycle, metric, steps = improve_cycle(cycle, metric, cache, kinds, cfg)
+        cycle, metric, steps = improve_cycle(cycle, metric, cache, kinds)
         trace.extend(steps)
     return cycle, metric, trace
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_CONFIG, PlannerConfig
 from .covariance import (
+    PERIODIC_TOL,
     ConvergenceError,
     cov_norm,
     periodic_steady_state,
@@ -48,6 +49,17 @@ __all__ = [
 ]
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
+
+BALANCE_MAX_ITERS = 50_000   # consensus sweeps before ConvergenceError
+LOG_RATIO_CAP = 50.0         # |log(g_i/g_avg)| cap (infinite-cost guard)
+SPLIT_TOL = 1e-7             # within-target split convergence
+SPLIT_GAIN = 5e-2            # within-target gain (damped on overshoot)
+SPLIT_MAX_ITERS = 10_000
+BRACKET_LOW = 0.1            # T_min = (1 + low) * travel time
+BRACKET_HIGH = 3.0           # T_max = high * travel time
+GOLDEN_EPS = 1e-6            # relative |g(T2) - g(T1)| stop
+GOLDEN_MAX_ITERS = 200
+COMPARE_TOL = 1e-6           # relative tolerance of the exclusion loop's cost comparisons
 
 
 class PlanningError(RuntimeError):
@@ -127,17 +139,17 @@ class DwellState:
         return max(self.costs.values())
 
 
-def _visit_costs(cache: SteadyStateCache, tid: int, t_on: list[float], t_off: list[float],
-                 tol: float) -> list[float]:
+def _visit_costs(cache: SteadyStateCache, tid: int, t_on: list[float],
+                 t_off: list[float]) -> list[float]:
     """Per-visit peak costs of one target's periodic steady state."""
     target = cache.target(tid)
     if target.is_scalar:
         uppers, _, _, _ = _scalar_periodic_peaks(
             float(target.A[0, 0]), float(target.Q[0, 0]), float(target.G[0, 0]),
-            t_on, t_off, tol,
+            t_on, t_off, PERIODIC_TOL,
         )
         return [target.g(u) for u in uppers]
-    peaks = periodic_steady_state(target.A, target.Q, target.G, t_on, t_off, tol=tol)
+    peaks = periodic_steady_state(target.A, target.Q, target.G, t_on, t_off)
     return [target.g(cov_norm(u)) for u in peaks.upper]
 
 
@@ -145,11 +157,11 @@ def _geometric_mean(values: list[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def _log_ratio(cost: float, g_avg: float, cap: float) -> float:
+def _log_ratio(cost: float, g_avg: float) -> float:
     if math.isinf(cost):
-        return cap
+        return LOG_RATIO_CAP
     r = math.log(cost / g_avg)
-    return max(-cap, min(cap, r))
+    return max(-LOG_RATIO_CAP, min(LOG_RATIO_CAP, r))
 
 
 def _eligible_map(cycle: Cycle) -> dict[int, list[int]]:
@@ -200,8 +212,6 @@ def balance_within_target(
     t_off: list[float],
     eligible_mask: list[bool],
     cache: SteadyStateCache,
-    config: PlannerConfig,
-    k_p: float | None = None,
 ) -> tuple[list[float], list[float]]:
     """Split a fixed total dwell across one target's visits until the
     per-visit peak costs agree (the inner process of the two-level scheme).
@@ -213,23 +223,22 @@ def balance_within_target(
     starting peak is unstable.  Returns the new split and the per-visit costs.
     """
     total = sum(splits)
-    gain = config.mv_k_p if k_p is None else k_p
+    gain = SPLIT_GAIN
     n = len(splits)
     n_eligible = sum(eligible_mask)
-    tol = config.periodic_tol
-    costs = _visit_costs(cache, tid, splits, t_off, tol)
+    costs = _visit_costs(cache, tid, splits, t_off)
     if n_eligible <= 1 or total <= 0.0:
         return list(splits), costs
     spread = math.inf
     prev_spread = math.inf
-    for _ in range(config.mv_max_iters):
+    for _ in range(SPLIT_MAX_ITERS):
         elig_costs = [c for c, e in zip(costs, eligible_mask) if e]
         g_avg = _geometric_mean(elig_costs)
         spread = max(abs(c - g_avg) for c in elig_costs) / g_avg
-        if spread <= config.mv_tol:
+        if spread <= SPLIT_TOL:
             return list(splits), costs
         if spread > prev_spread * (1.0 + 1e-12):
-            gain = max(0.5 * gain, 1e-4 * config.mv_k_p)
+            gain = max(0.5 * gain, 1e-4 * SPLIT_GAIN)
         prev_spread = spread
         proposed = []
         for p in range(n):
@@ -240,15 +249,13 @@ def balance_within_target(
             if splits[p] <= 0.0 and c_next <= g_avg:
                 proposed.append(0.0)
                 continue
-            proposed.append(
-                max(0.0, splits[p] + gain * _log_ratio(c_next, g_avg, config.log_ratio_cap))
-            )
+            proposed.append(max(0.0, splits[p] + gain * _log_ratio(c_next, g_avg)))
         subtotal = sum(proposed)
         if subtotal <= 0.0:
             proposed = [total / n_eligible if e else 0.0 for e in eligible_mask]
             subtotal = total
         splits = [p * total / subtotal for p in proposed]
-        costs = _visit_costs(cache, tid, splits, t_off, tol)
+        costs = _visit_costs(cache, tid, splits, t_off)
     raise ConvergenceError(f"within-target split for target {tid} did not converge", spread)
 
 
@@ -258,7 +265,6 @@ def balance_multi_visit(
     cache: SteadyStateCache | None = None,
     config: PlannerConfig | None = None,
     initial_dwells: list[float] | None = None,
-    k_p: float | None = None,
     tol: float | None = None,
 ) -> DwellState:
     """Equalize the peak costs of every active target on (cycle, period).
@@ -282,7 +288,7 @@ def balance_multi_visit(
         raise PlanningError(
             f"period {period:.6g} does not exceed the travel time {cycle.travel_time:.6g}"
         )
-    gain = cfg.k_p if k_p is None else k_p
+    gain = cfg.k_p
     tol = cfg.balance_tol if tol is None else tol
     dwells = _init_dwells(cycle, budget, eligible, initial_dwells)
     dwell_ids = sorted(eligible)
@@ -296,7 +302,7 @@ def balance_multi_visit(
     trace: list[float] = []
     prev: tuple[list[float], dict[int, float], dict[int, list[float]], float] | None = None
     spread = math.inf
-    for iters in range(1, cfg.balance_max_iters + 1):
+    for iters in range(1, BALANCE_MAX_ITERS + 1):
         timelines = timeline_from_schedule(cycle, dwells) if split else {}
         costs: dict[int, float] = {}
         visit_costs: dict[int, list[float]] = {}  # targets with several slots only
@@ -307,7 +313,7 @@ def balance_multi_visit(
                 if ton <= 0.0:
                     costs[tid] = never[tid]
                 else:
-                    costs[tid] = _visit_costs(cache, tid, [ton], [period - ton], cfg.periodic_tol)[0]
+                    costs[tid] = _visit_costs(cache, tid, [ton], [period - ton])[0]
                 continue
             timeline = timelines[tid]
             if sum(timeline.t_on) <= 0.0:
@@ -315,7 +321,7 @@ def balance_multi_visit(
                 visit_costs[tid] = [never[tid]] * len(split[tid])
                 continue
             new_splits, vcosts = balance_within_target(
-                tid, timeline.t_on, timeline.t_off, masks[tid], cache, cfg
+                tid, timeline.t_on, timeline.t_off, masks[tid], cache
             )
             for p, s in zip(split[tid], new_splits):
                 dwells[p] = s
@@ -351,7 +357,7 @@ def balance_multi_visit(
             if total <= 0.0 and costs[tid] <= g_con:
                 proposed[tid] = 0.0
                 continue
-            step = gain * _log_ratio(costs[tid], g_con, cfg.log_ratio_cap)
+            step = gain * _log_ratio(costs[tid], g_con)
             proposed[tid] = max(0.0, total + step)
         grand = sum(proposed.values())
         if grand <= 0.0:
@@ -392,13 +398,12 @@ def balance_single_visit(
     cache: SteadyStateCache | None = None,
     config: PlannerConfig | None = None,
     initial_dwells: list[float] | None = None,
-    k_p: float | None = None,
     tol: float | None = None,
 ) -> DwellState:
     """``balance_multi_visit`` on a cycle where each target has at most one
     dwell slot (raises ``PlanningError`` otherwise)."""
     _require_single_slots(_eligible_map(cycle))
-    return balance_multi_visit(cycle, period, cache, config, initial_dwells, k_p, tol)
+    return balance_multi_visit(cycle, period, cache, config, initial_dwells, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +562,7 @@ def balance_level_set(
     def cost(tid: int, d: float) -> float:
         if d <= 0.0:
             return never[tid]
-        return _visit_costs(cache, tid, [d], [period - d], cfg.periodic_tol)[0]
+        return _visit_costs(cache, tid, [d], [period - d])[0]
 
     start = _init_dwells(cycle, budget, eligible, initial_dwells)
     # an unstable target is never inactive
@@ -626,8 +631,6 @@ def golden_period_search(
     cycle: Cycle,
     cache: SteadyStateCache | None = None,
     config: PlannerConfig | None = None,
-    t_min: float | None = None,
-    t_max: float | None = None,
 ) -> tuple[float, DwellState, list[tuple[float, float]]]:
     """Golden-section search of the period against the balanced peak cost.
 
@@ -635,22 +638,13 @@ def golden_period_search(
     ``balance_level_set``, any other by the consensus law
     (``balance_multi_visit``).  Probes reuse the previous probe's dwell
     vector (rescaled) as a warm start; the balanced cost is invariant to the
-    start point.  Returns the bracket midpoint, its balanced state, and the
-    (period, cost) probe log.
+    start point.  The bracket is ``[(1 + BRACKET_LOW), BRACKET_HIGH]`` times
+    the travel time ([1, 3] for a cycle without travel).  Returns the bracket
+    midpoint, its balanced state, and the (period, cost) probe log.
     """
-    cfg = config or DEFAULT_CONFIG
     cache = cache or SteadyStateCache(cycle.network)
     travel = cycle.travel_time
-    if travel > 0:
-        lo = (1.0 + cfg.bracket_low) * travel if t_min is None else t_min
-        hi = cfg.bracket_high * travel if t_max is None else t_max
-    else:
-        lo = 1.0 if t_min is None else t_min
-        hi = 3.0 if t_max is None else t_max
-    if lo <= travel:
-        raise PlanningError(f"t_min {lo:.6g} must exceed the travel time {travel:.6g}")
-    if hi < lo:
-        raise PlanningError("t_max must be at least t_min")
+    lo, hi = ((1.0 + BRACKET_LOW) * travel, BRACKET_HIGH * travel) if travel > 0 else (1.0, 3.0)
 
     probes: list[tuple[float, float]] = []
     warm: dict[str, object] = {"dwells": None}
@@ -658,22 +652,18 @@ def golden_period_search(
                else balance_multi_visit)
 
     def evaluate(period: float) -> DwellState:
-        state = balance(cycle, period, cache, cfg, initial_dwells=warm["dwells"])
+        state = balance(cycle, period, cache, config, initial_dwells=warm["dwells"])
         warm["dwells"] = state.dwells
         probes.append((period, state.g_con))
         return state
-
-    if hi == lo:
-        state = evaluate(lo)
-        return lo, state, probes
 
     a, b = lo, hi
     x1 = b - (b - a) / GOLDEN_RATIO
     x2 = a + (b - a) / GOLDEN_RATIO
     s1, s2 = evaluate(x1), evaluate(x2)
     f1, f2 = s1.g_con, s2.g_con
-    for _ in range(cfg.golden_max_iters):
-        if abs(f2 - f1) <= cfg.golden_eps * max(abs(f1), abs(f2)):
+    for _ in range(GOLDEN_MAX_ITERS):
+        if abs(f2 - f1) <= GOLDEN_EPS * max(abs(f1), abs(f2)):
             break
         if (b - a) <= 1e-12 * max(1.0, b):
             break
@@ -833,14 +823,13 @@ def plan_single_agent(
     consensus cost; stops when every toured target is active or the last
     excluded target is the bottleneck.
     """
-    cfg = config or DEFAULT_CONFIG
     cache = cache or SteadyStateCache(network)
     remaining = set(network.ids if subset is None else subset)
     excluded: dict[int, float] = {}
 
     def optimize(ids):
         cycle = tsp_heuristic(network, ids)
-        t_star, state, probes = golden_period_search(cycle, cache, cfg)
+        t_star, state, probes = golden_period_search(cycle, cache, config)
         return cycle, state, probes
 
     cycle, state, probes = optimize(remaining)
@@ -848,14 +837,14 @@ def plan_single_agent(
         c_min, i_min = min(
             (state.costs[tid], tid) for tid in sorted(state.costs)
         )
-        if c_min >= state.g_con * (1.0 - cfg.compare_tol):
+        if c_min >= state.g_con * (1.0 - COMPARE_TOL):
             break  # every toured target is active
         if len(remaining) == 1:
             break
         remaining = remaining - {i_min}
         excluded[i_min] = c_min
         cycle, state, probes = optimize(remaining)
-        if state.g_con < c_min * (1.0 - cfg.compare_tol):
+        if state.g_con < c_min * (1.0 - COMPARE_TOL):
             break  # the excluded target is the bottleneck now
     return _finish_plan(cycle, state, cache, excluded, probes)
 

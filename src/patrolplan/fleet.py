@@ -34,6 +34,10 @@ from .cycles import (
 from .dwell import Plan, plan_for_cycle
 from .model import TargetNetwork
 
+KMEANS_RESTARTS = 50     # k-means++ restarts per clustering
+KMEANS_MAX_ITERS = 300   # Lloyd steps per restart
+TES_MAX_COMMITS = 50     # target exchanges per refinement
+
 __all__ = [
     "FleetError",
     "DisparityMatrix",
@@ -260,18 +264,15 @@ def spectral_cluster(
     similarity: SimilarityMatrix,
     n_clusters: int,
     seed: int = 0,
-    restarts: int | None = None,
-    max_iters: int | None = None,
 ) -> list[set[int]]:
     """Normalized spectral clustering of the similarity graph.
 
     Solves the generalized eigenproblem L u = lambda D u (the symmetric form
     of the random-walk normalized Laplacian), embeds targets into the first
-    ``n_clusters`` eigenvectors, and k-means-clusters the rows with restarts
-    of at most ``max_iters`` Lloyd steps each.
+    ``n_clusters`` eigenvectors, and k-means-clusters the rows with
+    ``KMEANS_RESTARTS`` restarts of at most ``KMEANS_MAX_ITERS`` Lloyd steps
+    each.
     """
-    restarts = DEFAULT_CONFIG.kmeans_restarts if restarts is None else restarts
-    max_iters = DEFAULT_CONFIG.kmeans_max_iters if max_iters is None else max_iters
     ids = similarity.ids
     m = len(ids)
     if not 1 <= n_clusters <= m:
@@ -285,9 +286,9 @@ def spectral_cluster(
     U = eigvecs[:, :n_clusters]
     rng = np.random.default_rng(seed)
     best_labels, best_wcss = None, math.inf
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = _kmeans_plus_plus(U, n_clusters, rng)
-        labels, wcss = _lloyd(U, centers.copy(), max_iters)
+        labels, wcss = _lloyd(U, centers.copy(), KMEANS_MAX_ITERS)
         if len(set(labels.tolist())) < n_clusters:
             continue
         if wcss < best_wcss:
@@ -323,9 +324,9 @@ def cluster_subnetwork(network: TargetNetwork, members: set[int]) -> TargetNetwo
 # fleet pipeline
 # ---------------------------------------------------------------------------
 
-def _build_cluster(network, members, cache, cfg) -> tuple[Cycle, CycleMetric]:
+def _build_cluster(network, members, cache) -> tuple[Cycle, CycleMetric]:
     cycle, metric, _ = greedy_construct(cluster_subnetwork(network, members),
-                                        sorted(members), cache, cfg)
+                                        sorted(members), cache)
     return cycle, metric
 
 
@@ -353,9 +354,8 @@ def plan_fleet(
     else:
         raise FleetError(f"unknown disparity kind: {disparity}")
     sim = similarity_from_disparity(disp, cfg.sigma)
-    clusters = spectral_cluster(sim, num_agents, seed=cfg.seed, restarts=cfg.kmeans_restarts,
-                                max_iters=cfg.kmeans_max_iters)
-    built = [_build_cluster(network, members, cache, cfg) for members in clusters]
+    clusters = spectral_cluster(sim, num_agents, seed=cfg.seed)
+    built = [_build_cluster(network, members, cache) for members in clusters]
     partition = Partition(
         network=network,
         clusters=clusters,
@@ -363,7 +363,7 @@ def plan_fleet(
         metrics=[metric for _, metric in built],
     )
     if refine and num_agents > 1:
-        partition = tes_refine(partition, cache, cfg)
+        partition = tes_refine(partition, cache)
     if with_dwells:
         partition.plans = [
             plan_for_cycle(cycle, cache, cfg) for cycle in partition.cycles
@@ -375,7 +375,7 @@ def plan_fleet(
 # target-exchange refinement
 # ---------------------------------------------------------------------------
 
-def _contracted_metric(network, cache, cfg, cycle, drop: int) -> float:
+def _contracted_metric(network, cache, cycle, drop: int) -> float:
     keep = [t for t, elig in cycle.sequence() if elig and t != drop]
     if not keep:
         return math.inf
@@ -383,11 +383,11 @@ def _contracted_metric(network, cache, cfg, cycle, drop: int) -> float:
     cand = Cycle.from_targets(cluster_subnetwork(network, members),
                               sorted(members, key=lambda t: keep.index(t)))
     metric = cycle_lower_bound(cand, cache)
-    cand, metric, _ = improve_cycle(cand, metric, cache, ("II", "III"), cfg)
+    cand, metric, _ = improve_cycle(cand, metric, cache, ("II", "III"))
     return metric.value
 
 
-def _annex_gain(network, cache, cfg, cycle, members, join: int) -> float:
+def _annex_gain(network, cache, cycle, members, join: int) -> float:
     prospective = cluster_subnetwork(network, set(members) | {join})
     base_seq = [t for t, elig in cycle.sequence() if elig]
     base = Cycle.from_targets(prospective, base_seq)
@@ -401,8 +401,7 @@ def _annex_gain(network, cache, cfg, cycle, members, join: int) -> float:
     return best
 
 
-def tes_refine(partition: Partition, cache: SteadyStateCache | None = None,
-               config: PlannerConfig | None = None) -> Partition:
+def tes_refine(partition: Partition, cache: SteadyStateCache | None = None) -> Partition:
     """Move targets out of the fleet-critical cluster while the fleet's worst
     cost floor improves, or, on a plateau, while the balance across clusters
     strictly improves.
@@ -411,7 +410,6 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None,
     estimated annex + removal gain and the first exchange whose full rebuild
     passes the commit test is applied.
     """
-    cfg = config or DEFAULT_CONFIG
     cache = cache or SteadyStateCache(partition.network)
     network = partition.network
     clusters = [set(c) for c in partition.clusters]
@@ -419,7 +417,7 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None,
     metrics = list(partition.metrics)
     log: list[dict] = []
 
-    for _ in range(cfg.tes_max_commits):
+    for _ in range(TES_MAX_COMMITS):
         fleet_val = max(m.value for m in metrics)
         ratio = max(m.value for m in metrics) / min(m.value for m in metrics)
         a_star = min(
@@ -435,19 +433,19 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None,
         for j in span_targets:
             if j not in clusters[a_star] or len(clusters[a_star]) <= 1:
                 continue
-            removal = metric_a.value - _contracted_metric(network, cache, cfg, cycle_a, j)
+            removal = metric_a.value - _contracted_metric(network, cache, cycle_a, j)
             for b in range(len(clusters)):
                 if b == a_star:
                     continue
-                annex = _annex_gain(network, cache, cfg, cycles[b], clusters[b], j)
+                annex = _annex_gain(network, cache, cycles[b], clusters[b], j)
                 candidates.append((removal + annex, j, b))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         committed = False
         for est_gain, j, b in candidates:
             new_a = clusters[a_star] - {j}
             new_b = clusters[b] | {j}
-            cyc_a, met_a = _build_cluster(network, new_a, cache, cfg)
-            cyc_b, met_b = _build_cluster(network, new_b, cache, cfg)
+            cyc_a, met_a = _build_cluster(network, new_a, cache)
+            cyc_b, met_b = _build_cluster(network, new_b, cache)
             new_metrics = list(metrics)
             new_metrics[a_star] = met_a
             new_metrics[b] = met_b

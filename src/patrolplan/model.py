@@ -27,6 +27,7 @@ __all__ = [
     "link_matrix",
     "load_instance",
     "load_instance_file",
+    "read_json_file",
     "instance_to_document",
     "generate_random_instance",
 ]
@@ -283,13 +284,20 @@ def load_instance(document: dict) -> tuple[TargetNetwork, FleetSpec]:
     return network, fleet
 
 
+def read_json_file(path: str) -> Any:
+    """Parse a JSON file; a path that cannot be read or does not hold JSON
+    raises an ``InstanceError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InstanceError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"invalid JSON in {path}: {exc}") from exc
+
+
 def load_instance_file(path: str) -> tuple[TargetNetwork, FleetSpec]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"invalid JSON in {path}: {exc}") from exc
-    return load_instance(document)
+    return load_instance(read_json_file(path))
 
 
 def _matrix_to_doc(mat: np.ndarray) -> Any:

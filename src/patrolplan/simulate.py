@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, PlannerConfig
+from .config import DEFAULT_CONFIG
 from .covariance import cov_norm, observed_flow, unobserved_flow, periodic_steady_state
 from .cycles import SteadyStateCache
 from .dwell import Plan, timeline_from_schedule
@@ -30,6 +30,7 @@ from .model import TargetNetwork
 __all__ = ["SimTrace", "simulate", "validate", "trace_to_csv", "steady_initial_covariances"]
 
 CSV_CHUNK_ROWS = 5_000   # rows formatted per batch by trace_to_csv
+GRID_POINTS_PER_PERIOD = 2000   # samples per period of the default grid
 _FLAGS = ("0", "1")
 
 
@@ -189,9 +190,8 @@ def simulate(
     plan: Plan,
     network: TargetNetwork | None = None,
     initial: dict[int, np.ndarray] | None = None,
-    num_periods: int | None = None,
+    num_periods: int = DEFAULT_CONFIG.num_periods,
     dt: float | None = None,
-    config: PlannerConfig | None = None,
     cache: SteadyStateCache | None = None,
     record_states: int = 0,
 ) -> SimTrace:
@@ -203,10 +203,8 @@ def simulate(
     keeps every that-many-th full covariance per target (for directional
     checks on the trajectory).
     """
-    cfg = config or DEFAULT_CONFIG
     network = network or plan.cycle.network
     cache = cache or SteadyStateCache(network)
-    num_periods = cfg.num_periods if num_periods is None else num_periods
     if num_periods < 2:
         raise ValueError("num_periods must be at least 2")
     period = plan.period
@@ -215,7 +213,7 @@ def simulate(
         raise ValueError("plan has no positive-duration segments")
     min_seg = min(d for d, _ in segments)
     if dt is None:
-        dt = min(period / cfg.grid_points_per_period, min_seg / 50.0)
+        dt = min(period / GRID_POINTS_PER_PERIOD, min_seg / 50.0)
         dt = max(dt, period / 200_000.0)
     if initial is None:
         initial = steady_initial_covariances(plan, network, cache)

@@ -22,7 +22,12 @@ import scipy.linalg
 from patrolplan.config import DEFAULT_CONFIG
 from patrolplan.covariance import cov_norm, observed_flow, unobserved_flow
 from patrolplan.cycles import Cycle, SteadyStateCache
-from patrolplan.simulate import SimTrace, _schedule_segments, steady_initial_covariances
+from patrolplan.simulate import (
+    GRID_POINTS_PER_PERIOD,
+    SimTrace,
+    _schedule_segments,
+    steady_initial_covariances,
+)
 
 
 # --- closed-form scalar solutions -----------------------------------------
@@ -203,21 +208,19 @@ def iterated_periodic_start(A, Q, G, t_on, t_off, tol: float = 1e-13,
 
 # --- per-substep forward simulation -----------------------------------------
 
-def stepwise_simulate(plan, network=None, initial=None, num_periods=None, dt=None,
-                      config=None, cache=None, record_states=0):
+def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONFIG.num_periods,
+                      dt=None, cache=None, record_states=0):
     """``simulate`` as a loop over substeps that applies every target's flow
     and records one sample per target at a time, into Python lists.  It
     shares the package's flows and schedule helpers: it checks the columnar
     loop, not the propagators.  ``switch_times`` is left empty."""
-    cfg = config or DEFAULT_CONFIG
     network = network or plan.cycle.network
     cache = cache or SteadyStateCache(network)
-    num_periods = cfg.num_periods if num_periods is None else num_periods
     period = plan.period
     segments = _schedule_segments(plan)
     min_seg = min(d for d, _ in segments)
     if dt is None:
-        dt = min(period / cfg.grid_points_per_period, min_seg / 50.0)
+        dt = min(period / GRID_POINTS_PER_PERIOD, min_seg / 50.0)
         dt = max(dt, period / 200_000.0)
     if initial is None:
         initial = steady_initial_covariances(plan, network, cache)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from patrolplan.cli import main
+from patrolplan.cli import _config_from_args, build_parser, main
+from patrolplan.config import PlannerConfig
 from patrolplan.model import generate_random_instance, instance_to_document
 
 REPO = Path(__file__).resolve().parents[1]
@@ -58,6 +60,31 @@ class TestPlanSingle:
         code = run_cli("plan-single", "--instance", str(INSTANCES / "line3.json"),
                        "--kp", "-0.5", "--out", str(tmp_path))
         assert code == 2
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("plan-single", "--tol", "inf"),
+        ("plan-single", "--tol", "nan"),
+        ("plan-single", "--kp", "inf"),
+        ("plan-fleet", "--kp", "nan"),
+        ("plan-fleet", "--sigma", "nan"),
+        ("plan-fleet", "--sigma", "inf"),
+    ])
+    def test_nonfinite_flag_is_input_error_naming_it(self, tmp_path, capsys, command, flag, value):
+        code = run_cli(command, "--instance", str(INSTANCES / "table1.json"), flag, value,
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["type"] == "InstanceError"
+        assert flag in error["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["plan-single", "plan-fleet"])
+    def test_directory_instance_is_input_error_naming_it(self, tmp_path, capsys, command):
+        code = run_cli(command, "--instance", str(tmp_path), "--out", str(tmp_path / "out"))
+        assert code == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "input"
+        assert str(tmp_path) in error["message"]
 
     def test_single_target_instance(self, tmp_path):
         inst = tmp_path / "one.json"
@@ -162,6 +189,14 @@ def _drop_leg(doc):
     doc["leg_times"].pop()
 
 
+def _null_covers(doc):
+    doc["covers"] = None
+
+
+def _number_covers(doc):
+    doc["covers"] = 3
+
+
 class TestPlanDocumentChecks:
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     @pytest.mark.parametrize("corrupt, field", [
@@ -169,7 +204,10 @@ class TestPlanDocumentChecks:
         (_visit_unknown_target, "'instances'"),
         (_cover_unknown_target, "'covers'"),
         (_drop_leg, "'leg_times'"),
-    ], ids=["missing-key", "unknown-instance-target", "unknown-covers-target", "leg-count"])
+        (_null_covers, "'covers'"),
+        (_number_covers, "'covers'"),
+    ], ids=["missing-key", "unknown-instance-target", "unknown-covers-target", "leg-count",
+            "null-covers", "number-covers"])
     def test_malformed_plan_is_input_error_naming_field(self, planned, tmp_path, capsys,
                                                         command, corrupt, field):
         doc = json.loads((planned / "plan.json").read_text())
@@ -183,6 +221,15 @@ class TestPlanDocumentChecks:
         assert error["error"] == "input"
         assert field in error["message"]
         assert not (tmp_path / "out" / "validation.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_directory_plan_is_input_error_naming_it(self, tmp_path, capsys, command):
+        code = run_cli(command, "--instance", str(INSTANCES / "line3.json"),
+                       "--plan", str(tmp_path), "--out", str(tmp_path / "out"))
+        assert code == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "input"
+        assert str(tmp_path) in error["message"]
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +284,20 @@ class TestSparseFleet:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "input"
         assert "'instances'" in error["message"]
+
+
+class TestConfigFlags:
+    def test_every_config_field_is_set_by_its_flag(self):
+        # a PlannerConfig field that no flag sets is a knob without a caller
+        args = build_parser().parse_args([
+            "plan-fleet", "--instance", "x.json", "--kp", "0.03", "--tol", "1e-5",
+            "--sigma", "0.7", "--seed", "5", "--periods", "7",
+        ])
+        cfg = _config_from_args(args)
+        assert dataclasses.asdict(cfg) == {
+            "k_p": 0.03, "balance_tol": 1e-5, "sigma": 0.7, "seed": 5, "num_periods": 7,
+        }
+        assert all(getattr(cfg, f.name) != f.default for f in dataclasses.fields(PlannerConfig))
 
 
 class TestEntryPoint:

@@ -122,13 +122,6 @@ class TestCycleMetric:
         assert m.per_target[1] == pytest.approx(expected, rel=1e-9)
         assert m.value == pytest.approx(max(m.per_target.values()))
 
-    def test_missing_unstable_required_flags_inf(self):
-        net, _ = generate_random_instance(3, seed=6)
-        cache = SteadyStateCache(net)
-        m = cycle_lower_bound(Cycle.from_targets(net, [1, 2]), cache, required={1, 2, 3})
-        assert math.isinf(m.value)
-        assert 3 in m.missing_required
-
     def test_critical_tie_break_lowest_id(self):
         # two identical targets symmetric cycle: both attain the max; pick id 1
         net = simple_network([(1, 2, 1.0)], a=0.25)

@@ -205,18 +205,15 @@ class TestBalanceMultiVisit:
         # peaks; cross-check with a bisection on the split fraction
         net = self.line3_network()
         cache = SteadyStateCache(net)
-        cfg = PlannerConfig()
         total = 0.8
         t_off = [1.0, 3.0]
-        splits, costs = balance_within_target(
-            1, [0.4, 0.4], t_off, [True, True], cache, cfg
-        )
+        splits, costs = balance_within_target(1, [0.4, 0.4], t_off, [True, True], cache)
         assert sum(splits) == pytest.approx(total, rel=1e-12)
         assert costs[0] == pytest.approx(costs[1], rel=1e-5)
         # bisection oracle on the fraction given to the first visit
 
         def diff(frac):
-            c = _visit_costs(cache, 1, [frac * total, (1 - frac) * total], t_off, cfg.periodic_tol)
+            c = _visit_costs(cache, 1, [frac * total, (1 - frac) * total], t_off)
             return c[0] - c[1]
 
         lo, hi = 1e-6, 1 - 1e-6
@@ -236,7 +233,7 @@ class TestBalanceMultiVisit:
     def test_split_converges_for_stable_target(self):
         net = TargetNetwork(targets=[TargetSpec(id=1, A=-0.415, Q=0.64, H=1.0, R=7.5)], edges=[])
         splits, costs = balance_within_target(
-            1, [0.53, 0.53], [1.79, 2.83], [True, True], SteadyStateCache(net), PlannerConfig()
+            1, [0.53, 0.53], [1.79, 2.83], [True, True], SteadyStateCache(net)
         )
         assert costs[0] == pytest.approx(costs[1], rel=1e-6)
 
@@ -245,8 +242,7 @@ class TestBalanceMultiVisit:
     def test_split_converges_across_pass_through(self):
         net = TargetNetwork(targets=[TargetSpec(id=1, A=0.3, Q=1.0, H=1.0, R=1.0)], edges=[])
         splits, costs = balance_within_target(
-            1, [0.3, 0.0, 0.3], [0.5, 0.5, 2.0], [True, False, True],
-            SteadyStateCache(net), PlannerConfig(),
+            1, [0.3, 0.0, 0.3], [0.5, 0.5, 2.0], [True, False, True], SteadyStateCache(net)
         )
         assert costs[0] == pytest.approx(costs[2], rel=1e-6)
 
@@ -262,14 +258,6 @@ class TestBalanceMultiVisit:
 
 
 class TestGoldenSearch:
-    def test_degenerate_bracket_returns_input(self, table1_network):
-        cache = SteadyStateCache(table1_network)
-        cyc = tsp_heuristic(table1_network, table1_network.ids)
-        t = 1.5 * cyc.travel_time
-        t_star, state, probes = golden_period_search(cyc, cache, t_min=t, t_max=t)
-        assert t_star == t
-        assert len(probes) == 1
-
     def test_result_is_local_minimum(self):
         net, _ = generate_random_instance(3, seed=15)
         cache = SteadyStateCache(net)
@@ -299,12 +287,6 @@ class TestGoldenSearch:
             running_lo, running_hi = min(running_lo, p), max(running_hi, p)
             spans.append(running_hi - running_lo)
         assert spans[-1] <= (hi - lo) + 1e-12
-
-    def test_rejects_bracket_below_travel(self, table1_network):
-        cache = SteadyStateCache(table1_network)
-        cyc = tsp_heuristic(table1_network, table1_network.ids)
-        with pytest.raises(PlanningError):
-            golden_period_search(cyc, cache, t_min=0.5 * cyc.travel_time)
 
 
 class TestPlanSingleAgent:

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patrolplan import fleet as fleet_module
-from patrolplan.config import PlannerConfig
 from patrolplan.covariance import ConvergenceError
 from patrolplan.cycles import Cycle, SteadyStateCache, cycle_lower_bound, greedy_construct
 from patrolplan.fleet import (
@@ -176,20 +174,6 @@ class TestSpectralCluster:
         sim = self.block_similarity()
         with pytest.raises(FleetError):
             spectral_cluster(sim, 7)
-
-    def test_plan_fleet_passes_kmeans_max_iters(self, monkeypatch):
-        seen = set()
-        lloyd = fleet_module._lloyd
-
-        def recording_lloyd(points, centers, max_iters):
-            seen.add(max_iters)
-            return lloyd(points, centers, max_iters)
-
-        monkeypatch.setattr(fleet_module, "_lloyd", recording_lloyd)
-        net, _ = generate_random_instance(6, seed=14)
-        cfg = PlannerConfig(kmeans_max_iters=7, kmeans_restarts=3)
-        plan_fleet(net, 2, config=cfg, refine=False, with_dwells=False)
-        assert seen == {7}
 
 
 class TestClusterSubnetwork:

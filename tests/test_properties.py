@@ -11,13 +11,15 @@ the period is kept and the active peaks meet at the consensus level above
 every inactive target, and on a single-visit tour the single- and
 multi-visit entry points agree exactly.  On single-visit tours of three to
 six targets the level-set balancer must land on the consensus law's fixed
-point.
+point, and neither the cost floor nor the balanced costs may depend on
+where the tour starts or on the targets' ids.
 
 The last draws a connected travel graph with tied and zero-length routes and
 checks the network's fastest times (bit for bit) and paths against the plain
 Floyd-Warshall loop.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from patrolplan.config import PlannerConfig
 from patrolplan.covariance import ConvergenceError, cov_norm, periodic_steady_state
-from patrolplan.cycles import Cycle, SteadyStateCache, tsp_heuristic
+from patrolplan.cycles import Cycle, SteadyStateCache, cycle_lower_bound, tsp_heuristic
 from patrolplan.dwell import balance_level_set, balance_multi_visit, balance_single_visit
 from patrolplan.model import TargetNetwork, TargetSpec, load_instance_file
 
@@ -214,6 +216,49 @@ def test_level_set_lands_on_consensus_duo2x2():
     network, _ = load_instance_file(str(INSTANCES / "duo2x2.json"))
     cycle = tsp_heuristic(network, network.ids)
     assert_level_set_is_consensus(cycle, 2.5 * cycle.travel_time)
+
+
+@st.composite
+def tour_symmetries(draw):
+    """A single-visit tour and period as ``single_visit_tours`` draws them,
+    the same tour started at another target, and the same tour over a copy of
+    the network whose targets carry other distinct ids."""
+    cycle, period = draw(single_visit_tours())
+    network = cycle.network
+    tour = [tid for tid, _ in cycle.sequence()]
+    shift = draw(st.integers(1, len(tour) - 1))
+    rotated = Cycle.from_targets(network, tour[shift:] + tour[:shift])
+    new_ids = draw(st.lists(st.integers(1, 99), min_size=len(tour), max_size=len(tour),
+                            unique=True))
+    label = dict(zip(sorted(network.ids), new_ids))
+    renamed = TargetNetwork(
+        targets=[dataclasses.replace(t, id=label[t.id]) for t in network.targets],
+        edges=[(label[i], label[j], d) for i, j, d in network.edges],
+    )
+    relabelled = Cycle.from_targets(renamed, [label[tid] for tid in tour])
+    return cycle, period, rotated, relabelled, label
+
+
+@settings(max_examples=25, deadline=None)
+@given(tour_symmetries())
+def test_cost_floor_ignores_tour_start(case):
+    cycle, _, rotated, _, _ = case
+    cache = SteadyStateCache(cycle.network)
+    base = cycle_lower_bound(cycle, cache).value
+    assert cycle_lower_bound(rotated, cache).value == pytest.approx(base, rel=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(tour_symmetries())
+def test_level_set_ignores_tour_start_and_ids(case):
+    cycle, period, rotated, relabelled, label = case
+    tol = PlannerConfig().balance_tol
+    base = balance_level_set(cycle, period, SteadyStateCache(cycle.network))
+    for other, rename in ((rotated, lambda tid: tid), (relabelled, label.__getitem__)):
+        state = balance_level_set(other, period, SteadyStateCache(other.network))
+        assert abs(state.g_con - base.g_con) <= tol * base.g_con
+        for tid, cost in base.costs.items():
+            assert abs(state.costs[rename(tid)] - cost) <= tol * cost
 
 
 @st.composite
