@@ -10,9 +10,7 @@ single block matrix exponential:
 * observed: ``Omega(t) = (E21 + E22 Omega0)(E11 + E12 Omega0)^{-1}`` with the
   ``E`` blocks from ``expm([[-A', G], [Q, A]] t)``.
 
-Scalar (1x1) targets additionally get closed float kernels (exp / tanh forms)
-used by the hot iteration loops; the public propagators always go through the
-block exponentials.
+Scalar (1x1) targets get closed float kernels (exp / tanh forms) instead.
 
 The periodic steady state of an on/off visit pattern is the fixed point of the
 one-period composition of these maps; it is unique and attractive whenever the
@@ -47,8 +45,6 @@ __all__ = [
     "PeakSet",
     "cov_norm",
     "symmetrize",
-    "propagate_unobserved",
-    "propagate_observed",
     "solve_steady_states",
     "periodic_steady_state",
     "lower_bound",
@@ -78,15 +74,6 @@ def cov_norm(mat: np.ndarray | float) -> float:
     if isinstance(mat, (int, float)):
         return float(mat)
     return float(np.trace(mat))
-
-
-def _as_cov(value, name: str = "omega0") -> np.ndarray:
-    mat = np.atleast_2d(np.asarray(value, dtype=float))
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be square")
-    if not np.allclose(mat, mat.T, atol=1e-8 * max(1.0, float(np.abs(mat).max()))):
-        raise ValueError(f"{name} must be symmetric")
-    return symmetrize(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -281,41 +268,6 @@ def observed_flow(A: np.ndarray, Q: np.ndarray, G: np.ndarray, t: float):
         m = _scalar_obs_coeffs(float(A[0, 0]), float(Q[0, 0]), float(G[0, 0]), t)
         return _ScalarFlow(m)
     return _MatrixObservedFlow(A, Q, G, t)
-
-
-# ---------------------------------------------------------------------------
-# public propagators
-# ---------------------------------------------------------------------------
-
-def propagate_unobserved(omega0, A, Q, t: float) -> np.ndarray:
-    """Propagate the covariance over ``t`` time units with no observation."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    omega0 = _as_cov(omega0)
-    if t == 0.0:
-        return omega0
-    result = _MatrixUnobservedFlow(A, Q, t).apply(omega0)
-    return result
-
-
-def propagate_observed(omega0, A, Q, G, t: float) -> np.ndarray:
-    """Propagate the covariance over ``t`` time units under observation."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    G = np.atleast_2d(np.asarray(G, dtype=float))
-    omega0 = _as_cov(omega0)
-    if np.linalg.eigvalsh(omega0).min() < -PSD_TOL:
-        raise ValueError("omega0 must be positive semidefinite")
-    if t == 0.0:
-        return omega0
-    result = _MatrixObservedFlow(A, Q, G, t).apply(omega0)
-    if not np.all(np.isfinite(result)):
-        raise EngineError("observed propagation produced non-finite values")
-    return result
 
 
 # ---------------------------------------------------------------------------

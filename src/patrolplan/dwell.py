@@ -1,26 +1,32 @@
 """Dwell-time allocation over a fixed visiting sequence.
 
 One law governs the dwells: in a balanced allocation every observed target
-peaks at the same cost, whether the cycle visits it once or several times.
-Two solvers reach it.  In a cycle where no target has two dwell slots, each
-target's peak cost falls strictly with its own dwell at a fixed period, so
-the common level is one root: ``balance_level_set`` solves for the level and
-the dwells together by Newton steps, with a bracketed root on the level as
-its fallback.  Any other cycle runs the paper's consensus law
-(``balance_multi_visit``): each target's total dwell moves proportionally to
-the log ratio of its peak cost to the geometric mean across active targets,
-which keeps the period constant while all active peak costs converge to a
-common value, and a target with several dwell slots also has its total split
-across them until its per-visit peaks agree.  Either way a target that is
-cheaper never observed than the level takes no dwell.  The period itself is
-optimized by a golden-section search, and an outer loop drops targets that
-are cheaper never observed than the balanced consensus cost.
+peaks at the same cost at every dwell visit, whether the cycle visits it
+once or several times.  The planning path reaches it by one solver,
+``balance_level_set``, which solves for the common level and the dwell of
+every slot together by bordered Newton steps.  In a cycle where no target
+has two dwell slots each target's peak cost falls strictly with its own
+dwell at a fixed period, so each row of the Newton system is one slope and
+a bracketed root on the level is the fallback.  A target with several dwell
+slots has per-visit peaks that depend on every dwell inside its gaps; its
+rows are dense, and should they not converge the paper's consensus law
+(``balance_multi_visit``) takes over: each target's total dwell moves
+proportionally to the log ratio of its peak cost to the geometric mean
+across active targets, which keeps the period constant while all active
+peak costs converge to a common value, and a target with several dwell
+slots also has its total split across them until its per-visit peaks agree.
+Either way a target that is cheaper never observed than the level takes no
+dwell.  The period itself is optimized by a golden-section search, and an
+outer loop drops targets that are cheaper never observed than the balanced
+consensus cost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .config import DEFAULT_CONFIG, PlannerConfig
 from .covariance import (
@@ -100,20 +106,28 @@ def timeline_from_schedule(cycle: Cycle, dwells: list[float]) -> dict[int, Targe
         return out
     for tid in sorted(cycle.target_ids):
         positions = cycle.positions_of(tid)
-        m = len(positions)
-        t_on, t_off = [], []
-        for k in range(m):
-            here = positions[k]
-            nxt = positions[(k + 1) % m]
-            t_on.append(dwells[here])
-            off = cycle.legs[here]
-            pos = (here + 1) % n
-            while pos != nxt:
-                off += dwells[pos] + cycle.legs[pos]
-                pos = (pos + 1) % n
-            t_off.append(off)
-        out[tid] = TargetTimeline(t_on, t_off, positions)
+        out[tid] = TargetTimeline(*_on_off(cycle, positions, dwells), positions)
     return out
+
+
+def _on_off(cycle: Cycle, positions: list[int],
+            dwells: list[float]) -> tuple[list[float], list[float]]:
+    """``t_on`` and ``t_off`` of the target visited at ``positions`` of a
+    cycle of at least two instances."""
+    n = len(cycle.instances)
+    m = len(positions)
+    t_on, t_off = [], []
+    for k in range(m):
+        here = positions[k]
+        nxt = positions[(k + 1) % m]
+        t_on.append(dwells[here])
+        off = cycle.legs[here]
+        pos = (here + 1) % n
+        while pos != nxt:
+            off += dwells[pos] + cycle.legs[pos]
+            pos = (pos + 1) % n
+        t_off.append(off)
+    return t_on, t_off
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +184,6 @@ def _eligible_map(cycle: Cycle) -> dict[int, list[int]]:
         if inst.dwell_eligible:
             out.setdefault(inst.target, []).append(pos)
     return out
-
-
-def _require_single_slots(eligible: dict[int, list[int]]) -> None:
-    for tid, positions in eligible.items():
-        if len(positions) > 1:
-            raise PlanningError(f"target {tid} has multiple dwell slots; "
-                                "use the multi-visit balancer")
 
 
 def _init_dwells(cycle: Cycle, budget: float, eligible: dict[int, list[int]],
@@ -402,7 +409,10 @@ def balance_single_visit(
 ) -> DwellState:
     """``balance_multi_visit`` on a cycle where each target has at most one
     dwell slot (raises ``PlanningError`` otherwise)."""
-    _require_single_slots(_eligible_map(cycle))
+    for tid, positions in _eligible_map(cycle).items():
+        if len(positions) > 1:
+            raise PlanningError(f"target {tid} has multiple dwell slots; "
+                                "use the multi-visit balancer")
     return balance_multi_visit(cycle, period, cache, config, initial_dwells, tol)
 
 
@@ -410,8 +420,8 @@ def balance_single_visit(
 # level-set balancing
 # ---------------------------------------------------------------------------
 
-LEVEL_NEWTON_STEPS = 50   # Newton steps before the bracketed root takes over
-FD_STEP = 1e-6            # relative dwell step of the first-step slopes
+LEVEL_NEWTON_STEPS = 50   # Newton steps before the fallback (bracketed root or consensus law)
+FD_STEP = 1e-6            # relative dwell step of the finite-difference slopes
 
 
 def _to_budget(x: dict[int, float], budget: float) -> dict[int, float]:
@@ -519,6 +529,186 @@ def _newton_level_step(x: dict[int, float], logs: dict[int, float], slope: dict[
     return _to_budget(proposed, budget) if sum(proposed.values()) > 0.0 else None
 
 
+def _bordered_level_step(x: np.ndarray, logs: np.ndarray, jac: np.ndarray,
+                         groups: dict[int, list[int]], never: dict[int, float],
+                         budget: float) -> np.ndarray | None:
+    """One bordered Newton step of ``log u_k(x) = L`` for every slot ``k`` of
+    an active target, ``Σ x = budget``, over slot dwells ``x`` with log
+    peaks ``logs`` and Jacobian ``jac``; ``groups`` maps each target to its
+    slots.  None when no row is usable, the system is singular or the linear
+    model leaves no dwell positive.
+
+    A target takes part in the linear model while its rows are finite (a
+    single-slot row also needs a falling slope) and its modelled total dwell
+    stays above zero; the others are modelled at zero dwell.  Clamps and the
+    inactive rule are those of ``_newton_level_step``.
+    """
+    def usable(tid):
+        ks = groups[tid]
+        if len(ks) == 1:
+            return jac[ks[0], ks[0]] < 0.0 and math.isfinite(jac[ks[0], ks[0]])
+        return bool(np.isfinite(jac[ks]).all())
+
+    model = [tid for tid in groups if usable(tid)]
+    if not model:
+        return None
+    while True:
+        rows = [k for tid in model for k in groups[tid]]
+        rest = np.ones(len(x), dtype=bool)
+        rest[rows] = False
+        system = np.zeros((len(rows) + 1, len(rows) + 1))
+        system[:-1, :-1] = jac[np.ix_(rows, rows)]
+        system[:-1, -1] = -1.0
+        system[-1, :-1] = 1.0
+        rhs = np.append(jac[np.ix_(rows, rest)] @ x[rest] - logs[rows], budget - x[rows].sum())
+        try:
+            solution = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(solution).all():
+            return None
+        level = solution[-1]
+        step = dict(zip(rows, solution[:-1]))
+        dropped = {tid for tid in model if sum(x[k] + step[k] for k in groups[tid]) <= 0.0}
+        # a multi-slot target's rows couple it to every other dwell; it leaves
+        # only once no single-slot target does
+        dropped = {tid for tid in dropped if len(groups[tid]) == 1} or dropped
+        kept = [tid for tid in model if tid not in dropped]
+        if len(kept) == len(model) or not kept:
+            break
+        model = kept
+    proposed = np.zeros(len(x))
+    for tid, ks in groups.items():
+        if math.log(never[tid]) <= level:
+            continue
+        for k in ks:
+            d = x[k]
+            if k in step:
+                target = max(0.0, d + step[k])
+            elif not usable(tid):
+                proposed[k] = d
+                continue
+            elif len(ks) == 1:
+                target = max(0.0, d + (level - logs[k]) / jac[k, k])
+            else:
+                target = 0.0
+            proposed[k] = min(4.0 * d, max(0.25 * d, target)) if d > 0.0 else min(target, budget)
+    total = proposed.sum()
+    return proposed * (budget / total) if total > 0.0 else None
+
+
+def _multi_slot_level_set(cycle: Cycle, period: float, cache: SteadyStateCache,
+                          cfg: PlannerConfig, eligible: dict[int, list[int]],
+                          never: dict[int, float], cost, start: list[float],
+                          tol: float) -> DwellState:
+    """``balance_level_set`` on a cycle in which some target has several
+    dwell slots; ``cost(tid, d)`` is a single-slot target's peak cost at
+    dwell ``d`` and the fixed period.
+
+    The unknowns are the dwell of every slot and the level ``L``; each slot
+    of an active target asks that the peak at the start of its visit be
+    ``e^L``, and the dwells fill the budget.  A single-slot target's row is
+    its fixed-period slope, as in the single-slot solver.  A multi-slot
+    target's peaks move with every dwell inside its gaps, so each step
+    bumps every slot once and re-costs the multi-slot targets on the bumped
+    schedule (the period grows with the bump; the budget row makes that
+    equivalent to a fixed-period derivative).  The step, clamps and
+    inactive rule are ``_bordered_level_step``'s, and the stop is an active
+    spread of ``tol / 10`` over the per-target costs and every eligible
+    visit's peak.  Should ``LEVEL_NEWTON_STEPS`` steps not get there, the
+    consensus law takes over from the iterate with the least spread.
+    """
+    budget = period - cycle.travel_time
+    ids = sorted(eligible)
+    slots = [p for tid in ids for p in eligible[tid]]
+    groups: dict[int, list[int]] = {}
+    for k, p in enumerate(slots):
+        groups.setdefault(cycle.instances[p].target, []).append(k)
+    multi = {tid: cycle.positions_of(tid) for tid in ids if len(eligible[tid]) > 1}
+    # index of each eligible visit in its multi-slot target's timeline
+    visit = {tid: [positions.index(p) for p in eligible[tid]] for tid, positions in multi.items()}
+
+    def full(x) -> list[float]:
+        dwells = [0.0] * len(cycle.instances)
+        for k, p in enumerate(slots):
+            dwells[p] = float(x[k])
+        return dwells
+
+    def multi_costs(tid: int, dwells: list[float]) -> list[float]:
+        if all(dwells[p] <= 0.0 for p in eligible[tid]):
+            return [never[tid]] * len(multi[tid])
+        return _visit_costs(cache, tid, *_on_off(cycle, multi[tid], dwells))
+
+    x = np.array([start[p] for p in slots])
+    for tid, ks in groups.items():   # an unstable target is never inactive
+        if math.isinf(never[tid]) and x[ks].sum() <= 0.0:
+            x[ks] = budget / len(ids) / len(ks)
+    x *= budget / x.sum()
+
+    trace: list[float] = []
+    jac = np.zeros((len(slots), len(slots)))
+    prev: tuple[np.ndarray, np.ndarray] | None = None
+    best: tuple[float, np.ndarray] = (math.inf, x)
+    for steps in range(LEVEL_NEWTON_STEPS + 1):
+        dwells = full(x)
+        slot_costs = np.empty(len(slots))   # peak at the start of each eligible visit
+        costs: dict[int, float] = {}
+        visit_costs: dict[int, list[float]] = {}
+        for tid, ks in groups.items():
+            if tid in multi:
+                vcosts = multi_costs(tid, dwells)
+                slot_costs[ks] = [vcosts[i] for i in visit[tid]]
+            else:
+                vcosts = [cost(tid, x[ks[0]])]
+                slot_costs[ks] = vcosts
+            visit_costs[tid], costs[tid] = vcosts, max(vcosts)
+        logs = np.log(slot_costs)
+        trace.append(min(max(costs.values()), trace[-1] if trace else math.inf))
+        active = [tid for tid in ids if x[groups[tid]].sum() > 0.0]
+        g_con = _geometric_mean([costs[tid] for tid in active])
+        peaks = [costs[tid] for tid in active] + [slot_costs[k] for tid in active
+                                                  for k in groups[tid]]
+        spread = max(abs(c - g_con) for c in peaks) / g_con
+        inactive_ok = all(never[tid] <= g_con * (1.0 + tol) for tid in ids if tid not in active)
+        if spread <= 0.1 * tol and inactive_ok:
+            return DwellState(cycle=cycle, dwells=dwells, period=period, costs=costs,
+                              visit_costs=visit_costs, g_con=g_con, active=set(active),
+                              trace=trace, iterations=steps)
+        if spread < best[0]:
+            best = (spread, x)
+        if steps == LEVEL_NEWTON_STEPS or not np.isfinite(logs[
+                [k for tid in active for k in groups[tid]]]).all():
+            break
+        # one finite difference per slot: a single-slot row on the first
+        # step only, every multi-slot row on every step
+        for k, p in enumerate(slots):
+            h = -FD_STEP * x[k] if x[k] > 0.0 else FD_STEP * budget
+            owner = cycle.instances[p].target
+            if owner not in multi and prev is None:
+                jac[k, k] = (math.log(cost(owner, x[k] + h)) - logs[k]) / h
+            bumped = [*dwells]
+            bumped[p] += h
+            for tid in multi:
+                vcosts = multi_costs(tid, bumped)
+                jac[groups[tid], k] = (np.log([vcosts[i] for i in visit[tid]])
+                                       - logs[groups[tid]]) / h
+        # single-slot rows: secants after the first step
+        if prev is not None:
+            for tid, ks in groups.items():
+                k = ks[0]
+                step = x[k] - prev[0][k]
+                if tid not in multi and abs(step) > 1e-9 * max(x[k], prev[0][k]):
+                    secant = (logs[k] - prev[1][k]) / step
+                    if secant < 0.0 and math.isfinite(secant):
+                        jac[k, k] = secant
+        new_x = _bordered_level_step(x, logs, jac, groups, never, budget)
+        if new_x is None:
+            break
+        prev = (x, logs)
+        x = new_x
+    return balance_multi_visit(cycle, period, cache, cfg, initial_dwells=full(best[1]), tol=tol)
+
+
 def balance_level_set(
     cycle: Cycle,
     period: float,
@@ -527,23 +717,29 @@ def balance_level_set(
     initial_dwells: list[float] | None = None,
     tol: float | None = None,
 ) -> DwellState:
-    """Balance a cycle in which no target has two dwell slots by solving for
-    the common peak level directly; the result is the consensus law's fixed
-    point within ``tol``.
+    """Balance a cycle by solving for the common peak level directly; the
+    result is the consensus law's fixed point within ``tol``.
 
-    At a fixed period each target's peak cost ``f_i`` falls strictly with its
-    own dwell, so the balanced state solves ``log f_i(d_i) = L`` for every
-    active target with the dwells summing to the budget; a target whose
-    never-observed cost is at most ``e^L`` takes no dwell (the consensus
-    law's inactive set).  Each step solves the bordered Newton system of that
-    root in ``(d, L)``: ``δd_i = (L' - ℓ_i) / s_i`` with ``L'`` chosen so the
-    dwells keep the budget, where ``s_i`` is the slope of ``log f_i`` (one
-    finite difference on the first step, secants after).  A step moves a
-    dwell to between a quarter and four times its value, and the dwells are
-    then rescaled to the budget.  It stops once the active spread is at most
-    ``tol / 10``; should it not get there, ``_level_set_bracketed`` solves the
-    same root by bisection on ``L``.  ``trace`` is the running minimum of each
-    iterate's worst peak cost.
+    At a fixed period each single-slot target's peak cost ``f_i`` falls
+    strictly with its own dwell, so the balanced state solves
+    ``log f_i(d_i) = L`` for every active target with the dwells summing to
+    the budget; a target whose never-observed cost is at most ``e^L`` takes
+    no dwell (the consensus law's inactive set).  Each step solves the
+    bordered Newton system of that root in ``(d, L)``: ``δd_i = (L' - ℓ_i) /
+    s_i`` with ``L'`` chosen so the dwells keep the budget, where ``s_i`` is
+    the slope of ``log f_i`` (one finite difference on the first step,
+    secants after).  A step moves a dwell to between a quarter and four
+    times its value, and the dwells are then rescaled to the budget.  It
+    stops once the active spread is at most ``tol / 10``; should it not get
+    there, ``_level_set_bracketed`` solves the same root by bisection on
+    ``L``.  ``trace`` is the running minimum of each iterate's worst peak
+    cost.
+
+    A cycle in which some target has several dwell slots takes
+    ``_multi_slot_level_set``: one equation per dwell slot of an active
+    target, ``log`` of the peak at the start of that visit ``= L``, with the
+    rows of a multi-slot target taken from one finite difference per slot
+    per step.
     """
     cfg = config or DEFAULT_CONFIG
     cache = cache or SteadyStateCache(cycle.network)
@@ -553,10 +749,8 @@ def balance_level_set(
         raise PlanningError(
             f"period {period:.6g} does not exceed the travel time {cycle.travel_time:.6g}"
         )
-    _require_single_slots(eligible)
     tol = cfg.balance_tol if tol is None else tol
     ids = sorted(eligible)
-    slot = {tid: eligible[tid][0] for tid in ids}
     never = {tid: cache.never_observed_cost(tid) for tid in ids}
 
     def cost(tid: int, d: float) -> float:
@@ -565,6 +759,9 @@ def balance_level_set(
         return _visit_costs(cache, tid, [d], [period - d])[0]
 
     start = _init_dwells(cycle, budget, eligible, initial_dwells)
+    if any(len(eligible[tid]) > 1 for tid in ids):
+        return _multi_slot_level_set(cycle, period, cache, cfg, eligible, never, cost, start, tol)
+    slot = {tid: eligible[tid][0] for tid in ids}
     # an unstable target is never inactive
     x = _to_budget({tid: start[slot[tid]] or (budget / len(ids) if math.isinf(never[tid]) else 0.0)
                     for tid in ids}, budget)
@@ -634,11 +831,10 @@ def golden_period_search(
 ) -> tuple[float, DwellState, list[tuple[float, float]]]:
     """Golden-section search of the period against the balanced peak cost.
 
-    A cycle in which no target has two dwell slots is balanced by
-    ``balance_level_set``, any other by the consensus law
-    (``balance_multi_visit``).  Probes reuse the previous probe's dwell
-    vector (rescaled) as a warm start; the balanced cost is invariant to the
-    start point.  The bracket is ``[(1 + BRACKET_LOW), BRACKET_HIGH]`` times
+    Every probe is balanced by ``balance_level_set``, which hands a
+    multi-slot cycle to the consensus law only if its Newton steps do not
+    converge.  Probes reuse the previous probe's dwell vector (rescaled) as
+    a warm start; the balanced cost is invariant to the start point.  The bracket is ``[(1 + BRACKET_LOW), BRACKET_HIGH]`` times
     the travel time ([1, 3] for a cycle without travel).  Returns the bracket
     midpoint, its balanced state, and the (period, cost) probe log.
     """
@@ -648,11 +844,9 @@ def golden_period_search(
 
     probes: list[tuple[float, float]] = []
     warm: dict[str, object] = {"dwells": None}
-    balance = (balance_level_set if all(len(p) == 1 for p in _eligible_map(cycle).values())
-               else balance_multi_visit)
 
     def evaluate(period: float) -> DwellState:
-        state = balance(cycle, period, cache, config, initial_dwells=warm["dwells"])
+        state = balance_level_set(cycle, period, cache, config, initial_dwells=warm["dwells"])
         warm["dwells"] = state.dwells
         probes.append((period, state.g_con))
         return state

@@ -6,6 +6,9 @@ integrator for the matrix equations, a bisection fixed-point solver for the
 single-visit periodic peaks, plain iteration of the one-period map for any
 visit pattern, the plain Floyd-Warshall loop for fastest paths, brute-force
 cycle enumeration, cycles along given direct edges and random dwell vectors.
+The block-exponential propagators ``propagate_unobserved`` and
+``propagate_observed`` run the package's matrix flows at any dimension,
+scalars included, which the planner itself never does.
 The forward simulation and its CSV export are kept in their plain per-sample
 form, as the reference for the columnar versions in ``patrolplan.simulate``.
 """
@@ -20,7 +23,13 @@ import numpy as np
 import scipy.linalg
 
 from patrolplan.config import DEFAULT_CONFIG
-from patrolplan.covariance import cov_norm, observed_flow, unobserved_flow
+from patrolplan.covariance import (
+    _MatrixObservedFlow,
+    _MatrixUnobservedFlow,
+    cov_norm,
+    observed_flow,
+    unobserved_flow,
+)
 from patrolplan.cycles import Cycle, SteadyStateCache
 from patrolplan.simulate import (
     GRID_POINTS_PER_PERIOD,
@@ -111,6 +120,26 @@ def rk4_propagate_batch(W0: np.ndarray, A: np.ndarray, Q: np.ndarray,
 
 
 # --- single-visit periodic fixed point by bisection -------------------------
+
+def propagate_unobserved(omega0, A, Q, t: float) -> np.ndarray:
+    """The covariance after ``t`` time units with no observation, from the
+    block exponential."""
+    omega0 = np.atleast_2d(np.asarray(omega0, dtype=float))
+    if t == 0.0:
+        return omega0
+    A, Q = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (A, Q))
+    return _MatrixUnobservedFlow(A, Q, t).apply(omega0)
+
+
+def propagate_observed(omega0, A, Q, G, t: float) -> np.ndarray:
+    """The covariance after ``t`` time units under observation, from the
+    block exponential of the Hamiltonian."""
+    omega0 = np.atleast_2d(np.asarray(omega0, dtype=float))
+    if t == 0.0:
+        return omega0
+    A, Q, G = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (A, Q, G))
+    return _MatrixObservedFlow(A, Q, G, t).apply(omega0)
+
 
 def scalar_single_visit_peak(a: float, q: float, g: float,
                              t_on: float, t_off: float,

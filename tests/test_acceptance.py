@@ -13,11 +13,7 @@ import numpy as np
 import pytest
 
 from patrolplan.config import ParamRanges
-from patrolplan.covariance import (
-    periodic_steady_state,
-    propagate_observed,
-    propagate_unobserved,
-)
+from patrolplan.covariance import periodic_steady_state
 from patrolplan.cycles import Cycle, SteadyStateCache, cycle_lower_bound, tsp_heuristic, greedy_construct
 from patrolplan.dwell import (
     balance_single_visit,
@@ -31,6 +27,8 @@ from patrolplan.simulate import simulate, validate
 from conftest import build_table1_network
 from oracles import (
     enumerate_cycles,
+    propagate_observed,
+    propagate_unobserved,
     random_initial_dwells,
     rk4_propagate_batch,
     scalar_observed,

@@ -10,8 +10,6 @@ from patrolplan.covariance import (
     lower_bound,
     observed_flow,
     periodic_steady_state,
-    propagate_observed,
-    propagate_unobserved,
     solve_steady_states,
     steady_states_for,
     unobserved_flow,
@@ -21,6 +19,8 @@ from patrolplan.model import TargetSpec
 from oracles import (
     TABLE1,
     iterated_periodic_start,
+    propagate_observed,
+    propagate_unobserved,
     rk4_propagate,
     scalar_care,
     scalar_observed,

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from patrolplan.covariance import cov_norm, propagate_unobserved
+from patrolplan.covariance import cov_norm
 from patrolplan.cycles import (
     Cycle,
     SteadyStateCache,
@@ -16,7 +16,7 @@ from patrolplan.cycles import (
 )
 from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance
 
-from oracles import direct_cycle, enumerate_cycles
+from oracles import direct_cycle, enumerate_cycles, propagate_unobserved
 
 
 def simple_network(edges, ids=None, a=0.2):

@@ -349,6 +349,28 @@ def assert_plan_consistent(plan):
         assert plan.costs[tid] == pytest.approx(fresh, rel=1e-6)
 
 
+def refuse_consensus(monkeypatch):
+    """Make any call of the consensus law fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the consensus law ran")
+    monkeypatch.setattr(dwell, "balance_multi_visit", refuse)
+    monkeypatch.setattr(dwell, "balance_within_target", refuse)
+
+
+def assert_level_set_balanced(state, period):
+    """The dwells fill the budget and every eligible visit peak of an active
+    target lies within a tenth of ``balance_tol`` of ``g_con``."""
+    cyc = state.cycle
+    tol = 0.1 * PlannerConfig().balance_tol
+    assert sum(state.dwells) == pytest.approx(period - cyc.travel_time, rel=1e-12)
+    for tid in state.active:
+        assert abs(state.costs[tid] - state.g_con) <= tol * state.g_con
+        if len(state.visit_costs[tid]) > 1:
+            for pos, cost in zip(cyc.positions_of(tid), state.visit_costs[tid]):
+                if cyc.instances[pos].dwell_eligible:
+                    assert abs(cost - state.g_con) <= tol * state.g_con
+
+
 class TestBalanceLevelSet:
     def test_matches_consensus(self, table1_network):
         cache = SteadyStateCache(table1_network)
@@ -416,11 +438,60 @@ class TestBalanceLevelSet:
         confirmed = balance_multi_visit(cyc, period, cache, initial_dwells=state.dwells, tol=1e-8)
         assert confirmed.iterations == 1
 
-    def test_rejects_two_dwell_slots(self):
+    def test_two_dwell_slots_match_consensus(self, monkeypatch):
         net, _ = generate_random_instance(3, seed=2)
+        cache = SteadyStateCache(net)
         cyc = Cycle.from_targets(net, [1, 2, 1, 3])
-        with pytest.raises(PlanningError):
-            balance_level_set(cyc, 2.0 * cyc.travel_time)
+        period = 2.0 * cyc.travel_time
+        consensus = balance_multi_visit(cyc, period, cache, tol=1e-8)
+        refuse_consensus(monkeypatch)
+        level = balance_level_set(cyc, period, cache)
+        assert level.active == consensus.active
+        assert level.g_con == pytest.approx(consensus.g_con, rel=1e-6)
+        assert level.visit_costs[1] == pytest.approx(consensus.visit_costs[1], rel=1e-6)
+        assert level.dwells == pytest.approx(consensus.dwells, rel=1e-4)
+        assert_level_set_balanced(level, period)
+
+    def test_pass_through_between_dwell_slots(self, monkeypatch):
+        # target 1 dwells at positions 0 and 4 and is passed through at 2:
+        # the within-target split stalls on this shape, the level set does not
+        net = TargetNetwork(
+            targets=[TargetSpec(id=1, A=0.3, Q=1.0, H=1.0, R=1.0),
+                     TargetSpec(id=2, A=0.2, Q=1.0, H=1.0, R=2.0),
+                     TargetSpec(id=3, A=0.25, Q=0.8, H=1.0, R=3.0),
+                     TargetSpec(id=4, A=0.1, Q=1.2, H=1.0, R=2.0)],
+            edges=[(i, j, 0.25) for i in range(1, 5) for j in range(i + 1, 5)],
+        )
+        cache = SteadyStateCache(net)
+        cyc = Cycle(net, [(1, True), (2, True), (1, False), (3, True), (1, True), (4, True)],
+                    [0.25] * 6)
+        period = 2.0 * cyc.travel_time
+        with pytest.raises(ConvergenceError):
+            balance_multi_visit(cyc, period, cache)
+        with monkeypatch.context() as patch:
+            refuse_consensus(patch)
+            state = balance_level_set(cyc, period, cache)
+        assert state.active == {1, 2, 3, 4}
+        assert_level_set_balanced(state, period)
+        # the consensus law accepts the result as its own fixed point
+        confirmed = balance_multi_visit(cyc, period, cache, initial_dwells=state.dwells)
+        assert confirmed.iterations == 1
+
+    def test_stable_weakly_sensed_repeated_target(self, monkeypatch):
+        # target 1 (A = -0.415, G = 0.133) dwells twice; the fixed-gain
+        # within-target split is slow on it
+        weak = TargetSpec(id=1, A=-0.415, Q=0.64, H=1.0, R=7.5)
+        others = [TargetSpec(id=k, A=-0.2, Q=0.5, H=1.0, R=0.5) for k in (2, 3)]
+        net = TargetNetwork(targets=[weak, *others], edges=[(1, 2, 0.05), (1, 3, 0.15)])
+        cache = SteadyStateCache(net)
+        cyc = Cycle(net, [(1, True), (2, True), (1, True), (3, True)], [0.05, 0.05, 0.15, 0.15])
+        period = 2.5 * cyc.travel_time
+        consensus = balance_multi_visit(cyc, period, cache, tol=1e-8)
+        refuse_consensus(monkeypatch)
+        state = balance_level_set(cyc, period, cache)
+        assert state.active == consensus.active == {1, 2, 3}
+        assert state.g_con == pytest.approx(consensus.g_con, rel=1e-6)
+        assert_level_set_balanced(state, period)
 
     @pytest.mark.parametrize("a", [20.0, 40.0])
     def test_fast_diverging_line3_plans(self, a):

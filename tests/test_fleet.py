@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patrolplan.covariance import ConvergenceError
+from patrolplan import dwell
+from patrolplan.config import PlannerConfig
+from patrolplan.covariance import cov_norm, periodic_steady_state
 from patrolplan.cycles import Cycle, SteadyStateCache, cycle_lower_bound, greedy_construct
 from patrolplan.fleet import (
     FleetError,
@@ -18,7 +21,10 @@ from patrolplan.fleet import (
     spectral_cluster,
     tes_refine,
 )
-from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance
+from patrolplan.dwell import timeline_from_schedule
+from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance, load_instance_file
+
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 
 
 class TestEnumerateCeos:
@@ -246,6 +252,21 @@ class TestPlanFleet:
         assert p1.clusters == p2.clusters
         assert [c.sequence() for c in p1.cycles] == [c.sequence() for c in p2.cycles]
 
+    def test_fleet15_balances_without_consensus(self, monkeypatch):
+        # every fleet15 cycle balances by the level set, the multi-slot ones
+        # included; the consensus law is only a fallback
+        def refuse(*args, **kwargs):
+            raise AssertionError("the consensus law ran")
+        monkeypatch.setattr(dwell, "balance_multi_visit", refuse)
+        monkeypatch.setattr(dwell, "balance_within_target", refuse)
+        net, spec = load_instance_file(str(INSTANCES / "fleet15.json"))
+        part = plan_fleet(net, spec.num_agents)
+        assert any(len(cycle.positions_of(tid)) > 1 and all(
+            cycle.instances[p].dwell_eligible for p in cycle.positions_of(tid))
+            for cycle in part.cycles for tid in cycle.dwell_targets)
+        assert len(part.plans) == spec.num_agents
+        assert_plans_balance(part)
+
     def test_with_dwell_schedules(self):
         net, _ = generate_random_instance(8, seed=14)
         part = plan_fleet(net, 2, refine=False, with_dwells=True)
@@ -293,6 +314,25 @@ def assert_cluster_views(net: TargetNetwork, part) -> None:
     assert covered == set(net.ids)
 
 
+def assert_plans_balance(part) -> None:
+    """Each plan fills its period, its active targets peak at ``g_con``
+    within ``balance_tol``, its inactive ones at most there, and every
+    active cost matches a fresh fixed point on the plan's own timeline."""
+    tol = PlannerConfig().balance_tol
+    for plan in part.plans:
+        assert plan.cycle.travel_time + sum(plan.dwells) == pytest.approx(plan.period, rel=1e-9)
+        timelines = timeline_from_schedule(plan.cycle, plan.dwells)
+        for tid, cost in plan.costs.items():
+            if tid not in plan.active:
+                assert cost <= plan.g_con * (1.0 + tol)
+                continue
+            assert abs(cost - plan.g_con) <= tol * plan.g_con
+            spec = plan.cycle.network.target(tid)
+            peaks = periodic_steady_state(spec.A, spec.Q, spec.G, timelines[tid].t_on,
+                                          timelines[tid].t_off)
+            assert cost == pytest.approx(max(spec.g(cov_norm(u)) for u in peaks.upper), rel=1e-6)
+
+
 class TestSparseGraphs:
     @pytest.mark.parametrize("agents", [2, 3, 4])
     def test_ring_with_chord(self, agents):
@@ -307,9 +347,6 @@ class TestSparseGraphs:
     def test_clusters_plan_on_parent_routes(self, net, agents):
         assert_cluster_views(net, plan_fleet(net, agents, with_dwells=False))
 
-    @pytest.mark.xfail(raises=ConvergenceError, strict=True,
-                       reason="the within-target split stalls on a cycle that passes "
-                              "through a foreign target between two dwell slots")
     def test_dwells_on_tree_with_chords(self):
         # eight random targets on nine edges (a spanning tree plus two
         # chords); target 3's cycle dwells at it twice, with foreign targets
@@ -322,6 +359,14 @@ class TestSparseGraphs:
         net = TargetNetwork(targets=base.targets, edges=edges)
         part = plan_fleet(net, 2)
         assert len(part.plans) == 2
+        assert_plans_balance(part)
+
+    @settings(max_examples=15, deadline=None)
+    @given(sparse_graphs(), st.integers(2, 3))
+    def test_dwells_on_parent_routes(self, net, agents):
+        part = plan_fleet(net, agents)
+        assert_cluster_views(net, part)
+        assert_plans_balance(part)
 
 
 class TestTesRefine:

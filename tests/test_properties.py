@@ -9,10 +9,11 @@ The second group draws three or four scalar targets on a random travel graph
 and checks the consensus dwell balancer: on a cycle with one repeated visit
 the period is kept and the active peaks meet at the consensus level above
 every inactive target, and on a single-visit tour the single- and
-multi-visit entry points agree exactly.  On single-visit tours of three to
-six targets the level-set balancer must land on the consensus law's fixed
-point, and neither the cost floor nor the balanced costs may depend on
-where the tour starts or on the targets' ids.
+multi-visit entry points agree exactly.  On those repeated-visit cycles and
+on single-visit tours of three to six targets the level-set balancer must
+land on the consensus law's fixed point, and on a single-visit tour neither
+the cost floor nor the balanced costs may depend on where the tour starts
+or on the targets' ids.
 
 The last draws a connected travel graph with tied and zero-length routes and
 checks the network's fastest times (bit for bit) and paths against the plain
@@ -21,15 +22,22 @@ Floyd-Warshall loop.
 
 import dataclasses
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patrolplan import dwell
 from patrolplan.config import PlannerConfig
 from patrolplan.covariance import ConvergenceError, cov_norm, periodic_steady_state
 from patrolplan.cycles import Cycle, SteadyStateCache, cycle_lower_bound, tsp_heuristic
-from patrolplan.dwell import balance_level_set, balance_multi_visit, balance_single_visit
+from patrolplan.dwell import (
+    balance_level_set,
+    balance_multi_visit,
+    balance_single_visit,
+    timeline_from_schedule,
+)
 from patrolplan.model import TargetNetwork, TargetSpec, load_instance_file
 
 from oracles import apply_period, iterated_periodic_start, period_steps, python_floyd_warshall
@@ -114,9 +122,10 @@ def balance_cases(draw):
     Targets sit at random points of a 0.5 x 0.5 box, and a leg takes the
     Euclidean distance plus 0.1, so every leg is direct (no pass-through
     instances).  The other targets drift anywhere in [-0.5, 0.5], so stable
-    ones can go inactive; the repeated target is unstable.  A stable repeated
-    target and a pass-through between two dwell slots stall the within-target
-    split today (the xfail tests in ``test_dwell.py``).
+    ones can go inactive; the repeated target is unstable, because a stable
+    repeated target and a pass-through between two dwell slots stall the
+    consensus law's within-target split (the xfail tests in
+    ``test_dwell.py``).
     """
     n = draw(st.integers(3, 4))
     tour = draw(st.permutations(range(1, n + 1)))
@@ -186,7 +195,10 @@ def single_visit_tours(draw):
 def assert_level_set_is_consensus(cycle, period):
     cache = SteadyStateCache(cycle.network)
     tol = PlannerConfig().balance_tol
-    level = balance_level_set(cycle, period, cache)
+    # the level set must converge by itself, without its consensus fallback
+    with mock.patch.object(dwell, "balance_multi_visit",
+                           side_effect=AssertionError("the consensus law ran")):
+        level = balance_level_set(cycle, period, cache)
     try:
         consensus = balance_multi_visit(cycle, period, cache, tol=1e-8)
     except ConvergenceError:
@@ -197,11 +209,21 @@ def assert_level_set_is_consensus(cycle, period):
                                         tol=1e-8)
     assert level.active == consensus.active
     assert level.g_con == pytest.approx(consensus.g_con, rel=1e-6)
+    timelines = timeline_from_schedule(cycle, level.dwells)
     for tid, cost in level.costs.items():
-        if tid in level.active:
-            assert abs(cost - level.g_con) <= tol * level.g_con
-        else:
+        if tid not in level.active:
             assert cache.never_observed_cost(tid) <= level.g_con * (1.0 + tol)
+            continue
+        assert abs(cost - level.g_con) <= tol * level.g_con
+        positions = cycle.positions_of(tid)
+        if len(level.visit_costs[tid]) > 1:   # each eligible visit peaks at the level
+            for pos, peak in zip(positions, level.visit_costs[tid]):
+                if cycle.instances[pos].dwell_eligible:
+                    assert abs(peak - level.g_con) <= tol * level.g_con
+        spec = cycle.network.target(tid)
+        peaks = periodic_steady_state(spec.A, spec.Q, spec.G, timelines[tid].t_on,
+                                      timelines[tid].t_off)
+        assert cost == pytest.approx(max(spec.g(cov_norm(u)) for u in peaks.upper), rel=1e-6)
     budget = period - cycle.travel_time
     assert sum(level.dwells) == pytest.approx(budget, rel=1e-12)
 
@@ -210,6 +232,14 @@ def assert_level_set_is_consensus(cycle, period):
 @given(single_visit_tours())
 def test_level_set_lands_on_consensus(case):
     assert_level_set_is_consensus(*case)
+
+
+@settings(max_examples=10, deadline=None)
+@given(balance_cases())
+def test_multi_slot_level_set_lands_on_consensus(case):
+    network, _, repeated, factor = case
+    cycle = Cycle.from_targets(network, repeated)
+    assert_level_set_is_consensus(cycle, factor * cycle.travel_time)
 
 
 def test_level_set_lands_on_consensus_duo2x2():
