@@ -183,39 +183,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
-        if instance:
-            p.add_argument("--instance", required=True, help="instance JSON file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory (or file for gen)")
-        p.add_argument("--kp", type=float, default=None, help="consensus gain")
+    # each subcommand takes only the flags it reads
+    def planning(p):
+        p.add_argument("--instance", required=True, help="instance JSON file")
+        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--kp", type=float, default=None,
+                       help="consensus gain (multi-slot fallback only)")
         p.add_argument("--tol", type=float, default=None, help="balancing tolerance")
-        p.add_argument("--sigma", type=float, default=None, help="similarity kernel width")
+
+    def checking(p):
+        p.add_argument("--instance", required=True, help="instance JSON file")
+        p.add_argument("--plan", required=True, help="plan JSON file")
+        p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--periods", type=int, default=None, help="simulation periods")
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--targets", type=int, required=True)
     p.add_argument("--agents", type=int, default=1)
-    common(p, instance=False)
+    p.add_argument("--seed", type=int, default=None, help="instance seed")
+    p.add_argument("--out", default=None, help="output file")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("plan-single", help="plan one agent over the instance")
-    common(p)
+    planning(p)
     p.set_defaults(func=cmd_plan_single)
 
     p = sub.add_parser("plan-fleet", help="partition the network and plan every agent")
+    planning(p)
     p.add_argument("--agents", type=int, default=None, help="override the instance agent count")
-    common(p)
+    p.add_argument("--sigma", type=float, default=None, help="similarity kernel width")
+    p.add_argument("--seed", type=int, default=None, help="k-means seed")
     p.set_defaults(func=cmd_plan_fleet)
 
     p = sub.add_parser("simulate", help="simulate a plan and write trace + report")
-    p.add_argument("--plan", required=True, help="plan JSON file")
-    common(p)
+    checking(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("validate", help="simulate a plan and write the report only")
-    p.add_argument("--plan", required=True, help="plan JSON file")
-    common(p)
+    checking(p)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -2,15 +2,14 @@
 
 One law governs the dwells: in a balanced allocation every observed target
 peaks at the same cost at every dwell visit, whether the cycle visits it
-once or several times.  The planning path reaches it by one solver,
+once or several times.  The planning path reaches it by one Newton loop,
 ``balance_level_set``, which solves for the common level and the dwell of
-every slot together by bordered Newton steps.  In a cycle where no target
-has two dwell slots each target's peak cost falls strictly with its own
-dwell at a fixed period, so each row of the Newton system is one slope and
-a bracketed root on the level is the fallback.  A target with several dwell
-slots has per-visit peaks that depend on every dwell inside its gaps; its
-rows are dense, and should they not converge the paper's consensus law
-(``balance_multi_visit``) takes over: each target's total dwell moves
+every slot together.  In each bordered step a single-slot target's row is
+one slope and is eliminated in closed form; only the dense rows of targets
+with several dwell slots go to a linear solve.  Should the steps not
+converge, a cycle in which no target has two dwell slots finds the same
+root by bracketing the level, and any other falls back to the paper's
+consensus law (``balance_multi_visit``): each target's total dwell moves
 proportionally to the log ratio of its peak cost to the geometric mean
 across active targets, which keeps the period constant while all active
 peak costs converge to a common value, and a target with several dwell
@@ -25,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -424,9 +424,9 @@ LEVEL_NEWTON_STEPS = 50   # Newton steps before the fallback (bracketed root or 
 FD_STEP = 1e-6            # relative dwell step of the finite-difference slopes
 
 
-def _to_budget(x: dict[int, float], budget: float) -> dict[int, float]:
-    scale = budget / sum(x.values())
-    return {tid: d * scale for tid, d in x.items()}
+def _to_budget(x: list[float], budget: float) -> list[float]:
+    scale = budget / sum(x)
+    return [d * scale for d in x]
 
 
 def _illinois(fn, lo: float, hi: float, f_lo: float, f_hi: float, ftol: float) -> float:
@@ -463,13 +463,13 @@ def _illinois(fn, lo: float, hi: float, f_lo: float, f_hi: float, ftol: float) -
 
 
 def _level_set_bracketed(cost, ids: list[int], never: dict[int, float], budget: float,
-                         tol: float) -> dict[int, float]:
+                         tol: float) -> list[float]:
     """Balanced dwells by nested roots: for a level ``L`` each target's dwell
     ``d_i(L)`` solves ``log f_i(d) = L`` (zero when its never-observed cost is
     at most ``e^L``), and ``S(L) = Σ d_i(L)`` falls monotonically, so the
     outer root ``S(L) = budget`` lies in ``[max_i log f_i(budget),
     max_i log f_i(budget / m)]`` and is always found.  The dwells are
-    returned rescaled to sum to the budget exactly."""
+    returned in ``ids`` order, rescaled to sum to the budget exactly."""
     full = {tid: math.log(cost(tid, budget)) for tid in ids}
     lo = max(full.values())
     if math.isinf(lo):
@@ -477,236 +477,113 @@ def _level_set_bracketed(cost, ids: list[int], never: dict[int, float], budget: 
                                math.inf)
     hi = max(math.log(cost(tid, budget / len(ids))) for tid in ids)
 
-    def dwells_at(level: float) -> dict[int, float]:
-        out = {}
+    def dwells_at(level: float) -> list[float]:
+        out = []
         for tid in ids:
             top = math.log(never[tid]) - level
             if top <= 0.0:
-                out[tid] = 0.0
+                out.append(0.0)
             else:
-                out[tid] = _illinois(lambda d: math.log(cost(tid, d)) - level, 0.0, budget,
-                                     top, full[tid] - level, 0.01 * tol)
+                out.append(_illinois(lambda d: math.log(cost(tid, d)) - level, 0.0, budget,
+                                     top, full[tid] - level, 0.01 * tol))
         return out
 
     def excess(level: float) -> float:
-        return sum(dwells_at(level).values()) - budget
+        return sum(dwells_at(level)) - budget
 
     ftol = 1e-3 * tol * budget
     level = lo if hi <= lo else _illinois(excess, lo, hi, excess(lo), excess(hi), ftol)
     return _to_budget(dwells_at(level), budget)
 
 
-def _newton_level_step(x: dict[int, float], logs: dict[int, float], slope: dict[int, float],
-                       never: dict[int, float], budget: float) -> dict[int, float] | None:
-    """One bordered Newton step of ``log f_i(d_i) = L``, ``Σ d_i = budget``
-    from dwells ``x`` with log costs ``logs`` and slopes ``slope``; None when
-    no slope is usable or the linear model leaves no dwell positive.
-
-    Each dwell's model at level ``L`` is ``max(0, x_i + (L - ℓ_i) / s_i)``,
-    which is zero from ``L = ℓ_i - s_i x_i`` on; ``L'`` is where the models
-    sum to the budget, over the targets whose model stays above zero.
-    """
-    model = [tid for tid, s in slope.items() if s < 0.0 and math.isfinite(s)]
-    if not model:
-        return None
-    while True:
-        level = (budget - sum(x[tid] for tid in model)
-                 + sum(logs[tid] / slope[tid] for tid in model)) / sum(
-                     1.0 / slope[tid] for tid in model)
-        kept = [tid for tid in model if logs[tid] - slope[tid] * x[tid] > level]
-        if len(kept) == len(model) or not kept:
-            break
-        model = kept
-    proposed = {}
-    for tid, d in x.items():
-        if math.log(never[tid]) <= level:
-            proposed[tid] = 0.0
-        elif not slope[tid] < 0.0:
-            proposed[tid] = d
-        else:
-            target = max(0.0, d + (level - logs[tid]) / slope[tid])
-            proposed[tid] = min(4.0 * d, max(0.25 * d, target)) if d > 0.0 else min(target, budget)
-    return _to_budget(proposed, budget) if sum(proposed.values()) > 0.0 else None
-
-
-def _bordered_level_step(x: np.ndarray, logs: np.ndarray, jac: np.ndarray,
-                         groups: dict[int, list[int]], never: dict[int, float],
-                         budget: float) -> np.ndarray | None:
+def _level_step(x: list[float], logs: list[float], slope: dict[int, float],
+                dense: dict[int, np.ndarray], groups: dict[int, list[int]],
+                floor: list[float], budget: float) -> list[float] | None:
     """One bordered Newton step of ``log u_k(x) = L`` for every slot ``k`` of
-    an active target, ``Σ x = budget``, over slot dwells ``x`` with log
-    peaks ``logs`` and Jacobian ``jac``; ``groups`` maps each target to its
-    slots.  None when no row is usable, the system is singular or the linear
-    model leaves no dwell positive.
+    an active target and ``Σ x = budget``, from slot dwells ``x`` with log
+    peaks ``logs``; ``groups`` maps each target to its slots and ``floor[k]``
+    is the log never-observed cost of slot ``k``'s target.  None when no row
+    is usable, the system is singular or the linear model leaves no dwell
+    positive.
+
+    A single-slot target's row is the slope ``slope[k]`` of its own peak, so
+    its step is ``δ_k = (L - ℓ_k) / s_k`` in closed form.  A multi-slot
+    target's rows ``dense[tid]`` (one column per slot) are dense; with the
+    closed form substituted, only they and ``L`` go to ``numpy.linalg.solve``.
+    With no multi-slot target in the model ``L = (budget - Σ x + Σ ℓ_k / s_k)
+    / Σ 1 / s_k``.
 
     A target takes part in the linear model while its rows are finite (a
-    single-slot row also needs a falling slope) and its modelled total dwell
-    stays above zero; the others are modelled at zero dwell.  Clamps and the
-    inactive rule are those of ``_newton_level_step``.
+    single-slot slope must also fall) and its modelled dwell stays above
+    zero; a multi-slot target's rows couple it to every other dwell, so it
+    leaves only once no single-slot target does.  The others are modelled at
+    zero dwell.  A step moves a dwell to between a quarter and four times its
+    value (from zero, to at most the budget), a target cheaper never observed
+    than ``e^L`` takes none, and the dwells are rescaled to the budget.
     """
-    def usable(tid):
-        ks = groups[tid]
-        if len(ks) == 1:
-            return jac[ks[0], ks[0]] < 0.0 and math.isfinite(jac[ks[0], ks[0]])
-        return bool(np.isfinite(jac[ks]).all())
-
-    model = [tid for tid in groups if usable(tid)]
-    if not model:
+    ones = [k for k, s in slope.items() if s < 0.0 and math.isfinite(s)]
+    finite = [tid for tid, rows in dense.items() if np.isfinite(rows).all()]
+    multi = finite
+    if not ones and not multi:
         return None
     while True:
-        rows = [k for tid in model for k in groups[tid]]
-        rest = np.ones(len(x), dtype=bool)
-        rest[rows] = False
-        system = np.zeros((len(rows) + 1, len(rows) + 1))
-        system[:-1, :-1] = jac[np.ix_(rows, rows)]
-        system[:-1, -1] = -1.0
-        system[-1, :-1] = 1.0
-        rhs = np.append(jac[np.ix_(rows, rest)] @ x[rest] - logs[rows], budget - x[rows].sum())
-        try:
-            solution = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.isfinite(solution).all():
-            return None
-        level = solution[-1]
-        step = dict(zip(rows, solution[:-1]))
-        dropped = {tid for tid in model if sum(x[k] + step[k] for k in groups[tid]) <= 0.0}
-        # a multi-slot target's rows couple it to every other dwell; it leaves
-        # only once no single-slot target does
-        dropped = {tid for tid in dropped if len(groups[tid]) == 1} or dropped
-        kept = [tid for tid in model if tid not in dropped]
-        if len(kept) == len(model) or not kept:
-            break
-        model = kept
-    proposed = np.zeros(len(x))
-    for tid, ks in groups.items():
-        if math.log(never[tid]) <= level:
+        rows = [k for tid in multi for k in groups[tid]]
+        free = (budget - sum(x[k] for k in ones + rows)
+                + sum(logs[k] / slope[k] for k in ones))
+        step: dict[int, float] = {}
+        if not multi:
+            level = free / sum(1.0 / slope[k] for k in ones)
+        else:
+            # a multi-slot row r with the single-slot steps substituted:
+            # J_rM δ_M + (Σ_S J_rk / s_k - 1) L = J_r,rest x_rest - ℓ_r + Σ_S J_rk ℓ_k / s_k
+            modelled = set(ones + rows)
+            rest = [k for k in range(len(x)) if k not in modelled]
+            jac = np.vstack([dense[tid] for tid in multi])
+            inv = np.array([1.0 / slope[k] for k in ones])
+            system = np.empty((len(rows) + 1, len(rows) + 1))
+            system[:-1, :-1] = jac[:, rows]
+            system[:-1, -1] = jac[:, ones] @ inv - 1.0
+            system[-1, :-1] = 1.0
+            system[-1, -1] = inv.sum()
+            rhs = np.append(jac[:, rest] @ np.array([x[k] for k in rest])
+                            - np.array([logs[k] for k in rows])
+                            + jac[:, ones] @ (inv * np.array([logs[k] for k in ones])), free)
+            try:
+                solution = np.linalg.solve(system, rhs)
+            except np.linalg.LinAlgError:
+                return None
+            if not np.isfinite(solution).all():
+                return None
+            level = float(solution[-1])
+            step = dict(zip(rows, solution[:-1].tolist()))
+        kept = [k for k in ones if logs[k] - slope[k] * x[k] > level]
+        if len(kept) < len(ones):
+            if not (kept or multi):
+                break
+            ones = kept
             continue
-        for k in ks:
-            d = x[k]
-            if k in step:
-                target = max(0.0, d + step[k])
-            elif not usable(tid):
+        kept = [tid for tid in multi if sum(x[k] + step[k] for k in groups[tid]) > 0.0]
+        if len(kept) == len(multi) or not (kept or ones):
+            break
+        multi = kept
+    frozen = {k for tid in dense if tid not in finite for k in groups[tid]}
+    proposed = [0.0] * len(x)
+    for k, d in enumerate(x):
+        if floor[k] <= level:
+            continue
+        if k in slope:
+            if not slope[k] < 0.0:
                 proposed[k] = d
                 continue
-            elif len(ks) == 1:
-                target = max(0.0, d + (level - logs[k]) / jac[k, k])
-            else:
-                target = 0.0
-            proposed[k] = min(4.0 * d, max(0.25 * d, target)) if d > 0.0 else min(target, budget)
-    total = proposed.sum()
-    return proposed * (budget / total) if total > 0.0 else None
-
-
-def _multi_slot_level_set(cycle: Cycle, period: float, cache: SteadyStateCache,
-                          cfg: PlannerConfig, eligible: dict[int, list[int]],
-                          never: dict[int, float], cost, start: list[float],
-                          tol: float) -> DwellState:
-    """``balance_level_set`` on a cycle in which some target has several
-    dwell slots; ``cost(tid, d)`` is a single-slot target's peak cost at
-    dwell ``d`` and the fixed period.
-
-    The unknowns are the dwell of every slot and the level ``L``; each slot
-    of an active target asks that the peak at the start of its visit be
-    ``e^L``, and the dwells fill the budget.  A single-slot target's row is
-    its fixed-period slope, as in the single-slot solver.  A multi-slot
-    target's peaks move with every dwell inside its gaps, so each step
-    bumps every slot once and re-costs the multi-slot targets on the bumped
-    schedule (the period grows with the bump; the budget row makes that
-    equivalent to a fixed-period derivative).  The step, clamps and
-    inactive rule are ``_bordered_level_step``'s, and the stop is an active
-    spread of ``tol / 10`` over the per-target costs and every eligible
-    visit's peak.  Should ``LEVEL_NEWTON_STEPS`` steps not get there, the
-    consensus law takes over from the iterate with the least spread.
-    """
-    budget = period - cycle.travel_time
-    ids = sorted(eligible)
-    slots = [p for tid in ids for p in eligible[tid]]
-    groups: dict[int, list[int]] = {}
-    for k, p in enumerate(slots):
-        groups.setdefault(cycle.instances[p].target, []).append(k)
-    multi = {tid: cycle.positions_of(tid) for tid in ids if len(eligible[tid]) > 1}
-    # index of each eligible visit in its multi-slot target's timeline
-    visit = {tid: [positions.index(p) for p in eligible[tid]] for tid, positions in multi.items()}
-
-    def full(x) -> list[float]:
-        dwells = [0.0] * len(cycle.instances)
-        for k, p in enumerate(slots):
-            dwells[p] = float(x[k])
-        return dwells
-
-    def multi_costs(tid: int, dwells: list[float]) -> list[float]:
-        if all(dwells[p] <= 0.0 for p in eligible[tid]):
-            return [never[tid]] * len(multi[tid])
-        return _visit_costs(cache, tid, *_on_off(cycle, multi[tid], dwells))
-
-    x = np.array([start[p] for p in slots])
-    for tid, ks in groups.items():   # an unstable target is never inactive
-        if math.isinf(never[tid]) and x[ks].sum() <= 0.0:
-            x[ks] = budget / len(ids) / len(ks)
-    x *= budget / x.sum()
-
-    trace: list[float] = []
-    jac = np.zeros((len(slots), len(slots)))
-    prev: tuple[np.ndarray, np.ndarray] | None = None
-    best: tuple[float, np.ndarray] = (math.inf, x)
-    for steps in range(LEVEL_NEWTON_STEPS + 1):
-        dwells = full(x)
-        slot_costs = np.empty(len(slots))   # peak at the start of each eligible visit
-        costs: dict[int, float] = {}
-        visit_costs: dict[int, list[float]] = {}
-        for tid, ks in groups.items():
-            if tid in multi:
-                vcosts = multi_costs(tid, dwells)
-                slot_costs[ks] = [vcosts[i] for i in visit[tid]]
-            else:
-                vcosts = [cost(tid, x[ks[0]])]
-                slot_costs[ks] = vcosts
-            visit_costs[tid], costs[tid] = vcosts, max(vcosts)
-        logs = np.log(slot_costs)
-        trace.append(min(max(costs.values()), trace[-1] if trace else math.inf))
-        active = [tid for tid in ids if x[groups[tid]].sum() > 0.0]
-        g_con = _geometric_mean([costs[tid] for tid in active])
-        peaks = [costs[tid] for tid in active] + [slot_costs[k] for tid in active
-                                                  for k in groups[tid]]
-        spread = max(abs(c - g_con) for c in peaks) / g_con
-        inactive_ok = all(never[tid] <= g_con * (1.0 + tol) for tid in ids if tid not in active)
-        if spread <= 0.1 * tol and inactive_ok:
-            return DwellState(cycle=cycle, dwells=dwells, period=period, costs=costs,
-                              visit_costs=visit_costs, g_con=g_con, active=set(active),
-                              trace=trace, iterations=steps)
-        if spread < best[0]:
-            best = (spread, x)
-        if steps == LEVEL_NEWTON_STEPS or not np.isfinite(logs[
-                [k for tid in active for k in groups[tid]]]).all():
-            break
-        # one finite difference per slot: a single-slot row on the first
-        # step only, every multi-slot row on every step
-        for k, p in enumerate(slots):
-            h = -FD_STEP * x[k] if x[k] > 0.0 else FD_STEP * budget
-            owner = cycle.instances[p].target
-            if owner not in multi and prev is None:
-                jac[k, k] = (math.log(cost(owner, x[k] + h)) - logs[k]) / h
-            bumped = [*dwells]
-            bumped[p] += h
-            for tid in multi:
-                vcosts = multi_costs(tid, bumped)
-                jac[groups[tid], k] = (np.log([vcosts[i] for i in visit[tid]])
-                                       - logs[groups[tid]]) / h
-        # single-slot rows: secants after the first step
-        if prev is not None:
-            for tid, ks in groups.items():
-                k = ks[0]
-                step = x[k] - prev[0][k]
-                if tid not in multi and abs(step) > 1e-9 * max(x[k], prev[0][k]):
-                    secant = (logs[k] - prev[1][k]) / step
-                    if secant < 0.0 and math.isfinite(secant):
-                        jac[k, k] = secant
-        new_x = _bordered_level_step(x, logs, jac, groups, never, budget)
-        if new_x is None:
-            break
-        prev = (x, logs)
-        x = new_x
-    return balance_multi_visit(cycle, period, cache, cfg, initial_dwells=full(best[1]), tol=tol)
+            # a slope of -inf leaves the dwell as it is
+            target = max(0.0, d + (level - logs[k]) / slope[k])
+        elif k in frozen:
+            proposed[k] = d
+            continue
+        else:
+            target = max(0.0, d + step[k]) if k in step else 0.0
+        proposed[k] = min(4.0 * d, max(0.25 * d, target)) if d > 0.0 else min(target, budget)
+    return _to_budget(proposed, budget) if sum(proposed) > 0.0 else None
 
 
 def balance_level_set(
@@ -720,26 +597,26 @@ def balance_level_set(
     """Balance a cycle by solving for the common peak level directly; the
     result is the consensus law's fixed point within ``tol``.
 
-    At a fixed period each single-slot target's peak cost ``f_i`` falls
-    strictly with its own dwell, so the balanced state solves
-    ``log f_i(d_i) = L`` for every active target with the dwells summing to
-    the budget; a target whose never-observed cost is at most ``e^L`` takes
-    no dwell (the consensus law's inactive set).  Each step solves the
-    bordered Newton system of that root in ``(d, L)``: ``δd_i = (L' - ℓ_i) /
-    s_i`` with ``L'`` chosen so the dwells keep the budget, where ``s_i`` is
-    the slope of ``log f_i`` (one finite difference on the first step,
-    secants after).  A step moves a dwell to between a quarter and four
-    times its value, and the dwells are then rescaled to the budget.  It
-    stops once the active spread is at most ``tol / 10``; should it not get
-    there, ``_level_set_bracketed`` solves the same root by bisection on
-    ``L``.  ``trace`` is the running minimum of each iterate's worst peak
-    cost.
+    The unknowns are the dwell of every eligible slot and the level ``L``:
+    each slot of an active target asks that the peak at the start of its
+    visit be ``e^L``, and the dwells fill the budget; a target whose
+    never-observed cost is at most ``e^L`` takes no dwell (the consensus
+    law's inactive set).  Each step is one bordered Newton step
+    (``_level_step``).  At a fixed period a single-slot target's peak falls
+    strictly with its own dwell alone, so its row is one slope: a finite
+    difference on the first step, secants after.  A multi-slot target's
+    peaks move with every dwell inside its gaps, so each step bumps every
+    slot once and re-costs the multi-slot targets on the bumped schedule
+    (the period grows with the bump; the budget row makes that equivalent
+    to a fixed-period derivative).
 
-    A cycle in which some target has several dwell slots takes
-    ``_multi_slot_level_set``: one equation per dwell slot of an active
-    target, ``log`` of the peak at the start of that visit ``= L``, with the
-    rows of a multi-slot target taken from one finite difference per slot
-    per step.
+    It stops once the spread of the active per-target costs and of every
+    active eligible visit's peak is at most ``tol / 10``.  Should
+    ``LEVEL_NEWTON_STEPS`` steps not get there, a cycle with no multi-slot
+    target solves the same root by bisection on ``L``
+    (``_level_set_bracketed``), and any other hands the iterate with the
+    least spread to the consensus law (``balance_multi_visit``).  ``trace``
+    is the running minimum of each iterate's worst peak cost.
     """
     cfg = config or DEFAULT_CONFIG
     cache = cache or SteadyStateCache(cycle.network)
@@ -752,67 +629,119 @@ def balance_level_set(
     tol = cfg.balance_tol if tol is None else tol
     ids = sorted(eligible)
     never = {tid: cache.never_observed_cost(tid) for tid in ids}
+    slots = [p for tid in ids for p in eligible[tid]]
+    owner = [cycle.instances[p].target for p in slots]
+    groups: dict[int, list[int]] = {}
+    for k, tid in enumerate(owner):
+        groups.setdefault(tid, []).append(k)
+    multi = {tid: cycle.positions_of(tid) for tid in ids if len(eligible[tid]) > 1}
+    one = {tid: ks[0] for tid, ks in groups.items() if tid not in multi}
+    floor = [math.log(never[tid]) for tid in owner]
+    # index of each eligible visit in its multi-slot target's timeline
+    visit = {tid: [positions.index(p) for p in eligible[tid]] for tid, positions in multi.items()}
 
     def cost(tid: int, d: float) -> float:
         if d <= 0.0:
             return never[tid]
         return _visit_costs(cache, tid, [d], [period - d])[0]
 
+    def multi_costs(tid: int, dwells: list[float]) -> list[float]:
+        if all(dwells[p] <= 0.0 for p in eligible[tid]):
+            return [never[tid]] * len(multi[tid])
+        return _visit_costs(cache, tid, *_on_off(cycle, multi[tid], dwells))
+
+    def full(x: list[float]) -> list[float]:
+        dwells = [0.0] * len(cycle.instances)
+        for k, p in enumerate(slots):
+            dwells[p] = x[k]
+        return dwells
+
     start = _init_dwells(cycle, budget, eligible, initial_dwells)
-    if any(len(eligible[tid]) > 1 for tid in ids):
-        return _multi_slot_level_set(cycle, period, cache, cfg, eligible, never, cost, start, tol)
-    slot = {tid: eligible[tid][0] for tid in ids}
-    # an unstable target is never inactive
-    x = _to_budget({tid: start[slot[tid]] or (budget / len(ids) if math.isinf(never[tid]) else 0.0)
-                    for tid in ids}, budget)
+    x = [start[p] for p in slots]
+    for tid, ks in groups.items():   # an unstable target is never inactive
+        if math.isinf(never[tid]) and sum(x[k] for k in ks) <= 0.0:
+            for k in ks:
+                x[k] = budget / len(ids) / len(ks)
+    x = _to_budget(x, budget)
 
     trace: list[float] = []
-    slope: dict[int, float] = {}
-    prev: tuple[dict[int, float], dict[int, float]] | None = None
+    slope: dict[int, float] = {}   # single-slot rows
+    dense = {tid: np.empty((len(groups[tid]), len(slots))) for tid in multi}
+    prev: tuple[list[float], list[float]] | None = None
+    best: tuple[float, list[float]] = (math.inf, x)
     steps = 0
     bracketed = False
     while True:
-        costs = {tid: cost(tid, x[tid]) for tid in ids}
+        dwells = full(x) if multi else None   # instance-aligned, for the multi-slot targets
+        costs = {tid: cost(tid, x[k]) for tid, k in one.items()}
+        visit_costs: dict[int, list[float]] = {}   # multi-slot targets
+        for tid in multi:
+            visit_costs[tid] = multi_costs(tid, dwells)
+            costs[tid] = max(visit_costs[tid])
         trace.append(min(max(costs.values()), trace[-1] if trace else math.inf))
-        active = [tid for tid in ids if x[tid] > 0.0]
-        g_con = _geometric_mean([costs[tid] for tid in active])
-        spread = max(abs(costs[tid] - g_con) for tid in active) / g_con
-        inactive_ok = all(never[tid] <= g_con * (1.0 + tol) for tid in ids if x[tid] <= 0.0)
-        if bracketed or (spread <= 0.1 * tol and inactive_ok):
+        on = set(compress(owner, x))   # targets with a positive dwell
+        active = sorted(on)
+        peaks = [costs[tid] for tid in active]
+        g_con = _geometric_mean(peaks)
+        for tid in on.intersection(multi):
+            peaks += [visit_costs[tid][i] for i in visit[tid]]
+        spread = max(abs(c - g_con) for c in peaks) / g_con
+        inactive_ok = all(never[tid] <= g_con * (1.0 + tol) for tid in ids if tid not in on)
+        if spread <= 0.1 * tol and inactive_ok:
+            break
+        if bracketed:
             if spread <= tol and inactive_ok:
                 break
             raise ConvergenceError("level-set balancing did not converge", spread)
-        logs = {tid: math.log(c) for tid, c in costs.items()}
+        if spread < best[0]:
+            best = (spread, x)
+        # log of the peak at the start of each eligible visit
+        logs = [math.log(costs[tid]) for tid in owner]
+        for tid, vcosts in visit_costs.items():
+            for k, i in zip(groups[tid], visit[tid]):
+                logs[k] = math.log(vcosts[i])
         new_x = None
-        if steps < LEVEL_NEWTON_STEPS and all(math.isfinite(logs[tid]) for tid in active):
-            if prev is None:
-                for tid in ids:
-                    h = -FD_STEP * x[tid] if x[tid] > 0.0 else FD_STEP * budget
-                    slope[tid] = (math.log(cost(tid, x[tid] + h)) - logs[tid]) / h
-            else:
-                for tid in ids:
-                    step = x[tid] - prev[0][tid]
-                    if abs(step) > 1e-9 * max(x[tid], prev[0][tid]):
-                        secant = (logs[tid] - prev[1][tid]) / step
+        # a multi-slot target's eligible peaks are at most its cost
+        if steps < LEVEL_NEWTON_STEPS and all(math.isfinite(costs[tid]) for tid in active):
+            # one finite difference per slot: a single-slot row on the first
+            # step only, every multi-slot row on every step
+            if prev is None or multi:
+                for k, p in enumerate(slots):
+                    h = -FD_STEP * x[k] if x[k] > 0.0 else FD_STEP * budget
+                    if prev is None and owner[k] in one:
+                        slope[k] = (math.log(cost(owner[k], x[k] + h)) - logs[k]) / h
+                    if multi:
+                        bumped = [*dwells]
+                        bumped[p] += h
+                        for tid in multi:
+                            vcosts = multi_costs(tid, bumped)
+                            dense[tid][:, k] = [(math.log(vcosts[i]) - logs[r]) / h
+                                                for r, i in zip(groups[tid], visit[tid])]
+            # single-slot rows: secants after the first step
+            if prev is not None:
+                for k in slope:
+                    step = x[k] - prev[0][k]
+                    if abs(step) > 1e-9 * max(x[k], prev[0][k]):
+                        secant = (logs[k] - prev[1][k]) / step
                         if secant < 0.0 and math.isfinite(secant):
-                            slope[tid] = secant
-            new_x = _newton_level_step(x, logs, slope, never, budget)
+                            slope[k] = secant
+            new_x = _level_step(x, logs, slope, dense, groups, floor, budget)
         if new_x is None:
+            if multi:
+                return balance_multi_visit(cycle, period, cache, cfg,
+                                           initial_dwells=full(best[1]), tol=tol)
             new_x = _level_set_bracketed(cost, ids, never, budget, tol)
             bracketed = True
         prev = (x, logs)
         x = new_x
         steps += 1
 
-    dwells = [0.0] * len(cycle.instances)
-    for tid in ids:
-        dwells[slot[tid]] = x[tid]
     return DwellState(
         cycle=cycle,
-        dwells=dwells,
+        dwells=full(x),
         period=period,
-        costs=costs,
-        visit_costs={tid: [costs[tid]] for tid in ids},
+        costs={tid: costs[tid] for tid in ids},   # in target order
+        visit_costs={tid: visit_costs.get(tid) or [costs[tid]] for tid in ids},
         g_con=g_con,
         active=set(active),
         trace=trace,
@@ -831,12 +760,14 @@ def golden_period_search(
 ) -> tuple[float, DwellState, list[tuple[float, float]]]:
     """Golden-section search of the period against the balanced peak cost.
 
-    Every probe is balanced by ``balance_level_set``, which hands a
-    multi-slot cycle to the consensus law only if its Newton steps do not
-    converge.  Probes reuse the previous probe's dwell vector (rescaled) as
-    a warm start; the balanced cost is invariant to the start point.  The bracket is ``[(1 + BRACKET_LOW), BRACKET_HIGH]`` times
-    the travel time ([1, 3] for a cycle without travel).  Returns the bracket
-    midpoint, its balanced state, and the (period, cost) probe log.
+    Every probe is balanced by ``balance_level_set``.  Should its Newton
+    steps not converge, it brackets the level when no target has two dwell
+    slots and hands the cycle to the consensus law otherwise.  Probes reuse
+    the previous probe's dwell vector (rescaled) as a warm start; the
+    balanced cost is invariant to the start point.  The bracket is
+    ``[(1 + BRACKET_LOW), BRACKET_HIGH]`` times the travel time ([1, 3] for
+    a cycle without travel).  Returns the bracket midpoint, its balanced
+    state, and the (period, cost) probe log.
     """
     cache = cache or SteadyStateCache(cycle.network)
     travel = cycle.travel_time

@@ -11,6 +11,9 @@ The block-exponential propagators ``propagate_unobserved`` and
 scalars included, which the planner itself never does.
 The forward simulation and its CSV export are kept in their plain per-sample
 form, as the reference for the columnar versions in ``patrolplan.simulate``.
+``bordered_level_step`` solves the level-set balancer's whole bordered Newton
+system at once, the reference for ``dwell._level_step``, which eliminates the
+single-slot rows in closed form.
 """
 
 from __future__ import annotations
@@ -468,3 +471,74 @@ TABLE1 = {
     "Q": [1.1924, 1.2597, 0.8808, 1.7925, 0.4363],
     "R": [2.3140, 7.1456, 4.2031, 5.2866, 7.5314],
 }
+
+
+def bordered_level_step(x: np.ndarray, logs: np.ndarray, jac: np.ndarray,
+                        groups: dict[int, list[int]], never: dict[int, float],
+                        budget: float) -> np.ndarray | None:
+    """One bordered Newton step of ``log u_k(x) = L`` for every slot ``k`` of
+    an active target, ``Σ x = budget``, over slot dwells ``x`` with log
+    peaks ``logs`` and Jacobian ``jac`` (a single-slot row holds only its
+    diagonal), solving the whole ``(m + 1)²`` system with ``m`` the modelled
+    slots; ``groups`` maps each target to its slots.  None when no row is
+    usable, the system is singular or the linear model leaves no dwell
+    positive.
+
+    A target takes part in the linear model while its rows are finite (a
+    single-slot row also needs a falling slope) and its modelled total dwell
+    stays above zero; a multi-slot target leaves only once no single-slot
+    target does.  The others are modelled at zero dwell.  A step moves a
+    dwell to between a quarter and four times its value (from zero, to at
+    most the budget), a target cheaper never observed than ``e^L`` takes
+    none, and the dwells are rescaled to the budget.
+    """
+    def usable(tid):
+        ks = groups[tid]
+        if len(ks) == 1:
+            return jac[ks[0], ks[0]] < 0.0 and math.isfinite(jac[ks[0], ks[0]])
+        return bool(np.isfinite(jac[ks]).all())
+
+    model = [tid for tid in groups if usable(tid)]
+    if not model:
+        return None
+    while True:
+        rows = [k for tid in model for k in groups[tid]]
+        rest = np.ones(len(x), dtype=bool)
+        rest[rows] = False
+        system = np.zeros((len(rows) + 1, len(rows) + 1))
+        system[:-1, :-1] = jac[np.ix_(rows, rows)]
+        system[:-1, -1] = -1.0
+        system[-1, :-1] = 1.0
+        rhs = np.append(jac[np.ix_(rows, rest)] @ x[rest] - logs[rows], budget - x[rows].sum())
+        try:
+            solution = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(solution).all():
+            return None
+        level = solution[-1]
+        step = dict(zip(rows, solution[:-1]))
+        dropped = {tid for tid in model if sum(x[k] + step[k] for k in groups[tid]) <= 0.0}
+        dropped = {tid for tid in dropped if len(groups[tid]) == 1} or dropped
+        kept = [tid for tid in model if tid not in dropped]
+        if len(kept) == len(model) or not kept:
+            break
+        model = kept
+    proposed = np.zeros(len(x))
+    for tid, ks in groups.items():
+        if math.log(never[tid]) <= level:
+            continue
+        for k in ks:
+            d = x[k]
+            if k in step:
+                target = max(0.0, d + step[k])
+            elif not usable(tid):
+                proposed[k] = d
+                continue
+            elif len(ks) == 1:
+                target = max(0.0, d + (level - logs[k]) / jac[k, k])
+            else:
+                target = 0.0
+            proposed[k] = min(4.0 * d, max(0.25 * d, target)) if d > 0.0 else min(target, budget)
+    total = proposed.sum()
+    return proposed * (budget / total) if total > 0.0 else None

@@ -288,12 +288,19 @@ class TestSparseFleet:
 
 class TestConfigFlags:
     def test_every_config_field_is_set_by_its_flag(self):
-        # a PlannerConfig field that no flag sets is a knob without a caller
-        args = build_parser().parse_args([
-            "plan-fleet", "--instance", "x.json", "--kp", "0.03", "--tol", "1e-5",
-            "--sigma", "0.7", "--seed", "5", "--periods", "7",
-        ])
-        cfg = _config_from_args(args)
+        # a PlannerConfig field that no flag sets is a knob without a caller;
+        # each flag goes to a subcommand that reads it
+        fields = dataclasses.fields(PlannerConfig)
+        chosen = {}
+        for argv in (
+            ["plan-fleet", "--instance", "x.json", "--kp", "0.03", "--tol", "1e-5",
+             "--sigma", "0.7", "--seed", "5"],
+            ["simulate", "--instance", "x.json", "--plan", "p.json", "--periods", "7"],
+        ):
+            cfg = _config_from_args(build_parser().parse_args(argv))
+            chosen.update({f.name: getattr(cfg, f.name) for f in fields
+                           if getattr(cfg, f.name) != f.default})
+        cfg = PlannerConfig(**chosen)
         assert dataclasses.asdict(cfg) == {
             "k_p": 0.03, "balance_tol": 1e-5, "sigma": 0.7, "seed": 5, "num_periods": 7,
         }
@@ -308,6 +315,18 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert result.returncode == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--targets", "3", "--kp", "0.5"),
+        ("plan-single", "--instance", str(INSTANCES / "table1.json"), "--sigma", "9"),
+        ("simulate", "--instance", str(INSTANCES / "table1.json"), "--plan", "plan.json",
+         "--kp", "0.5"),
+    ], ids=["gen-kp", "plan-single-sigma", "simulate-kp"])
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(*argv, "--out", str(tmp_path / "out"))
+        assert exit_.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_usage_error_exit_code(self):
         result = subprocess.run(

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from patrolplan.config import ParamRanges, PlannerConfig
@@ -397,6 +398,25 @@ class TestBalanceLevelSet:
         assert state.active == {1}
         assert state.dwells[1] == 0.0
         assert state.costs[2] == cache.never_observed_cost(2) < state.g_con
+
+    @pytest.mark.parametrize("name", ["table1", "line3", "random-n20"])
+    def test_single_slot_cycles_stay_off_numpy_solve(self, monkeypatch, name):
+        # with no multi-slot target every Newton step is closed form; routing
+        # these cycles through a linear solve makes single-agent planning
+        # about twice as slow
+        if name.startswith("random"):
+            net, _ = generate_random_instance(20, 1)
+        else:
+            net, _ = load_instance(json.loads((INSTANCES / f"{name}.json").read_text()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a single-slot cycle left the closed-form step")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(dwell, "_level_set_bracketed", refuse)
+        plan = plan_single_agent(net, SteadyStateCache(net))
+        assert all(len(positions) == 1 for positions in dwell._eligible_map(plan.cycle).values())
+        assert plan.active
 
     def test_bracketed_root_agrees(self, monkeypatch):
         # with no Newton steps allowed, the bracketed root on the level

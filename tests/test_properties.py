@@ -13,7 +13,9 @@ multi-visit entry points agree exactly.  On those repeated-visit cycles and
 on single-visit tours of three to six targets the level-set balancer must
 land on the consensus law's fixed point, and on a single-visit tour neither
 the cost floor nor the balanced costs may depend on where the tour starts
-or on the targets' ids.
+or on the targets' ids.  On random slot layouts the level set's Newton step,
+which eliminates the single-slot rows in closed form, must give the dwells
+of the whole bordered solve in ``oracles.bordered_level_step``.
 
 The last draws a connected travel graph with tied and zero-length routes and
 checks the network's fastest times (bit for bit) and paths against the plain
@@ -21,12 +23,13 @@ Floyd-Warshall loop.
 """
 
 import dataclasses
+import math
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from patrolplan import dwell
 from patrolplan.config import PlannerConfig
@@ -40,7 +43,13 @@ from patrolplan.dwell import (
 )
 from patrolplan.model import TargetNetwork, TargetSpec, load_instance_file
 
-from oracles import apply_period, iterated_periodic_start, period_steps, python_floyd_warshall
+from oracles import (
+    apply_period,
+    bordered_level_step,
+    iterated_periodic_start,
+    period_steps,
+    python_floyd_warshall,
+)
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 
@@ -246,6 +255,69 @@ def test_level_set_lands_on_consensus_duo2x2():
     network, _ = load_instance_file(str(INSTANCES / "duo2x2.json"))
     cycle = tsp_heuristic(network, network.ids)
     assert_level_set_is_consensus(cycle, 2.5 * cycle.travel_time)
+
+
+UNUSABLE_SLOPES = (0.5, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def level_steps(draw):
+    """One state of the level-set loop: two to six targets with one to three
+    dwell slots each (a target's slots consecutive, as the balancer lays them
+    out), slot dwells some of them zero, finite log peaks, single-slot slopes
+    and dense multi-slot Jacobian rows, and never-observed costs some of them
+    infinite.  Now and then a slope does not fall or a dense row is infinite,
+    so the target stays out of the linear model, and a target whose peaks lie
+    far below the others drops out of it."""
+    counts = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=2, max_size=6))
+    groups, n = {}, 0
+    for tid, count in enumerate(counts, start=1):
+        groups[tid] = list(range(n, n + count))
+        n += count
+    x = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                               min_size=n, max_size=n)))
+    assume(x.sum() > 0.0)
+    logs = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))
+    jac = np.zeros((n, n))
+    for tid, ks in groups.items():
+        if len(ks) == 1:
+            jac[ks[0], ks[0]] = draw(st.floats(-5.0, -0.05))
+            continue
+        for r in ks:   # gaps rise with foreign dwells; own slots mostly lower
+            jac[r] = draw(st.lists(st.floats(0.0, 0.3), min_size=n, max_size=n))
+            jac[r, ks] = draw(st.lists(st.floats(-0.2, 0.2), min_size=len(ks),
+                                       max_size=len(ks)))
+            jac[r, r] = draw(st.floats(-5.0, -1.0))
+    for tid, ks in groups.items():
+        if draw(st.integers(0, 7)) == 0:
+            if len(ks) == 1:
+                jac[ks[0], ks[0]] = draw(st.sampled_from(UNUSABLE_SLOPES))
+            else:
+                jac[ks[0], draw(st.integers(0, n - 1))] = math.inf
+    weak = draw(st.sampled_from([None, *groups]))
+    if weak is not None:
+        logs[groups[weak]] -= 20.0
+    never = {tid: draw(st.one_of(st.just(math.inf), st.floats(-1.0, 4.0).map(math.exp)))
+             for tid in groups}
+    return x, logs, jac, groups, never, float(x.sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_steps())
+def test_level_step_matches_full_bordered_solve(case):
+    # the closed-form elimination of the single-slot rows gives the step of
+    # the whole bordered system
+    x, logs, jac, groups, never, budget = case
+    expected = bordered_level_step(x, logs, jac, groups, never, budget)
+    slope = {ks[0]: float(jac[ks[0], ks[0]]) for ks in groups.values() if len(ks) == 1}
+    dense = {tid: jac[ks] for tid, ks in groups.items() if len(ks) > 1}
+    floor = [math.log(never[tid]) for tid, ks in groups.items() for _ in ks]
+    step = dwell._level_step(x.tolist(), logs.tolist(), slope, dense, groups, floor, budget)
+    if expected is None:
+        assert step is None
+    else:
+        assert step is not None
+        assert np.abs(np.array(step) - expected).max() <= 1e-9 * budget
 
 
 @st.composite
