@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -48,6 +48,7 @@ __all__ = [
     "solve_steady_states",
     "periodic_steady_state",
     "lower_bound",
+    "scalar_lower_bound",
     "observed_flow",
     "unobserved_flow",
 ]
@@ -540,11 +541,23 @@ def lower_bound(target: TargetSpec, gap: float, omega_ss: np.ndarray) -> float:
     if gap < 0:
         raise ValueError("gap must be nonnegative")
     if target.is_scalar:
-        a = float(target.A[0, 0])
-        q = float(target.Q[0, 0])
-        al, be = _scalar_unobs_coeffs(a, q, gap)
-        return target.g(al * float(omega_ss[0, 0]) + be)
+        return scalar_lower_bound(target, omega_ss)(gap)
     if gap == 0.0:
         return target.g(cov_norm(omega_ss))
     grown = _MatrixUnobservedFlow(target.A, target.Q, gap).apply(omega_ss)
     return target.g(cov_norm(grown))
+
+
+def scalar_lower_bound(target: TargetSpec, omega_ss: np.ndarray) -> Callable[[float], float]:
+    """``lower_bound`` of a scalar target as a function of the gap alone, with
+    the target's constants read once; the same operations, so the same bits."""
+    a = float(target.A[0, 0])
+    q = float(target.Q[0, 0])
+    w = float(omega_ss[0, 0])
+    g = target.g
+
+    def floor(gap: float) -> float:
+        al, be = _scalar_unobs_coeffs(a, q, gap)
+        return g(al * w + be)
+
+    return floor

@@ -6,23 +6,28 @@ graph edge, and multi-hop connections materialize their intermediate targets
 as pass-through (non-dwell) instances.  The cheap metric used to rank cycles
 is the worst per-target cost floor obtained from each target's maximum revisit
 travel time, which never exceeds the realized cost of any dwell schedule on
-the same cycle.
+the same cycle.  Greedy candidates are splices of the current cycle, scored
+from its revisit gaps; only the few scored near the best are built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .covariance import cov_norm, lower_bound, steady_states_for, SteadyStates
+from .covariance import cov_norm, lower_bound, scalar_lower_bound, steady_states_for, SteadyStates
 from .model import TargetNetwork, TargetSpec
 
 GREEDY_GAIN_REL = 1e-9   # an accepted modification gains at least this share of the metric
+SHORTLIST_REL = 1e-9     # relative score band; candidates within two bands of the best are built (see _contenders)
 
 __all__ = [
     "Instance",
     "Cycle",
+    "Splice",
     "CycleMetric",
     "SteadyStateCache",
     "tsp_heuristic",
@@ -156,6 +161,7 @@ class SteadyStateCache:
         self.network = network
         self._steady: dict[int, SteadyStates] = {}
         self._lb: dict[tuple[int, float], float] = {}
+        self._floors: dict[int, Callable[[float], float]] = {}
 
     def target(self, tid: int) -> TargetSpec:
         return self.network.target(tid)
@@ -172,6 +178,20 @@ class SteadyStateCache:
             val = lower_bound(self.target(tid), gap, self.steady(tid).omega_ss)
             self._lb[key] = val
         return val
+
+    def floor(self, tid: int) -> Callable[[float], float]:
+        """``gap -> lower_bound(tid, gap)``.  A scalar target's function runs
+        the bound's own operations without the memo; a matrix target's goes
+        through the memo, because each of its bounds is a matrix exponential."""
+        fn = self._floors.get(tid)
+        if fn is None:
+            spec = self.target(tid)
+            if spec.is_scalar:
+                fn = scalar_lower_bound(spec, self.steady(tid).omega_ss)
+            else:
+                fn = functools.partial(self.lower_bound, tid)
+            self._floors[tid] = fn
+        return fn
 
     def never_observed_cost(self, tid: int) -> float:
         """Steady cost when the target is never observed; +inf if unstable."""
@@ -310,11 +330,29 @@ def _critical_span(cycle: Cycle, metric: CycleMetric) -> tuple[int, list[int]]:
     return prev, span
 
 
-def _splice(cycle: Cycle, at: int, new_seq: list[tuple[int, bool]], new_legs: list[float]) -> Cycle:
-    """Replace the leg after position ``at`` with a path of instances."""
+class Splice(NamedTuple):
+    """A candidate cycle as an edit of its base cycle: the ``cut`` legs after
+    position ``at`` give way to the instances ``seq``, joined by ``legs``
+    (one leg more than instances).  ``_splice`` builds it."""
+
+    at: int
+    seq: list[tuple[int, bool]]
+    legs: list[float]
+    cut: int = 1
+
+
+def _splice(cycle: Cycle, at: int, new_seq: list[tuple[int, bool]], new_legs: list[float],
+            cut: int = 1) -> Cycle:
+    """Replace the ``cut`` legs after position ``at`` with a path of
+    instances; a cut past the end drops the wrapped-over instances from the
+    front, so the cycle then starts at the first kept one."""
     seq = cycle.sequence()
-    return Cycle(cycle.network, seq[: at + 1] + new_seq + seq[at + 1 :],
-                 cycle.legs[:at] + new_legs + cycle.legs[at + 1 :])
+    end = at + cut
+    if end <= len(seq):
+        return Cycle(cycle.network, seq[: at + 1] + new_seq + seq[end:],
+                     cycle.legs[:at] + new_legs + cycle.legs[end:])
+    end -= len(seq)
+    return Cycle(cycle.network, seq[end : at + 1] + new_seq, cycle.legs[end:at] + new_legs)
 
 
 def _path_between(network: TargetNetwork, u: int, v: int) -> tuple[list[tuple[int, bool]], list[float]]:
@@ -332,15 +370,15 @@ def _visit_between(network: TargetNetwork, u: int, t: int, v: int) -> tuple[list
     return seq_a + [(t, True)] + seq_b, legs_a + legs_b
 
 
-def _detour(cycle: Cycle, pos: int, t: int, eligible: bool) -> Cycle:
+def _detour(cycle: Cycle, pos: int, t: int, eligible: bool) -> Splice:
     """Out-and-back visit to ``t`` after position ``pos``; the repeated
     instance, dwell-eligible as given, takes over the original outgoing leg."""
     j = cycle.instances[pos].target
     seq, legs = _visit_between(cycle.network, j, t, j)
-    return _splice(cycle, pos, seq + [(j, eligible)], legs + [cycle.legs[pos]])
+    return Splice(pos, seq + [(j, eligible)], legs + [cycle.legs[pos]])
 
 
-def enumerate_cmos(cycle: Cycle, metric: CycleMetric) -> list[tuple[str, Cycle]]:
+def enumerate_cmos(cycle: Cycle, metric: CycleMetric) -> list[tuple[str, Splice]]:
     """Candidate modifications of the critical sub-cycle.
 
     Three kinds, all reducing the critical revisit gap:
@@ -348,7 +386,7 @@ def enumerate_cmos(cycle: Cycle, metric: CycleMetric) -> list[tuple[str, Cycle]]
     II  split an interior edge with an extra visit to the critical target;
     III detour to the critical target right after an interior instance.
 
-    Returns (kind, candidate) pairs in deterministic order.
+    Returns (kind, splice) pairs in deterministic order.
     """
     network = cycle.network
     tid = metric.critical_target
@@ -359,19 +397,188 @@ def enumerate_cmos(cycle: Cycle, metric: CycleMetric) -> list[tuple[str, Cycle]]
     n = len(cycle.instances)
     ends = [(pos, cycle.instances[pos].target, cycle.instances[(pos + 1) % n].target)
             for pos in edge_positions]
-    candidates: list[tuple[str, Cycle]] = []
+    candidates: list[tuple[str, Splice]] = []
     for pos, u, v in ends:
         if cycle.legs[pos] > network.travel[u][v] + 1e-12:
-            candidates.append(("I", _splice(cycle, pos, *_path_between(network, u, v))))
+            candidates.append(("I", Splice(pos, *_path_between(network, u, v))))
     for pos, u, v in ends:
         if tid not in (u, v):
-            candidates.append(("II", _splice(cycle, pos, *_visit_between(network, u, tid, v))))
+            candidates.append(("II", Splice(pos, *_visit_between(network, u, tid, v))))
     eligible_targets = cycle.dwell_targets
     for pos in span[:-1]:
         j = cycle.instances[pos].target
         if j != tid:
             candidates.append(("III", _detour(cycle, pos, tid, j in eligible_targets)))
     return candidates
+
+
+# ---------------------------------------------------------------------------
+# candidate scoring
+# ---------------------------------------------------------------------------
+
+class _TargetGaps(NamedTuple):
+    """One target's revisit gaps in a base cycle."""
+
+    positions: list[int]
+    gaps: list[float]                 # gaps[k] ends at positions[k]
+    k_top: int                        # index of the first worst gap
+    top: float                        # worst gap
+    second: float                     # worst of the other gaps, -inf if none
+    base: float                       # floor at the worst gap
+    floor: Callable[[float], float]
+
+
+class _GapTable:
+    """A base cycle's revisit gaps, laid out to cost a one-leg splice of it
+    without building the spliced cycle.
+
+    A splice at leg ``at`` changes, for a target it adds no instance of, only
+    the gap that spans that leg, and by the length change ``delta`` of the
+    leg; the target's worst gap is then the larger of that gap and the worst
+    of its others.  A target the splice does visit has the spanning gap cut
+    at its new instances, whose distances from the base instance at ``at``
+    are partial sums of the new legs.  ``score`` gives the spliced cycle's
+    metric that way, with the floors of unchanged worst gaps taken from the
+    base metric; it matches ``cycle_lower_bound`` of the built cycle up to
+    rounding in the gap sums (the tests hold it to 1e-12 relative).
+    """
+
+    def __init__(self, cycle: Cycle, metric: CycleMetric, cache: SteadyStateCache):
+        self.legs = cycle.legs if len(cycle) > 1 else [0.0]
+        cum = [0.0]
+        for leg in self.legs:
+            cum.append(cum[-1] + leg)
+        self.cum = cum
+        self.members = set(cycle.network.ids)
+        self.cache = cache
+        gaps = cycle.visit_gaps()
+        self.targets: dict[int, _TargetGaps] = {}  # every target present, worst floor first
+        for tid in sorted(metric.per_target, key=metric.per_target.__getitem__, reverse=True):
+            ws = gaps[tid]
+            top = metric.max_gap[tid]
+            k_top = ws.index(top)
+            self.targets[tid] = _TargetGaps(
+                cycle.positions_of(tid), ws, k_top, top,
+                max(ws[:k_top] + ws[k_top + 1:], default=-math.inf),
+                metric.per_target[tid], cache.floor(tid))
+        self._rows: dict[int, list[tuple]] = {}
+
+    def _ends(self, tid: int, at: int) -> tuple[float, float, float]:
+        """For the gap of ``tid`` that spans leg ``at``: the travel from its
+        start to instance ``at``, from instance ``at + 1`` to its end, and the
+        worst of the target's other gaps."""
+        positions, _, k_top, top, second, _, _ = self.targets[tid]
+        cum, total = self.cum, self.cum[-1]
+        k = bisect_right(positions, at) % len(positions)  # the spanning gap
+        prev, nxt = positions[k - 1], positions[k]
+        head = cum[at] - cum[prev] if prev <= at else total - cum[prev] + cum[at]
+        tail = cum[nxt] - cum[at + 1] if nxt > at else total - cum[at + 1] + cum[nxt]
+        return head, tail, second if k == k_top else top
+
+    def _row(self, at: int) -> list[tuple]:
+        """(target, spanning gap, worst other gap, worst gap, base floor,
+        floor) for every target present, worst base floor first."""
+        row = self._rows.get(at)
+        if row is None:
+            row = []
+            for tid, (positions, ws, k_top, top, second, base, fn) in self.targets.items():
+                k = bisect_right(positions, at) % len(positions)
+                row.append((tid, ws[k], second if k == k_top else top, top, base, fn))
+            self._rows[at] = row
+        return row
+
+    def score(self, splice: Splice, bound: float) -> float:
+        """The metric of the one-leg splice, or, as soon as one target's floor
+        exceeds ``bound``, that floor (a lower bound on the metric)."""
+        at, seq, legs = splice.at, splice.seq, splice.legs
+        members = self.members
+        hits: dict[int, list[float]] = {}
+        d = 0.0
+        for (h, _), leg in zip(seq, legs):
+            d += leg
+            if h in members:
+                hits.setdefault(h, []).append(d)
+        reach = d + legs[-1]
+        old = self.legs[at]
+        worst = -math.inf
+        for h, ds in hits.items():
+            gap = max((b - a for a, b in zip(ds, ds[1:])), default=0.0)
+            if h in self.targets:
+                head, tail, other = self._ends(h, at)
+                gap = max(gap, head + ds[0], reach - ds[-1] + tail, other)
+                _, _, _, top, _, base, fn = self.targets[h]
+                val = base if gap == top else fn(gap)
+            else:
+                gap = max(gap, self.cum[-1] - old + reach - ds[-1] + ds[0])
+                val = self.cache.floor(h)(gap)
+            if val > worst:
+                worst = val
+                if worst > bound:
+                    return worst
+        delta = reach - old
+        for tid, span, other, top, base, fn in self._row(at):
+            if tid in hits:
+                continue
+            gap = span + delta
+            if gap < other:
+                gap = other
+            val = base if gap == top else fn(gap)
+            if val > worst:
+                worst = val
+                if worst > bound:
+                    return worst
+        return worst
+
+
+def _band(base: float, value: float) -> float:
+    """Width of the score band that separates built from unbuilt candidates."""
+    return SHORTLIST_REL * (abs(base) + abs(value)) + 1e-15
+
+
+def _contenders(
+    cycle: Cycle,
+    metric: CycleMetric,
+    splices: list[Splice],
+    cache: SteadyStateCache,
+) -> list[tuple[int, Cycle, CycleMetric]]:
+    """Build and cost every splice of ``cycle`` that can decide a best-gain
+    choice; returns (index, candidate, its metric) in enumeration order.
+
+    One-leg splices are scored from the base cycle's ``_GapTable``; a scored
+    candidate is abandoned once its partial metric passes the best so far by
+    two bands (``SHORTLIST_REL`` relative).  Only those scored within two
+    bands of the best are built, and every other splice (a multi-leg cut) is
+    built as it comes.  The unbuilt candidates then all gain less than the
+    best-scored one by more than the scorer's error, the rounding of a gain
+    and the ``1e-15`` tie margin together, so in enumeration order a
+    best-gain rule (ties to the earlier) and a best value pick what they
+    would pick from every candidate.  When the base metric is not finite,
+    every splice is built.
+    """
+    built: dict[int, tuple[Cycle, CycleMetric]] = {}
+    keep = range(len(splices))
+    if len(splices) > 1 and math.isfinite(metric.value):
+        table = _GapTable(cycle, metric, cache)
+        scores = []
+        best = math.inf
+        for i, s in enumerate(splices):
+            if s.cut == 1:
+                val = table.score(s, best + 2.0 * _band(metric.value, best))
+            else:
+                cand = _splice(cycle, *s)
+                built[i] = cand, cycle_lower_bound(cand, cache)
+                val = built[i][1].value
+            scores.append(val)
+            best = min(best, val)
+        wide = best + 2.0 * _band(metric.value, best)
+        keep = [i for i, val in enumerate(scores) if val <= wide]
+    out = []
+    for i in keep:
+        if i not in built:
+            cand = _splice(cycle, *splices[i])
+            built[i] = cand, cycle_lower_bound(cand, cache)
+        out.append((i, *built[i]))
+    return out
 
 
 def improve_cycle(
@@ -384,17 +591,15 @@ def improve_cycle(
     trace = []
     while True:
         eps = GREEDY_GAIN_REL * abs(metric.value) if math.isfinite(metric.value) else 0.0
+        splices = [s for kind, s in enumerate_cmos(cycle, metric) if kind in kinds]
         best = None
-        for kind, cand in enumerate_cmos(cycle, metric):
-            if kind not in kinds:
-                continue
-            cand_metric = cycle_lower_bound(cand, cache)
+        for _, cand, cand_metric in _contenders(cycle, metric, splices, cache):
             gain = _gain(metric.value, cand_metric.value)
             if gain >= max(eps, 0.0) and gain > 0 and (best is None or gain > best[0] + 1e-15):
-                best = (gain, kind, cand, cand_metric)
+                best = (gain, cand, cand_metric)
         if best is None:
             return cycle, metric, trace
-        _, _, cycle, metric = best
+        _, cycle, metric = best
         trace.append(metric.value)
 
 

@@ -21,10 +21,11 @@ from .config import DEFAULT_CONFIG, PlannerConfig
 from .cycles import (
     Cycle,
     CycleMetric,
+    Splice,
     SteadyStateCache,
+    _contenders,
     _critical_span,
     _detour,
-    _splice,
     _visit_between,
     cycle_lower_bound,
     cycle_to_document,
@@ -107,8 +108,9 @@ class Partition:
 # cycle expansion operations
 # ---------------------------------------------------------------------------
 
-def enumerate_ceos(cycle: Cycle, external: int, max_bypass: int = 2) -> list[Cycle]:
-    """All expansions of ``cycle`` that add a visit to ``external``.
+def enumerate_ceos(cycle: Cycle, external: int, max_bypass: int = 2) -> list[Splice]:
+    """All expansions of ``cycle`` that add a visit to ``external``, as
+    splices of it.
 
     Three kinds: insert on an edge, out-and-back after an instance, and
     replace a short run of instances (each appearing elsewhere too) with the
@@ -122,10 +124,9 @@ def enumerate_ceos(cycle: Cycle, external: int, max_bypass: int = 2) -> list[Cyc
     seq = cycle.sequence()
     n = len(seq)
     if n == 1:
-        return [Cycle.from_targets(network, [seq[0][0], external])]
-    legs = cycle.legs
+        return [Splice(0, *_visit_between(network, seq[0][0], external, seq[0][0]))]
     out = [
-        _splice(cycle, pos, *_visit_between(network, seq[pos][0], external, seq[(pos + 1) % n][0]))
+        Splice(pos, *_visit_between(network, seq[pos][0], external, seq[(pos + 1) % n][0]))
         for pos in range(n)
     ]
     out += [_detour(cycle, pos, external, seq[pos][1]) for pos in range(n)]
@@ -147,14 +148,8 @@ def enumerate_ceos(cycle: Cycle, external: int, max_bypass: int = 2) -> list[Cyc
                 break
             if any(removed[t] >= counts.get(t, 0) for t in removed):
                 break
-            mids, times = _visit_between(network, seq[start][0], external, seq[end_pos][0])
-            if end_pos > start:
-                new_seq = seq[: start + 1] + mids + seq[end_pos:]
-                new_legs = legs[:start] + times + legs[end_pos:]
-            else:
-                new_seq = seq[end_pos : start + 1] + mids
-                new_legs = legs[end_pos:start] + times
-            out.append(Cycle(network, new_seq, new_legs))
+            out.append(Splice(start, *_visit_between(network, seq[start][0], external,
+                                                     seq[end_pos][0]), run + 1))
     return out
 
 
@@ -380,8 +375,7 @@ def _contracted_metric(network, cache, cycle, drop: int) -> float:
     if not keep:
         return math.inf
     members = set(keep)
-    cand = Cycle.from_targets(cluster_subnetwork(network, members),
-                              sorted(members, key=lambda t: keep.index(t)))
+    cand = Cycle.from_targets(cluster_subnetwork(network, members), list(dict.fromkeys(keep)))
     metric = cycle_lower_bound(cand, cache)
     cand, metric, _ = improve_cycle(cand, metric, cache, ("II", "III"))
     return metric.value
@@ -393,9 +387,8 @@ def _annex_gain(network, cache, cycle, members, join: int) -> float:
     base = Cycle.from_targets(prospective, base_seq)
     base_metric = cycle_lower_bound(base, cache)
     best = -math.inf
-    for cand in enumerate_ceos(base, join):
-        val = cycle_lower_bound(cand, cache).value
-        gain = base_metric.value - val
+    for _, _, cand_metric in _contenders(base, base_metric, enumerate_ceos(base, join), cache):
+        gain = base_metric.value - cand_metric.value
         if gain > best:
             best = gain
     return best
@@ -416,6 +409,9 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None) -> P
     cycles = list(partition.cycles)
     metrics = list(partition.metrics)
     log: list[dict] = []
+    # annex gains by (cluster's dwell sequence, its members, joining target):
+    # a cluster no commit touched is asked again next round
+    annex_gains: dict[tuple, float] = {}
 
     for _ in range(TES_MAX_COMMITS):
         fleet_val = max(m.value for m in metrics)
@@ -437,7 +433,10 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None) -> P
             for b in range(len(clusters)):
                 if b == a_star:
                     continue
-                annex = _annex_gain(network, cache, cycles[b], clusters[b], j)
+                key = (tuple(t for t, elig in cycles[b].sequence() if elig), frozenset(clusters[b]), j)
+                if key not in annex_gains:
+                    annex_gains[key] = _annex_gain(network, cache, cycles[b], clusters[b], j)
+                annex = annex_gains[key]
                 candidates.append((removal + annex, j, b))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         committed = False

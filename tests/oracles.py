@@ -14,6 +14,9 @@ form, as the reference for the columnar versions in ``patrolplan.simulate``.
 ``bordered_level_step`` solves the level-set balancer's whole bordered Newton
 system at once, the reference for ``dwell._level_step``, which eliminates the
 single-slot rows in closed form.
+``reference_improve_cycle`` and ``reference_annex_gain`` build and cost every
+greedy candidate, the reference for the package's versions, which score the
+candidates from the base cycle's gaps and build only the near-best few.
 """
 
 from __future__ import annotations
@@ -33,7 +36,16 @@ from patrolplan.covariance import (
     observed_flow,
     unobserved_flow,
 )
-from patrolplan.cycles import Cycle, SteadyStateCache
+from patrolplan.cycles import (
+    GREEDY_GAIN_REL,
+    Cycle,
+    SteadyStateCache,
+    _gain,
+    _splice,
+    cycle_lower_bound,
+    enumerate_cmos,
+)
+from patrolplan.fleet import cluster_subnetwork, enumerate_ceos
 from patrolplan.simulate import (
     GRID_POINTS_PER_PERIOD,
     SimTrace,
@@ -454,6 +466,41 @@ def direct_cycle(network, targets: list[int]) -> Cycle:
             raise ValueError(f"no direct edge between {u} and {v}")
         legs.append(direct[(u, v)])
     return Cycle(network, seq, legs)
+
+
+# --- greedy choices from every candidate built --------------------------------
+
+def reference_improve_cycle(cycle, metric, cache, kinds):
+    """``cycles.improve_cycle`` with every candidate built and costed."""
+    trace = []
+    while True:
+        eps = GREEDY_GAIN_REL * abs(metric.value) if math.isfinite(metric.value) else 0.0
+        best = None
+        for kind, splice in enumerate_cmos(cycle, metric):
+            if kind not in kinds:
+                continue
+            cand = _splice(cycle, *splice)
+            cand_metric = cycle_lower_bound(cand, cache)
+            gain = _gain(metric.value, cand_metric.value)
+            if gain >= max(eps, 0.0) and gain > 0 and (best is None or gain > best[0] + 1e-15):
+                best = (gain, kind, cand, cand_metric)
+        if best is None:
+            return cycle, metric, trace
+        _, _, cycle, metric = best
+        trace.append(metric.value)
+
+
+def reference_annex_gain(network, cache, cycle, members, join):
+    """``fleet._annex_gain`` with every candidate built and costed."""
+    prospective = cluster_subnetwork(network, set(members) | {join})
+    base = Cycle.from_targets(prospective, [t for t, elig in cycle.sequence() if elig])
+    base_metric = cycle_lower_bound(base, cache)
+    best = -math.inf
+    for splice in enumerate_ceos(base, join):
+        gain = base_metric.value - cycle_lower_bound(_splice(base, *splice), cache).value
+        if gain > best:
+            best = gain
+    return best
 
 
 def random_initial_dwells(cycle: Cycle, budget: float, seed: int) -> list[float]:

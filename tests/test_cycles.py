@@ -2,18 +2,26 @@ import itertools
 import math
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from patrolplan.covariance import cov_norm
 from patrolplan.cycles import (
     Cycle,
+    Splice,
     SteadyStateCache,
+    _GapTable,
+    _detour,
+    _path_between,
+    _visit_between,
     cycle_lower_bound,
     cycle_to_document,
     enumerate_cmos,
     greedy_construct,
     tsp_heuristic,
     _critical_span,
+    _splice,
 )
+from patrolplan.fleet import cluster_subnetwork
 from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance
 
 from oracles import direct_cycle, enumerate_cycles, propagate_unobserved
@@ -149,7 +157,7 @@ class TestEnumerateCmos:
         cache = SteadyStateCache(net)
         m = cycle_lower_bound(cyc, cache)
         cands = enumerate_cmos(cyc, m)
-        type_one = [c for k, c in cands if k == "I"]
+        type_one = [_splice(cyc, *s) for k, s in cands if k == "I"]
         assert type_one, "expected a shortcut candidate for the dominated edge"
         # the replacement routes through target 4, which gains a second instance
         assert any(len(c.positions_of(4)) == 2 for c in type_one)
@@ -161,7 +169,7 @@ class TestEnumerateCmos:
         cache = SteadyStateCache(net)
         cyc = tsp_heuristic(net, net.ids)
         m = cycle_lower_bound(cyc, cache)
-        type_two = [c for k, c in enumerate_cmos(cyc, m) if k == "II"]
+        type_two = [_splice(cyc, *s) for k, s in enumerate_cmos(cyc, m) if k == "II"]
         assert type_two
         for c in type_two:
             assert len(c.positions_of(m.critical_target)) == 2
@@ -179,7 +187,7 @@ class TestEnumerateCmos:
             net, _ = generate_random_instance(6, seed=100 + seed)
             cache = SteadyStateCache(net)
             cyc = tsp_heuristic(net, net.ids)
-            m = cycle_lower_bound(cyc, m if False else cache)
+            m = cycle_lower_bound(cyc, cache)
             _, span = _critical_span(cyc, m)
             cands = enumerate_cmos(cyc, m)
             assert len(cands) < 3 * len(span) + 1
@@ -189,7 +197,8 @@ class TestEnumerateCmos:
         cache = SteadyStateCache(net)
         cyc = tsp_heuristic(net, net.ids)
         m = cycle_lower_bound(cyc, cache)
-        for _, cand in enumerate_cmos(cyc, m):
+        for _, splice in enumerate_cmos(cyc, m):
+            cand = _splice(cyc, *splice)
             per_target = {}
             for inst in cand.instances:
                 per_target.setdefault(inst.target, []).append(inst.ordinal)
@@ -226,6 +235,79 @@ class TestEnumerateCmos:
                         assert max(gap1, gap2) < w_star
                 t_before += cyc.legs[pos]
         assert checked > 10
+
+
+@st.composite
+def spliced_cycles(draw):
+    """A cycle on a cluster view of a sparse graph, so fastest paths pass
+    through members and non-members, with repeated visits and some legs
+    slower than the fastest path, and one one-leg splice of it: a fastest
+    path, a visit to any target (one new to the cycle too) or a detour whose
+    repeated instance takes over the original leg."""
+    n = draw(st.integers(2, 8))
+    pairs = {(draw(st.integers(1, k - 1)), k) for k in range(2, n + 1)}
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(1, n)), draw(st.integers(1, n))
+        if i != j:
+            pairs.add((min(i, j), max(i, j)))
+    targets = [
+        TargetSpec(id=k, A=draw(st.floats(-0.5, 0.8)), Q=draw(st.floats(0.2, 2.0)), H=1.0,
+                   R=draw(st.floats(0.5, 6.0)), weight_alpha=draw(st.sampled_from([1e-3, 1.0, 50.0])))
+        for k in range(1, n + 1)
+    ]
+    if draw(st.booleans()):
+        targets[0] = TargetSpec(id=1, A=[[-0.3, 0.1], [0.0, 0.2]], Q=[[1.5, 0.2], [0.2, 1.8]],
+                                H=[[1.0, 0.0], [0.0, 1.0]], R=[[2.0, 0.0], [0.0, 3.0]])
+    net = TargetNetwork(targets=targets, edges=[(i, j, draw(st.floats(0.05, 1.0)))
+                                                for i, j in sorted(pairs)])
+    members = draw(st.sets(st.sampled_from(net.ids), min_size=1))
+    view = cluster_subnetwork(net, members)
+    cycle = Cycle.from_targets(view, draw(st.lists(st.sampled_from(sorted(members)),
+                                                   min_size=1, max_size=6)))
+    if len(cycle) > 1 and draw(st.booleans()):  # slow legs, which a fastest path shortens
+        stretch = st.sampled_from([1.0, 1.7])
+        cycle = Cycle(view, cycle.sequence(), [leg * draw(stretch) for leg in cycle.legs])
+    at = draw(st.integers(0, len(cycle) - 1))
+    u = cycle.instances[at].target
+    v = cycle.instances[(at + 1) % len(cycle)].target
+    t = draw(st.sampled_from(net.ids))
+    kind = draw(st.sampled_from(["path", "visit", "detour"] if len(cycle) > 1 else ["path", "visit"]))
+    if kind == "path":
+        splice = Splice(at, *_path_between(net, u, v))
+    elif kind == "visit":
+        splice = Splice(at, *_visit_between(net, u, t, v))
+    else:
+        splice = _detour(cycle, at, t, draw(st.booleans()))
+    return cycle, splice, net, kind
+
+
+class TestSpliceScore:
+    @settings(max_examples=400, deadline=None)
+    @given(spliced_cycles(), st.floats(0.0, 2.0))
+    def test_score_matches_built_candidate(self, case, bound_share):
+        cycle, splice, net, kind = case
+        members = set(cycle.network.ids)
+        present = cycle.target_ids
+        added = {h for h, _ in splice.seq}
+        event(f"wrap-around: {splice.at == len(cycle) - 1}")
+        event(f"member pass-through: {any(h in members and not e for h, e in splice.seq)}")
+        event(f"non-member pass-through: {bool(added - members)}")
+        event(f"repeated visits: {any(len(cycle.positions_of(t)) > 1 for t in members)}")
+        event(f"member new to the cycle: {bool((added & members) - present)}")
+        event(f"kind: {kind}")
+        cache = SteadyStateCache(net)
+        metric = cycle_lower_bound(cycle, cache)
+        table = _GapTable(cycle, metric, cache)
+        want = cycle_lower_bound(_splice(cycle, *splice), cache).value
+        got = table.score(splice, math.inf)
+        assert got == want or abs(got - want) <= 1e-12 * abs(want)
+        # with a bound, the score stops at the first floor above it
+        bound = bound_share * want
+        partial = table.score(splice, bound)
+        if got <= bound:
+            assert partial == got
+        else:
+            assert bound < partial <= got
 
 
 class TestGreedyConstruct:

@@ -1,14 +1,16 @@
+import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from patrolplan import dwell
-from patrolplan.config import PlannerConfig
-from patrolplan.covariance import cov_norm, periodic_steady_state
-from patrolplan.cycles import Cycle, SteadyStateCache, cycle_lower_bound, greedy_construct
+from patrolplan import cycles, dwell, fleet
+from patrolplan.config import ParamRanges, PlannerConfig
+from patrolplan.covariance import EngineError, cov_norm, periodic_steady_state
+from patrolplan.cycles import Cycle, SteadyStateCache, _splice, cycle_lower_bound, greedy_construct
 from patrolplan.fleet import (
     FleetError,
     DisparityMatrix,
@@ -24,19 +26,23 @@ from patrolplan.fleet import (
 from patrolplan.dwell import timeline_from_schedule
 from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance, load_instance_file
 
+from oracles import reference_annex_gain, reference_improve_cycle
+
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 
 
 class TestEnumerateCeos:
     def test_singleton_dedupes_to_one(self):
         net, _ = generate_random_instance(3, seed=1)
-        cands = enumerate_ceos(Cycle.from_targets(net, [1]), 2)
+        cycle = Cycle.from_targets(net, [1])
+        cands = enumerate_ceos(cycle, 2)
         assert len(cands) == 1
-        assert cands[0].target_ids == {1, 2}
+        assert _splice(cycle, *cands[0]).target_ids == {1, 2}
 
     def test_edge_insertion_present(self):
         net, _ = generate_random_instance(4, seed=2)
-        cands = enumerate_ceos(Cycle.from_targets(net, [1, 2, 3]), 4)
+        cycle = Cycle.from_targets(net, [1, 2, 3])
+        cands = [_splice(cycle, *s) for s in enumerate_ceos(cycle, 4)]
         seqs = [tuple(i.target for i in c.instances) for c in cands]
         assert (1, 4, 2, 3) in seqs
         for c in cands:
@@ -58,7 +64,8 @@ class TestEnumerateCeos:
         while remaining:
             best = None
             for j in remaining:
-                for cand in enumerate_ceos(cycle, j):
+                for splice in enumerate_ceos(cycle, j):
+                    cand = _splice(cycle, *splice)
                     m = cycle_lower_bound(cand, cache)
                     gain = metric.value - m.value
                     if best is None or gain > best[0] + 1e-15:
@@ -367,6 +374,44 @@ class TestSparseGraphs:
         part = plan_fleet(net, agents)
         assert_cluster_views(net, part)
         assert_plans_balance(part)
+
+
+def fleet_document(net: TargetNetwork, agents: int) -> str:
+    """The partition document without dwells, or the error planning raised."""
+    try:
+        return json.dumps(partition_to_document(plan_fleet(net, agents, with_dwells=False)))
+    except (EngineError, FleetError) as exc:  # the reference must fail the same way
+        return repr(exc)
+
+
+def assert_same_choices(net: TargetNetwork, agents: int) -> None:
+    """Scoring candidates and building the near-best few picks what building
+    every candidate picks: the documents are equal to the last bit."""
+    scored = fleet_document(net, agents)
+    with mock.patch.object(cycles, "improve_cycle", reference_improve_cycle), \
+            mock.patch.object(fleet, "improve_cycle", reference_improve_cycle), \
+            mock.patch.object(fleet, "_annex_gain", reference_annex_gain):
+        assert fleet_document(net, agents) == scored
+
+
+FLEET15, _ = load_instance_file(str(INSTANCES / "fleet15.json"))
+
+
+class TestScoredChoices:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(6, 16), st.integers(2, 4), st.integers(0, 10**6),
+           st.sampled_from([0.5, 2.0, 5.0]), st.sampled_from([0.0, 0.3, 0.7]),
+           st.sampled_from([0.5, 1.0, 3.0]))
+    def test_random_fleets(self, n, agents, seed, a_hi, stable, box):
+        ranges = ParamRanges(a=(0.05, a_hi), stable_fraction=stable, box=box)
+        net, _ = generate_random_instance(n, seed, ranges)
+        assert_same_choices(net, agents)
+
+    @settings(max_examples=20, deadline=None)
+    @given(sparse_graphs(), st.integers(2, 3))
+    @example(FLEET15, 3)
+    def test_sparse_graphs(self, net, agents):
+        assert_same_choices(net, agents)
 
 
 class TestTesRefine:
