@@ -148,7 +148,7 @@ def _simulate_plan(args, write_trace: bool):
     out = _out_dir(args)
     trace = simulate(plan, network, num_periods=cfg.num_periods)
     if write_trace:
-        with open(out / "trace.csv", "w", encoding="utf-8") as fh:
+        with open(out / "trace.csv", "wb") as fh:
             fh.write(trace_to_csv(trace))
     report = validate(plan, trace)
     _write_json(out / "validation.json", report)

@@ -9,8 +9,17 @@ prediction.
 The trace is columnar: each target is integrated in one loop over the
 segments (scalar targets apply the Moebius substep inline, with the same
 operations as ``_ScalarFlow``), and its samples land in a numpy column.
-Times, observed flags and the per-period maxima are array operations, and
-``trace_to_csv`` formats column by column in chunks of rows.
+Once a period starts from bitwise the state some earlier period started
+from, the substep recurrence repeats the periods since then exactly, so the
+rest of the column is tiled from them instead of integrated.  Times,
+observed flags and the per-period maxima are array operations.
+
+``trace_to_csv`` returns the ASCII text of ``trace.csv``, equal byte for
+byte to ``'%.9g'``/``'%.12g'`` per value.  It formats whole chunks of rows
+with numpy (``_format_g``: mantissa digits from a four-digit table, the dot
+placed by the decimal exponent, trailing zeros stripped) and falls back to
+``%`` for the rows that path cannot get exactly right: values outside
+[1, 10**precision), non-finite values and mantissas near a .5 tie.
 """
 
 from __future__ import annotations
@@ -31,7 +40,6 @@ __all__ = ["SimTrace", "simulate", "validate", "trace_to_csv", "steady_initial_c
 
 CSV_CHUNK_ROWS = 5_000   # rows formatted per batch by trace_to_csv
 GRID_POINTS_PER_PERIOD = 2000   # samples per period of the default grid
-_FLAGS = ("0", "1")
 
 
 @dataclass
@@ -152,30 +160,52 @@ def _merged_phases(t_on: list[float], t_off: list[float]) -> tuple[list[float], 
     return ons, offs
 
 
+def _repeat_cycle(col: np.ndarray, first: int, done: int, num_periods: int) -> np.ndarray:
+    """``col`` (the initial row and ``done`` periods of rows) extended to
+    ``num_periods`` periods by repeating its periods ``first..done-1``."""
+    period_rows = (len(col) - 1) // done
+    cycle = col[1 + first * period_rows:]
+    return np.concatenate([col, np.resize(cycle, (num_periods - done) * period_rows)])
+
+
 def _scalar_column(w: float, seg_coeffs, num_periods: int) -> np.ndarray:
     """Covariance of a scalar target at every sample: one Moebius substep
     ``w -> (m21 + m22 w) / (m11 + m12 w)`` per row, as ``_ScalarFlow``
-    applies it."""
+    applies it.  A period that starts from bitwise the state an earlier one
+    started from repeats the periods since then exactly (the recurrence is
+    deterministic), so the column stops there and repeats them."""
     col = array("d", [w])
     append = col.append
-    for _ in range(num_periods):
+    seen: dict[bytes, int] = {}
+    for done in range(num_periods):
+        first = seen.setdefault(np.asarray(w).tobytes(), done)
+        if first < done:
+            break
         for (m11, m12, m21, m22), n_sub in seg_coeffs:
             for _ in range(n_sub):
                 w = (m21 + m22 * w) / (m11 + m12 * w)
                 append(w)
-    return np.frombuffer(col, dtype=float)
+    else:
+        return np.frombuffer(col, dtype=float)
+    return _repeat_cycle(np.frombuffer(col, dtype=float), first, done, num_periods)
 
 
 def _matrix_column(
     w: np.ndarray, seg_flows, num_periods: int, n_rows: int, record_states: int
 ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """Trace norm of a matrix target at every sample, plus the full
-    covariance at every ``record_states``-th row."""
+    covariance at every ``record_states``-th row, with the repeated-period
+    short-cut of ``_scalar_column``.  A covariance kept in a repeated row is
+    the one at the same place in the cycle, found by running it again."""
     col = np.empty(n_rows)
     col[0] = cov_norm(w)
     kept = [(0, np.array(w))] if record_states else []
     row = 0
-    for _ in range(num_periods):
+    seen: dict[bytes, int] = {}
+    for done in range(num_periods):
+        first = seen.setdefault(np.asarray(w).tobytes(), done)
+        if first < done:
+            break
         for flow, n_sub in seg_flows:
             for _ in range(n_sub):
                 w = flow.apply(w)
@@ -183,7 +213,24 @@ def _matrix_column(
                 col[row] = cov_norm(w)
                 if record_states and row % record_states == 0:
                     kept.append((row, np.array(w)))
-    return col, kept
+    else:
+        return col, kept
+    if record_states:
+        base = 1 + first * (row // done)      # the cycle's first row
+        span = row + 1 - base
+        repeated = range(row + 1 + (-(row + 1)) % record_states, n_rows, record_states)
+        wanted = {(r - base) % span for r in repeated}
+        states = {}
+        offset = 0
+        for _ in range(done - first):         # w is the cycle's start again
+            for flow, n_sub in seg_flows:
+                for _ in range(n_sub):
+                    w = flow.apply(w)
+                    if offset in wanted:
+                        states[offset] = w
+                    offset += 1
+        kept += [(r, np.array(states[(r - base) % span])) for r in repeated]
+    return _repeat_cycle(col[:row + 1], first, done, num_periods), kept
 
 
 def simulate(
@@ -369,29 +416,106 @@ def validate(
     return report
 
 
-def _formatted(col: np.ndarray, spec: str) -> list[str]:
-    return list(map(spec.__mod__, col.tolist()))
+_FOUR_PLACES = np.array([1000, 100, 10, 1], dtype=np.int16)
+# per entry of 0..9999, its four ASCII digits ("%04d") as one uint32, and
+# its trailing zeros (four for 0000)
+_DIGITS4 = (
+    (np.arange(10_000, dtype=np.int16)[:, None] // _FOUR_PLACES % 10 + ord("0"))
+    .astype(np.uint8).view(np.uint32).ravel()
+)
+_TRAILING_ZEROS4 = (np.arange(10_000, dtype=np.int16)[:, None] % (10 * _FOUR_PLACES) == 0).sum(axis=1)
+_POW10 = np.array([float(10 ** k) for k in range(23)])   # exact doubles
+_DOT, _COMMA, _NEWLINE, _ZERO = b".,\n0"
 
 
-def trace_to_csv(trace: SimTrace) -> str:
-    """Delimiter-separated trace: t, then per target norm, cost, observed.
+def _format_g(x: np.ndarray, precision: int) -> np.ndarray:
+    """``'%.{precision}g' % v`` for every ``v`` in ``x`` (``precision`` <= 12):
+    a byte matrix with one column per value, NUL after each value's text.
 
-    Formats column by column, ``CSV_CHUNK_ROWS`` rows at a time; a cost
-    column that is its norm column is formatted once."""
+    A value in [1, 10**precision) is its mantissa ``N`` (``precision``
+    digits) with a dot after digit ``e = floor(log10 v)``.  ``e`` is checked
+    against the exact powers of ten, and one product with an exact power of
+    ten gives the mantissa within half an ulp, so ``rint`` rounds it as
+    ``%`` does unless it lies within 4 ulps of a .5 tie.  Those values, every
+    value outside the range (non-finite, negative, zero, below 1 or at least
+    ``10**precision``) and a mantissa that rounds up into exponent notation
+    are formatted by ``%`` itself."""
+    count = len(x)
+    top = _POW10[precision]
+    fast = (x >= 1.0) & (x < top)     # False for nan
+    xs = np.where(fast, x, 1.0)
+    e = np.log10(xs).astype(np.intp)
+    e -= xs < _POW10[e]
+    e += xs >= _POW10[e + 1]
+    m = xs * _POW10[precision - 1 - e]
+    mantissa = np.rint(m)
+    # every mantissa is below 10**precision, so its ulp is at most that one's
+    slow = ~fast | (np.abs(m - mantissa) >= 0.5 - 4 * np.spacing(top))
+    carry = mantissa == top
+    mantissa[carry] = _POW10[precision - 1]
+    e[carry] += 1
+    slow |= e >= precision
+    hi, lo = np.divmod(mantissa.astype(np.int64), 10_000)
+    top4, mid4 = np.divmod(hi, 10_000)
+    groups = np.empty((3, count), dtype=np.uint32)
+    groups[0], groups[1], groups[2] = _DIGITS4[top4], _DIGITS4[mid4], _DIGITS4[lo]
+    digits = groups.view(np.uint8).reshape(3, count, 4).transpose(0, 2, 1).reshape(12, count)
+    digits = digits[12 - precision:]
+    # the dot after digit e: digits right of it move down one row (the
+    # broadcast comparisons run on int8, which numpy does twice as fast)
+    place = np.arange(precision + 1, dtype=np.int8)[:, None]
+    out = np.empty((precision + 1, count), dtype=np.uint8)
+    out[0] = digits[0]
+    out[1:precision] = np.where(e.astype(np.int8) >= place[1:precision], digits[1:], digits[:-1])
+    out[precision] = digits[-1]
+    out.reshape(-1)[np.minimum(e + 1, precision) * count + np.arange(count)] = _DOT
+    # trailing zeros of the fraction go, and the dot with all of them
+    trailing = _TRAILING_ZEROS4[lo]
+    at = np.flatnonzero(lo == 0)
+    trailing[at] = np.where(mid4[at] == 0, 8 + _TRAILING_ZEROS4[top4[at]], 4 + _TRAILING_ZEROS4[mid4[at]])
+    lengths = np.where(trailing >= precision - 1 - e, e + 1, precision + 1 - trailing)
+    out[place >= lengths.astype(np.int8)] = 0
+    rows = np.flatnonzero(slow)
+    if len(rows):
+        spec = f"%.{precision}g"
+        texts = [(spec % v).encode("ascii") for v in x[rows].tolist()]
+        width = max(len(out), *map(len, texts))
+        out = np.concatenate([out, np.zeros((width - len(out), count), dtype=np.uint8)])
+        padded = b"".join(text.ljust(width, b"\0") for text in texts)
+        out[:, rows] = np.frombuffer(padded, dtype=np.uint8).reshape(len(rows), width).T
+    return out
+
+
+def trace_to_csv(trace: SimTrace) -> bytearray:
+    """Delimiter-separated trace as ASCII: t, then per target norm, cost,
+    observed.
+
+    Works ``CSV_CHUNK_ROWS`` rows at a time.  Every field of the chunk is a
+    byte matrix with one column per row (``_format_g``; a cost column that
+    is its norm column is formatted once), the fields and separators are
+    stacked, and the transposed matrix is read out with its NUL padding
+    dropped.  The chunks are appended to one ``bytearray``, so the whole
+    text is never held twice."""
     tids = sorted(trace.norms)
     header = ["t"]
     for tid in tids:
         header += [f"norm_{tid}", f"g_{tid}", f"eta_{tid}"]
-    parts = [",".join(header)]
+    text = bytearray(",".join(header).encode("ascii") + b"\n")
     for lo in range(0, len(trace.times), CSV_CHUNK_ROWS):
         rows = slice(lo, lo + CSV_CHUNK_ROWS)
-        fields = [_formatted(trace.times[rows], "%.9g")]
+        fields = [_format_g(trace.times[rows], 9)]
         for tid in tids:
             norm, cost = trace.norms[tid], trace.costs[tid]
-            norm_text = _formatted(norm[rows], "%.12g")
-            cost_text = norm_text if cost is norm else _formatted(cost[rows], "%.12g")
-            flags = map(_FLAGS.__getitem__, trace.observed[tid][rows].tolist())
+            norm_text = _format_g(norm[rows], 12)
+            cost_text = norm_text if cost is norm else _format_g(cost[rows], 12)
+            flags = (trace.observed[tid][rows] + _ZERO).astype(np.uint8)[None, :]
             fields += [norm_text, cost_text, flags]
-        parts.append("\n".join(map(",".join, zip(*fields))))
-    parts.append("")  # the final newline, without copying the whole text again
-    return "\n".join(parts)
+        count = fields[0].shape[1]
+        comma = np.full((1, count), _COMMA, dtype=np.uint8)
+        stacked = []
+        for field in fields:
+            stacked += [field, comma]
+        stacked[-1] = np.full((1, count), _NEWLINE, dtype=np.uint8)
+        chunk = np.ascontiguousarray(np.concatenate(stacked).T)
+        text += chunk.tobytes().replace(b"\0", b"")
+    return text

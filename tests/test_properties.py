@@ -17,9 +17,14 @@ or on the targets' ids.  On random slot layouts the level set's Newton step,
 which eliminates the single-slot rows in closed form, must give the dwells
 of the whole bordered solve in ``oracles.bordered_level_step``.
 
-The last draws a connected travel graph with tied and zero-length routes and
-checks the network's fastest times (bit for bit) and paths against the plain
-Floyd-Warshall loop.
+A connected travel graph with tied and zero-length routes must give the
+network's fastest times (bit for bit) and paths of the plain Floyd-Warshall
+loop.
+
+The last plans small random scalar instances and simulates each plan with one
+sample per segment (``dt`` = the period): a scalar target's peaks sit at its
+switch instants, so those samples see them, and the realized cost must match
+the prediction and never fall below the cost floor.
 """
 
 import dataclasses
@@ -39,9 +44,11 @@ from patrolplan.dwell import (
     balance_level_set,
     balance_multi_visit,
     balance_single_visit,
+    plan_single_agent,
     timeline_from_schedule,
 )
-from patrolplan.model import TargetNetwork, TargetSpec, load_instance_file
+from patrolplan.model import TargetNetwork, TargetSpec, generate_random_instance, load_instance_file
+from patrolplan.simulate import simulate, validate
 
 from oracles import (
     apply_period,
@@ -390,3 +397,13 @@ def test_closure_matches_python_floyd_warshall(network):
         for j in network.ids:
             assert np.float64(network.travel[i][j]).tobytes() == np.float64(travel[i][j]).tobytes()
             assert network.path[i][j] == path[i][j]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_floor_at_most_realized_cost(num_targets, seed):
+    network, _ = generate_random_instance(num_targets, seed)
+    plan = plan_single_agent(network, SteadyStateCache(network))
+    report = validate(plan, simulate(plan, network, dt=plan.period, num_periods=3))
+    assert report["metric_floor_holds"]
+    assert report["prediction_consistent"]

@@ -1,7 +1,10 @@
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patrolplan import simulate as simulate_module
 from patrolplan.covariance import cov_norm
@@ -10,6 +13,7 @@ from patrolplan.dwell import plan_single_agent
 from patrolplan.fleet import plan_fleet
 from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance, load_instance_file
 from patrolplan.simulate import (
+    SimTrace,
     simulate,
     steady_initial_covariances,
     trace_to_csv,
@@ -177,7 +181,7 @@ class TestTraceExport:
     def test_csv_shape(self, small_plan):
         net, cache, plan = small_plan
         trace = simulate(plan, net, cache=cache, num_periods=2)
-        csv = trace_to_csv(trace)
+        csv = trace_to_csv(trace).decode("ascii")
         lines = csv.strip().splitlines()
         header = lines[0].split(",")
         assert header[0] == "t"
@@ -205,6 +209,22 @@ class TestSandwichOnTrace:
         assert all(lo < v < hi for v in settled)
 
 
+def _assert_matches_stepwise(got, ref, net):
+    assert got.times.tolist() == ref.times
+    for tid in ref.norms:
+        assert got.norms[tid].tolist() == ref.norms[tid]
+        assert got.costs[tid].tolist() == ref.costs[tid]
+        assert (got.costs[tid] is got.norms[tid]) == (net.target(tid).weight_alpha == 1.0)
+        assert got.observed[tid].tolist() == ref.observed[tid]
+        assert got.period_maxima[tid] == ref.period_maxima[tid]
+        assert got.per_target_realized[tid] == ref.per_target_realized[tid]
+        assert [t for t, _ in got.state_samples[tid]] == [t for t, _ in ref.state_samples[tid]]
+        for (_, a), (_, b) in zip(got.state_samples[tid], ref.state_samples[tid]):
+            assert a.shape == b.shape and np.array_equal(a, b)
+    assert got.realized_cost == ref.realized_cost
+    assert (got.settle_period, got.converged) == (ref.settle_period, ref.converged)
+
+
 class TestColumnarMatchesStepwise:
     """The columnar simulator and CSV writer against their per-sample forms:
     every sample, every derived number and every CSV byte."""
@@ -216,21 +236,128 @@ class TestColumnarMatchesStepwise:
         net, cache, plan = request.getfixturevalue(case)
         got = simulate(plan, net, cache=cache, num_periods=3, record_states=25)
         ref = stepwise_simulate(plan, net, cache=cache, num_periods=3, record_states=25)
-        assert got.times.tolist() == ref.times
-        for tid in ref.norms:
-            assert got.norms[tid].tolist() == ref.norms[tid]
-            assert got.costs[tid].tolist() == ref.costs[tid]
-            assert (got.costs[tid] is got.norms[tid]) == (net.target(tid).weight_alpha == 1.0)
-            assert got.observed[tid].tolist() == ref.observed[tid]
-            assert got.period_maxima[tid] == ref.period_maxima[tid]
-            assert got.per_target_realized[tid] == ref.per_target_realized[tid]
-            assert [t for t, _ in got.state_samples[tid]] == [t for t, _ in ref.state_samples[tid]]
-            for (_, a), (_, b) in zip(got.state_samples[tid], ref.state_samples[tid]):
-                assert a.shape == b.shape and np.array_equal(a, b)
-        assert got.realized_cost == ref.realized_cost
-        assert (got.settle_period, got.converged) == (ref.settle_period, ref.converged)
-        expected = rowwise_trace_csv(ref)
+        _assert_matches_stepwise(got, ref, net)
+        expected = rowwise_trace_csv(ref).encode("ascii")
         assert trace_to_csv(got) == expected
         # several chunks, the last one short
         monkeypatch.setattr(simulate_module, "CSV_CHUNK_ROWS", 997)
         assert trace_to_csv(got) == expected
+
+    @pytest.mark.parametrize("case", ["small_plan", "sandwich_plan"])
+    def test_repeated_periods_are_tiled_exactly(self, case, request):
+        """Long enough that every target of the scalar and of the matrix
+        plan starts some period where the one before started, so the rest
+        of its column is tiled; states kept every 7th row, which does not
+        divide the rows of a period, fall at every place in it."""
+        net, cache, plan = request.getfixturevalue(case)
+        got = simulate(plan, net, cache=cache, num_periods=12, record_states=7)
+        ref = stepwise_simulate(plan, net, cache=cache, num_periods=12, record_states=7)
+        rows = (len(ref.times) - 1) // 12
+        assert rows % 7
+        last, before = slice(-rows, None), slice(-2 * rows, -rows)
+        assert any(col[last] == col[before] for col in ref.norms.values())
+        _assert_matches_stepwise(got, ref, net)
+        assert trace_to_csv(got) == rowwise_trace_csv(ref).encode("ascii")
+
+
+class TestRepeatedCycles:
+    """A state that comes back after several periods: the periods since it
+    repeat, cut off wherever the run ends."""
+
+    def test_scalar_two_period_cycle(self):
+        # w -> 1/w, one substep per period: 2, 0.5, 2, ...
+        col = simulate_module._scalar_column(2.0, [((0.0, 1.0, 1.0, 0.0), 1)], 7)
+        assert col.tolist() == [2.0, 0.5, 2.0, 0.5, 2.0, 0.5, 2.0, 0.5]
+
+    def test_matrix_cycle_keeps_the_stepwise_states(self):
+        # swapping the rows every period: the trace alternates 1.5 / 0.5
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        flows = [(SimpleNamespace(apply=lambda w: swap @ w), 1),
+                 (SimpleNamespace(apply=lambda w: w + 0.0), 2)]
+        w0 = np.array([[1.0, 0.25], [0.25, 0.5]])
+        col, kept = simulate_module._matrix_column(w0, flows, 5, 16, 4)
+        states, w = [w0], w0
+        for _ in range(5):
+            for flow, n_sub in flows:
+                for _ in range(n_sub):
+                    w = flow.apply(w)
+                    states.append(w)
+        assert col.tolist() == [cov_norm(w) for w in states]
+        assert col[1:4].tolist() != col[4:7].tolist()
+        assert [r for r, _ in kept] == list(range(0, 16, 4))
+        for r, w in kept:
+            assert np.array_equal(w, states[r])
+
+
+def _formatted(values, precision):
+    text = simulate_module._format_g(np.array(values, dtype=float), precision)
+    return [bytes(column).rstrip(b"\0").decode("ascii") for column in text.T]
+
+
+def _nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.inf if ulps > 0 else -math.inf))
+    return x
+
+
+def _tricky_values(precision):
+    """Every float64, powers of ten and their neighbours, the top of the
+    plain range, exact .5 ties at the last kept digit, and [1e-5, 1)."""
+    near_pow10 = st.builds(_nudged, st.integers(-12, 16).map(lambda k: 10.0 ** k), st.integers(-3, 3))
+    below_top = st.builds(_nudged, st.just(10.0 ** precision), st.integers(-2000, 1))
+    # int_part + odd / 2**j has precision + 1 digits, the last one a 5
+    ties = st.integers(1, 4).flatmap(lambda j: st.builds(
+        lambda whole, odd: whole + odd / 2 ** j,
+        st.integers(10 ** (precision - j), 10 ** (precision + 1 - j) - 1),
+        st.integers(0, 2 ** (j - 1) - 1).map(lambda k: 2 * k + 1),
+    ))
+    return st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        near_pow10,
+        below_top,
+        ties,
+        st.floats(1e-5, 1.0, exclude_max=True),
+        st.floats(1.0, 10.0 ** precision),
+    )
+
+
+class TestFormatter:
+    """The vectorised ``%g`` is ``%`` byte for byte, fallback rows included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([9, 12]).flatmap(
+        lambda p: st.tuples(st.just(p), st.lists(_tricky_values(p), min_size=1, max_size=40))
+    ))
+    def test_matches_percent_g(self, case):
+        precision, values = case
+        assert _formatted(values, precision) == [f"%.{precision}g" % v for v in values]
+
+    def test_exact_ties_round_half_even(self):
+        values = [123456789012.5, 123456789013.5, 999999999999.5, 12345678901.25, 123456789.5]
+        assert _formatted(values, 12) == ["%.12g" % v for v in values]
+        assert _formatted(values, 9) == ["%.9g" % v for v in values]
+
+    def test_csv_of_tricky_columns_matches_rowwise(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        rows = 2500
+        edge = np.array([0.0, -0.0, 1.0, 9.9999999995, 10.0, 1e9 - 0.5, 123456789012.5,
+                         1e12, np.nextafter(1e12, 0), 5e-324, -2.5, np.inf, -np.inf, np.nan,
+                         1e-5, 0.999999999999])
+
+        def column(scale):
+            col = 10.0 ** rng.uniform(-5, 13, rows) * scale
+            col[rng.integers(0, rows, 200)] = rng.choice(edge, 200)
+            return col
+
+        norm_1, norm_2 = column(1.0), column(1.0)
+        trace = SimTrace(
+            times=np.cumsum(rng.uniform(0.0, 0.05, rows)),
+            norms={1: norm_1, 2: norm_2},
+            costs={1: norm_1, 2: 2.5 * norm_2},
+            observed={1: rng.integers(0, 2, rows).astype(np.int32),
+                      2: rng.integers(0, 2, rows).astype(np.int32)},
+            period=1.0, num_periods=2, dt=0.01, switch_times={}, realized_cost=0.0,
+            per_target_realized={}, settle_period=1, converged=True,
+        )
+        monkeypatch.setattr(simulate_module, "CSV_CHUNK_ROWS", 997)
+        assert trace_to_csv(trace) == rowwise_trace_csv(trace).encode("ascii")
