@@ -32,7 +32,7 @@ from .simulate import simulate, trace_to_csv, validate
 
 def _config_from_args(args) -> PlannerConfig:
     cfg = PlannerConfig()
-    for flag, name in (("kp", "k_p"), ("tol", "balance_tol"), ("sigma", "sigma")):
+    for flag, name in (("tol", "balance_tol"), ("sigma", "sigma")):
         value = getattr(args, flag, None)
         if value is not None:
             if not (math.isfinite(value) and value > 0):
@@ -50,31 +50,45 @@ def _config_from_args(args) -> PlannerConfig:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
+def _out_path(args, default: str, directory: bool) -> Path:
+    """The ``--out`` path (a directory, or the file ``gen`` writes) with the
+    directory it needs made; one that cannot serve is an input error."""
+    path = Path(args.out or default)
+    if path.exists() and path.is_dir() != directory:
+        kind = "is a directory" if path.is_dir() else "is not a directory"
+        raise InstanceError(f"--out {str(path)!r} {kind}")
+    folder = path if directory else path.parent
+    try:
+        folder.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file on the way, or no permission
+        raise InstanceError(
+            f"--out {str(path)!r}: cannot make directory {str(folder)!r}: {exc.strerror}"
+        ) from exc
+    return path
+
+
 def _out_dir(args) -> Path:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return _out_path(args, ".", directory=True)
 
 
 def cmd_gen(args) -> int:
     cfg = _config_from_args(args)
+    path = _out_path(args, "instance.json", directory=False)
     network, fleet = generate_random_instance(args.targets, seed=cfg.seed, num_agents=args.agents)
-    path = Path(args.out or "instance.json")
     _write_json(path, instance_to_document(network, fleet))
     print(f"wrote {path} ({args.targets} targets, {fleet.num_agents} agents)")
     return 0
 
 
-def _write_single_plan(network, cfg, out: Path, stem: str = "plan") -> Plan:
+def _write_single_plan(network, cfg, out: Path) -> Plan:
     cache = SteadyStateCache(network)
     plan = plan_single_agent(network, cache, cfg)
-    _write_json(out / f"{stem}.json", plan.to_document())
+    _write_json(out / "plan.json", plan.to_document())
     metric = cycle_lower_bound(plan.cycle, cache)
     _write_json(out / "cycle.json", cycle_to_document(plan.cycle, metric, cache))
     with open(out / "convergence.csv", "w", encoding="utf-8") as fh:
@@ -187,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     def planning(p):
         p.add_argument("--instance", required=True, help="instance JSON file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--kp", type=float, default=None,
-                       help="consensus gain (multi-slot fallback only)")
         p.add_argument("--tol", type=float, default=None, help="balancing tolerance")
 
     def checking(p):

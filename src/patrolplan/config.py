@@ -1,10 +1,12 @@
 """Planner settings and random-instance ranges.
 
-``PlannerConfig`` holds only what a caller chooses, each field set by one CLI
-flag.  Fixed tolerances and iteration caps are module constants beside their
-only reader (``covariance.PERIODIC_TOL``, the ``dwell`` balancer and period
-search constants, ``cycles.GREEDY_GAIN_REL``, the ``fleet`` k-means and
-exchange caps, ``simulate.GRID_POINTS_PER_PERIOD``).
+``PlannerConfig`` holds only what a caller chooses, each of its four fields
+set by one CLI flag.  Fixed gains, tolerances and caps are module constants
+beside their only reader (``covariance.PERIODIC_TOL``, the ``dwell``
+balancer and period search constants with the consensus law's
+``CONSENSUS_GAIN``, ``cycles.GREEDY_GAIN_REL``, the ``fleet`` k-means and
+exchange caps with ``BYPASS_MAX_RUN``, ``simulate.GRID_POINTS_PER_PERIOD``
+and ``PREDICTION_REL_TOL``).
 """
 
 from dataclasses import dataclass
@@ -46,7 +48,6 @@ class ParamRanges:
 class PlannerConfig:
     """The planner settings a caller can choose, one per CLI flag."""
 
-    k_p: float = 1e-2                   # consensus gain (--kp)
     balance_tol: float = 1e-6           # relative peak spread at convergence (--tol)
     sigma: float | None = None          # similarity kernel width, None -> median disparity (--sigma)
     seed: int = 0                       # k-means and `gen` instance seed (--seed)

@@ -374,7 +374,6 @@ def _scalar_periodic_peaks(
     g: float,
     t_on: Sequence[float],
     t_off: Sequence[float],
-    tol: float,
 ) -> tuple[list[float], list[float], int, float]:
     """Scalar periodic peaks from the closed-form fixed point; returns the
     upper and lower peaks, the number of certifying walks (one) and the
@@ -395,7 +394,7 @@ def _scalar_periodic_peaks(
         lowers.append(w)
         w = al * w + be
     residual = abs(w - omega)
-    if not residual <= tol * max(1.0, abs(omega)):
+    if not residual <= PERIODIC_TOL * max(1.0, abs(omega)):
         if any(math.isinf(al) for al, _ in unobs):
             return _overflowed_peaks(obs, unobs)
         raise ConvergenceError(_NOT_FIXED, residual)
@@ -448,7 +447,6 @@ def periodic_steady_state(
     t_on: Sequence[float],
     t_off: Sequence[float],
     omega_ss: np.ndarray | None = None,
-    tol: float = PERIODIC_TOL,
 ) -> PeakSet:
     """Fixed point of the one-period covariance map for one target.
 
@@ -456,7 +454,8 @@ def periodic_steady_state(
     period starts at the off->on switch of visit 0.  The fixed point is
     solved directly (see the module docstring); one walk around the period
     then collects the peaks and must return to the period-start covariance
-    within ``tol`` times ``max(1, max|omega|)``, else ``ConvergenceError``.
+    within ``PERIODIC_TOL`` times ``max(1, max|omega|)``, else
+    ``ConvergenceError``.
     ``omega_ss`` is accepted for compatibility and not used.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -483,7 +482,7 @@ def periodic_steady_state(
 
     if A.shape == (1, 1):
         uppers, lowers, walks, residual = _scalar_periodic_peaks(
-            float(A[0, 0]), float(Q[0, 0]), float(G[0, 0]), t_on, t_off, tol
+            float(A[0, 0]), float(Q[0, 0]), float(G[0, 0]), t_on, t_off
         )
         return PeakSet(
             upper=[np.array([[u]]) for u in uppers],
@@ -515,7 +514,7 @@ def periodic_steady_state(
         lowers.append(w)
         w = flows[2 * k + 1].apply(w)
     residual = float(np.abs(w - omega).max())
-    if not residual <= tol * max(1.0, float(np.abs(omega).max())):
+    if not residual <= PERIODIC_TOL * max(1.0, float(np.abs(omega).max())):
         raise ConvergenceError(_NOT_FIXED, residual)
     return PeakSet(
         upper=uppers,

@@ -30,7 +30,6 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, PlannerConfig
 from .covariance import (
-    PERIODIC_TOL,
     ConvergenceError,
     cov_norm,
     periodic_steady_state,
@@ -56,6 +55,7 @@ __all__ = [
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
+CONSENSUS_GAIN = 1e-2        # consensus law's initial gain (halved on a rise)
 BALANCE_MAX_ITERS = 50_000   # consensus sweeps before ConvergenceError
 LOG_RATIO_CAP = 50.0         # |log(g_i/g_avg)| cap (infinite-cost guard)
 SPLIT_TOL = 1e-7             # within-target split convergence
@@ -148,10 +148,6 @@ class DwellState:
     trace: list[float] = field(repr=False)
     iterations: int = 0
 
-    @property
-    def max_cost(self) -> float:
-        return max(self.costs.values())
-
 
 def _visit_costs(cache: SteadyStateCache, tid: int, t_on: list[float],
                  t_off: list[float]) -> list[float]:
@@ -159,8 +155,7 @@ def _visit_costs(cache: SteadyStateCache, tid: int, t_on: list[float],
     target = cache.target(tid)
     if target.is_scalar:
         uppers, _, _, _ = _scalar_periodic_peaks(
-            float(target.A[0, 0]), float(target.Q[0, 0]), float(target.G[0, 0]),
-            t_on, t_off, PERIODIC_TOL,
+            float(target.A[0, 0]), float(target.Q[0, 0]), float(target.G[0, 0]), t_on, t_off
         )
         return [target.g(u) for u in uppers]
     peaks = periodic_steady_state(target.A, target.Q, target.G, t_on, t_off)
@@ -282,10 +277,11 @@ def balance_multi_visit(
     is costed directly over the period.  A target with several slots has its
     total rescaled proportionally across them, and the split re-balanced
     within the target against gaps computed from the other targets' current
-    dwells.  The gain is halved whenever a step raises the worst cost by more
-    than a rise tolerance: round-off when every target has one slot, 1e-3
-    otherwise (the within-target split lags one sweep, which allows small
-    transient rises; only a gross increase signals an unstable step size).
+    dwells.  The gain starts at ``CONSENSUS_GAIN`` and is halved whenever a
+    step raises the worst cost by more than a rise tolerance: round-off when
+    every target has one slot, 1e-3 otherwise (the within-target split lags
+    one sweep, which allows small transient rises; only a gross increase
+    signals an unstable step size).
     """
     cfg = config or DEFAULT_CONFIG
     cache = cache or SteadyStateCache(cycle.network)
@@ -295,7 +291,7 @@ def balance_multi_visit(
         raise PlanningError(
             f"period {period:.6g} does not exceed the travel time {cycle.travel_time:.6g}"
         )
-    gain = cfg.k_p
+    gain = CONSENSUS_GAIN
     tol = cfg.balance_tol if tol is None else tol
     dwells = _init_dwells(cycle, budget, eligible, initial_dwells)
     dwell_ids = sorted(eligible)
@@ -340,7 +336,7 @@ def balance_multi_visit(
                 [*prev[0]], dict(prev[1]), dict(prev[2]), prev[3],
             )
             gain *= 0.5
-            if gain < cfg.k_p * 2.0 ** -40:
+            if gain < CONSENSUS_GAIN * 2.0 ** -40:
                 raise ConvergenceError("dwell balancing stalled", spread)
         trace.append(max_cost)
         totals = {tid: dwells[pos] for tid, pos in slot.items()}
@@ -592,10 +588,10 @@ def balance_level_set(
     cache: SteadyStateCache | None = None,
     config: PlannerConfig | None = None,
     initial_dwells: list[float] | None = None,
-    tol: float | None = None,
 ) -> DwellState:
     """Balance a cycle by solving for the common peak level directly; the
-    result is the consensus law's fixed point within ``tol``.
+    result is the consensus law's fixed point within ``tol``, the config's
+    ``balance_tol``.
 
     The unknowns are the dwell of every eligible slot and the level ``L``:
     each slot of an active target asks that the peak at the start of its
@@ -626,7 +622,7 @@ def balance_level_set(
         raise PlanningError(
             f"period {period:.6g} does not exceed the travel time {cycle.travel_time:.6g}"
         )
-    tol = cfg.balance_tol if tol is None else tol
+    tol = cfg.balance_tol
     ids = sorted(eligible)
     never = {tid: cache.never_observed_cost(tid) for tid in ids}
     slots = [p for tid in ids for p in eligible[tid]]
@@ -729,7 +725,7 @@ def balance_level_set(
         if new_x is None:
             if multi:
                 return balance_multi_visit(cycle, period, cache, cfg,
-                                           initial_dwells=full(best[1]), tol=tol)
+                                           initial_dwells=full(best[1]))
             new_x = _level_set_bracketed(cost, ids, never, budget, tol)
             bracketed = True
         prev = (x, logs)
@@ -829,10 +825,6 @@ class Plan:
     metric_value: float
     search_probes: list[tuple[float, float]] = field(default_factory=list, repr=False)
     balance_trace: list[float] = field(default_factory=list, repr=False)
-
-    @property
-    def travel_time(self) -> float:
-        return self.cycle.travel_time
 
     def to_document(self) -> dict:
         return {
@@ -939,7 +931,6 @@ def plan_single_agent(
     network: TargetNetwork,
     cache: SteadyStateCache | None = None,
     config: PlannerConfig | None = None,
-    subset: set[int] | None = None,
 ) -> Plan:
     """Single-agent planning with the inactive-target exclusion loop.
 
@@ -949,7 +940,7 @@ def plan_single_agent(
     excluded target is the bottleneck.
     """
     cache = cache or SteadyStateCache(network)
-    remaining = set(network.ids if subset is None else subset)
+    remaining = set(network.ids)
     excluded: dict[int, float] = {}
 
     def optimize(ids):

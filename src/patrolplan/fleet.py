@@ -38,6 +38,7 @@ from .model import TargetNetwork
 KMEANS_RESTARTS = 50     # k-means++ restarts per clustering
 KMEANS_MAX_ITERS = 300   # Lloyd steps per restart
 TES_MAX_COMMITS = 50     # target exchanges per refinement
+BYPASS_MAX_RUN = 2       # instances a bypass CEO replaces, at most
 
 __all__ = [
     "FleetError",
@@ -108,13 +109,13 @@ class Partition:
 # cycle expansion operations
 # ---------------------------------------------------------------------------
 
-def enumerate_ceos(cycle: Cycle, external: int, max_bypass: int = 2) -> list[Splice]:
+def enumerate_ceos(cycle: Cycle, external: int) -> list[Splice]:
     """All expansions of ``cycle`` that add a visit to ``external``, as
     splices of it.
 
     Three kinds: insert on an edge, out-and-back after an instance, and
-    replace a short run of instances (each appearing elsewhere too) with the
-    external target.  Deterministic order.
+    replace a run of at most ``BYPASS_MAX_RUN`` instances (each appearing
+    elsewhere too) with the external target.  Deterministic order.
     """
     network = cycle.network
     if external in cycle.target_ids and any(
@@ -138,7 +139,7 @@ def enumerate_ceos(cycle: Cycle, external: int, max_bypass: int = 2) -> list[Spl
             counts[t] = counts.get(t, 0) + 1
     for start in range(n):
         removed: dict[int, int] = {}
-        for run in range(1, max_bypass + 1):
+        for run in range(1, BYPASS_MAX_RUN + 1):
             mid_pos = (start + run) % n
             end_pos = (start + run + 1) % n
             t_mid, mid_elig = seq[mid_pos]

@@ -40,6 +40,7 @@ __all__ = ["SimTrace", "simulate", "validate", "trace_to_csv", "steady_initial_c
 
 CSV_CHUNK_ROWS = 5_000   # rows formatted per batch by trace_to_csv
 GRID_POINTS_PER_PERIOD = 2000   # samples per period of the default grid
+PREDICTION_REL_TOL = 1e-3       # realized vs predicted cost, relative, for a consistent plan
 
 
 @dataclass
@@ -63,7 +64,6 @@ class SimTrace:
     settle_period: int
     converged: bool
     period_maxima: dict[int, list[float]] = field(repr=False, default_factory=dict)
-    state_samples: dict[int, list[tuple[float, np.ndarray]]] = field(repr=False, default_factory=dict)
 
 
 def _schedule_segments(plan: Plan) -> list[tuple[float, int | None]]:
@@ -98,13 +98,10 @@ def steady_initial_covariances(
     plan: Plan,
     network: TargetNetwork | None = None,
     cache: SteadyStateCache | None = None,
-    scale: float = 1.0,
 ) -> dict[int, np.ndarray]:
-    """Per-target covariance at the schedule start, on the periodic orbit.
-
-    Never-visited Hurwitz targets start at their resting covariance; a
-    ``scale`` other than one multiplies everything (for convergence tests).
-    """
+    """Per-target covariance at the schedule start, on the periodic orbit,
+    as fresh arrays.  Never-visited Hurwitz targets start at their resting
+    covariance."""
     network = network or plan.cycle.network
     cache = cache or SteadyStateCache(network)
     timelines = timeline_from_schedule(plan.cycle, plan.dwells)
@@ -116,8 +113,8 @@ def steady_initial_covariances(
         tl = timelines.get(tid)
         if tl is None or sum(tl.t_on) <= 1e-12:
             ss = cache.steady(tid)
-            base = ss.omega_inf_finite if ss.a_is_hurwitz else ss.omega_ss
-            out[tid] = scale * base
+            # a copy: the cache's own arrays must not leave it
+            out[tid] = np.array(ss.omega_inf_finite if ss.a_is_hurwitz else ss.omega_ss)
             continue
         # drop zero-dwell visits: their phases merge into the gaps
         t_on, t_off = _merged_phases(tl.t_on, tl.t_off)
@@ -139,7 +136,7 @@ def steady_initial_covariances(
             if step > 0:
                 omega = unobserved_flow(target.A, target.Q, step).apply(omega)
                 remaining -= step
-        out[tid] = scale * np.atleast_2d(omega)
+        out[tid] = np.atleast_2d(omega)
     return out
 
 
@@ -190,16 +187,11 @@ def _scalar_column(w: float, seg_coeffs, num_periods: int) -> np.ndarray:
     return _repeat_cycle(np.frombuffer(col, dtype=float), first, done, num_periods)
 
 
-def _matrix_column(
-    w: np.ndarray, seg_flows, num_periods: int, n_rows: int, record_states: int
-) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-    """Trace norm of a matrix target at every sample, plus the full
-    covariance at every ``record_states``-th row, with the repeated-period
-    short-cut of ``_scalar_column``.  A covariance kept in a repeated row is
-    the one at the same place in the cycle, found by running it again."""
+def _matrix_column(w: np.ndarray, seg_flows, num_periods: int, n_rows: int) -> np.ndarray:
+    """Trace norm of a matrix target at every sample, with the
+    repeated-period short-cut of ``_scalar_column``."""
     col = np.empty(n_rows)
     col[0] = cov_norm(w)
-    kept = [(0, np.array(w))] if record_states else []
     row = 0
     seen: dict[bytes, int] = {}
     for done in range(num_periods):
@@ -211,26 +203,9 @@ def _matrix_column(
                 w = flow.apply(w)
                 row += 1
                 col[row] = cov_norm(w)
-                if record_states and row % record_states == 0:
-                    kept.append((row, np.array(w)))
     else:
-        return col, kept
-    if record_states:
-        base = 1 + first * (row // done)      # the cycle's first row
-        span = row + 1 - base
-        repeated = range(row + 1 + (-(row + 1)) % record_states, n_rows, record_states)
-        wanted = {(r - base) % span for r in repeated}
-        states = {}
-        offset = 0
-        for _ in range(done - first):         # w is the cycle's start again
-            for flow, n_sub in seg_flows:
-                for _ in range(n_sub):
-                    w = flow.apply(w)
-                    if offset in wanted:
-                        states[offset] = w
-                    offset += 1
-        kept += [(r, np.array(states[(r - base) % span])) for r in repeated]
-    return _repeat_cycle(col[:row + 1], first, done, num_periods), kept
+        return col
+    return _repeat_cycle(col[:row + 1], first, done, num_periods)
 
 
 def simulate(
@@ -240,15 +215,12 @@ def simulate(
     num_periods: int = DEFAULT_CONFIG.num_periods,
     dt: float | None = None,
     cache: SteadyStateCache | None = None,
-    record_states: int = 0,
 ) -> SimTrace:
     """Integrate all target covariances for ``num_periods`` periods.
 
     ``initial`` defaults to the planned periodic steady state.  Sampling uses
     uniform substeps of at most ``dt`` inside each dwell/travel segment, with
-    segment boundaries always sampled exactly.  A positive ``record_states``
-    keeps every that-many-th full covariance per target (for directional
-    checks on the trajectory).
+    segment boundaries always sampled exactly.
     """
     network = network or plan.cycle.network
     cache = cache or SteadyStateCache(network)
@@ -290,7 +262,6 @@ def simulate(
     norms: dict[int, np.ndarray] = {}
     costs: dict[int, np.ndarray] = {}
     observed: dict[int, np.ndarray] = {}
-    state_samples: dict[int, list[tuple[float, np.ndarray]]] = {}
     for tid in targets:
         spec = network.target(tid)
         # per segment, the flow for one of its substeps
@@ -302,16 +273,12 @@ def simulate(
         w0 = np.atleast_2d(np.asarray(initial[tid], dtype=float))
         if spec.is_scalar:
             col = _scalar_column(float(w0[0, 0]), [(f.m, n) for f, n in seg_flows], num_periods)
-            kept = []
-            if record_states:
-                kept = [(r, np.array([[col[r]]])) for r in range(0, n_rows, record_states)]
         else:
-            col, kept = _matrix_column(w0, seg_flows, num_periods, n_rows, record_states)
+            col = _matrix_column(w0, seg_flows, num_periods, n_rows)
         norms[tid] = col
         # x * 1.0 == x exactly, so a weight-1 target shares its norm column
         costs[tid] = col if spec.weight_alpha == 1.0 else spec.weight_alpha * col
         observed[tid] = (obs_rows == column[tid]).astype(np.int32)
-        state_samples[tid] = [(float(times[r]), w) for r, w in kept]
 
     period_maxima = {
         tid: [float(costs[tid][p * rows_per_period:(p + 1) * rows_per_period + 1].max())
@@ -367,15 +334,10 @@ def simulate(
         settle_period=settle,
         converged=converged,
         period_maxima=period_maxima,
-        state_samples=state_samples,
     )
 
 
-def validate(
-    plan: Plan,
-    trace: SimTrace,
-    tolerance: float = 1e-3,
-) -> dict:
+def validate(plan: Plan, trace: SimTrace) -> dict:
     """Consistency report between a plan's predictions and a simulated trace."""
     predicted = plan.j_pred
     realized = trace.realized_cost
@@ -403,7 +365,7 @@ def validate(
         "realized_cost": realized,
         "absolute_error": abs_err,
         "relative_error": rel_err,
-        "prediction_consistent": bool(rel_err <= tolerance),
+        "prediction_consistent": bool(rel_err <= PREDICTION_REL_TOL),
         "metric_floor": plan.metric_value,
         "metric_floor_holds": bool(plan.metric_value <= realized + 1e-6),
         "peak_switch_offsets": peak_alignment,

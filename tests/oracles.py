@@ -10,7 +10,10 @@ The block-exponential propagators ``propagate_unobserved`` and
 ``propagate_observed`` run the package's matrix flows at any dimension,
 scalars included, which the planner itself never does.
 The forward simulation and its CSV export are kept in their plain per-sample
-form, as the reference for the columnar versions in ``patrolplan.simulate``.
+form, as the reference for the columnar versions in ``patrolplan.simulate``;
+the simulation also returns full covariances along the trajectory.
+``tightly_periodic`` holds the package's periodic solve to a tighter
+certificate than ``PERIODIC_TOL``.
 ``bordered_level_step`` solves the level-set balancer's whole bordered Newton
 system at once, the reference for ``dwell._level_step``, which eliminates the
 single-slot rows in closed form.
@@ -34,6 +37,7 @@ from patrolplan.covariance import (
     _MatrixUnobservedFlow,
     cov_norm,
     observed_flow,
+    periodic_steady_state,
     unobserved_flow,
 )
 from patrolplan.cycles import (
@@ -250,6 +254,15 @@ def iterated_periodic_start(A, Q, G, t_on, t_off, tol: float = 1e-13,
     raise RuntimeError("period map iteration did not converge")
 
 
+def tightly_periodic(A, Q, G, t_on, t_off, tol: float):
+    """``periodic_steady_state`` whose certifying walk around the period
+    returns within ``tol * max(1, max|omega|)`` of its start, ``tol`` being
+    tighter than the ``PERIODIC_TOL`` the package checks."""
+    peaks = periodic_steady_state(A, Q, G, t_on, t_off)
+    assert peaks.residual <= tol * max(1.0, float(np.abs(peaks.upper[0]).max()))
+    return peaks
+
+
 # --- per-substep forward simulation -----------------------------------------
 
 def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONFIG.num_periods,
@@ -257,7 +270,10 @@ def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONF
     """``simulate`` as a loop over substeps that applies every target's flow
     and records one sample per target at a time, into Python lists.  It
     shares the package's flows and schedule helpers: it checks the columnar
-    loop, not the propagators.  ``switch_times`` is left empty."""
+    loop, not the propagators.  ``switch_times`` is left empty.
+
+    Returns the trace and, per target, the ``(time, covariance)`` of every
+    ``record_states``-th sample (none for 0); a scalar's is a 1x1 array."""
     network = network or plan.cycle.network
     cache = cache or SteadyStateCache(network)
     period = plan.period
@@ -353,8 +369,7 @@ def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONF
         realized_cost=max(per_target_realized.values()),
         per_target_realized=per_target_realized, settle_period=settle,
         converged=settle < num_periods, period_maxima=period_maxima,
-        state_samples=state_samples,
-    )
+    ), state_samples
 
 
 def rowwise_trace_csv(trace) -> str:

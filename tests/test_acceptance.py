@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from patrolplan.config import ParamRanges
-from patrolplan.covariance import periodic_steady_state
 from patrolplan.cycles import Cycle, SteadyStateCache, cycle_lower_bound, tsp_heuristic, greedy_construct
 from patrolplan.dwell import (
     balance_single_visit,
@@ -33,6 +32,8 @@ from oracles import (
     rk4_propagate_batch,
     scalar_observed,
     scalar_unobserved,
+    stepwise_simulate,
+    tightly_periodic,
 )
 
 INSTANCE_DIR = __file__.rsplit("/", 2)[0] + "/instances"
@@ -160,12 +161,12 @@ def test_criterion_05_peak_monotonicity():
             c = rng.normal(0.0, 0.5, size=(2, 2))
             r = c @ c.T + 0.8 * np.eye(2)
             g = h.T @ np.linalg.solve(r, h)
-        base = periodic_steady_state(a, q, g, t_on, t_off, tol=1e-13)
+        base = tightly_periodic(a, q, g, t_on, t_off, tol=1e-13)
         for m in range(n_visits):
             up = [v + (eps if k == m else 0.0) for k, v in enumerate(t_on)]
-            more_on = periodic_steady_state(a, q, g, up, t_off, tol=1e-13)
+            more_on = tightly_periodic(a, q, g, up, t_off, tol=1e-13)
             off_up = [v + (eps if k == m else 0.0) for k, v in enumerate(t_off)]
-            more_off = periodic_steady_state(a, q, g, t_on, off_up, tol=1e-13)
+            more_off = tightly_periodic(a, q, g, t_on, off_up, tol=1e-13)
             for k in range(n_visits):
                 d_on = more_on.upper[k] - base.upper[k]
                 d_off = more_off.upper[k] - base.upper[k]
@@ -315,13 +316,13 @@ def bundled_runs():
     """Plan + 20-period simulation for every bundled instance (fleet one per cluster)."""
     runs = []
     for name, net, cache, plan in _bundled_single_agent_plans():
-        trace = simulate(plan, net, cache=cache, record_states=25)
+        trace = simulate(plan, net, cache=cache)
         runs.append((name, net, cache, plan, trace))
     net, fleet = load_instance_file(f"{INSTANCE_DIR}/fleet15.json")
     cache = SteadyStateCache(net)
     partition = plan_fleet(net, fleet.num_agents, cache=cache)
     for k, plan in enumerate(partition.plans):
-        trace = simulate(plan, plan.cycle.network, record_states=25)
+        trace = simulate(plan, plan.cycle.network)
         runs.append((f"fleet15/agent{k + 1}", plan.cycle.network, cache, plan, trace))
     return runs
 
@@ -351,6 +352,8 @@ def test_criterion_12_steady_state_sandwich(bundled_runs):
     for name, net, cache, plan, trace in bundled_runs:
         from patrolplan.dwell import timeline_from_schedule
 
+        # every 25th covariance of the same run, from the per-sample oracle
+        _, states = stepwise_simulate(plan, net, num_periods=trace.num_periods, record_states=25)
         timelines = timeline_from_schedule(plan.cycle, plan.dwells)
         for target in net.targets:
             tid = target.id
@@ -361,7 +364,7 @@ def test_criterion_12_steady_state_sandwich(bundled_runs):
             dim = target.dim
             dirs = rng.normal(size=(200, dim))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            samples = [w for t, w in trace.state_samples[tid] if t >= trace.period]
+            samples = [w for t, w in states[tid] if t >= trace.period]
             stack = np.stack(samples)
             proj = np.einsum("nd,tde,ne->tn", dirs, stack, dirs)
             lo = np.einsum("nd,de,ne->n", dirs, ss.omega_ss, dirs)

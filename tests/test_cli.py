@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from patrolplan import cli
 from patrolplan.cli import _config_from_args, build_parser, main
 from patrolplan.config import PlannerConfig
 from patrolplan.model import generate_random_instance, instance_to_document
@@ -56,16 +57,14 @@ class TestPlanSingle:
                        "--out", str(tmp_path))
         assert code == 2
 
-    def test_nonpositive_gain_is_usage_error(self, tmp_path):
+    def test_nonpositive_tolerance_is_usage_error(self, tmp_path):
         code = run_cli("plan-single", "--instance", str(INSTANCES / "line3.json"),
-                       "--kp", "-0.5", "--out", str(tmp_path))
+                       "--tol", "-0.5", "--out", str(tmp_path))
         assert code == 2
 
     @pytest.mark.parametrize("command, flag, value", [
         ("plan-single", "--tol", "inf"),
         ("plan-single", "--tol", "nan"),
-        ("plan-single", "--kp", "inf"),
-        ("plan-fleet", "--kp", "nan"),
         ("plan-fleet", "--sigma", "nan"),
         ("plan-fleet", "--sigma", "inf"),
     ])
@@ -171,6 +170,37 @@ class TestSimulateAndValidate:
         assert code == 0
         report = json.loads((tmp_path / "sim" / "validation.json").read_text())
         assert report["prediction_consistent"]
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before --out was checked")
+
+
+@pytest.mark.parametrize("command, taken", [
+    ("plan-single", "file"),
+    ("simulate", "file"),
+    ("gen", "directory"),
+])
+def test_unusable_out_is_input_error_naming_it(planned, tmp_path, capsys, monkeypatch,
+                                               command, taken):
+    out = tmp_path / "taken"
+    if taken == "file":
+        out.write_text("keep\n")
+    else:
+        out.mkdir()
+    for name in ("plan_single_agent", "simulate", "generate_random_instance"):
+        monkeypatch.setattr(cli, name, _must_not_run)
+    argv = {
+        "plan-single": ("--instance", str(INSTANCES / "line3.json")),
+        "simulate": ("--instance", str(INSTANCES / "line3.json"),
+                     "--plan", str(planned / "plan.json")),
+        "gen": ("--targets", "3"),
+    }[command]
+    assert run_cli(command, *argv, "--out", str(out)) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "input"
+    assert "--out" in error["message"] and str(out) in error["message"]
+    assert (out.read_text() == "keep\n") if taken == "file" else not any(out.iterdir())
 
 
 def _drop_period(doc):
@@ -293,8 +323,8 @@ class TestConfigFlags:
         fields = dataclasses.fields(PlannerConfig)
         chosen = {}
         for argv in (
-            ["plan-fleet", "--instance", "x.json", "--kp", "0.03", "--tol", "1e-5",
-             "--sigma", "0.7", "--seed", "5"],
+            ["plan-fleet", "--instance", "x.json", "--tol", "1e-5", "--sigma", "0.7",
+             "--seed", "5"],
             ["simulate", "--instance", "x.json", "--plan", "p.json", "--periods", "7"],
         ):
             cfg = _config_from_args(build_parser().parse_args(argv))
@@ -302,7 +332,7 @@ class TestConfigFlags:
                            if getattr(cfg, f.name) != f.default})
         cfg = PlannerConfig(**chosen)
         assert dataclasses.asdict(cfg) == {
-            "k_p": 0.03, "balance_tol": 1e-5, "sigma": 0.7, "seed": 5, "num_periods": 7,
+            "balance_tol": 1e-5, "sigma": 0.7, "seed": 5, "num_periods": 7,
         }
         assert all(getattr(cfg, f.name) != f.default for f in dataclasses.fields(PlannerConfig))
 
@@ -321,7 +351,10 @@ class TestEntryPoint:
         ("plan-single", "--instance", str(INSTANCES / "table1.json"), "--sigma", "9"),
         ("simulate", "--instance", str(INSTANCES / "table1.json"), "--plan", "plan.json",
          "--kp", "0.5"),
-    ], ids=["gen-kp", "plan-single-sigma", "simulate-kp"])
+        # the consensus gain is a constant: no subcommand takes --kp
+        ("plan-single", "--instance", str(INSTANCES / "table1.json"), "--kp", "0.5"),
+        ("plan-fleet", "--instance", str(INSTANCES / "fleet15.json"), "--kp", "0.5"),
+    ], ids=["gen-kp", "plan-single-sigma", "simulate-kp", "plan-single-kp", "plan-fleet-kp"])
     def test_flag_the_subcommand_does_not_read_is_usage_error(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exit_:
             run_cli(*argv, "--out", str(tmp_path / "out"))

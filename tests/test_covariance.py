@@ -26,6 +26,7 @@ from oracles import (
     scalar_observed,
     scalar_single_visit_peak,
     scalar_unobserved,
+    tightly_periodic,
 )
 
 
@@ -171,7 +172,7 @@ class TestPeriodicSteadyState:
 
     def test_matches_bisection_oracle(self):
         a, q, g = TABLE1["A"][0], TABLE1["Q"][0], 1.0 / TABLE1["R"][0]
-        peaks = periodic_steady_state([[a]], [[q]], [[g]], t_on=[1.0], t_off=[1.0], tol=1e-12)
+        peaks = tightly_periodic([[a]], [[q]], [[g]], t_on=[1.0], t_off=[1.0], tol=1e-12)
         oracle = scalar_single_visit_peak(a, q, g, 1.0, 1.0)
         assert peaks.upper[0][0, 0] == pytest.approx(oracle, rel=1e-8)
 
@@ -273,7 +274,7 @@ class TestSteadyStateProperties:
     """Directional bounds and slope signs of the periodic solution."""
 
     def sample_profile(self, A, Q, G, t_on, t_off, n=400):
-        peaks = periodic_steady_state(A, Q, G, t_on=[t_on], t_off=[t_off], tol=1e-12)
+        peaks = tightly_periodic(A, Q, G, t_on=[t_on], t_off=[t_off], tol=1e-12)
         w = peaks.upper[0]
         samples = []
         obs = observed_flow(A, Q, G, t_on / n)
@@ -327,13 +328,13 @@ class TestSteadyStateProperties:
 
     def test_peak_monotone_in_dwell_and_gap(self):
         a, q, g = 0.35, 1.1, 0.45
-        base = periodic_steady_state([[a]], [[q]], [[g]], t_on=[0.4, 0.3], t_off=[0.8, 0.6],
-                                     tol=1e-13)
+        base = tightly_periodic([[a]], [[q]], [[g]], t_on=[0.4, 0.3], t_off=[0.8, 0.6],
+                                tol=1e-13)
         eps = 1e-4
-        more_on = periodic_steady_state([[a]], [[q]], [[g]], t_on=[0.4 + eps, 0.3],
-                                        t_off=[0.8, 0.6], tol=1e-13)
-        more_off = periodic_steady_state([[a]], [[q]], [[g]], t_on=[0.4, 0.3],
-                                         t_off=[0.8, 0.6 + eps], tol=1e-13)
+        more_on = tightly_periodic([[a]], [[q]], [[g]], t_on=[0.4 + eps, 0.3],
+                                   t_off=[0.8, 0.6], tol=1e-13)
+        more_off = tightly_periodic([[a]], [[q]], [[g]], t_on=[0.4, 0.3],
+                                    t_off=[0.8, 0.6 + eps], tol=1e-13)
         for k in range(2):
             assert more_on.upper[k][0, 0] < base.upper[k][0, 0] - 1e-8
             assert more_off.upper[k][0, 0] > base.upper[k][0, 0] + 1e-8

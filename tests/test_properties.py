@@ -21,15 +21,23 @@ A connected travel graph with tied and zero-length routes must give the
 network's fastest times (bit for bit) and paths of the plain Floyd-Warshall
 loop.
 
-The last plans small random scalar instances and simulates each plan with one
+The next plans small random scalar instances and simulates each plan with one
 sample per segment (``dt`` = the period): a scalar target's peaks sit at its
 switch instants, so those samples see them, and the realized cost must match
 the prediction and never fall below the cost floor.
+
+The last plans small random scalar instances and fleets and checks that every
+plan document survives JSON text and ``Plan.from_document`` unchanged; a
+fleet's agent plans are read back as the CLI reads them, over the cluster
+view built from the document's ``covers``.
 """
 
 import dataclasses
+import json
 import math
+import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -37,17 +45,26 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from patrolplan import dwell
+from patrolplan.cli import _load_plan
 from patrolplan.config import PlannerConfig
 from patrolplan.covariance import ConvergenceError, cov_norm, periodic_steady_state
 from patrolplan.cycles import Cycle, SteadyStateCache, cycle_lower_bound, tsp_heuristic
 from patrolplan.dwell import (
+    Plan,
     balance_level_set,
     balance_multi_visit,
     balance_single_visit,
     plan_single_agent,
     timeline_from_schedule,
 )
-from patrolplan.model import TargetNetwork, TargetSpec, generate_random_instance, load_instance_file
+from patrolplan.fleet import plan_fleet
+from patrolplan.model import (
+    TargetNetwork,
+    TargetSpec,
+    generate_random_instance,
+    instance_to_document,
+    load_instance_file,
+)
 from patrolplan.simulate import simulate, validate
 
 from oracles import (
@@ -407,3 +424,34 @@ def test_floor_at_most_realized_cost(num_targets, seed):
     report = validate(plan, simulate(plan, network, dt=plan.period, num_periods=3))
     assert report["metric_floor_holds"]
     assert report["prediction_consistent"]
+
+
+def json_round_trip(doc: dict) -> dict:
+    back = json.loads(json.dumps(doc))
+    assert back == doc
+    return back
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_plan_document_round_trips(num_targets, seed):
+    network, _ = generate_random_instance(num_targets, seed)
+    doc = plan_single_agent(network, SteadyStateCache(network)).to_document()
+    assert Plan.from_document(network, json_round_trip(doc)).to_document() == doc
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(4, 10), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_fleet_plan_documents_round_trip(num_targets, num_agents, seed):
+    network, fleet = generate_random_instance(num_targets, seed, num_agents=num_agents)
+    partition = plan_fleet(network, num_agents, SteadyStateCache(network))
+    with tempfile.TemporaryDirectory() as folder:
+        instance = Path(folder) / "instance.json"
+        instance.write_text(json.dumps(instance_to_document(network, fleet)))
+        for k, plan in enumerate(partition.plans):
+            doc = json_round_trip(plan.to_document())
+            path = Path(folder) / f"plan_agent{k + 1}.json"
+            path.write_text(json.dumps(doc))
+            view, loaded = _load_plan(SimpleNamespace(instance=str(instance), plan=str(path)))
+            assert sorted(view.ids) == doc["covers"]
+            assert loaded.to_document() == doc

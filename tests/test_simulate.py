@@ -94,7 +94,7 @@ class TestSimulate:
 
     def test_scaled_init_converges(self, small_plan):
         net, cache, plan = small_plan
-        init = steady_initial_covariances(plan, net, cache, scale=10.0)
+        init = {tid: 10.0 * w for tid, w in steady_initial_covariances(plan, net, cache).items()}
         trace = simulate(plan, net, initial=init, cache=cache)
         for tid, peak in trace.per_target_realized.items():
             if tid in plan.active:
@@ -122,6 +122,10 @@ class TestSimulate:
         ss = cache.steady(3)
         resting = cov_norm(ss.omega_inf_finite)
         assert trace.norms[3][-1] == pytest.approx(resting, rel=1e-6)
+        # the start is the resting covariance, in an array the cache does not own
+        start = steady_initial_covariances(plan, net, cache)[3]
+        assert np.array_equal(start, ss.omega_inf_finite)
+        assert not np.shares_memory(start, ss.omega_inf_finite)
 
     def test_eta_matches_dwell_intervals(self, small_plan):
         net, cache, plan = small_plan
@@ -218,9 +222,6 @@ def _assert_matches_stepwise(got, ref, net):
         assert got.observed[tid].tolist() == ref.observed[tid]
         assert got.period_maxima[tid] == ref.period_maxima[tid]
         assert got.per_target_realized[tid] == ref.per_target_realized[tid]
-        assert [t for t, _ in got.state_samples[tid]] == [t for t, _ in ref.state_samples[tid]]
-        for (_, a), (_, b) in zip(got.state_samples[tid], ref.state_samples[tid]):
-            assert a.shape == b.shape and np.array_equal(a, b)
     assert got.realized_cost == ref.realized_cost
     assert (got.settle_period, got.converged) == (ref.settle_period, ref.converged)
 
@@ -234,8 +235,8 @@ class TestColumnarMatchesStepwise:
     )
     def test_identical_trace_and_csv(self, case, request, monkeypatch):
         net, cache, plan = request.getfixturevalue(case)
-        got = simulate(plan, net, cache=cache, num_periods=3, record_states=25)
-        ref = stepwise_simulate(plan, net, cache=cache, num_periods=3, record_states=25)
+        got = simulate(plan, net, cache=cache, num_periods=3)
+        ref, _ = stepwise_simulate(plan, net, cache=cache, num_periods=3)
         _assert_matches_stepwise(got, ref, net)
         expected = rowwise_trace_csv(ref).encode("ascii")
         assert trace_to_csv(got) == expected
@@ -247,13 +248,11 @@ class TestColumnarMatchesStepwise:
     def test_repeated_periods_are_tiled_exactly(self, case, request):
         """Long enough that every target of the scalar and of the matrix
         plan starts some period where the one before started, so the rest
-        of its column is tiled; states kept every 7th row, which does not
-        divide the rows of a period, fall at every place in it."""
+        of its column is tiled."""
         net, cache, plan = request.getfixturevalue(case)
-        got = simulate(plan, net, cache=cache, num_periods=12, record_states=7)
-        ref = stepwise_simulate(plan, net, cache=cache, num_periods=12, record_states=7)
+        got = simulate(plan, net, cache=cache, num_periods=12)
+        ref, _ = stepwise_simulate(plan, net, cache=cache, num_periods=12)
         rows = (len(ref.times) - 1) // 12
-        assert rows % 7
         last, before = slice(-rows, None), slice(-2 * rows, -rows)
         assert any(col[last] == col[before] for col in ref.norms.values())
         _assert_matches_stepwise(got, ref, net)
@@ -275,7 +274,7 @@ class TestRepeatedCycles:
         flows = [(SimpleNamespace(apply=lambda w: swap @ w), 1),
                  (SimpleNamespace(apply=lambda w: w + 0.0), 2)]
         w0 = np.array([[1.0, 0.25], [0.25, 0.5]])
-        col, kept = simulate_module._matrix_column(w0, flows, 5, 16, 4)
+        col = simulate_module._matrix_column(w0, flows, 5, 16)
         states, w = [w0], w0
         for _ in range(5):
             for flow, n_sub in flows:
@@ -284,9 +283,6 @@ class TestRepeatedCycles:
                     states.append(w)
         assert col.tolist() == [cov_norm(w) for w in states]
         assert col[1:4].tolist() != col[4:7].tolist()
-        assert [r for r, _ in kept] == list(range(0, 16, 4))
-        for r, w in kept:
-            assert np.array_equal(w, states[r])
 
 
 def _formatted(values, precision):
