@@ -72,8 +72,18 @@ def _out_path(args, default: str, directory: bool) -> Path:
     return path
 
 
-def _out_dir(args) -> Path:
-    return _out_path(args, ".", directory=True)
+def _out_dir(args, names) -> Path:
+    """The ``--out`` directory, with none of the file ``names`` the
+    subcommand writes into it taken by a directory."""
+    out = _out_path(args, ".", directory=True)
+    for name in names:
+        if (out / name).is_dir():
+            raise InstanceError(f"--out {str(out)!r}: output file {str(out / name)!r} "
+                                f"is a directory")
+    return out
+
+
+SINGLE_PLAN_FILES = ("plan.json", "cycle.json", "convergence.csv")
 
 
 def cmd_gen(args) -> int:
@@ -101,7 +111,7 @@ def _write_single_plan(network, cfg, out: Path) -> Plan:
 def cmd_plan_single(args) -> int:
     network, fleet = load_instance_file(args.instance)
     cfg = _config_from_args(args)
-    out = _out_dir(args)
+    out = _out_dir(args, SINGLE_PLAN_FILES)
     plan = _write_single_plan(network, cfg, out)
     print(
         f"plan: period {plan.period:.6g}, predicted cost {plan.j_pred:.6g}, "
@@ -116,7 +126,8 @@ def cmd_plan_fleet(args) -> int:
     agents = fleet.num_agents if args.agents is None else args.agents
     if agents > len(network.ids):
         raise InstanceError(f"{agents} agents exceed {len(network.ids)} targets")
-    out = _out_dir(args)
+    out = _out_dir(args, SINGLE_PLAN_FILES if agents == 1 else
+                   ["fleet.json", *(f"plan_agent{k}.json" for k in range(1, agents + 1))])
     if agents == 1:
         plan = _write_single_plan(network, cfg, out)
         print(
@@ -159,7 +170,7 @@ def _simulate_plan(args, write_trace: bool):
     ``validation.json``; returns the trace, the report and the output dir."""
     network, plan = _load_plan(args)
     cfg = _config_from_args(args)
-    out = _out_dir(args)
+    out = _out_dir(args, ("trace.csv", "validation.json") if write_trace else ("validation.json",))
     trace = simulate(plan, network, num_periods=cfg.num_periods)
     if write_trace:
         with open(out / "trace.csv", "wb") as fh:

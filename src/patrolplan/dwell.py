@@ -6,10 +6,10 @@ once or several times.  The planning path reaches it by one Newton loop,
 ``balance_level_set``, which solves for the common level and the dwell of
 every slot together.  In each bordered step a single-slot target's row is
 one slope and is eliminated in closed form; only the dense rows of targets
-with several dwell slots go to a linear solve.  Should the steps not
-converge, a cycle in which no target has two dwell slots finds the same
-root by bracketing the level, and any other falls back to the paper's
-consensus law (``balance_multi_visit``): each target's total dwell moves
+with several dwell slots go to a linear solve.  A cycle in which no target
+has two dwell slots is balanced by these steps alone; any other cycle on
+which they do not converge falls back to the paper's consensus law
+(``balance_multi_visit``): each target's total dwell moves
 proportionally to the log ratio of its peak cost to the geometric mean
 across active targets, which keeps the period constant while all active
 peak costs converge to a common value, and a target with several dwell
@@ -416,80 +416,13 @@ def balance_single_visit(
 # level-set balancing
 # ---------------------------------------------------------------------------
 
-LEVEL_NEWTON_STEPS = 50   # Newton steps before the fallback (bracketed root or consensus law)
+LEVEL_NEWTON_STEPS = 400  # Newton steps before ConvergenceError (the consensus law if multi-slot)
 FD_STEP = 1e-6            # relative dwell step of the finite-difference slopes
 
 
 def _to_budget(x: list[float], budget: float) -> list[float]:
     scale = budget / sum(x)
     return [d * scale for d in x]
-
-
-def _illinois(fn, lo: float, hi: float, f_lo: float, f_hi: float, ftol: float) -> float:
-    """Root of a falling ``fn`` on [lo, hi] with ``f_lo >= 0 >= f_hi``, by
-    the Illinois form of regula falsi (bisection while an end value is
-    infinite).  Stops at ``|fn| <= ftol`` or once the bracket is down to
-    float resolution."""
-    if abs(f_hi) <= ftol:
-        return hi
-    side = 0
-    for _ in range(400):
-        if math.isfinite(f_lo) and math.isfinite(f_hi) and f_lo != f_hi:
-            x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        else:
-            x = 0.5 * (lo + hi)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                return x
-        fx = fn(x)
-        if abs(fx) <= ftol:
-            return x
-        if fx > 0.0:
-            lo, f_lo = x, fx
-            if side == 1:
-                f_hi *= 0.5
-            side = 1
-        else:
-            hi, f_hi = x, fx
-            if side == -1:
-                f_lo *= 0.5
-            side = -1
-    return x
-
-
-def _level_set_bracketed(cost, ids: list[int], never: dict[int, float], budget: float,
-                         tol: float) -> list[float]:
-    """Balanced dwells by nested roots: for a level ``L`` each target's dwell
-    ``d_i(L)`` solves ``log f_i(d) = L`` (zero when its never-observed cost is
-    at most ``e^L``), and ``S(L) = Σ d_i(L)`` falls monotonically, so the
-    outer root ``S(L) = budget`` lies in ``[max_i log f_i(budget),
-    max_i log f_i(budget / m)]`` and is always found.  The dwells are
-    returned in ``ids`` order, rescaled to sum to the budget exactly."""
-    full = {tid: math.log(cost(tid, budget)) for tid in ids}
-    lo = max(full.values())
-    if math.isinf(lo):
-        raise ConvergenceError("no finite balanced level: a peak overflows on the whole budget",
-                               math.inf)
-    hi = max(math.log(cost(tid, budget / len(ids))) for tid in ids)
-
-    def dwells_at(level: float) -> list[float]:
-        out = []
-        for tid in ids:
-            top = math.log(never[tid]) - level
-            if top <= 0.0:
-                out.append(0.0)
-            else:
-                out.append(_illinois(lambda d: math.log(cost(tid, d)) - level, 0.0, budget,
-                                     top, full[tid] - level, 0.01 * tol))
-        return out
-
-    def excess(level: float) -> float:
-        return sum(dwells_at(level)) - budget
-
-    ftol = 1e-3 * tol * budget
-    level = lo if hi <= lo else _illinois(excess, lo, hi, excess(lo), excess(hi), ftol)
-    return _to_budget(dwells_at(level), budget)
 
 
 def _level_step(x: list[float], logs: list[float], slope: dict[int, float],
@@ -608,11 +541,11 @@ def balance_level_set(
 
     It stops once the spread of the active per-target costs and of every
     active eligible visit's peak is at most ``tol / 10``.  Should
-    ``LEVEL_NEWTON_STEPS`` steps not get there, a cycle with no multi-slot
-    target solves the same root by bisection on ``L``
-    (``_level_set_bracketed``), and any other hands the iterate with the
-    least spread to the consensus law (``balance_multi_visit``).  ``trace``
-    is the running minimum of each iterate's worst peak cost.
+    ``LEVEL_NEWTON_STEPS`` steps not get there (or a step find no usable
+    row), a cycle with no multi-slot target raises ``ConvergenceError``, and
+    any other hands the iterate with the least spread to the consensus law
+    (``balance_multi_visit``).  ``trace`` is the running minimum of each
+    iterate's worst peak cost.
     """
     cfg = config or DEFAULT_CONFIG
     cache = cache or SteadyStateCache(cycle.network)
@@ -666,7 +599,6 @@ def balance_level_set(
     prev: tuple[list[float], list[float]] | None = None
     best: tuple[float, list[float]] = (math.inf, x)
     steps = 0
-    bracketed = False
     while True:
         dwells = full(x) if multi else None   # instance-aligned, for the multi-slot targets
         costs = {tid: cost(tid, x[k]) for tid, k in one.items()}
@@ -685,10 +617,6 @@ def balance_level_set(
         inactive_ok = all(never[tid] <= g_con * (1.0 + tol) for tid in ids if tid not in on)
         if spread <= 0.1 * tol and inactive_ok:
             break
-        if bracketed:
-            if spread <= tol and inactive_ok:
-                break
-            raise ConvergenceError("level-set balancing did not converge", spread)
         if spread < best[0]:
             best = (spread, x)
         # log of the peak at the start of each eligible visit
@@ -723,11 +651,9 @@ def balance_level_set(
                             slope[k] = secant
             new_x = _level_step(x, logs, slope, dense, groups, floor, budget)
         if new_x is None:
-            if multi:
-                return balance_multi_visit(cycle, period, cache, cfg,
-                                           initial_dwells=full(best[1]))
-            new_x = _level_set_bracketed(cost, ids, never, budget, tol)
-            bracketed = True
+            if not multi:
+                raise ConvergenceError("level-set balancing did not converge", spread)
+            return balance_multi_visit(cycle, period, cache, cfg, initial_dwells=full(best[1]))
         prev = (x, logs)
         x = new_x
         steps += 1
@@ -756,9 +682,9 @@ def golden_period_search(
 ) -> tuple[float, DwellState, list[tuple[float, float]]]:
     """Golden-section search of the period against the balanced peak cost.
 
-    Every probe is balanced by ``balance_level_set``.  Should its Newton
-    steps not converge, it brackets the level when no target has two dwell
-    slots and hands the cycle to the consensus law otherwise.  Probes reuse
+    Every probe is balanced by ``balance_level_set``, whose Newton steps
+    hand a cycle with a multi-slot target to the consensus law should they
+    not converge (and raise ``ConvergenceError`` on any other).  Probes reuse
     the previous probe's dwell vector (rescaled) as a warm start; the
     balanced cost is invariant to the start point.  The bracket is
     ``[(1 + BRACKET_LOW), BRACKET_HIGH]`` times the travel time ([1, 3] for

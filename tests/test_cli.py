@@ -180,27 +180,45 @@ def _must_not_run(*args, **kwargs):
     ("plan-single", "file"),
     ("simulate", "file"),
     ("gen", "directory"),
+    # an output file name inside a usable --out taken by a directory
+    ("plan-single", "plan.json"),
+    ("plan-single", "convergence.csv"),
+    ("plan-fleet", "fleet.json"),
+    ("plan-fleet", "plan_agent3.json"),
+    ("simulate", "trace.csv"),
+    ("simulate", "validation.json"),
+    ("validate", "validation.json"),
 ])
 def test_unusable_out_is_input_error_naming_it(planned, tmp_path, capsys, monkeypatch,
                                                command, taken):
     out = tmp_path / "taken"
     if taken == "file":
         out.write_text("keep\n")
-    else:
+    elif taken == "directory":
         out.mkdir()
-    for name in ("plan_single_agent", "simulate", "generate_random_instance"):
+    else:
+        (out / taken).mkdir(parents=True)
+    for name in ("plan_single_agent", "plan_fleet", "simulate", "generate_random_instance"):
         monkeypatch.setattr(cli, name, _must_not_run)
+    checking = ("--instance", str(INSTANCES / "line3.json"), "--plan", str(planned / "plan.json"))
     argv = {
         "plan-single": ("--instance", str(INSTANCES / "line3.json")),
-        "simulate": ("--instance", str(INSTANCES / "line3.json"),
-                     "--plan", str(planned / "plan.json")),
+        "plan-fleet": ("--instance", str(INSTANCES / "fleet15.json")),
+        "simulate": checking,
+        "validate": checking,
         "gen": ("--targets", "3"),
     }[command]
     assert run_cli(command, *argv, "--out", str(out)) == 2
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "input"
     assert "--out" in error["message"] and str(out) in error["message"]
-    assert (out.read_text() == "keep\n") if taken == "file" else not any(out.iterdir())
+    if taken == "file":
+        assert out.read_text() == "keep\n"
+    elif taken == "directory":
+        assert not any(out.iterdir())
+    else:
+        assert str(out / taken) in error["message"]
+        assert [p.name for p in out.iterdir()] == [taken] and not any((out / taken).iterdir())
 
 
 def _drop_period(doc):

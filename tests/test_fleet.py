@@ -282,6 +282,16 @@ class TestPlanFleet:
         for members, plan in zip(part.clusters, part.plans):
             assert set(plan.costs) == members
 
+    def test_fast_diverging_wide_box_plans(self):
+        # a first probe with log peaks about 90 apart: the level set's steps
+        # climb back from dwells near 1e-27 at 4x per step, which took more
+        # than 50 steps, and the consensus law failed on it
+        net, _ = generate_random_instance(16, 553497, ParamRanges(
+            a=(0.05, 5.0), stable_fraction=0.3, r=(0.05, 8.0), alpha=(1.0, 5.0), box=3.0))
+        part = plan_fleet(net, 2, SteadyStateCache(net))
+        assert len(part.plans) == 2
+        assert_plans_balance(part)
+
 
 @st.composite
 def sparse_graphs(draw):

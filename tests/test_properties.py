@@ -26,6 +26,11 @@ sample per segment (``dt`` = the period): a scalar target's peaks sit at its
 switch instants, so those samples see them, and the realized cost must match
 the prediction and never fall below the cost floor.
 
+Single-agent plans of random instances over wide parameter ranges (fast
+drifts, low noise intensities, stable targets, a large box) must come from
+the level set's Newton steps alone, never the consensus law, cover every
+target and be consistent with their own timelines.
+
 The last plans small random scalar instances and fleets and checks that every
 plan document survives JSON text and ``Plan.from_document`` unchanged; a
 fleet's agent plans are read back as the CLI reads them, over the cluster
@@ -46,7 +51,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from patrolplan import dwell
 from patrolplan.cli import _load_plan
-from patrolplan.config import PlannerConfig
+from patrolplan.config import ParamRanges, PlannerConfig
 from patrolplan.covariance import ConvergenceError, cov_norm, periodic_steady_state
 from patrolplan.cycles import Cycle, SteadyStateCache, cycle_lower_bound, tsp_heuristic
 from patrolplan.dwell import (
@@ -74,6 +79,7 @@ from oracles import (
     period_steps,
     python_floyd_warshall,
 )
+from test_dwell import assert_plan_consistent
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 
@@ -424,6 +430,34 @@ def test_floor_at_most_realized_cost(num_targets, seed):
     report = validate(plan, simulate(plan, network, dt=plan.period, num_periods=3))
     assert report["metric_floor_holds"]
     assert report["prediction_consistent"]
+
+
+@st.composite
+def hard_instances(draw):
+    """A random instance of 3 to 10 scalar targets over wide ranges: drifts up
+    to 0.5, 2 or 5, no, 30% or 70% stable targets, noise intensities from
+    0.05 or 2, cost weights up to 1 or 5 and a box of side 0.5 or 3."""
+    ranges = ParamRanges(
+        a=(0.05, draw(st.sampled_from([0.5, 2.0, 5.0]))),
+        stable_fraction=draw(st.sampled_from([0.0, 0.3, 0.7])),
+        r=(draw(st.sampled_from([0.05, 2.0])), 8.0),
+        alpha=(1.0, draw(st.sampled_from([1.0, 5.0]))),
+        box=draw(st.sampled_from([0.5, 3.0])),
+    )
+    network, _ = generate_random_instance(draw(st.integers(3, 10)),
+                                          draw(st.integers(0, 10**6 - 1)), ranges)
+    return network
+
+
+@settings(max_examples=40, deadline=None)
+@given(hard_instances())
+def test_hard_single_agent_instances_plan_by_newton_alone(network):
+    # every probe of a single-agent plan is a single-slot cycle, balanced by
+    # the level set's Newton steps with no fallback
+    with mock.patch.object(dwell, "balance_multi_visit", side_effect=AssertionError):
+        plan = plan_single_agent(network, SteadyStateCache(network))
+    assert plan.active | set(plan.excluded) == set(network.ids)
+    assert_plan_consistent(plan)
 
 
 def json_round_trip(doc: dict) -> dict:
