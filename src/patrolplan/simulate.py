@@ -6,13 +6,19 @@ propagators (uniform substeps inside each dwell/travel segment, exact values
 at segment boundaries), and checks the realized worst cost against the plan's
 prediction.
 
-The trace is columnar: each target is integrated in one loop over the
-segments (scalar targets apply the Moebius substep inline, with the same
+The schedule is described once, by ``_schedule_segments``: the trace
+integrates its segments, and ``_phases`` reads each target's dwells and
+gaps off them for its switch times and its start state on the periodic
+orbit.  A run whose trace would hold more than ``MAX_TRACE_VALUES`` samples
+(rows times targets) is refused before anything is allocated.
+
+The trace is columnar: ``_column`` integrates each target one period at a
+time (scalar targets apply the Moebius substep inline, with the same
 operations as ``_ScalarFlow``), and its samples land in a numpy column.
 Once a period starts from bitwise the state some earlier period started
 from, the substep recurrence repeats the periods since then exactly, so the
 rest of the column is tiled from them instead of integrated.  Times,
-observed flags and the per-period maxima are array operations.
+observed flags and the per-period statistics are array operations.
 
 ``trace_to_csv`` returns the ASCII text of ``trace.csv``, equal byte for
 byte to ``'%.9g'``/``'%.12g'`` per value.  It formats whole chunks of rows
@@ -33,7 +39,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG
 from .covariance import cov_norm, observed_flow, unobserved_flow, periodic_steady_state
 from .cycles import SteadyStateCache
-from .dwell import Plan, timeline_from_schedule
+from .dwell import Plan
 from .model import TargetNetwork
 
 __all__ = ["SimTrace", "simulate", "validate", "trace_to_csv", "steady_initial_covariances"]
@@ -41,6 +47,7 @@ __all__ = ["SimTrace", "simulate", "validate", "trace_to_csv", "steady_initial_c
 CSV_CHUNK_ROWS = 5_000   # rows formatted per batch by trace_to_csv
 GRID_POINTS_PER_PERIOD = 2000   # samples per period of the default grid
 PREDICTION_REL_TOL = 1e-3       # realized vs predicted cost, relative, for a consistent plan
+MAX_TRACE_VALUES = 64_000_000   # samples (rows x targets) one simulate call may hold
 
 
 @dataclass
@@ -80,18 +87,32 @@ def _schedule_segments(plan: Plan) -> list[tuple[float, int | None]]:
     return segments
 
 
-def _visit_start_times(plan: Plan) -> dict[int, float]:
-    """Absolute start time of each target's first dwell within the period."""
-    cycle = plan.cycle
-    t = 0.0
-    starts: dict[int, float] = {}
-    for pos, inst in enumerate(cycle.instances):
-        if plan.dwells[pos] > 1e-12 and inst.target not in starts:
-            starts[inst.target] = t
-        t += plan.dwells[pos]
-        if len(cycle.instances) > 1:
-            t += cycle.legs[pos]
-    return starts
+def _phases(segments, tid: int) -> tuple[list[float], list[float], list[float], float]:
+    """``t_on``, ``t_off``, the start time of each phase and the tail of the
+    last gap (its part after the last dwell, up to the end of the period)
+    for target ``tid``.  Each of its dwell segments opens a phase (back to
+    back dwells stay two phases with a zero gap), every later segment adds
+    to that phase's gap, and the segments before its first dwell fold into
+    the last gap.  All empty for a target that is never dwelled on."""
+    t_on: list[float] = []
+    t_off: list[float] = []
+    starts: list[float] = []
+    t = lead = 0.0
+    for duration, obs_tid in segments:
+        if obs_tid == tid:
+            t_on.append(duration)
+            t_off.append(0.0)
+            starts.append(t)
+        elif t_off:
+            t_off[-1] += duration
+        else:
+            lead += duration
+        t += duration
+    if not t_on:
+        return t_on, t_off, starts, 0.0
+    tail = t_off[-1]
+    t_off[-1] += lead
+    return t_on, t_off, starts, tail
 
 
 def steady_initial_covariances(
@@ -104,57 +125,23 @@ def steady_initial_covariances(
     covariance."""
     network = network or plan.cycle.network
     cache = cache or SteadyStateCache(network)
-    timelines = timeline_from_schedule(plan.cycle, plan.dwells)
-    starts = _visit_start_times(plan)
-    period = plan.period
+    segments = _schedule_segments(plan)
     out: dict[int, np.ndarray] = {}
     for target in network.targets:
         tid = target.id
-        tl = timelines.get(tid)
-        if tl is None or sum(tl.t_on) <= 1e-12:
+        t_on, t_off, starts, tail = _phases(segments, tid)
+        if not t_on:
             ss = cache.steady(tid)
             # a copy: the cache's own arrays must not leave it
             out[tid] = np.array(ss.omega_inf_finite if ss.a_is_hurwitz else ss.omega_ss)
             continue
-        # drop zero-dwell visits: their phases merge into the gaps
-        t_on, t_off = _merged_phases(tl.t_on, tl.t_off)
         peaks = periodic_steady_state(target.A, target.Q, target.G, t_on, t_off)
-        # walk the orbit from the first dwell start back around to t = 0
-        first_start = starts[tid]
-        remaining = (period - first_start) % period
-        omega = peaks.upper[0]
-        for on, off in zip(t_on, t_off):
-            if remaining <= 1e-14:
-                break
-            step = min(on, remaining)
-            if step > 0:
-                omega = observed_flow(target.A, target.Q, target.G, step).apply(omega)
-                remaining -= step
-            if remaining <= 1e-14:
-                break
-            step = min(off, remaining)
-            if step > 0:
-                omega = unobserved_flow(target.A, target.Q, step).apply(omega)
-                remaining -= step
+        if starts[0] == 0.0:
+            omega = peaks.upper[0]
+        else:
+            omega = unobserved_flow(target.A, target.Q, tail).apply(peaks.lower[-1])
         out[tid] = np.atleast_2d(omega)
     return out
-
-
-def _merged_phases(t_on: list[float], t_off: list[float]) -> tuple[list[float], list[float]]:
-    """Merge zero-dwell visits into the surrounding gaps."""
-    ons, offs = [], []
-    for on, off in zip(t_on, t_off):
-        if on > 1e-12 or not ons:
-            ons.append(on)
-            offs.append(off)
-        else:
-            offs[-1] += off
-    # a leading zero-dwell visit folds into the trailing gap
-    while len(ons) > 1 and ons[0] <= 1e-12:
-        offs[-1] += offs[0]
-        ons.pop(0)
-        offs.pop(0)
-    return ons, offs
 
 
 def _repeat_cycle(col: np.ndarray, first: int, done: int, num_periods: int) -> np.ndarray:
@@ -165,47 +152,45 @@ def _repeat_cycle(col: np.ndarray, first: int, done: int, num_periods: int) -> n
     return np.concatenate([col, np.resize(cycle, (num_periods - done) * period_rows)])
 
 
-def _scalar_column(w: float, seg_coeffs, num_periods: int) -> np.ndarray:
-    """Covariance of a scalar target at every sample: one Moebius substep
-    ``w -> (m21 + m22 w) / (m11 + m12 w)`` per row, as ``_ScalarFlow``
-    applies it.  A period that starts from bitwise the state an earlier one
+def _column(w, advance, num_periods: int) -> np.ndarray:
+    """Norm of one target's covariance at every sample of ``num_periods``
+    periods from state ``w``; ``advance(w, append)`` integrates one period
+    from ``w``, appends the norm after every substep and returns the end
+    state.  A period that starts from bitwise the state an earlier one
     started from repeats the periods since then exactly (the recurrence is
     deterministic), so the column stops there and repeats them."""
-    col = array("d", [w])
-    append = col.append
+    col = array("d", [cov_norm(w)])
     seen: dict[bytes, int] = {}
     for done in range(num_periods):
         first = seen.setdefault(np.asarray(w).tobytes(), done)
         if first < done:
-            break
+            return _repeat_cycle(np.frombuffer(col, dtype=float), first, done, num_periods)
+        w = advance(w, col.append)
+    return np.frombuffer(col, dtype=float)
+
+
+def _scalar_advance(seg_coeffs):
+    """One period of a scalar target: one Moebius substep
+    ``w -> (m21 + m22 w) / (m11 + m12 w)`` per row, as ``_ScalarFlow``
+    applies it, for each segment's ``(m, n_sub)``."""
+    def advance(w, append):
         for (m11, m12, m21, m22), n_sub in seg_coeffs:
             for _ in range(n_sub):
                 w = (m21 + m22 * w) / (m11 + m12 * w)
                 append(w)
-    else:
-        return np.frombuffer(col, dtype=float)
-    return _repeat_cycle(np.frombuffer(col, dtype=float), first, done, num_periods)
+        return w
+    return advance
 
 
-def _matrix_column(w: np.ndarray, seg_flows, num_periods: int, n_rows: int) -> np.ndarray:
-    """Trace norm of a matrix target at every sample, with the
-    repeated-period short-cut of ``_scalar_column``."""
-    col = np.empty(n_rows)
-    col[0] = cov_norm(w)
-    row = 0
-    seen: dict[bytes, int] = {}
-    for done in range(num_periods):
-        first = seen.setdefault(np.asarray(w).tobytes(), done)
-        if first < done:
-            break
+def _matrix_advance(seg_flows):
+    """One period of a matrix target, for each segment's ``(flow, n_sub)``."""
+    def advance(w, append):
         for flow, n_sub in seg_flows:
             for _ in range(n_sub):
                 w = flow.apply(w)
-                row += 1
-                col[row] = cov_norm(w)
-    else:
-        return col
-    return _repeat_cycle(col[:row + 1], first, done, num_periods)
+                append(cov_norm(w))
+        return w
+    return advance
 
 
 def simulate(
@@ -220,7 +205,8 @@ def simulate(
 
     ``initial`` defaults to the planned periodic steady state.  Sampling uses
     uniform substeps of at most ``dt`` inside each dwell/travel segment, with
-    segment boundaries always sampled exactly.
+    segment boundaries always sampled exactly.  ``ValueError`` if the trace
+    would hold more than ``MAX_TRACE_VALUES`` samples.
     """
     network = network or plan.cycle.network
     cache = cache or SteadyStateCache(network)
@@ -234,23 +220,28 @@ def simulate(
     if dt is None:
         dt = min(period / GRID_POINTS_PER_PERIOD, min_seg / 50.0)
         dt = max(dt, period / 200_000.0)
+    targets = sorted(network.ids)
+    sub_counts = [max(1, math.ceil(duration / dt - 1e-9)) for duration, _ in segments]
+    rows_per_period = sum(sub_counts)
+    n_rows = 1 + num_periods * rows_per_period
+    if n_rows * len(targets) > MAX_TRACE_VALUES:
+        raise ValueError(
+            f"{num_periods} periods of {rows_per_period} samples for {len(targets)} targets "
+            f"exceed the trace limit of {MAX_TRACE_VALUES} values"
+        )
     if initial is None:
         initial = steady_initial_covariances(plan, network, cache)
 
-    targets = sorted(network.ids)
     column = {tid: k for k, tid in enumerate(targets)}
     # one period of substeps: length, and the column of the target observed
     # at the sample that ends it (-1: none).  A boundary sample belongs to
     # the segment that starts there, so dwell-start instants carry the flag.
-    sub_counts = [max(1, math.ceil(duration / dt - 1e-9)) for duration, _ in segments]
     steps: list[float] = []
     row_obs: list[int] = []
     for si, ((duration, obs_tid), n_sub) in enumerate(zip(segments, sub_counts)):
         nxt = segments[(si + 1) % len(segments)][1]
         steps += [duration / n_sub] * n_sub
         row_obs += [column.get(obs_tid, -1)] * (n_sub - 1) + [column.get(nxt, -1)]
-    rows_per_period = len(steps)
-    n_rows = 1 + num_periods * rows_per_period
     times = np.empty(n_rows)
     times[0] = 0.0
     # add.accumulate sums in order, as t += step does
@@ -272,53 +263,38 @@ def simulate(
         ]
         w0 = np.atleast_2d(np.asarray(initial[tid], dtype=float))
         if spec.is_scalar:
-            col = _scalar_column(float(w0[0, 0]), [(f.m, n) for f, n in seg_flows], num_periods)
+            col = _column(float(w0[0, 0]), _scalar_advance([(f.m, n) for f, n in seg_flows]),
+                          num_periods)
         else:
-            col = _matrix_column(w0, seg_flows, num_periods, n_rows)
+            col = _column(w0, _matrix_advance(seg_flows), num_periods)
         norms[tid] = col
         # x * 1.0 == x exactly, so a weight-1 target shares its norm column
         costs[tid] = col if spec.weight_alpha == 1.0 else spec.weight_alpha * col
         observed[tid] = (obs_rows == column[tid]).astype(np.int32)
 
-    period_maxima = {
-        tid: [float(costs[tid][p * rows_per_period:(p + 1) * rows_per_period + 1].max())
-              for p in range(num_periods)]
+    # per period, the maximum over its rows and the sample that ends it
+    maxima = np.array([
+        np.maximum(costs[tid][:-1].reshape(num_periods, rows_per_period).max(axis=1),
+                   costs[tid][rows_per_period::rows_per_period])
         for tid in targets
-    }
+    ])
+    period_maxima = dict(zip(targets, maxima.tolist()))
     # the last sample at or before the start of the last period
     last_start = int(np.searchsorted(times, (num_periods - 1) * period + 1e-9, side="right")) - 1
     per_target_realized = {tid: float(costs[tid][last_start:].max()) for tid in targets}
     realized = max(per_target_realized.values())
 
-    settle = num_periods
-    converged = False
-    for k in range(num_periods - 1):
-        ok = True
-        for tid in targets:
-            a, b = period_maxima[tid][k], period_maxima[tid][k + 1]
-            if math.isinf(a) or math.isinf(b):
-                ok = False
-                break
-            if abs(a - b) > 1e-6 * max(1.0, abs(b)):
-                ok = False
-                break
-        if ok:
-            settle = k + 1
-            converged = True
-            break
+    # settled after period k + 1 once no target's maximum is infinite or
+    # moves by more than 1e-6 relative from period k to k + 1 (NaN passes)
+    a, b = maxima[:, :-1], maxima[:, 1:]
+    with np.errstate(invalid="ignore"):
+        moved = np.abs(a - b) > 1e-6 * np.maximum(1.0, np.abs(b))
+    settled = np.flatnonzero(~(np.isinf(a) | np.isinf(b) | moved).any(axis=0))
+    converged = len(settled) > 0
+    settle = int(settled[0]) + 1 if converged else num_periods
 
-    timelines = timeline_from_schedule(plan.cycle, plan.dwells)
-    starts = _visit_start_times(plan)
-    switch_times: dict[int, list[float]] = {}
-    for tid, tl in timelines.items():
-        if sum(tl.t_on) <= 1e-12:
-            continue
-        events = []
-        t_cursor = starts[tid]
-        for on, off in zip(*_merged_phases(tl.t_on, tl.t_off)):
-            events.append(t_cursor % period)
-            t_cursor += on + off
-        switch_times[tid] = sorted(events)
+    starts = {tid: _phases(segments, tid)[2] for tid in targets}
+    switch_times = {tid: at for tid, at in starts.items() if at}
 
     return SimTrace(
         times=times,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from array import array
 
 import numpy as np
 import scipy.linalg
@@ -268,7 +269,8 @@ def tightly_periodic(A, Q, G, t_on, t_off, tol: float):
 def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONFIG.num_periods,
                       dt=None, cache=None, record_states=0):
     """``simulate`` as a loop over substeps that applies every target's flow
-    and records one sample per target at a time, into Python lists.  It
+    and records one sample per target at a time, appended to ``array('d')``
+    columns (``array('b')`` for the observed flags).  It
     shares the package's flows and schedule helpers: it checks the columnar
     loop, not the propagators.  ``switch_times`` is left empty.
 
@@ -306,10 +308,10 @@ def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONF
         w0 = np.atleast_2d(np.asarray(initial[tid], dtype=float))
         state[tid] = float(w0[0, 0]) if scalar[tid] else w0
 
-    times = [0.0]
-    norms = {tid: [] for tid in targets}
-    costs = {tid: [] for tid in targets}
-    observed = {tid: [] for tid in targets}
+    times = array("d", [0.0])
+    norms = {tid: array("d") for tid in targets}
+    costs = {tid: array("d") for tid in targets}
+    observed = {tid: array("b") for tid in targets}
     state_samples = {tid: [] for tid in targets}
 
     def record(tid, obs_tid):

@@ -160,6 +160,19 @@ class TestSimulateAndValidate:
         report = json.loads((tmp_path / "validation.json").read_text())
         assert report["metric_floor_holds"]
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_absurd_period_count_is_input_error_naming_it(self, planned, tmp_path, capsys,
+                                                          command):
+        code = run_cli(command, "--instance", str(INSTANCES / "line3.json"),
+                       "--plan", str(planned / "plan.json"),
+                       "--periods", "10000000000000", "--out", str(tmp_path))
+        assert code == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "input"
+        assert "10000000000000 periods" in error["message"]
+        assert not (tmp_path / "trace.csv").exists()
+        assert not (tmp_path / "validation.json").exists()
+
     def test_fleet_agent_plan_simulates(self, tmp_path):
         out = tmp_path / "fleet"
         assert run_cli("plan-fleet", "--instance", str(INSTANCES / "fleet15.json"),

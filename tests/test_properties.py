@@ -24,7 +24,12 @@ loop.
 The next plans small random scalar instances and simulates each plan with one
 sample per segment (``dt`` = the period): a scalar target's peaks sit at its
 switch instants, so those samples see them, and the realized cost must match
-the prediction and never fall below the cost floor.
+the prediction and never fall below the cost floor.  Over two such periods
+from ``steady_initial_covariances``, every plan of a random single agent or
+fleet, on a complete or a tree travel graph (routes through other targets,
+targets first dwelled on after t = 0), must start each dwelled target on its
+orbit: back at its start after one period, with the first period's maximum
+at the plan's cost.
 
 Single-agent plans of random instances over wide parameter ranges (fast
 drifts, low noise intensities, stable targets, a large box) must come from
@@ -70,7 +75,7 @@ from patrolplan.model import (
     instance_to_document,
     load_instance_file,
 )
-from patrolplan.simulate import simulate, validate
+from patrolplan.simulate import simulate, steady_initial_covariances, validate
 
 from oracles import (
     apply_period,
@@ -430,6 +435,47 @@ def test_floor_at_most_realized_cost(num_targets, seed):
     report = validate(plan, simulate(plan, network, dt=plan.period, num_periods=3))
     assert report["metric_floor_holds"]
     assert report["prediction_consistent"]
+
+
+@st.composite
+def orbit_plans(draw):
+    """The plans of a random scalar instance of 3 to 8 targets: one agent's,
+    or every agent's of a two- or three-agent fleet.  The travel graph is
+    the complete one or a random spanning tree of it, whose routes pass
+    through other targets: zero-dwell instances, in a fleet also of targets
+    another agent covers."""
+    network, _ = generate_random_instance(draw(st.integers(3, 8)),
+                                          draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        length = {(min(i, j), max(i, j)): d for i, j, d in network.edges}
+        ids = network.ids
+        edges = []
+        for k in range(1, len(ids)):
+            parent = ids[draw(st.integers(0, k - 1))]
+            edges.append((parent, ids[k], length[min(parent, ids[k]), max(parent, ids[k])]))
+        network = TargetNetwork(network.targets, edges, network.positions)
+    agents = draw(st.integers(1, 3))
+    if agents == 1:
+        return [plan_single_agent(network, SteadyStateCache(network))]
+    return plan_fleet(network, agents, SteadyStateCache(network)).plans
+
+
+@settings(max_examples=40, deadline=None)
+@given(orbit_plans())
+def test_simulated_trace_starts_on_its_orbit(plans):
+    # one sample per segment, so the switch instants, where a scalar
+    # target's peaks sit, are sampled
+    for plan in plans:
+        network = plan.cycle.network
+        initial = steady_initial_covariances(plan, network)
+        trace = simulate(plan, network, initial=initial, num_periods=2, dt=plan.period)
+        end = (len(trace.times) - 1) // 2   # the sample that ends period 1
+        dwelled = {inst.target for pos, inst in enumerate(plan.cycle.instances)
+                   if plan.dwells[pos] > 1e-12}
+        for tid in dwelled:
+            norms = trace.norms[tid]
+            assert norms[end] == pytest.approx(norms[0], rel=1e-9, abs=0.0)
+            assert trace.period_maxima[tid][0] == pytest.approx(plan.costs[tid], rel=1e-6, abs=0.0)
 
 
 @st.composite

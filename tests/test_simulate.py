@@ -106,6 +106,16 @@ class TestSimulate:
         t2 = simulate(plan, net, cache=cache, num_periods=20)
         assert abs(t1.realized_cost - t2.realized_cost) <= 1e-8 * t2.realized_cost
 
+    def test_trace_size_limit_is_checked_before_any_work(self, small_plan, monkeypatch):
+        net, cache, plan = small_plan
+        rows = len(simulate(plan, net, cache=cache, num_periods=2).times)
+        monkeypatch.setattr(simulate_module, "MAX_TRACE_VALUES", rows * len(net.ids))
+        assert len(simulate(plan, net, cache=cache, num_periods=2).times) == rows
+        monkeypatch.setattr(simulate_module, "MAX_TRACE_VALUES", rows * len(net.ids) - 1)
+        monkeypatch.setattr(simulate_module, "steady_initial_covariances", None)
+        with pytest.raises(ValueError, match="^2 periods of"):
+            simulate(plan, net, cache=cache, num_periods=2)
+
     def test_never_visited_stable_target_rests_at_limit(self):
         net = TargetNetwork(
             targets=[
@@ -214,12 +224,12 @@ class TestSandwichOnTrace:
 
 
 def _assert_matches_stepwise(got, ref, net):
-    assert got.times.tolist() == ref.times
+    assert got.times.tolist() == ref.times.tolist()
     for tid in ref.norms:
-        assert got.norms[tid].tolist() == ref.norms[tid]
-        assert got.costs[tid].tolist() == ref.costs[tid]
+        assert got.norms[tid].tolist() == ref.norms[tid].tolist()
+        assert got.costs[tid].tolist() == ref.costs[tid].tolist()
         assert (got.costs[tid] is got.norms[tid]) == (net.target(tid).weight_alpha == 1.0)
-        assert got.observed[tid].tolist() == ref.observed[tid]
+        assert got.observed[tid].tolist() == ref.observed[tid].tolist()
         assert got.period_maxima[tid] == ref.period_maxima[tid]
         assert got.per_target_realized[tid] == ref.per_target_realized[tid]
     assert got.realized_cost == ref.realized_cost
@@ -265,7 +275,8 @@ class TestRepeatedCycles:
 
     def test_scalar_two_period_cycle(self):
         # w -> 1/w, one substep per period: 2, 0.5, 2, ...
-        col = simulate_module._scalar_column(2.0, [((0.0, 1.0, 1.0, 0.0), 1)], 7)
+        advance = simulate_module._scalar_advance([((0.0, 1.0, 1.0, 0.0), 1)])
+        col = simulate_module._column(2.0, advance, 7)
         assert col.tolist() == [2.0, 0.5, 2.0, 0.5, 2.0, 0.5, 2.0, 0.5]
 
     def test_matrix_cycle_keeps_the_stepwise_states(self):
@@ -274,7 +285,7 @@ class TestRepeatedCycles:
         flows = [(SimpleNamespace(apply=lambda w: swap @ w), 1),
                  (SimpleNamespace(apply=lambda w: w + 0.0), 2)]
         w0 = np.array([[1.0, 0.25], [0.25, 0.5]])
-        col = simulate_module._matrix_column(w0, flows, 5, 16)
+        col = simulate_module._column(w0, simulate_module._matrix_advance(flows), 5)
         states, w = [w0], w0
         for _ in range(5):
             for flow, n_sub in flows:
