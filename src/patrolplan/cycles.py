@@ -3,8 +3,10 @@
 A cycle is the periodic sequence of target visits an agent executes.  Cycles
 are stored fully expanded: every adjacent instance pair is joined by a direct
 graph edge, and multi-hop connections materialize their intermediate targets
-as pass-through (non-dwell) instances.  The cheap metric used to rank cycles
-is the worst per-target cost floor obtained from each target's maximum revisit
+as pass-through (non-dwell) instances.  ``Cycle`` alone answers how a target
+sees its cycle: its visits, its dwell slots, its revisit gaps and, under a
+dwell vector, its on/off timeline.  The cheap metric used to rank cycles is
+the worst per-target cost floor obtained from each target's maximum revisit
 travel time, which never exceeds the realized cost of any dwell schedule on
 the same cycle.  Greedy candidates are splices of the current cycle, scored
 from its revisit gaps; only the few scored near the best are built.
@@ -16,7 +18,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .covariance import cov_norm, lower_bound, scalar_lower_bound, steady_states_for, SteadyStates
 from .model import TargetNetwork, TargetSpec
@@ -53,9 +55,11 @@ class Cycle:
     """A closed visiting sequence with per-leg travel times.
 
     ``legs[j]`` is the direct travel time from ``instances[j]`` to
-    ``instances[j + 1]`` (cyclically).  Ordinals are assigned in order of
-    appearance.  Instances of the same target may repeat, including back to
-    back across the wrap (a zero-length leg joins them).
+    ``instances[j + 1]`` (cyclically); a one-instance cycle has no legs.
+    Ordinals are assigned in order of appearance.  Instances of the same
+    target may repeat, including back to back across the wrap (a zero-length
+    leg joins them).  ``eligible`` maps each target with a dwell slot to the
+    positions of its slots, in cycle order; it is read-only.
     """
 
     def __init__(self, network: TargetNetwork, seq: list[tuple[int, bool]], legs: list[float]):
@@ -72,8 +76,11 @@ class Cycle:
         self.legs = list(legs) if len(seq) > 1 else []
         self.travel_time = float(sum(self.legs))
         self._positions: dict[int, list[int]] = {}
+        self.eligible: dict[int, list[int]] = {}
         for pos, inst in enumerate(self.instances):
             self._positions.setdefault(inst.target, []).append(pos)
+            if inst.dwell_eligible:
+                self.eligible.setdefault(inst.target, []).append(pos)
 
     # -- constructors -------------------------------------------------------
 
@@ -81,8 +88,6 @@ class Cycle:
     def from_targets(cls, network: TargetNetwork, targets: list[int]) -> "Cycle":
         """Expand a sequence of dwell visits into a physical cycle along
         fastest paths."""
-        if len(targets) == 1:
-            return cls(network, [(targets[0], True)], [])
         out_seq: list[tuple[int, bool]] = []
         out_legs: list[float] = []
         for k, u in enumerate(targets):
@@ -102,7 +107,7 @@ class Cycle:
 
     @property
     def dwell_targets(self) -> set[int]:
-        return {i.target for i in self.instances if i.dwell_eligible}
+        return set(self.eligible)
 
     def positions_of(self, target: int) -> list[int]:
         return self._positions.get(target, [])
@@ -111,30 +116,51 @@ class Cycle:
         """Per target, the travel time between consecutive visits (cyclic).
 
         ``gaps[t][k]`` is the zero-dwell revisit time ending at that target's
-        (k+1)-th instance.  A single-instance target's gap is the whole tour.
+        (k+1)-th instance, a difference of two prefix sums of the legs.  A
+        single-instance target's gap is the whole tour.
         """
-        n = len(self.instances)
-        if n == 1:
-            return {self.instances[0].target: [0.0]}
         cum = [0.0]
         for leg in self.legs:
             cum.append(cum[-1] + leg)
         total = cum[-1]
         gaps: dict[int, list[float]] = {}
         for target, positions in self._positions.items():
-            m = len(positions)
             out = []
-            for k in range(m):
-                prev = positions[(k - 1) % m]
-                here = positions[k]
-                if m == 1:
-                    out.append(total)
-                elif here > prev:
-                    out.append(cum[here] - cum[prev])
-                else:
-                    out.append(total - (cum[prev] - cum[here]))
+            prev = positions[-1]
+            for here in positions:
+                out.append(cum[here] - cum[prev] if here > prev else total - (cum[prev] - cum[here]))
+                prev = here
             gaps[target] = out
         return gaps
+
+    def timelines(self, dwells: list[float],
+                  targets: Iterable[int]) -> dict[int, tuple[list[float], list[float]]]:
+        """``(t_on, t_off)`` of each of ``targets`` under an instance-aligned
+        dwell vector: ``t_on[k]`` is the dwell at the target's (k+1)-th
+        instance, ``t_off[k]`` the departing leg plus every dwell and leg
+        after it until the next one.
+
+        ``t_off`` is summed instance by instance, not differenced from prefix
+        sums as in ``visit_gaps``, so that a change of one dwell moves only
+        the gaps that contain it: the level set's finite-difference rows
+        divide by that change, and a prefix sum would move every later gap
+        by the rounding of the whole period.
+        """
+        legs = self.legs or [0.0]
+        n = len(legs)
+        out: dict[int, tuple[list[float], list[float]]] = {}
+        for target in targets:
+            positions = self._positions[target]
+            t_off = []
+            for here, nxt in zip(positions, positions[1:] + positions[:1]):
+                off = legs[here]
+                pos = (here + 1) % n
+                while pos != nxt:
+                    off += dwells[pos] + legs[pos]
+                    pos = (pos + 1) % n
+                t_off.append(off)
+            out[target] = ([dwells[p] for p in positions], t_off)
+        return out
 
     def sequence(self) -> list[tuple[int, bool]]:
         return [(i.target, i.dwell_eligible) for i in self.instances]
@@ -273,8 +299,6 @@ def tsp_heuristic(network: TargetNetwork, subset: set[int] | list[int]) -> Cycle
     ids = sorted(set(subset))
     if not ids:
         raise ValueError("subset must be non-empty")
-    if len(ids) == 1:
-        return Cycle.from_targets(network, ids)
     travel = network.travel
     # nearest neighbour from the lowest id
     tour = [ids[0]]

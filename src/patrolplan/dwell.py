@@ -89,45 +89,19 @@ class TargetTimeline:
 
 
 def timeline_from_schedule(cycle: Cycle, dwells: list[float]) -> dict[int, TargetTimeline]:
-    """Convert an instance-aligned dwell vector into per-target timelines.
+    """Convert an instance-aligned dwell vector into per-target timelines,
+    in target order: ``Cycle.timelines`` with the dwell vector checked.
 
-    ``t_off`` after a visit accumulates the departing leg plus every
-    intermediate dwell and leg until the target's next instance.
+    ``t_off`` after a visit spans the departing leg plus every intermediate
+    dwell and leg until the target's next instance.
     """
     n = len(cycle.instances)
     if len(dwells) != n:
         raise ValueError(f"need a dwell list of length {n}, got {len(dwells)}")
     if any(d < 0 for d in dwells):
         raise ValueError("dwells must be nonnegative")
-    out: dict[int, TargetTimeline] = {}
-    if n == 1:
-        inst = cycle.instances[0]
-        out[inst.target] = TargetTimeline([dwells[0]], [0.0], [0])
-        return out
-    for tid in sorted(cycle.target_ids):
-        positions = cycle.positions_of(tid)
-        out[tid] = TargetTimeline(*_on_off(cycle, positions, dwells), positions)
-    return out
-
-
-def _on_off(cycle: Cycle, positions: list[int],
-            dwells: list[float]) -> tuple[list[float], list[float]]:
-    """``t_on`` and ``t_off`` of the target visited at ``positions`` of a
-    cycle of at least two instances."""
-    n = len(cycle.instances)
-    m = len(positions)
-    t_on, t_off = [], []
-    for k in range(m):
-        here = positions[k]
-        nxt = positions[(k + 1) % m]
-        t_on.append(dwells[here])
-        off = cycle.legs[here]
-        pos = (here + 1) % n
-        while pos != nxt:
-            off += dwells[pos] + cycle.legs[pos]
-            pos = (pos + 1) % n
-        t_off.append(off)
-    return t_on, t_off
+    return {tid: TargetTimeline(*on_off, cycle.positions_of(tid))
+            for tid, on_off in cycle.timelines(dwells, sorted(cycle.target_ids)).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +147,7 @@ def _log_ratio(cost: float, g_avg: float) -> float:
     return max(-LOG_RATIO_CAP, min(LOG_RATIO_CAP, r))
 
 
-def _eligible_map(cycle: Cycle) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for pos, inst in enumerate(cycle.instances):
-        if inst.dwell_eligible:
-            out.setdefault(inst.target, []).append(pos)
-    return out
-
-
-def _init_dwells(cycle: Cycle, budget: float, eligible: dict[int, list[int]],
-                 initial: list[float] | None) -> list[float]:
+def _init_dwells(cycle: Cycle, budget: float, initial: list[float] | None) -> list[float]:
     n = len(cycle.instances)
     dwells = [0.0] * n
     if initial is not None:
@@ -197,8 +162,8 @@ def _init_dwells(cycle: Cycle, budget: float, eligible: dict[int, list[int]],
         if total <= 0:
             raise ValueError("initial dwells must not all be zero")
         return [v * budget / total for v in initial]
-    share = budget / len(eligible)
-    for positions in eligible.values():
+    share = budget / len(cycle.eligible)
+    for positions in cycle.eligible.values():
         for pos in positions:
             dwells[pos] = share / len(positions)
     return dwells
@@ -285,7 +250,7 @@ def balance_multi_visit(
     """
     cfg = config or DEFAULT_CONFIG
     cache = cache or SteadyStateCache(cycle.network)
-    eligible = _eligible_map(cycle)
+    eligible = cycle.eligible
     budget = period - cycle.travel_time
     if budget <= 0:
         raise PlanningError(
@@ -293,7 +258,7 @@ def balance_multi_visit(
         )
     gain = CONSENSUS_GAIN
     tol = cfg.balance_tol if tol is None else tol
-    dwells = _init_dwells(cycle, budget, eligible, initial_dwells)
+    dwells = _init_dwells(cycle, budget, initial_dwells)
     dwell_ids = sorted(eligible)
     never = {tid: cache.never_observed_cost(tid) for tid in dwell_ids}
     slot = {tid: eligible[tid][0] for tid in dwell_ids if len(eligible[tid]) == 1}
@@ -306,7 +271,7 @@ def balance_multi_visit(
     prev: tuple[list[float], dict[int, float], dict[int, list[float]], float] | None = None
     spread = math.inf
     for iters in range(1, BALANCE_MAX_ITERS + 1):
-        timelines = timeline_from_schedule(cycle, dwells) if split else {}
+        timelines = cycle.timelines(dwells, split) if split else {}
         costs: dict[int, float] = {}
         visit_costs: dict[int, list[float]] = {}  # targets with several slots only
         for tid in dwell_ids:
@@ -318,14 +283,12 @@ def balance_multi_visit(
                 else:
                     costs[tid] = _visit_costs(cache, tid, [ton], [period - ton])[0]
                 continue
-            timeline = timelines[tid]
-            if sum(timeline.t_on) <= 0.0:
+            t_on, t_off = timelines[tid]
+            if sum(t_on) <= 0.0:
                 costs[tid] = never[tid]
                 visit_costs[tid] = [never[tid]] * len(split[tid])
                 continue
-            new_splits, vcosts = balance_within_target(
-                tid, timeline.t_on, timeline.t_off, masks[tid], cache
-            )
+            new_splits, vcosts = balance_within_target(tid, t_on, t_off, masks[tid], cache)
             for p, s in zip(split[tid], new_splits):
                 dwells[p] = s
             visit_costs[tid] = vcosts
@@ -405,7 +368,7 @@ def balance_single_visit(
 ) -> DwellState:
     """``balance_multi_visit`` on a cycle where each target has at most one
     dwell slot (raises ``PlanningError`` otherwise)."""
-    for tid, positions in _eligible_map(cycle).items():
+    for tid, positions in cycle.eligible.items():
         if len(positions) > 1:
             raise PlanningError(f"target {tid} has multiple dwell slots; "
                                 "use the multi-visit balancer")
@@ -549,7 +512,7 @@ def balance_level_set(
     """
     cfg = config or DEFAULT_CONFIG
     cache = cache or SteadyStateCache(cycle.network)
-    eligible = _eligible_map(cycle)
+    eligible = cycle.eligible
     budget = period - cycle.travel_time
     if budget <= 0:
         raise PlanningError(
@@ -559,7 +522,7 @@ def balance_level_set(
     ids = sorted(eligible)
     never = {tid: cache.never_observed_cost(tid) for tid in ids}
     slots = [p for tid in ids for p in eligible[tid]]
-    owner = [cycle.instances[p].target for p in slots]
+    owner = [tid for tid in ids for _ in eligible[tid]]
     groups: dict[int, list[int]] = {}
     for k, tid in enumerate(owner):
         groups.setdefault(tid, []).append(k)
@@ -574,10 +537,13 @@ def balance_level_set(
             return never[tid]
         return _visit_costs(cache, tid, [d], [period - d])[0]
 
-    def multi_costs(tid: int, dwells: list[float]) -> list[float]:
-        if all(dwells[p] <= 0.0 for p in eligible[tid]):
-            return [never[tid]] * len(multi[tid])
-        return _visit_costs(cache, tid, *_on_off(cycle, multi[tid], dwells))
+    def multi_costs(dwells: list[float]) -> dict[int, list[float]]:
+        """Per-visit peak costs of every multi-slot target."""
+        timelines = cycle.timelines(dwells, multi)
+        return {tid: [never[tid]] * len(positions)
+                if all(dwells[p] <= 0.0 for p in eligible[tid])
+                else _visit_costs(cache, tid, *timelines[tid])
+                for tid, positions in multi.items()}
 
     def full(x: list[float]) -> list[float]:
         dwells = [0.0] * len(cycle.instances)
@@ -585,7 +551,7 @@ def balance_level_set(
             dwells[p] = x[k]
         return dwells
 
-    start = _init_dwells(cycle, budget, eligible, initial_dwells)
+    start = _init_dwells(cycle, budget, initial_dwells)
     x = [start[p] for p in slots]
     for tid, ks in groups.items():   # an unstable target is never inactive
         if math.isinf(never[tid]) and sum(x[k] for k in ks) <= 0.0:
@@ -602,10 +568,9 @@ def balance_level_set(
     while True:
         dwells = full(x) if multi else None   # instance-aligned, for the multi-slot targets
         costs = {tid: cost(tid, x[k]) for tid, k in one.items()}
-        visit_costs: dict[int, list[float]] = {}   # multi-slot targets
-        for tid in multi:
-            visit_costs[tid] = multi_costs(tid, dwells)
-            costs[tid] = max(visit_costs[tid])
+        visit_costs = multi_costs(dwells) if multi else {}   # multi-slot targets
+        for tid, vcosts in visit_costs.items():
+            costs[tid] = max(vcosts)
         trace.append(min(max(costs.values()), trace[-1] if trace else math.inf))
         on = set(compress(owner, x))   # targets with a positive dwell
         active = sorted(on)
@@ -637,8 +602,7 @@ def balance_level_set(
                     if multi:
                         bumped = [*dwells]
                         bumped[p] += h
-                        for tid in multi:
-                            vcosts = multi_costs(tid, bumped)
+                        for tid, vcosts in multi_costs(bumped).items():
                             dense[tid][:, k] = [(math.log(vcosts[i]) - logs[r]) / h
                                                 for r, i in zip(groups[tid], visit[tid])]
             # single-slot rows: secants after the first step

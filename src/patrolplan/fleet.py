@@ -118,9 +118,7 @@ def enumerate_ceos(cycle: Cycle, external: int) -> list[Splice]:
     elsewhere too) with the external target.  Deterministic order.
     """
     network = cycle.network
-    if external in cycle.target_ids and any(
-        i.dwell_eligible and i.target == external for i in cycle.instances
-    ):
+    if external in cycle.eligible:
         raise ValueError(f"target {external} is already part of the cycle")
     seq = cycle.sequence()
     n = len(seq)
@@ -133,10 +131,6 @@ def enumerate_ceos(cycle: Cycle, external: int) -> list[Splice]:
     out += [_detour(cycle, pos, external, seq[pos][1]) for pos in range(n)]
     # bypass a short interior run; every dwell visit removed must leave the
     # same target dwellable elsewhere in the cycle
-    counts: dict[int, int] = {}
-    for t, elig in seq:
-        if elig:
-            counts[t] = counts.get(t, 0) + 1
     for start in range(n):
         removed: dict[int, int] = {}
         for run in range(1, BYPASS_MAX_RUN + 1):
@@ -147,7 +141,7 @@ def enumerate_ceos(cycle: Cycle, external: int) -> list[Splice]:
                 removed[t_mid] = removed.get(t_mid, 0) + 1
             if end_pos == start:
                 break
-            if any(removed[t] >= counts.get(t, 0) for t in removed):
+            if any(removed[t] >= len(cycle.eligible[t]) for t in removed):
                 break
             out.append(Splice(start, *_visit_between(network, seq[start][0], external,
                                                      seq[end_pos][0]), run + 1))
@@ -197,14 +191,20 @@ def shortest_path_disparity(network: TargetNetwork) -> DisparityMatrix:
 def similarity_from_disparity(
     disparity: DisparityMatrix, sigma: float | None = None
 ) -> SimilarityMatrix:
-    """Gaussian kernel similarity, self-similarity exactly one."""
+    """Gaussian kernel similarity, self-similarity exactly one.  The default
+    width is the median of the finite off-diagonal disparities (one if there
+    is none); an infinite disparity has similarity zero."""
     d = disparity.values
     if sigma is None:
-        off = d[~np.eye(d.shape[0], dtype=bool)]
+        off = d[~np.eye(d.shape[0], dtype=bool) & np.isfinite(d)]
         sigma = float(np.median(off)) if off.size else 1.0
         if sigma <= 0:
             sigma = 1.0
-    s = np.exp(-(d ** 2) / (2.0 * sigma ** 2))
+    # d and sigma scaled by sigma's power of two, which is exact: the kernel
+    # keeps every digit of exp(-d^2 / (2 sigma^2)), and sigma^2 cannot
+    # overflow (far-apart unstable targets give sigma near 1e170)
+    e = math.frexp(sigma)[1]
+    s = np.exp(-(np.ldexp(d, -e) ** 2) / (2.0 * math.ldexp(sigma, -e) ** 2))
     return SimilarityMatrix(ids=disparity.ids, values=s, sigma=sigma)
 
 
@@ -489,14 +489,8 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None) -> P
 
 def _critical_span_targets(cycle: Cycle, metric: CycleMetric) -> list[int]:
     """Member targets inside the critical sub-cycle, critical target included."""
-    members = set(cycle.network.ids)
     _, span = _critical_span(cycle, metric)
-    out = []
-    for pos in span:
-        t = cycle.instances[pos].target
-        if t in members and t not in out:
-            out.append(t)
-    return sorted(out)
+    return sorted({cycle.instances[pos].target for pos in span}.intersection(cycle.network.ids))
 
 
 # ---------------------------------------------------------------------------

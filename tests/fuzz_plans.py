@@ -1,0 +1,94 @@
+"""Random-instance fuzz of the planners: 600 seeded draws, each planned once.
+
+Draw ``i`` uses ``random.Random(i)``: n = ``randint(4, 21)`` targets,
+k = ``min(randint(1, 4), n)`` agents, then by ``choice`` the top of the drift
+range a_hi, the ``stable_fraction``, the bottom of the noise range r_lo, the
+top of the weight range alpha_hi and the ``box``, in that order, and the
+instance seed ``randrange(10**6)``.  The instance is
+``generate_random_instance(n, seed, ParamRanges(a=(0.05, a_hi),
+stable_fraction=..., r=(r_lo, 8.0), alpha=(1.0, alpha_hi), box=...))``;
+k = 1 plans it with ``plan_single_agent``, any other k with ``plan_fleet``.
+
+Each draw prints one line with its parameters, its status and its time.  The
+script exits 1 if a draw outside ``KNOWN_FAILURES`` fails; those are the
+multi-slot fleets that the level set hands to the consensus law, which does
+not converge on them.  A known failure that plans is reported, not counted.
+It is not collected by pytest.  Run it from the repository root::
+
+    PYTHONPATH=src python tests/fuzz_plans.py          # all 600 draws
+    PYTHONPATH=src python tests/fuzz_plans.py 349 400  # only these draws
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")   # one BLAS thread, as the benchmark runs
+
+import random
+import sys
+import time
+
+from patrolplan.config import ParamRanges
+from patrolplan.cycles import SteadyStateCache
+from patrolplan.dwell import plan_single_agent
+from patrolplan.fleet import plan_fleet
+from patrolplan.model import generate_random_instance
+
+DRAWS = 600
+KNOWN_FAILURES = {61, 96, 362, 490, 502, 578, 580}
+
+
+def draw(i: int) -> tuple[int, int, int, ParamRanges]:
+    """(n, k, instance seed, ranges) of draw ``i``."""
+    rng = random.Random(i)
+    n = rng.randint(4, 21)
+    k = min(rng.randint(1, 4), n)
+    a_hi = rng.choice([0.5, 2.0, 5.0])
+    stable_fraction = rng.choice([0.0, 0.3, 0.7])
+    r_lo = rng.choice([0.05, 2.0])
+    alpha_hi = rng.choice([1.0, 5.0])
+    box = rng.choice([0.5, 3.0])
+    seed = rng.randrange(10**6)
+    ranges = ParamRanges(a=(0.05, a_hi), stable_fraction=stable_fraction, r=(r_lo, 8.0),
+                         alpha=(1.0, alpha_hi), box=box)
+    return n, k, seed, ranges
+
+
+def plan(i: int) -> None:
+    n, k, seed, ranges = draw(i)
+    net, _ = generate_random_instance(n, seed, ranges)
+    cache = SteadyStateCache(net)
+    if k == 1:
+        plan_single_agent(net, cache)
+    else:
+        plan_fleet(net, k, cache)
+
+
+def main(argv: list[str]) -> int:
+    indices = [int(a) for a in argv] or range(DRAWS)
+    unexpected = []
+    for i in indices:
+        n, k, seed, ranges = draw(i)
+        start = time.perf_counter()
+        try:
+            plan(i)
+            status = "ok" if i not in KNOWN_FAILURES else "ok (a known failure plans)"
+        except Exception as exc:  # every failure is reported, then judged
+            status = f"FAIL {type(exc).__name__}: {exc}"
+            if i not in KNOWN_FAILURES:
+                unexpected.append(i)
+        elapsed = time.perf_counter() - start
+        print(f"draw {i} n={n} k={k} seed={seed} a_hi={ranges.a[1]} "
+              f"stable={ranges.stable_fraction} r_lo={ranges.r[0]} alpha_hi={ranges.alpha[1]} "
+              f"box={ranges.box}: {status} ({elapsed:.2f} s)", flush=True)
+    if unexpected:
+        print(f"unexpected failures: {unexpected}")
+        return 1
+    print("no unexpected failure")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

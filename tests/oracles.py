@@ -20,6 +20,10 @@ single-slot rows in closed form.
 ``reference_improve_cycle`` and ``reference_annex_gain`` build and cost every
 greedy candidate, the reference for the package's versions, which score the
 candidates from the base cycle's gaps and build only the near-best few.
+``sequential_visit_gaps`` walks a cycle's legs one target at a time, with a
+branch for one-instance cycles and targets, the reference for
+``Cycle.visit_gaps``; ``exact_timelines`` gives every target's on/off times
+in rational arithmetic, the reference for ``Cycle.timelines``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import itertools
 import math
 import random
 from array import array
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -483,6 +488,56 @@ def direct_cycle(network, targets: list[int]) -> Cycle:
             raise ValueError(f"no direct edge between {u} and {v}")
         legs.append(direct[(u, v)])
     return Cycle(network, seq, legs)
+
+
+# --- a target's view of a cycle, one target at a time -------------------------
+
+def sequential_visit_gaps(cycle: Cycle) -> dict[int, list[float]]:
+    """Per target, the zero-dwell revisit gap ending at each of its visits,
+    from prefix sums of the legs; a single-instance target's gap is the whole
+    tour and a one-instance cycle's is zero."""
+    if len(cycle.instances) == 1:
+        return {cycle.instances[0].target: [0.0]}
+    cum = [0.0]
+    for leg in cycle.legs:
+        cum.append(cum[-1] + leg)
+    total = cum[-1]
+    gaps = {}
+    for target in cycle.target_ids:
+        positions = cycle.positions_of(target)
+        m = len(positions)
+        out = []
+        for k in range(m):
+            prev = positions[(k - 1) % m]
+            here = positions[k]
+            if m == 1:
+                out.append(total)
+            elif here > prev:
+                out.append(cum[here] - cum[prev])
+            else:
+                out.append(total - (cum[prev] - cum[here]))
+        gaps[target] = out
+    return gaps
+
+
+def exact_timelines(cycle: Cycle, dwells: list[float]) -> dict[int, tuple[list, list]]:
+    """Per target, ``t_on`` and ``t_off`` as exact fractions: prefix sums of
+    dwell + leg in rational arithmetic, differenced at the target's visits."""
+    legs = cycle.legs or [0.0]
+    cum = [Fraction(0)]
+    for d, leg in zip(dwells, legs):
+        cum.append(cum[-1] + Fraction(d) + Fraction(leg))
+    out = {}
+    for target in cycle.target_ids:
+        positions = cycle.positions_of(target)
+        t_on = [Fraction(dwells[p]) for p in positions]
+        t_off = []
+        for k, here in enumerate(positions):
+            nxt = positions[(k + 1) % len(positions)]
+            gap = cum[nxt] - cum[here] if nxt > here else cum[-1] - cum[here] + cum[nxt]
+            t_off.append(gap - t_on[k])
+        out[target] = (t_on, t_off)
+    return out
 
 
 # --- greedy choices from every candidate built --------------------------------

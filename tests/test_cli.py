@@ -124,6 +124,25 @@ class TestPlanFleet:
         assert "--agents" in error["message"]
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("d", [150.0, 300.0])
+    def test_far_apart_unstable_targets_end_in_a_record(self, tmp_path, capsys, d):
+        # five unstable targets (A = 0.5) far apart: the clustering kernel
+        # overflowed (d = 150, a bare traceback) or took infinite disparities
+        # (d = 300, reported as bad input); the dwell stage still fails on
+        # peak costs near 1e222, with the engine's own error
+        doc = {
+            "targets": [{"id": k, "A": 0.5, "Q": 1.0, "H": 1.0, "R": 1.0} for k in range(1, 6)],
+            "edges": [{"i": i, "j": j, "d": d * (1 + 0.1 * (j - i))}
+                      for i in range(1, 6) for j in range(i + 1, 6)],
+            "agents": {"count": 2},
+        }
+        instance = tmp_path / "far.json"
+        instance.write_text(json.dumps(doc))
+        code = run_cli("plan-fleet", "--instance", str(instance), "--out", str(tmp_path / "out"))
+        assert code == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "numeric"
+
     def test_one_agent_delegates_to_single(self, tmp_path):
         code = run_cli("plan-fleet", "--instance", str(INSTANCES / "line3.json"),
                        "--agents", "1", "--out", str(tmp_path))

@@ -72,6 +72,15 @@ class TestTimeline:
         for t in tl.values():
             assert t.period() == pytest.approx(period, rel=1e-12)
 
+    def test_back_to_back_visits_have_a_zero_gap(self):
+        # a zero-length leg joins target 1's two visits; taken as a
+        # difference of prefix sums less the dwell of 0.3, that gap would
+        # come out at -1.7e-16
+        net, _ = generate_random_instance(2, seed=0)
+        cyc = Cycle.from_targets(net, [2, 1, 1])
+        tl = timeline_from_schedule(cyc, [3.3, 0.3, 0.1])
+        assert tl[1].t_off[0] == 0.0
+
     def test_misaligned_length_rejected(self):
         net, _ = generate_random_instance(2, seed=0)
         cyc = Cycle.from_targets(net, [1, 2])
@@ -414,7 +423,7 @@ class TestBalanceLevelSet:
 
         monkeypatch.setattr(np.linalg, "solve", refuse)
         plan = plan_single_agent(net, SteadyStateCache(net))
-        assert all(len(positions) == 1 for positions in dwell._eligible_map(plan.cycle).values())
+        assert all(len(positions) == 1 for positions in plan.cycle.eligible.values())
         assert plan.active
 
     def test_tiny_balanced_dwell(self):

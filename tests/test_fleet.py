@@ -27,6 +27,7 @@ from patrolplan.dwell import timeline_from_schedule
 from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance, load_instance_file
 
 from oracles import reference_annex_gain, reference_improve_cycle
+from test_dwell import assert_plan_consistent
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 
@@ -139,6 +140,32 @@ class TestSimilarity:
         disp = DisparityMatrix(ids=[1, 2], values=np.array([[0.0, 2.0], [2.0, 0.0]]))
         sim = similarity_from_disparity(disp, sigma=1.0)
         assert sim.values[0, 1] == pytest.approx(math.exp(-2.0))
+
+    def test_kernel_keeps_the_digits_of_the_plain_formula(self):
+        # spectral clustering can turn on the last digit of the kernel:
+        # exp(-0.5 (d / sigma)^2) moved the clusters of 3 of 447 fleets
+        # of tests/fuzz_plans.py
+        net, _ = generate_random_instance(12, seed=5)
+        disp = disparity_matrix(net)
+        sim = similarity_from_disparity(disp)
+        d = disp.values
+        assert sim.values.tobytes() == np.exp(-(d ** 2) / (2.0 * sim.sigma ** 2)).tobytes()
+
+    def test_width_comes_from_finite_disparities(self):
+        # an infinite disparity leaves the median and has similarity zero;
+        # disparities near 1e170 keep a finite width
+        values = np.array([[0.0, 1e170, math.inf], [1e170, 0.0, 3e170], [math.inf, 3e170, 0.0]])
+        sim = similarity_from_disparity(DisparityMatrix(ids=[1, 2, 3], values=values))
+        assert sim.sigma == pytest.approx(2e170)
+        assert sim.values[0, 2] == sim.values[2, 0] == 0.0
+        assert sim.values[0, 1] == pytest.approx(math.exp(-0.125))
+        assert np.isfinite(sim.values).all()
+
+    def test_no_finite_disparity_gives_unit_width(self):
+        values = np.array([[0.0, math.inf], [math.inf, 0.0]])
+        sim = similarity_from_disparity(DisparityMatrix(ids=[1, 2], values=values))
+        assert sim.sigma == 1.0
+        assert sim.values.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 class TestSpectralCluster:
@@ -291,6 +318,45 @@ class TestPlanFleet:
         part = plan_fleet(net, 2, SteadyStateCache(net))
         assert len(part.plans) == 2
         assert_plans_balance(part)
+
+
+def far_apart_unstable(d: float) -> TargetNetwork:
+    """Five unstable targets (A = 0.5) on a complete graph with travel times
+    ``d (1 + 0.1 |i - j|)``: their disparities reach about 1e170 at d = 150
+    and overflow to infinity at d = 300."""
+    return TargetNetwork(
+        targets=[TargetSpec(id=k, A=0.5, Q=1.0, H=1.0, R=1.0) for k in range(1, 6)],
+        edges=[(i, j, d * (1 + 0.1 * (j - i))) for i in range(1, 6) for j in range(i + 1, 6)],
+    )
+
+
+class TestFarApartUnstableTargets:
+    @pytest.mark.parametrize("d", [150.0, 300.0])
+    def test_clusters_without_dwells(self, d):
+        # the kernel width overflowed (d = 150) or became infinite (d = 300)
+        net = far_apart_unstable(d)
+        part = plan_fleet(net, 2, with_dwells=False)
+        assert_cluster_views(net, part)
+
+
+class TestConsensusHandOff:
+    @pytest.mark.parametrize("n, agents, seed, a_hi", [
+        (17, 4, 348987, 2.0),   # one active five-slot target, no usable row at step 0
+        (13, 3, 981192, 0.5),   # one active four-slot target, spread 2.5e-5 then 118
+    ], ids=["draw349", "draw400"])
+    def test_multi_slot_cycle_plans_through_the_consensus_law(self, n, agents, seed, a_hi):
+        # draws of tests/fuzz_plans.py whose level set hands a multi-slot
+        # cycle to the consensus law; once the level set balances them this
+        # test no longer reaches the hand-off
+        net, _ = generate_random_instance(n, seed, ParamRanges(
+            a=(0.05, a_hi), stable_fraction=0.7, r=(2.0, 8.0), alpha=(1.0, 5.0), box=3.0))
+        with mock.patch.object(dwell, "balance_multi_visit",
+                               wraps=dwell.balance_multi_visit) as consensus:
+            part = plan_fleet(net, agents, SteadyStateCache(net))
+        assert consensus.called
+        assert len(part.plans) == agents
+        for plan in part.plans:
+            assert_plan_consistent(plan)
 
 
 @st.composite

@@ -19,7 +19,12 @@ of the whole bordered solve in ``oracles.bordered_level_step``.
 
 A connected travel graph with tied and zero-length routes must give the
 network's fastest times (bit for bit) and paths of the plain Floyd-Warshall
-loop.
+loop.  On such graphs and on complete ones, ``Cycle.visit_gaps`` must give
+the revisit gaps of the per-target loop in ``oracles`` bit for bit, and
+``Cycle.timelines`` the exact on/off times within 1e-12 of the period, with
+pass-through instances, repeated and back-to-back dwell slots, zero-length
+legs and one-instance cycles among the draws.  A change of one dwell must
+leave every gap that does not contain it bit for bit as it was.
 
 The next plans small random scalar instances and simulates each plan with one
 sample per segment (``dt`` = the period): a scalar target's peaks sit at its
@@ -80,9 +85,11 @@ from patrolplan.simulate import simulate, steady_initial_covariances, validate
 from oracles import (
     apply_period,
     bordered_level_step,
+    exact_timelines,
     iterated_periodic_start,
     period_steps,
     python_floyd_warshall,
+    sequential_visit_gaps,
 )
 from test_dwell import assert_plan_consistent
 
@@ -425,6 +432,61 @@ def test_closure_matches_python_floyd_warshall(network):
         for j in network.ids:
             assert np.float64(network.travel[i][j]).tobytes() == np.float64(travel[i][j]).tobytes()
             assert network.path[i][j] == path[i][j]
+
+
+@st.composite
+def walked_cycles(draw):
+    """A cycle of dwell visits to one to eight targets in any order, repeats
+    and back-to-back repeats included, and a dwell vector on it.  The graph
+    is one of ``travel_graphs`` (routes through other targets become
+    pass-through instances, edges that take no time zero-length legs) or a
+    complete one with real travel times.  Each dwell slot takes zero or a
+    random real dwell."""
+    if draw(st.booleans()):
+        network = draw(travel_graphs())
+    else:
+        network, _ = generate_random_instance(draw(st.integers(1, 6)),
+                                              draw(st.integers(0, 2**32 - 1)))
+    visits = draw(st.lists(st.sampled_from(network.ids), min_size=1, max_size=8))
+    cycle = Cycle.from_targets(network, visits)
+    dwell = st.one_of(st.just(0.0), st.floats(1e-9, 5.0))
+    return cycle, [draw(dwell) if inst.dwell_eligible else 0.0 for inst in cycle.instances]
+
+
+@settings(max_examples=200, deadline=None)
+@given(walked_cycles())
+def test_walks_match_the_references(case):
+    cycle, dwells = case
+    assert cycle.visit_gaps() == sequential_visit_gaps(cycle)
+    period = sum(dwells) + cycle.travel_time
+    timelines = cycle.timelines(dwells, cycle.target_ids)
+    assert timelines.keys() == cycle.target_ids
+    for tid, (on, off) in exact_timelines(cycle, dwells).items():
+        t_on, t_off = timelines[tid]
+        assert t_on == on
+        assert max(abs(a - float(b)) for a, b in zip(t_off, off)) <= 1e-12 * period
+
+
+@settings(max_examples=200, deadline=None)
+@given(walked_cycles(), st.data())
+def test_a_dwell_moves_only_the_gaps_that_contain_it(case, data):
+    # the level set differences peaks over a bump of one dwell; a gap the
+    # bump is not inside must not pick up rounding from it
+    cycle, dwells = case
+    p = data.draw(st.sampled_from([k for k, i in enumerate(cycle.instances) if i.dwell_eligible]))
+    bumped = list(dwells)
+    bumped[p] += data.draw(st.floats(1e-12, 1.0))
+    base = cycle.timelines(dwells, cycle.target_ids)
+    after = cycle.timelines(bumped, cycle.target_ids)
+    n = len(cycle.instances)
+    for tid, (t_on, t_off) in base.items():
+        positions = cycle.positions_of(tid)
+        for k, here in enumerate(positions):
+            inside = (p - here - 1) % n < (positions[(k + 1) % len(positions)] - here - 1) % n
+            if not inside:
+                assert after[tid][1][k] == t_off[k]
+            if here != p:
+                assert after[tid][0][k] == t_on[k]
 
 
 @settings(max_examples=25, deadline=None)
