@@ -43,9 +43,12 @@ def _config_from_args(args) -> PlannerConfig:
             raise InstanceError("--periods must be at least 2")
         cfg = dataclasses.replace(cfg, num_periods=args.periods)
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise InstanceError(f"--seed must be non-negative, got {args.seed}")
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    if getattr(args, "agents", None) is not None and args.agents < 1:
-        raise InstanceError("--agents must be at least 1")
+    for flag in ("agents", "targets"):
+        if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
+            raise InstanceError(f"--{flag} must be at least 1")
     return cfg
 
 

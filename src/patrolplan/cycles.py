@@ -1,14 +1,15 @@
 """Visiting-sequence construction and the revisit-time lower-bound metric.
 
-A cycle is the periodic sequence of target visits an agent executes.  Cycles
-are stored fully expanded: every adjacent instance pair is joined by a direct
-graph edge, and multi-hop connections materialize their intermediate targets
-as pass-through (non-dwell) instances.  ``Cycle`` alone answers how a target
-sees its cycle: its visits, its dwell slots, its revisit gaps and, under a
-dwell vector, its on/off timeline.  The cheap metric used to rank cycles is
-the worst per-target cost floor obtained from each target's maximum revisit
-travel time, which never exceeds the realized cost of any dwell schedule on
-the same cycle.  Greedy candidates are splices of the current cycle, scored
+A cycle is the periodic sequence of target visits an agent executes.  Its
+legs are the network's fastest travel times between consecutive instances,
+and the planner's cycles are fully expanded: multi-hop connections
+materialize their intermediate targets as pass-through (non-dwell)
+instances, so every leg is one graph edge.  ``Cycle`` alone answers how a
+target sees its cycle: its visits, its dwell slots, its revisit gaps and,
+under a dwell vector, its on/off timeline.  The cheap metric used to rank
+cycles is the worst per-target cost floor obtained from each target's
+maximum revisit travel time, which never exceeds the realized cost of any
+dwell schedule on the same cycle.  Greedy candidates are splices of the current cycle, scored
 from its revisit gaps; only the few scored near the best are built.
 """
 
@@ -52,29 +53,35 @@ class Instance(NamedTuple):
 
 
 class Cycle:
-    """A closed visiting sequence with per-leg travel times.
+    """A closed visiting sequence over a network.
 
-    ``legs[j]`` is the direct travel time from ``instances[j]`` to
+    ``legs[j]`` is the network's fastest travel time from ``instances[j]`` to
     ``instances[j + 1]`` (cyclically); a one-instance cycle has no legs.
-    Ordinals are assigned in order of appearance.  Instances of the same
-    target may repeat, including back to back across the wrap (a zero-length
-    leg joins them).  ``eligible`` maps each target with a dwell slot to the
-    positions of its slots, in cycle order; it is read-only.
+    ``cum[j]`` is the travel time from ``instances[0]`` to ``instances[j]``,
+    and ``cum[-1]`` that of the whole tour.  Ordinals are assigned in order
+    of appearance.  Instances of the same target may repeat, including back
+    to back across the wrap (a zero-length leg joins them).  ``eligible``
+    maps each target with a dwell slot to the positions of its slots, in
+    cycle order; it is read-only.
     """
 
-    def __init__(self, network: TargetNetwork, seq: list[tuple[int, bool]], legs: list[float]):
+    def __init__(self, network: TargetNetwork, seq: list[tuple[int, bool]]):
         if not seq:
             raise ValueError("cycle must contain at least one instance")
-        if len(seq) > 1 and len(legs) != len(seq):
-            raise ValueError("need one leg per instance in a closed cycle")
         self.network = network
         counts: dict[int, int] = {}
         self.instances: list[Instance] = []
         for target, eligible in seq:
             counts[target] = counts.get(target, 0) + 1
             self.instances.append(Instance(target, counts[target], eligible))
-        self.legs = list(legs) if len(seq) > 1 else []
+        travel = network.travel
+        hops = [t for t, _ in seq]
+        self.legs = ([travel[a][b] for a, b in zip(hops, hops[1:] + hops[:1])]
+                     if len(seq) > 1 else [])
         self.travel_time = float(sum(self.legs))
+        self.cum = [0.0]
+        for leg in self.legs or [0.0]:
+            self.cum.append(self.cum[-1] + leg)
         self._positions: dict[int, list[int]] = {}
         self.eligible: dict[int, list[int]] = {}
         for pos, inst in enumerate(self.instances):
@@ -88,13 +95,10 @@ class Cycle:
     def from_targets(cls, network: TargetNetwork, targets: list[int]) -> "Cycle":
         """Expand a sequence of dwell visits into a physical cycle along
         fastest paths."""
-        out_seq: list[tuple[int, bool]] = []
-        out_legs: list[float] = []
+        seq: list[tuple[int, bool]] = []
         for k, u in enumerate(targets):
-            hops, legs = _path_between(network, u, targets[(k + 1) % len(targets)])
-            out_seq += [(u, True)] + hops
-            out_legs += legs
-        return cls(network, out_seq, out_legs)
+            seq += [(u, True)] + _path_between(network, u, targets[(k + 1) % len(targets)])
+        return cls(network, seq)
 
     # -- views ---------------------------------------------------------------
 
@@ -116,12 +120,10 @@ class Cycle:
         """Per target, the travel time between consecutive visits (cyclic).
 
         ``gaps[t][k]`` is the zero-dwell revisit time ending at that target's
-        (k+1)-th instance, a difference of two prefix sums of the legs.  A
+        (k+1)-th instance, a difference of two of the prefix sums ``cum``.  A
         single-instance target's gap is the whole tour.
         """
-        cum = [0.0]
-        for leg in self.legs:
-            cum.append(cum[-1] + leg)
+        cum = self.cum
         total = cum[-1]
         gaps: dict[int, list[float]] = {}
         for target, positions in self._positions.items():
@@ -356,57 +358,47 @@ def _critical_span(cycle: Cycle, metric: CycleMetric) -> tuple[int, list[int]]:
 
 class Splice(NamedTuple):
     """A candidate cycle as an edit of its base cycle: the ``cut`` legs after
-    position ``at`` give way to the instances ``seq``, joined by ``legs``
-    (one leg more than instances).  ``_splice`` builds it."""
+    position ``at`` give way to the instances ``seq``.  ``_splice`` builds
+    it."""
 
     at: int
     seq: list[tuple[int, bool]]
-    legs: list[float]
     cut: int = 1
 
 
-def _splice(cycle: Cycle, at: int, new_seq: list[tuple[int, bool]], new_legs: list[float],
-            cut: int = 1) -> Cycle:
+def _splice(cycle: Cycle, at: int, new_seq: list[tuple[int, bool]], cut: int = 1) -> Cycle:
     """Replace the ``cut`` legs after position ``at`` with a path of
     instances; a cut past the end drops the wrapped-over instances from the
     front, so the cycle then starts at the first kept one."""
     seq = cycle.sequence()
     end = at + cut
     if end <= len(seq):
-        return Cycle(cycle.network, seq[: at + 1] + new_seq + seq[end:],
-                     cycle.legs[:at] + new_legs + cycle.legs[end:])
-    end -= len(seq)
-    return Cycle(cycle.network, seq[end : at + 1] + new_seq, cycle.legs[end:at] + new_legs)
+        return Cycle(cycle.network, seq[: at + 1] + new_seq + seq[end:])
+    return Cycle(cycle.network, seq[end - len(seq) : at + 1] + new_seq)
 
 
-def _path_between(network: TargetNetwork, u: int, v: int) -> tuple[list[tuple[int, bool]], list[float]]:
-    """Expanded fastest path u -> v as (pass-through instances, leg times)."""
-    hops = [u] + network.path[u][v] + [v]
-    seq = [(h, False) for h in hops[1:-1]]
-    legs = [network.travel[a][b] for a, b in zip(hops[:-1], hops[1:])]
-    return seq, legs
+def _path_between(network: TargetNetwork, u: int, v: int) -> list[tuple[int, bool]]:
+    """The pass-through instances of the fastest path u -> v."""
+    return [(h, False) for h in network.path[u][v]]
 
 
-def _visit_between(network: TargetNetwork, u: int, t: int, v: int) -> tuple[list[tuple[int, bool]], list[float]]:
+def _visit_between(network: TargetNetwork, u: int, t: int, v: int) -> list[tuple[int, bool]]:
     """Fastest path u -> t -> v with a dwell visit to ``t``, endpoints excluded."""
-    seq_a, legs_a = _path_between(network, u, t)
-    seq_b, legs_b = _path_between(network, t, v)
-    return seq_a + [(t, True)] + seq_b, legs_a + legs_b
+    return _path_between(network, u, t) + [(t, True)] + _path_between(network, t, v)
 
 
 def _detour(cycle: Cycle, pos: int, t: int, eligible: bool) -> Splice:
     """Out-and-back visit to ``t`` after position ``pos``; the repeated
     instance, dwell-eligible as given, takes over the original outgoing leg."""
     j = cycle.instances[pos].target
-    seq, legs = _visit_between(cycle.network, j, t, j)
-    return Splice(pos, seq + [(j, eligible)], legs + [cycle.legs[pos]])
+    return Splice(pos, _visit_between(cycle.network, j, t, j) + [(j, eligible)])
 
 
 def enumerate_cmos(cycle: Cycle, metric: CycleMetric) -> list[tuple[str, Splice]]:
     """Candidate modifications of the critical sub-cycle.
 
-    Three kinds, all reducing the critical revisit gap:
-    I   replace a dominated direct leg with the fastest path;
+    Two kinds, both reducing the critical revisit gap (every leg is already
+    a fastest travel time, so no leg can be shortcut):
     II  split an interior edge with an extra visit to the critical target;
     III detour to the critical target right after an interior instance.
 
@@ -417,17 +409,12 @@ def enumerate_cmos(cycle: Cycle, metric: CycleMetric) -> list[tuple[str, Splice]
     if len(cycle.instances) == 1:
         return []
     prev, span = _critical_span(cycle, metric)
-    edge_positions = [prev] + span[:-1]  # legs traversed inside the sub-cycle
     n = len(cycle.instances)
-    ends = [(pos, cycle.instances[pos].target, cycle.instances[(pos + 1) % n].target)
-            for pos in edge_positions]
     candidates: list[tuple[str, Splice]] = []
-    for pos, u, v in ends:
-        if cycle.legs[pos] > network.travel[u][v] + 1e-12:
-            candidates.append(("I", Splice(pos, *_path_between(network, u, v))))
-    for pos, u, v in ends:
+    for pos in [prev] + span[:-1]:  # legs traversed inside the sub-cycle
+        u, v = cycle.instances[pos].target, cycle.instances[(pos + 1) % n].target
         if tid not in (u, v):
-            candidates.append(("II", Splice(pos, *_visit_between(network, u, tid, v))))
+            candidates.append(("II", Splice(pos, _visit_between(network, u, tid, v))))
     eligible_targets = cycle.dwell_targets
     for pos in span[:-1]:
         j = cycle.instances[pos].target
@@ -461,18 +448,18 @@ class _GapTable:
     leg; the target's worst gap is then the larger of that gap and the worst
     of its others.  A target the splice does visit has the spanning gap cut
     at its new instances, whose distances from the base instance at ``at``
-    are partial sums of the new legs.  ``score`` gives the spliced cycle's
-    metric that way, with the floors of unchanged worst gaps taken from the
-    base metric; it matches ``cycle_lower_bound`` of the built cycle up to
-    rounding in the gap sums (the tests hold it to 1e-12 relative).
+    are partial sums of the fastest travel times along them.  ``score``
+    gives the spliced cycle's metric that way, with the floors of unchanged
+    worst gaps taken from the base metric; it matches ``cycle_lower_bound``
+    of the built cycle up to rounding in the gap sums (the tests hold it to
+    1e-12 relative).
     """
 
     def __init__(self, cycle: Cycle, metric: CycleMetric, cache: SteadyStateCache):
-        self.legs = cycle.legs if len(cycle) > 1 else [0.0]
-        cum = [0.0]
-        for leg in self.legs:
-            cum.append(cum[-1] + leg)
-        self.cum = cum
+        self.legs = cycle.legs or [0.0]
+        self.cum = cycle.cum
+        self.hops = [inst.target for inst in cycle.instances]
+        self.travel = cycle.network.travel
         self.members = set(cycle.network.ids)
         self.cache = cache
         gaps = cycle.visit_gaps()
@@ -514,15 +501,17 @@ class _GapTable:
     def score(self, splice: Splice, bound: float) -> float:
         """The metric of the one-leg splice, or, as soon as one target's floor
         exceeds ``bound``, that floor (a lower bound on the metric)."""
-        at, seq, legs = splice.at, splice.seq, splice.legs
-        members = self.members
+        at, seq = splice.at, splice.seq
+        members, travel, hops = self.members, self.travel, self.hops
         hits: dict[int, list[float]] = {}
         d = 0.0
-        for (h, _), leg in zip(seq, legs):
-            d += leg
+        here = hops[at]
+        for h, _ in seq:
+            d += travel[here][h]
+            here = h
             if h in members:
                 hits.setdefault(h, []).append(d)
-        reach = d + legs[-1]
+        reach = d + travel[here][hops[(at + 1) % len(hops)]]
         old = self.legs[at]
         worst = -math.inf
         for h, ds in hits.items():
@@ -609,13 +598,12 @@ def improve_cycle(
     cycle: Cycle,
     metric: CycleMetric,
     cache: SteadyStateCache,
-    kinds: tuple[str, ...],
 ) -> tuple[Cycle, CycleMetric, list[float]]:
-    """Apply best-gain modifications of the given kinds until none improves."""
+    """Apply best-gain modifications until none improves."""
     trace = []
     while True:
         eps = GREEDY_GAIN_REL * abs(metric.value) if math.isfinite(metric.value) else 0.0
-        splices = [s for kind, s in enumerate_cmos(cycle, metric) if kind in kinds]
+        splices = [s for _, s in enumerate_cmos(cycle, metric)]
         best = None
         for _, cand, cand_metric in _contenders(cycle, metric, splices, cache):
             gain = _gain(metric.value, cand_metric.value)
@@ -632,20 +620,16 @@ def greedy_construct(
     subset: set[int] | list[int],
     cache: SteadyStateCache | None = None,
 ) -> tuple[Cycle, CycleMetric, list[float]]:
-    """Greedy cycle construction: tour seed, then best-gain modifications.
-
-    First pass applies only leg shortcuts (kind I), second pass the visit
-    insertions (kinds II/III); each accepted step strictly lowers the metric.
-    Returns the cycle, its metric, and the metric trace across accepted steps.
+    """Greedy cycle construction: tour seed, then best-gain visit insertions
+    (kinds II/III); each accepted step strictly lowers the metric.  Returns
+    the cycle, its metric, and the metric trace across accepted steps.
     """
     cache = cache or SteadyStateCache(network)
     cycle = tsp_heuristic(network, subset)
     metric = cycle_lower_bound(cycle, cache)
     trace = [metric.value]
-    for kinds in (("I",), ("II", "III")):
-        cycle, metric, steps = improve_cycle(cycle, metric, cache, kinds)
-        trace.extend(steps)
-    return cycle, metric, trace
+    cycle, metric, steps = improve_cycle(cycle, metric, cache)
+    return cycle, metric, trace + steps
 
 
 def _gain(old: float, new: float) -> float:

@@ -745,8 +745,9 @@ class Plan:
         """Rebuild a plan over ``network``, a cluster's view for a fleet
         plan.  A missing or malformed field, an instance target without a
         route in the network, a dwell slot at a target the view does not
-        cover and a leg count that does not fit the instances each raise a
-        ``ValueError`` naming the field."""
+        cover and leg times other than the network's fastest travel times
+        between consecutive instances each raise a ``ValueError`` naming the
+        field."""
         if not isinstance(doc, dict) or doc.get("format") != "plan":
             raise ValueError("not a plan document")
 
@@ -770,11 +771,14 @@ class Plan:
             if target not in ids and (eligible or dwell != 0.0):
                 raise ValueError(f"plan document field 'instances': entry {k} may dwell at "
                                  f"target {target}, which the plan does not cover")
-        if not entries or len(legs) != (len(entries) if len(entries) > 1 else 0):
-            raise ValueError(f"plan document fields 'instances' and 'leg_times': "
-                             f"{len(legs)} legs do not close {len(entries)} instances")
+        if not entries:
+            raise ValueError("plan document field 'instances' is empty")
+        cycle = Cycle(network, [(t, elig) for t, elig, _ in entries])
+        if legs != cycle.legs:
+            raise ValueError(f"plan document field 'leg_times' does not match the network's "
+                             f"fastest travel times between its {len(entries)} instances")
         return cls(
-            cycle=Cycle(network, [(t, elig) for t, elig, _ in entries], legs),
+            cycle=cycle,
             dwells=[dwell for _, _, dwell in entries],
             period=read("period", float),
             j_pred=read("predicted_cost", float),

@@ -123,9 +123,9 @@ def enumerate_ceos(cycle: Cycle, external: int) -> list[Splice]:
     seq = cycle.sequence()
     n = len(seq)
     if n == 1:
-        return [Splice(0, *_visit_between(network, seq[0][0], external, seq[0][0]))]
+        return [Splice(0, _visit_between(network, seq[0][0], external, seq[0][0]))]
     out = [
-        Splice(pos, *_visit_between(network, seq[pos][0], external, seq[(pos + 1) % n][0]))
+        Splice(pos, _visit_between(network, seq[pos][0], external, seq[(pos + 1) % n][0]))
         for pos in range(n)
     ]
     out += [_detour(cycle, pos, external, seq[pos][1]) for pos in range(n)]
@@ -143,8 +143,8 @@ def enumerate_ceos(cycle: Cycle, external: int) -> list[Splice]:
                 break
             if any(removed[t] >= len(cycle.eligible[t]) for t in removed):
                 break
-            out.append(Splice(start, *_visit_between(network, seq[start][0], external,
-                                                     seq[end_pos][0]), run + 1))
+            out.append(Splice(start, _visit_between(network, seq[start][0], external,
+                                                    seq[end_pos][0]), run + 1))
     return out
 
 
@@ -373,12 +373,9 @@ def plan_fleet(
 
 def _contracted_metric(network, cache, cycle, drop: int) -> float:
     keep = [t for t, elig in cycle.sequence() if elig and t != drop]
-    if not keep:
-        return math.inf
-    members = set(keep)
-    cand = Cycle.from_targets(cluster_subnetwork(network, members), list(dict.fromkeys(keep)))
+    cand = Cycle.from_targets(cluster_subnetwork(network, set(keep)), list(dict.fromkeys(keep)))
     metric = cycle_lower_bound(cand, cache)
-    cand, metric, _ = improve_cycle(cand, metric, cache, ("II", "III"))
+    cand, metric, _ = improve_cycle(cand, metric, cache)
     return metric.value
 
 
@@ -421,15 +418,12 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None) -> P
             (k for k in range(len(clusters)) if metrics[k].value == fleet_val),
             default=None,
         )
-        if a_star is None:
+        if a_star is None or len(clusters[a_star]) <= 1:
             break
         metric_a = metrics[a_star]
         cycle_a = cycles[a_star]
-        span_targets = _critical_span_targets(cycle_a, metric_a)
         candidates = []
-        for j in span_targets:
-            if j not in clusters[a_star] or len(clusters[a_star]) <= 1:
-                continue
+        for j in _critical_span_targets(cycle_a, metric_a):
             removal = metric_a.value - _contracted_metric(network, cache, cycle_a, j)
             for b in range(len(clusters)):
                 if b == a_star:

@@ -9,10 +9,13 @@ instance seed ``randrange(10**6)``.  The instance is
 stable_fraction=..., r=(r_lo, 8.0), alpha=(1.0, alpha_hi), box=...))``;
 k = 1 plans it with ``plan_single_agent``, any other k with ``plan_fleet``.
 
-Each draw prints one line with its parameters, its status and its time.  The
-script exits 1 if a draw outside ``KNOWN_FAILURES`` fails; those are the
-multi-slot fleets that the level set hands to the consensus law, which does
-not converge on them.  A known failure that plans is reported, not counted.
+Each draw prints one line with its parameters, its status and its time, and
+the number of times the dwell level set handed a multi-slot cycle to the
+consensus law (``dwell.balance_multi_visit``) if it did; the last line lists
+the draws that reached that hand-off.  The script exits 1 if a draw outside
+``KNOWN_FAILURES`` fails; those are the multi-slot fleets that the level set
+hands to the consensus law, which does not converge on them.  A known
+failure that plans is reported, not counted.
 It is not collected by pytest.  Run it from the repository root::
 
     PYTHONPATH=src python tests/fuzz_plans.py          # all 600 draws
@@ -29,7 +32,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import random
 import sys
 import time
+from unittest import mock
 
+from patrolplan import dwell
 from patrolplan.config import ParamRanges
 from patrolplan.cycles import SteadyStateCache
 from patrolplan.dwell import plan_single_agent
@@ -69,20 +74,28 @@ def plan(i: int) -> None:
 def main(argv: list[str]) -> int:
     indices = [int(a) for a in argv] or range(DRAWS)
     unexpected = []
+    handed_off = []
     for i in indices:
         n, k, seed, ranges = draw(i)
         start = time.perf_counter()
-        try:
-            plan(i)
-            status = "ok" if i not in KNOWN_FAILURES else "ok (a known failure plans)"
-        except Exception as exc:  # every failure is reported, then judged
-            status = f"FAIL {type(exc).__name__}: {exc}"
-            if i not in KNOWN_FAILURES:
-                unexpected.append(i)
+        with mock.patch.object(dwell, "balance_multi_visit",
+                               wraps=dwell.balance_multi_visit) as consensus:
+            try:
+                plan(i)
+                status = "ok" if i not in KNOWN_FAILURES else "ok (a known failure plans)"
+            except Exception as exc:  # every failure is reported, then judged
+                status = f"FAIL {type(exc).__name__}: {exc}"
+                if i not in KNOWN_FAILURES:
+                    unexpected.append(i)
         elapsed = time.perf_counter() - start
+        hand_offs = ""
+        if consensus.call_count:
+            handed_off.append(i)
+            hand_offs = f", consensus hand-offs: {consensus.call_count}"
         print(f"draw {i} n={n} k={k} seed={seed} a_hi={ranges.a[1]} "
               f"stable={ranges.stable_fraction} r_lo={ranges.r[0]} alpha_hi={ranges.alpha[1]} "
-              f"box={ranges.box}: {status} ({elapsed:.2f} s)", flush=True)
+              f"box={ranges.box}: {status} ({elapsed:.2f} s{hand_offs})", flush=True)
+    print(f"{len(handed_off)} of {len(indices)} draws reach the consensus hand-off: {handed_off}")
     if unexpected:
         print(f"unexpected failures: {unexpected}")
         return 1

@@ -5,7 +5,7 @@ the package code paths: closed-form scalar solutions, a fixed-step RK4
 integrator for the matrix equations, a bisection fixed-point solver for the
 single-visit periodic peaks, plain iteration of the one-period map for any
 visit pattern, the plain Floyd-Warshall loop for fastest paths, brute-force
-cycle enumeration, cycles along given direct edges and random dwell vectors.
+cycle enumeration and random dwell vectors.
 The block-exponential propagators ``propagate_unobserved`` and
 ``propagate_observed`` run the package's matrix flows at any dimension,
 scalars included, which the planner itself never does.
@@ -473,23 +473,6 @@ def enumerate_cycles(ids: list[int], max_len: int) -> list[tuple[int, ...]]:
     return out
 
 
-def direct_cycle(network, targets: list[int]) -> Cycle:
-    """Join consecutive targets by their direct edges, even if dominated;
-    raises if an edge is missing."""
-    direct = {}
-    for i, j, d in network.edges:
-        direct[(i, j)] = direct[(j, i)] = d
-    seq = [(t, True) for t in targets]
-    if len(seq) == 1:
-        return Cycle(network, seq, [])
-    legs = []
-    for u, v in zip(targets, targets[1:] + targets[:1]):
-        if (u, v) not in direct:
-            raise ValueError(f"no direct edge between {u} and {v}")
-        legs.append(direct[(u, v)])
-    return Cycle(network, seq, legs)
-
-
 # --- a target's view of a cycle, one target at a time -------------------------
 
 def sequential_visit_gaps(cycle: Cycle) -> dict[int, list[float]]:
@@ -542,23 +525,21 @@ def exact_timelines(cycle: Cycle, dwells: list[float]) -> dict[int, tuple[list, 
 
 # --- greedy choices from every candidate built --------------------------------
 
-def reference_improve_cycle(cycle, metric, cache, kinds):
+def reference_improve_cycle(cycle, metric, cache):
     """``cycles.improve_cycle`` with every candidate built and costed."""
     trace = []
     while True:
         eps = GREEDY_GAIN_REL * abs(metric.value) if math.isfinite(metric.value) else 0.0
         best = None
-        for kind, splice in enumerate_cmos(cycle, metric):
-            if kind not in kinds:
-                continue
+        for _, splice in enumerate_cmos(cycle, metric):
             cand = _splice(cycle, *splice)
             cand_metric = cycle_lower_bound(cand, cache)
             gain = _gain(metric.value, cand_metric.value)
             if gain >= max(eps, 0.0) and gain > 0 and (best is None or gain > best[0] + 1e-15):
-                best = (gain, kind, cand, cand_metric)
+                best = (gain, cand, cand_metric)
         if best is None:
             return cycle, metric, trace
-        _, _, cycle, metric = best
+        _, cycle, metric = best
         trace.append(metric.value)
 
 

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -122,6 +123,22 @@ class TestPlanFleet:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["type"] == "InstanceError"
         assert "--agents" in error["message"]
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("gen", "--targets", "3", "--seed", "-1"), "--seed"),
+        (("gen", "--targets", "0"), "--targets"),
+        (("gen", "--targets", "-2", "--seed", "1"), "--targets"),
+        (("plan-fleet", "--instance", str(INSTANCES / "fleet15.json"), "--seed", "-1"), "--seed"),
+    ], ids=["gen-seed", "gen-zero-targets", "gen-negative-targets", "fleet-seed"])
+    def test_negative_seed_or_no_targets_is_input_error_naming_it(self, tmp_path, capsys,
+                                                                   monkeypatch, argv, flag):
+        monkeypatch.setattr(cli, "plan_fleet", mock.Mock(side_effect=AssertionError))
+        code = run_cli(*argv, "--out", str(tmp_path / "out"))
+        assert code == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["type"] == "InstanceError"
+        assert flag in error["message"]
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("d", [150.0, 300.0])
@@ -269,6 +286,10 @@ def _drop_leg(doc):
     doc["leg_times"].pop()
 
 
+def _move_leg(doc):
+    doc["leg_times"][0] *= 1.0 + 1e-15
+
+
 def _null_covers(doc):
     doc["covers"] = None
 
@@ -284,10 +305,11 @@ class TestPlanDocumentChecks:
         (_visit_unknown_target, "'instances'"),
         (_cover_unknown_target, "'covers'"),
         (_drop_leg, "'leg_times'"),
+        (_move_leg, "'leg_times'"),
         (_null_covers, "'covers'"),
         (_number_covers, "'covers'"),
     ], ids=["missing-key", "unknown-instance-target", "unknown-covers-target", "leg-count",
-            "null-covers", "number-covers"])
+            "leg-time", "null-covers", "number-covers"])
     def test_malformed_plan_is_input_error_naming_field(self, planned, tmp_path, capsys,
                                                         command, corrupt, field):
         doc = json.loads((planned / "plan.json").read_text())

@@ -474,8 +474,7 @@ class TestBalanceLevelSet:
             edges=[(i, j, 0.25) for i in range(1, 5) for j in range(i + 1, 5)],
         )
         cache = SteadyStateCache(net)
-        cyc = Cycle(net, [(1, True), (2, True), (1, False), (3, True), (1, True), (4, True)],
-                    [0.25] * 6)
+        cyc = Cycle(net, [(1, True), (2, True), (1, False), (3, True), (1, True), (4, True)])
         period = 2.0 * cyc.travel_time
         with pytest.raises(ConvergenceError):
             balance_multi_visit(cyc, period, cache)
@@ -495,7 +494,7 @@ class TestBalanceLevelSet:
         others = [TargetSpec(id=k, A=-0.2, Q=0.5, H=1.0, R=0.5) for k in (2, 3)]
         net = TargetNetwork(targets=[weak, *others], edges=[(1, 2, 0.05), (1, 3, 0.15)])
         cache = SteadyStateCache(net)
-        cyc = Cycle(net, [(1, True), (2, True), (1, True), (3, True)], [0.05, 0.05, 0.15, 0.15])
+        cyc = Cycle(net, [(1, True), (2, True), (1, True), (3, True)])
         period = 2.5 * cyc.travel_time
         consensus = balance_multi_visit(cyc, period, cache, tol=1e-8)
         refuse_consensus(monkeypatch)

@@ -42,7 +42,8 @@ the level set's Newton steps alone, never the consensus law, cover every
 target and be consistent with their own timelines.
 
 The last plans small random scalar instances and fleets and checks that every
-plan document survives JSON text and ``Plan.from_document`` unchanged; a
+plan document survives JSON text and ``Plan.from_document`` unchanged, and
+that one leg time moved by one ulp is rejected; a
 fleet's agent plans are read back as the CLI reads them, over the cluster
 view built from the document's ``covers``.
 """
@@ -580,6 +581,16 @@ def test_plan_document_round_trips(num_targets, seed):
     network, _ = generate_random_instance(num_targets, seed)
     doc = plan_single_agent(network, SteadyStateCache(network)).to_document()
     assert Plan.from_document(network, json_round_trip(doc)).to_document() == doc
+    # leg times must be the network's own, to the last bit
+    bad = json_round_trip(doc)
+    legs = bad["leg_times"]
+    if legs:
+        k = seed % len(legs)
+        legs[k] = math.nextafter(legs[k], math.inf)
+    else:
+        legs.append(0.0)
+    with pytest.raises(ValueError, match="'leg_times'"):
+        Plan.from_document(network, bad)
 
 
 @settings(max_examples=20, deadline=None)
