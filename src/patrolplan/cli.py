@@ -21,6 +21,7 @@ from .cycles import SteadyStateCache, cycle_lower_bound, cycle_to_document
 from .dwell import Plan, PlanningError, plan_single_agent
 from .fleet import FleetError, cluster_subnetwork, partition_to_document, plan_fleet
 from .model import (
+    MAX_RANDOM_TARGETS,
     InstanceError,
     generate_random_instance,
     instance_to_document,
@@ -49,6 +50,8 @@ def _config_from_args(args) -> PlannerConfig:
     for flag in ("agents", "targets"):
         if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
             raise InstanceError(f"--{flag} must be at least 1")
+    if getattr(args, "targets", None) is not None and args.targets > MAX_RANDOM_TARGETS:
+        raise InstanceError(f"--targets must be at most {MAX_RANDOM_TARGETS}, got {args.targets}")
     return cfg
 
 

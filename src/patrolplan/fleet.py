@@ -25,12 +25,11 @@ from .cycles import (
     SteadyStateCache,
     _contenders,
     _critical_span,
-    _detour,
-    _visit_between,
+    _path_between,
     cycle_lower_bound,
     cycle_to_document,
     greedy_construct,
-    improve_cycle,
+    improve_cycle,  # unused here; perfbench/tracer.py wraps fleet.improve_cycle by name
 )
 from .dwell import Plan, plan_for_cycle
 from .model import TargetNetwork
@@ -122,13 +121,18 @@ def enumerate_ceos(cycle: Cycle, external: int) -> list[Splice]:
         raise ValueError(f"target {external} is already part of the cycle")
     seq = cycle.sequence()
     n = len(seq)
+    # each half of a visit u -> external -> v, once per distinct hop
+    to_ext = {u: _path_between(network, u, external) for u, _ in seq}
+    from_ext = {v: _path_between(network, external, v) for v, _ in seq}
+
+    def visit(u: int, v: int) -> list[tuple[int, bool]]:
+        return to_ext[u] + [(external, True)] + from_ext[v]
+
     if n == 1:
-        return [Splice(0, _visit_between(network, seq[0][0], external, seq[0][0]))]
-    out = [
-        Splice(pos, _visit_between(network, seq[pos][0], external, seq[(pos + 1) % n][0]))
-        for pos in range(n)
-    ]
-    out += [_detour(cycle, pos, external, seq[pos][1]) for pos in range(n)]
+        return [Splice(0, visit(seq[0][0], seq[0][0]))]
+    out = [Splice(pos, visit(seq[pos][0], seq[(pos + 1) % n][0])) for pos in range(n)]
+    # out-and-back after an instance; the repeat takes over its outgoing leg
+    out += [Splice(pos, visit(u, u) + [(u, elig)]) for pos, (u, elig) in enumerate(seq)]
     # bypass a short interior run; every dwell visit removed must leave the
     # same target dwellable elsewhere in the cycle
     for start in range(n):
@@ -143,8 +147,7 @@ def enumerate_ceos(cycle: Cycle, external: int) -> list[Splice]:
                 break
             if any(removed[t] >= len(cycle.eligible[t]) for t in removed):
                 break
-            out.append(Splice(start, _visit_between(network, seq[start][0], external,
-                                                    seq[end_pos][0]), run + 1))
+            out.append(Splice(start, visit(seq[start][0], seq[end_pos][0]), run + 1))
     return out
 
 
@@ -372,11 +375,16 @@ def plan_fleet(
 # ---------------------------------------------------------------------------
 
 def _contracted_metric(network, cache, cycle, drop: int) -> float:
+    """Estimated cost floor of ``cycle``'s cluster after it gives ``drop``
+    away: the floor of the cycle's dwell order without ``drop``, expanded
+    along fastest paths over the view of the remaining members, with no
+    greedy improvement.  Where deleting ``drop`` leaves two visits to one
+    target back to back, the zero-length leg between them changes no gap's
+    maximum.  The estimate only ranks exchange candidates; a commit rebuilds
+    both clusters."""
     keep = [t for t, elig in cycle.sequence() if elig and t != drop]
-    cand = Cycle.from_targets(cluster_subnetwork(network, set(keep)), list(dict.fromkeys(keep)))
-    metric = cycle_lower_bound(cand, cache)
-    cand, metric, _ = improve_cycle(cand, metric, cache)
-    return metric.value
+    return cycle_lower_bound(Cycle.from_targets(cluster_subnetwork(network, set(keep)), keep),
+                             cache).value
 
 
 def _annex_gain(network, cache, cycle, members, join: int) -> float:
@@ -399,7 +407,10 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None) -> P
 
     Candidates come from the critical sub-cycle; they are ranked by the
     estimated annex + removal gain and the first exchange whose full rebuild
-    passes the commit test is applied.
+    passes the commit test is applied.  The removal gain is estimated from
+    the floor of the critical cycle contracted without the target
+    (``_contracted_metric``), the annex gain from the receiving cycle's best
+    expansion to it (``_annex_gain``); neither runs a greedy improvement.
     """
     cache = cache or SteadyStateCache(partition.network)
     network = partition.network

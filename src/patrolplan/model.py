@@ -19,7 +19,13 @@ from scipy.sparse.csgraph import shortest_path
 
 from .config import ParamRanges
 
+# most targets a random instance may have: its complete graph is built as
+# N(N-1)/2 Python edges (2000 targets took 1.4 GB), then a dense N x N
+# fastest-path matrix
+MAX_RANDOM_TARGETS = 1000
+
 __all__ = [
+    "MAX_RANDOM_TARGETS",
     "InstanceError",
     "TargetSpec",
     "TargetNetwork",
@@ -336,10 +342,12 @@ def generate_random_instance(
     """Random scalar-target instance: uniform positions, complete graph.
 
     Deterministic for a fixed seed.  Travel times are Euclidean distances
-    between positions drawn uniformly from [0, box]^2.
+    between positions drawn uniformly from [0, box]^2.  ``num_targets`` runs
+    from 1 to ``MAX_RANDOM_TARGETS``.
     """
-    if num_targets < 1:
-        raise InstanceError("num_targets must be >= 1")
+    if not 1 <= num_targets <= MAX_RANDOM_TARGETS:
+        raise InstanceError(
+            f"num_targets must be between 1 and {MAX_RANDOM_TARGETS}, got {num_targets}")
     ranges = param_ranges or ParamRanges()
     ranges.validate()
     rng = np.random.default_rng(seed)

@@ -42,7 +42,7 @@ from patrolplan.fleet import plan_fleet
 from patrolplan.model import generate_random_instance
 
 DRAWS = 600
-KNOWN_FAILURES = {61, 96, 362, 490, 502, 578, 580}
+KNOWN_FAILURES = {61, 96, 325, 362, 502}
 
 
 def draw(i: int) -> tuple[int, int, int, ParamRanges]:

@@ -20,6 +20,9 @@ single-slot rows in closed form.
 ``reference_improve_cycle`` and ``reference_annex_gain`` build and cost every
 greedy candidate, the reference for the package's versions, which score the
 candidates from the base cycle's gaps and build only the near-best few.
+``reference_enumerate_ceos`` expands every target-exchange splice with its own
+path lookups, the reference for ``fleet.enumerate_ceos``, which looks each
+path up once per hop.
 ``sequential_visit_gaps`` walks a cycle's legs one target at a time, with a
 branch for one-instance cycles and targets, the reference for
 ``Cycle.visit_gaps``; ``exact_timelines`` gives every target's on/off times
@@ -49,13 +52,16 @@ from patrolplan.covariance import (
 from patrolplan.cycles import (
     GREEDY_GAIN_REL,
     Cycle,
+    Splice,
     SteadyStateCache,
+    _detour,
     _gain,
     _splice,
+    _visit_between,
     cycle_lower_bound,
     enumerate_cmos,
 )
-from patrolplan.fleet import cluster_subnetwork, enumerate_ceos
+from patrolplan.fleet import BYPASS_MAX_RUN, cluster_subnetwork, enumerate_ceos
 from patrolplan.simulate import (
     GRID_POINTS_PER_PERIOD,
     SimTrace,
@@ -554,6 +560,30 @@ def reference_annex_gain(network, cache, cycle, members, join):
         if gain > best:
             best = gain
     return best
+
+
+def reference_enumerate_ceos(cycle, external):
+    """``fleet.enumerate_ceos`` with each splice's paths looked up anew."""
+    network = cycle.network
+    seq = cycle.sequence()
+    n = len(seq)
+    if n == 1:
+        return [Splice(0, _visit_between(network, seq[0][0], external, seq[0][0]))]
+    out = [Splice(pos, _visit_between(network, seq[pos][0], external, seq[(pos + 1) % n][0]))
+           for pos in range(n)]
+    out += [_detour(cycle, pos, external, seq[pos][1]) for pos in range(n)]
+    for start in range(n):
+        removed: dict[int, int] = {}
+        for run in range(1, BYPASS_MAX_RUN + 1):
+            mid, mid_elig = seq[(start + run) % n]
+            end_pos = (start + run + 1) % n
+            if mid_elig:
+                removed[mid] = removed.get(mid, 0) + 1
+            if end_pos == start or any(removed[t] >= len(cycle.eligible[t]) for t in removed):
+                break
+            out.append(Splice(start, _visit_between(network, seq[start][0], external,
+                                                    seq[end_pos][0]), run + 1))
+    return out
 
 
 def random_initial_dwells(cycle: Cycle, budget: float, seed: int) -> list[float]:

@@ -10,7 +10,7 @@ import pytest
 from patrolplan import cli
 from patrolplan.cli import _config_from_args, build_parser, main
 from patrolplan.config import PlannerConfig
-from patrolplan.model import generate_random_instance, instance_to_document
+from patrolplan.model import MAX_RANDOM_TARGETS, generate_random_instance, instance_to_document
 
 REPO = Path(__file__).resolve().parents[1]
 INSTANCES = REPO / "instances"
@@ -129,10 +129,14 @@ class TestPlanFleet:
         (("gen", "--targets", "3", "--seed", "-1"), "--seed"),
         (("gen", "--targets", "0"), "--targets"),
         (("gen", "--targets", "-2", "--seed", "1"), "--targets"),
+        (("gen", "--targets", str(MAX_RANDOM_TARGETS + 1)), "--targets"),
         (("plan-fleet", "--instance", str(INSTANCES / "fleet15.json"), "--seed", "-1"), "--seed"),
-    ], ids=["gen-seed", "gen-zero-targets", "gen-negative-targets", "fleet-seed"])
+    ], ids=["gen-seed", "gen-zero-targets", "gen-negative-targets", "gen-too-many-targets",
+            "fleet-seed"])
     def test_negative_seed_or_no_targets_is_input_error_naming_it(self, tmp_path, capsys,
                                                                    monkeypatch, argv, flag):
+        # rejected before any work: no instance is generated, no fleet planned
+        monkeypatch.setattr(cli, "generate_random_instance", mock.Mock(side_effect=AssertionError))
         monkeypatch.setattr(cli, "plan_fleet", mock.Mock(side_effect=AssertionError))
         code = run_cli(*argv, "--out", str(tmp_path / "out"))
         assert code == 2

@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import shortest_path
 from patrolplan.config import ParamRanges
 from patrolplan.fleet import cluster_subnetwork
 from patrolplan.model import (
+    MAX_RANDOM_TARGETS,
     InstanceError,
     TargetSpec,
     TargetNetwork,
@@ -147,6 +148,11 @@ class TestGenerateRandom:
         network, _ = generate_random_instance(5, seed=11, param_ranges=ranges)
         n_stable = sum(t.is_hurwitz for t in network.targets)
         assert n_stable == 2
+
+    @pytest.mark.parametrize("num_targets", [0, MAX_RANDOM_TARGETS + 1, 10**9])
+    def test_target_count_outside_range_names_num_targets(self, num_targets):
+        with pytest.raises(InstanceError, match="num_targets"):
+            generate_random_instance(num_targets, seed=0)
 
 
 class TestNetworkInvariants:
