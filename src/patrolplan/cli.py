@@ -109,7 +109,7 @@ def _write_single_plan(network, cfg, out: Path) -> Plan:
     _write_json(out / "cycle.json", cycle_to_document(plan.cycle, metric, cache))
     with open(out / "convergence.csv", "w", encoding="utf-8") as fh:
         fh.write("iteration,max_peak_cost\n")
-        for k, v in enumerate(plan.balance_trace):
+        for k, v in enumerate(plan.trace):
             fh.write(f"{k},{v:.12g}\n")
     return plan
 

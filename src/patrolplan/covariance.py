@@ -355,17 +355,13 @@ class PeakSet:
 
     ``upper[k]`` is the covariance at the start of visit k (the off->on
     switch, where the per-visit maximum occurs); ``lower[k]`` at its end.
-    Switch instants are measured from the start of visit 0.  ``iterations``
-    counts the walks around the period (one, the certificate) and
-    ``residual`` is that walk's distance from its start.
+    ``iterations`` counts the walks around the period (one, the
+    certificate).
     """
 
     upper: list[np.ndarray]
     lower: list[np.ndarray]
-    tau_upper: list[float]
-    tau_lower: list[float]
     iterations: int
-    residual: float
 
 
 def _scalar_periodic_peaks(
@@ -374,11 +370,11 @@ def _scalar_periodic_peaks(
     g: float,
     t_on: Sequence[float],
     t_off: Sequence[float],
-) -> tuple[list[float], list[float], int, float]:
+) -> tuple[list[float], list[float], int]:
     """Scalar periodic peaks from the closed-form fixed point; returns the
-    upper and lower peaks, the number of certifying walks (one) and the
-    walk's residual.  A gap whose growth passes double range fails the walk
-    and takes ``_overflowed_peaks`` instead."""
+    upper and lower peaks and the number of certifying walks (one).  A gap
+    whose growth passes double range fails the walk and takes
+    ``_overflowed_peaks`` instead."""
     obs = [_scalar_obs_coeffs(a, q, g, on) for on in t_on]
     unobs = [_scalar_unobs_coeffs(a, q, off) for off in t_off]
     phase_maps: list[tuple[float, float, float, float]] = []
@@ -398,10 +394,10 @@ def _scalar_periodic_peaks(
         if any(math.isinf(al) for al, _ in unobs):
             return _overflowed_peaks(obs, unobs)
         raise ConvergenceError(_NOT_FIXED, residual)
-    return uppers, lowers, 1, residual
+    return uppers, lowers, 1
 
 
-def _overflowed_peaks(obs, unobs) -> tuple[list[float], list[float], int, float]:
+def _overflowed_peaks(obs, unobs) -> tuple[list[float], list[float], int]:
     """Scalar periodic peaks when a gap's growth ``e^{2 a t_off}`` passes
     double range: the peak at the next visit is infinite, as an unstable
     target's never-observed cost is.  The walk starts there, and each
@@ -422,7 +418,7 @@ def _overflowed_peaks(obs, unobs) -> tuple[list[float], list[float], int, float]
         lowers[k] = w
         al, be = unobs[k]
         w = math.inf if math.isinf(al) else al * w + be
-    return uppers, lowers, 1, 0.0
+    return uppers, lowers, 1
 
 
 def _dominant_graph(monodromy: np.ndarray) -> np.ndarray:
@@ -472,25 +468,14 @@ def periodic_steady_state(
     if sum(t_on) == 0:
         raise ValueError("at least one dwell must be positive")
 
-    taus_u, taus_l = [], []
-    t = 0.0
-    for on, off in zip(t_on, t_off):
-        taus_u.append(t)
-        t += on
-        taus_l.append(t)
-        t += off
-
     if A.shape == (1, 1):
-        uppers, lowers, walks, residual = _scalar_periodic_peaks(
+        uppers, lowers, walks = _scalar_periodic_peaks(
             float(A[0, 0]), float(Q[0, 0]), float(G[0, 0]), t_on, t_off
         )
         return PeakSet(
             upper=[np.array([[u]]) for u in uppers],
             lower=[np.array([[l]]) for l in lowers],
-            tau_upper=taus_u,
-            tau_lower=taus_l,
             iterations=walks,
-            residual=residual,
         )
 
     flows = []
@@ -516,14 +501,7 @@ def periodic_steady_state(
     residual = float(np.abs(w - omega).max())
     if not residual <= PERIODIC_TOL * max(1.0, float(np.abs(omega).max())):
         raise ConvergenceError(_NOT_FIXED, residual)
-    return PeakSet(
-        upper=uppers,
-        lower=lowers,
-        tau_upper=taus_u,
-        tau_lower=taus_l,
-        iterations=1,
-        residual=residual,
-    )
+    return PeakSet(upper=uppers, lower=lowers, iterations=1)
 
 
 # ---------------------------------------------------------------------------

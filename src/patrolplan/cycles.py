@@ -15,7 +15,6 @@ from its revisit gaps; only the few scored near the best are built.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -180,7 +179,7 @@ class Cycle:
 # ---------------------------------------------------------------------------
 
 class SteadyStateCache:
-    """Per-target steady states plus memoized cost-floor evaluations.
+    """Per-target steady states and cost-floor functions.
 
     Computed once per network and shared read-only by planners.
     """
@@ -188,7 +187,6 @@ class SteadyStateCache:
     def __init__(self, network: TargetNetwork):
         self.network = network
         self._steady: dict[int, SteadyStates] = {}
-        self._lb: dict[tuple[int, float], float] = {}
         self._floors: dict[int, Callable[[float], float]] = {}
 
     def target(self, tid: int) -> TargetSpec:
@@ -200,24 +198,27 @@ class SteadyStateCache:
         return self._steady[tid]
 
     def lower_bound(self, tid: int, gap: float) -> float:
-        key = (tid, gap)
-        val = self._lb.get(key)
-        if val is None:
-            val = lower_bound(self.target(tid), gap, self.steady(tid).omega_ss)
-            self._lb[key] = val
-        return val
+        return self.floor(tid)(gap)
 
     def floor(self, tid: int) -> Callable[[float], float]:
-        """``gap -> lower_bound(tid, gap)``.  A scalar target's function runs
-        the bound's own operations without the memo; a matrix target's goes
-        through the memo, because each of its bounds is a matrix exponential."""
+        """``gap -> lower_bound(target, gap, omega_ss)``, the one way to price
+        a revisit gap of ``tid``.  A scalar target's function runs the bound's
+        own operations with its constants read once; a matrix target's
+        memoizes its bounds by gap, because each is a matrix exponential."""
         fn = self._floors.get(tid)
         if fn is None:
             spec = self.target(tid)
+            omega_ss = self.steady(tid).omega_ss
             if spec.is_scalar:
-                fn = scalar_lower_bound(spec, self.steady(tid).omega_ss)
+                fn = scalar_lower_bound(spec, omega_ss)
             else:
-                fn = functools.partial(self.lower_bound, tid)
+                memo: dict[float, float] = {}
+
+                def fn(gap: float) -> float:
+                    val = memo.get(gap)
+                    if val is None:
+                        val = memo[gap] = lower_bound(spec, gap, omega_ss)
+                    return val
             self._floors[tid] = fn
         return fn
 
@@ -261,7 +262,7 @@ def cycle_lower_bound(cycle: Cycle, cache: SteadyStateCache) -> CycleMetric:
             continue  # pass-through of a target this cycle is not responsible for
         t_bar = max(gaps[tid])
         max_gap[tid] = t_bar
-        val = cache.lower_bound(tid, t_bar)
+        val = cache.floor(tid)(t_bar)
         per_target[tid] = val
         if best_pair is None or val > best_val:
             # tie-break: lowest target id, then lowest ordinal attaining the gap
@@ -282,7 +283,7 @@ def per_instance_floors(cycle: Cycle, cache: SteadyStateCache) -> list[float | N
     gaps = cycle.visit_gaps()
     members = set(cycle.network.ids)
     return [
-        cache.lower_bound(inst.target, gaps[inst.target][inst.ordinal - 1])
+        cache.floor(inst.target)(gaps[inst.target][inst.ordinal - 1])
         if inst.target in members else None
         for inst in cycle.instances
     ]

@@ -66,6 +66,7 @@ BRACKET_HIGH = 3.0           # T_max = high * travel time
 GOLDEN_EPS = 1e-6            # relative |g(T2) - g(T1)| stop
 GOLDEN_MAX_ITERS = 200
 COMPARE_TOL = 1e-6           # relative tolerance of the exclusion loop's cost comparisons
+PERIOD_REL_TOL = 1e-9        # a plan file's period against its travel time plus dwells
 
 
 class PlanningError(RuntimeError):
@@ -108,7 +109,7 @@ def timeline_from_schedule(cycle: Cycle, dwells: list[float]) -> dict[int, Targe
 # balanced dwell state
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(kw_only=True)
 class DwellState:
     """Result of a balancing run on (cycle, period)."""
 
@@ -119,7 +120,7 @@ class DwellState:
     visit_costs: dict[int, list[float]]  # per-visit peak costs (instance order)
     g_con: float                         # consensus level of the active peaks
     active: set[int]
-    trace: list[float] = field(repr=False)
+    trace: list[float] = field(default_factory=list, repr=False)   # worst peak cost per step
     iterations: int = 0
 
 
@@ -128,7 +129,7 @@ def _visit_costs(cache: SteadyStateCache, tid: int, t_on: list[float],
     """Per-visit peak costs of one target's periodic steady state."""
     target = cache.target(tid)
     if target.is_scalar:
-        uppers, _, _, _ = _scalar_periodic_peaks(
+        uppers, _, _ = _scalar_periodic_peaks(
             float(target.A[0, 0]), float(target.Q[0, 0]), float(target.G[0, 0]), t_on, t_off
         )
         return [target.g(u) for u in uppers]
@@ -660,19 +661,19 @@ def golden_period_search(
     lo, hi = ((1.0 + BRACKET_LOW) * travel, BRACKET_HIGH * travel) if travel > 0 else (1.0, 3.0)
 
     probes: list[tuple[float, float]] = []
-    warm: dict[str, object] = {"dwells": None}
+    state: DwellState | None = None
 
-    def evaluate(period: float) -> DwellState:
-        state = balance_level_set(cycle, period, cache, config, initial_dwells=warm["dwells"])
-        warm["dwells"] = state.dwells
+    def evaluate(period: float) -> float:
+        nonlocal state
+        state = balance_level_set(cycle, period, cache, config,
+                                  initial_dwells=None if state is None else state.dwells)
         probes.append((period, state.g_con))
-        return state
+        return state.g_con
 
     a, b = lo, hi
     x1 = b - (b - a) / GOLDEN_RATIO
     x2 = a + (b - a) / GOLDEN_RATIO
-    s1, s2 = evaluate(x1), evaluate(x2)
-    f1, f2 = s1.g_con, s2.g_con
+    f1, f2 = evaluate(x1), evaluate(x2)
     for _ in range(GOLDEN_MAX_ITERS):
         if abs(f2 - f1) <= GOLDEN_EPS * max(abs(f1), abs(f2)):
             break
@@ -682,16 +683,14 @@ def golden_period_search(
             b = x2
             x2, f2 = x1, f1
             x1 = b - (b - a) / GOLDEN_RATIO
-            s1 = evaluate(x1)
-            f1 = s1.g_con
+            f1 = evaluate(x1)
         else:
             a = x1
             x1, f1 = x2, f2
             x2 = a + (b - a) / GOLDEN_RATIO
-            s2 = evaluate(x2)
-            f2 = s2.g_con
+            f2 = evaluate(x2)
     t_star = 0.5 * (x1 + x2)
-    state = evaluate(t_star)
+    evaluate(t_star)
     return t_star, state, probes
 
 
@@ -699,22 +698,17 @@ def golden_period_search(
 # plans
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Plan:
-    """A complete single-agent schedule with its predicted cost."""
+@dataclass(kw_only=True)
+class Plan(DwellState):
+    """A complete single-agent schedule: the balanced state of the chosen
+    period (its ``trace`` is that balancing's log) plus the predicted cost,
+    the targets the exclusion loop dropped with their costs when dropped,
+    the cycle's cost floor and the period search's (period, cost) probes."""
 
-    cycle: Cycle
-    dwells: list[float]
-    period: float
     j_pred: float
-    g_con: float
-    costs: dict[int, float]
-    visit_costs: dict[int, list[float]]
-    active: set[int]
     excluded: dict[int, float]
     metric_value: float
     search_probes: list[tuple[float, float]] = field(default_factory=list, repr=False)
-    balance_trace: list[float] = field(default_factory=list, repr=False)
 
     def to_document(self) -> dict:
         return {
@@ -743,11 +737,13 @@ class Plan:
     @classmethod
     def from_document(cls, network: TargetNetwork, doc: dict) -> "Plan":
         """Rebuild a plan over ``network``, a cluster's view for a fleet
-        plan.  A missing or malformed field, an instance target without a
-        route in the network, a dwell slot at a target the view does not
-        cover and leg times other than the network's fastest travel times
-        between consecutive instances each raise a ``ValueError`` naming the
-        field."""
+        plan, with an empty ``trace``.  A missing or malformed field, an
+        instance target without a route in the network, a dwell slot at a
+        target the view does not cover, a negative or non-finite dwell, leg
+        times other than the network's fastest travel times between
+        consecutive instances, a period other than the travel time plus the
+        dwells (within ``PERIOD_REL_TOL``) and an active target the view does
+        not cover each raise a ``ValueError`` naming the field."""
         if not isinstance(doc, dict) or doc.get("format") != "plan":
             raise ValueError("not a plan document")
 
@@ -765,6 +761,9 @@ class Plan:
         legs = read("leg_times", lambda v: [float(x) for x in v])
         ids = set(network.ids)
         for k, (target, eligible, dwell) in enumerate(entries):
+            if not (math.isfinite(dwell) and dwell >= 0.0):
+                raise ValueError(f"plan document field 'instances': entry {k} has dwell "
+                                 f"{dwell!r}; a dwell must be finite and nonnegative")
             if target not in network.travel:
                 raise ValueError(f"plan document field 'instances': entry {k} visits "
                                  f"target {target}, which is not in the network")
@@ -777,40 +776,36 @@ class Plan:
         if legs != cycle.legs:
             raise ValueError(f"plan document field 'leg_times' does not match the network's "
                              f"fastest travel times between its {len(entries)} instances")
+        dwells = [dwell for _, _, dwell in entries]
+        period = read("period", float)
+        total = cycle.travel_time + sum(dwells)
+        if not (0.0 < period < math.inf and abs(period - total) <= PERIOD_REL_TOL * period):
+            raise ValueError(f"plan document field 'period' is {period!r}, but the travel time "
+                             f"plus the dwells is {total!r}")
+        active = read("active", lambda v: {int(x) for x in v})
+        if not active <= ids:
+            raise ValueError(f"plan document field 'active' names targets the plan does not "
+                             f"cover: {sorted(active - ids)}")
         return cls(
             cycle=cycle,
-            dwells=[dwell for _, _, dwell in entries],
-            period=read("period", float),
+            dwells=dwells,
+            period=period,
             j_pred=read("predicted_cost", float),
             g_con=read("consensus_cost", float),
             costs=read("per_target_cost", lambda v: {int(k): float(x) for k, x in v.items()}),
             visit_costs=read("per_visit_cost",
                              lambda v: {int(k): [float(x) for x in xs] for k, xs in v.items()}),
-            active=read("active", lambda v: {int(x) for x in v}),
+            active=active,
             excluded=read("excluded", lambda v: {int(k): float(x) for k, x in v.items()}),
             metric_value=read("metric_floor", float),
         )
 
 
-def _finish_plan(cycle, state, cache, excluded, probes) -> Plan:
-    metric = cycle_lower_bound(cycle, cache)
-    j_pred = max(state.costs.values())
-    if excluded:
-        j_pred = max(j_pred, max(excluded.values()))
-    return Plan(
-        cycle=cycle,
-        dwells=state.dwells,
-        period=state.period,
-        j_pred=j_pred,
-        g_con=state.g_con,
-        costs=state.costs,
-        visit_costs=state.visit_costs,
-        active=state.active,
-        excluded=excluded,
-        metric_value=metric.value,
-        search_probes=probes,
-        balance_trace=state.trace,
-    )
+def _finish_plan(state: DwellState, cache: SteadyStateCache, excluded: dict[int, float],
+                 probes: list[tuple[float, float]]) -> Plan:
+    j_pred = max([*state.costs.values(), *excluded.values()])
+    return Plan(**vars(state), j_pred=j_pred, excluded=excluded,
+                metric_value=cycle_lower_bound(state.cycle, cache).value, search_probes=probes)
 
 
 def plan_for_cycle(cycle: Cycle, cache: SteadyStateCache | None = None,
@@ -818,7 +813,7 @@ def plan_for_cycle(cycle: Cycle, cache: SteadyStateCache | None = None,
     """Optimize the period and dwells for a fixed cycle."""
     cache = cache or SteadyStateCache(cycle.network)
     t_star, state, probes = golden_period_search(cycle, cache, config)
-    return _finish_plan(cycle, state, cache, {}, probes)
+    return _finish_plan(state, cache, {}, probes)
 
 
 def plan_single_agent(
@@ -856,5 +851,5 @@ def plan_single_agent(
         cycle, state, probes = optimize(remaining)
         if state.g_con < c_min * (1.0 - COMPARE_TOL):
             break  # the excluded target is the bottleneck now
-    return _finish_plan(cycle, state, cache, excluded, probes)
+    return _finish_plan(state, cache, excluded, probes)
 

@@ -174,8 +174,7 @@ def disparity_matrix(
         for b in range(a + 1, m):
             j = ids[b]
             round_trip = 2.0 * network.travel[i][j]
-            d = max(cache.lower_bound(i, round_trip),
-                    cache.lower_bound(j, round_trip))
+            d = max(cache.floor(i)(round_trip), cache.floor(j)(round_trip))
             values[a, b] = values[b, a] = d
     return DisparityMatrix(ids=ids, values=values)
 
@@ -418,9 +417,10 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None) -> P
     cycles = list(partition.cycles)
     metrics = list(partition.metrics)
     log: list[dict] = []
-    # annex gains by (cluster's dwell sequence, its members, joining target):
-    # a cluster no commit touched is asked again next round
-    annex_gains: dict[tuple, float] = {}
+    # annex gains by (receiving cluster, joining target); a commit drops the
+    # entries of the two clusters it rebuilds, and any other cluster keeps
+    # its cycle and members, so its gains stand
+    annex_gains: dict[tuple[int, int], float] = {}
 
     for _ in range(TES_MAX_COMMITS):
         fleet_val = max(m.value for m in metrics)
@@ -439,11 +439,9 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None) -> P
             for b in range(len(clusters)):
                 if b == a_star:
                     continue
-                key = (tuple(t for t, elig in cycles[b].sequence() if elig), frozenset(clusters[b]), j)
-                if key not in annex_gains:
-                    annex_gains[key] = _annex_gain(network, cache, cycles[b], clusters[b], j)
-                annex = annex_gains[key]
-                candidates.append((removal + annex, j, b))
+                if (b, j) not in annex_gains:
+                    annex_gains[b, j] = _annex_gain(network, cache, cycles[b], clusters[b], j)
+                candidates.append((removal + annex_gains[b, j], j, b))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         committed = False
         for est_gain, j, b in candidates:
@@ -468,6 +466,8 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None) -> P
                 clusters[a_star], clusters[b] = new_a, new_b
                 cycles[a_star], cycles[b] = cyc_a, cyc_b
                 metrics = new_metrics
+                annex_gains = {key: gain for key, gain in annex_gains.items()
+                               if key[0] not in (a_star, b)}
                 log.append({
                     "moved_target": j,
                     "from_cluster": a_star,

@@ -298,6 +298,28 @@ def _null_covers(doc):
     doc["covers"] = None
 
 
+def _scale_period(factor):
+    def corrupt(doc):
+        doc["period"] *= factor
+    return corrupt
+
+
+def _set_period(value):
+    def corrupt(doc):
+        doc["period"] = value
+    return corrupt
+
+
+def _set_first_dwell(value):
+    def corrupt(doc):
+        next(e for e in doc["instances"] if e["dwell_eligible"])["dwell"] = value
+    return corrupt
+
+
+def _foreign_active(doc):
+    doc["active"] = [99]
+
+
 def _number_covers(doc):
     doc["covers"] = 3
 
@@ -312,8 +334,15 @@ class TestPlanDocumentChecks:
         (_move_leg, "'leg_times'"),
         (_null_covers, "'covers'"),
         (_number_covers, "'covers'"),
+        (_scale_period(1.5), "'period'"),
+        (_set_period(-1.0), "'period'"),
+        (_set_period(float("inf")), "'period'"),
+        (_set_first_dwell(-0.05), "'instances'"),
+        (_set_first_dwell(float("nan")), "'instances'"),
+        (_foreign_active, "'active'"),
     ], ids=["missing-key", "unknown-instance-target", "unknown-covers-target", "leg-count",
-            "leg-time", "null-covers", "number-covers"])
+            "leg-time", "null-covers", "number-covers", "stretched-period", "negative-period",
+            "infinite-period", "negative-dwell", "nan-dwell", "foreign-active"])
     def test_malformed_plan_is_input_error_naming_field(self, planned, tmp_path, capsys,
                                                         command, corrupt, field):
         doc = json.loads((planned / "plan.json").read_text())

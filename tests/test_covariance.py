@@ -185,11 +185,6 @@ class TestPeriodicSteadyState:
             w = propagate_unobserved(w, [[a]], [[q]], [0.9, 0.5][k])
         assert abs(w[0, 0] - peaks.upper[0][0, 0]) <= 1e-8
 
-    def test_switch_times(self):
-        peaks = periodic_steady_state([[0.2]], [[1.0]], [[0.4]], t_on=[0.5, 0.25], t_off=[1.0, 0.75])
-        assert peaks.tau_upper == [0.0, 1.5]
-        assert peaks.tau_lower == [0.5, 1.75]
-
     def test_matrix_period_fixed_point(self):
         rng = np.random.default_rng(31)
         A, Q, G = random_matrix_system(rng, 2)

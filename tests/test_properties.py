@@ -43,9 +43,17 @@ target and be consistent with their own timelines.
 
 The last plans small random scalar instances and fleets and checks that every
 plan document survives JSON text and ``Plan.from_document`` unchanged, and
-that one leg time moved by one ulp is rejected; a
+that one leg time moved by one ulp or a period moved by 1e-6 is rejected; a
 fleet's agent plans are read back as the CLI reads them, over the cluster
 view built from the document's ``covers``.
+
+A target's revisit floor has one function: for random scalar targets and
+duo2x2's 2x2 targets, ``SteadyStateCache.floor``, ``lower_bound`` of the
+cache and ``covariance.lower_bound`` agree bit for bit at random gaps, and
+only a matrix target's function evaluates the bound, once per distinct gap.
+A plan is its balanced state: on random cycles ``plan_for_cycle`` carries,
+bit for bit, the state of ``golden_period_search`` on a fresh cache, and a
+single-agent plan predicts the worst of its target and excluded costs.
 """
 
 import dataclasses
@@ -63,13 +71,17 @@ from hypothesis import assume, given, settings, strategies as st
 from patrolplan import dwell
 from patrolplan.cli import _load_plan
 from patrolplan.config import ParamRanges, PlannerConfig
-from patrolplan.covariance import ConvergenceError, cov_norm, periodic_steady_state
+from patrolplan import cycles
+from patrolplan.covariance import ConvergenceError, cov_norm, lower_bound, periodic_steady_state
 from patrolplan.cycles import Cycle, SteadyStateCache, cycle_lower_bound, tsp_heuristic
 from patrolplan.dwell import (
+    DwellState,
     Plan,
     balance_level_set,
     balance_multi_visit,
     balance_single_visit,
+    golden_period_search,
+    plan_for_cycle,
     plan_single_agent,
     timeline_from_schedule,
 )
@@ -591,6 +603,11 @@ def test_plan_document_round_trips(num_targets, seed):
         legs.append(0.0)
     with pytest.raises(ValueError, match="'leg_times'"):
         Plan.from_document(network, bad)
+    # the period must be the travel time plus the dwells
+    bad = json_round_trip(doc)
+    bad["period"] *= 1.0 + 1e-6 * (1 if seed % 2 else -1)
+    with pytest.raises(ValueError, match="'period'"):
+        Plan.from_document(network, bad)
 
 
 @settings(max_examples=20, deadline=None)
@@ -608,3 +625,54 @@ def test_fleet_plan_documents_round_trip(num_targets, num_agents, seed):
             view, loaded = _load_plan(SimpleNamespace(instance=str(instance), plan=str(path)))
             assert sorted(view.ids) == doc["covers"]
             assert loaded.to_document() == doc
+
+
+DUO2X2, _ = load_instance_file(str(INSTANCES / "duo2x2.json"))
+
+
+@st.composite
+def floor_cases(draw):
+    """A network and one of its targets, a random scalar target (stable or
+    unstable, any weight) or one of duo2x2's 2x2 targets, and one to four
+    gaps."""
+    if draw(st.booleans()):
+        network, tid = DUO2X2, draw(st.sampled_from(DUO2X2.ids))
+    else:
+        spec = TargetSpec(id=1, A=draw(st.floats(-2.0, 2.0)), Q=draw(st.floats(0.05, 5.0)),
+                          H=1.0, R=draw(st.floats(0.05, 8.0)),
+                          weight_alpha=draw(st.floats(1.0, 5.0)))
+        network, tid = TargetNetwork(targets=[spec], edges=[]), 1
+    return network, tid, draw(st.lists(st.floats(0.0, 20.0), min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(floor_cases())
+def test_one_floor_function_per_target(case):
+    network, tid, gaps = case
+    cache = SteadyStateCache(network)
+    spec, omega_ss = cache.target(tid), cache.steady(tid).omega_ss
+    with mock.patch.object(cycles, "lower_bound", wraps=cycles.lower_bound) as bound:
+        for gap in gaps + gaps:   # every gap twice
+            want = lower_bound(spec, gap, omega_ss)
+            assert cache.floor(tid)(gap) == want
+            assert cache.lower_bound(tid, gap) == want
+    assert cache.floor(tid) is cache.floor(tid)
+    # a scalar floor runs the bound's operations itself; a matrix floor
+    # evaluates each distinct gap's bound once
+    assert bound.call_count == (0 if spec.is_scalar else len(set(gaps)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(balance_cases(), st.booleans())
+def test_plan_is_its_balanced_state(case, repeat):
+    network, tour, repeated, _ = case
+    cycle = Cycle.from_targets(network, repeated if repeat else tour)
+    plan = plan_for_cycle(cycle, SteadyStateCache(network))
+    _, state, probes = golden_period_search(cycle, SteadyStateCache(network))
+    assert isinstance(plan, DwellState)
+    for f in dataclasses.fields(DwellState):
+        assert getattr(plan, f.name) == getattr(state, f.name), f.name
+    assert plan.search_probes == probes
+    assert plan.j_pred == max(plan.costs.values()) and not plan.excluded
+    single = plan_single_agent(network, SteadyStateCache(network))
+    assert single.j_pred == max([*single.costs.values(), *single.excluded.values()])
