@@ -15,9 +15,10 @@ across active targets, which keeps the period constant while all active
 peak costs converge to a common value, and a target with several dwell
 slots also has its total split across them until its per-visit peaks agree.
 Either way a target that is cheaper never observed than the level takes no
-dwell.  The period itself is optimized by a golden-section search, and an
-outer loop drops targets that are cheaper never observed than the balanced
-consensus cost.
+dwell.  The period itself is optimized by Brent's method (golden section
+safeguarding parabolic steps) over the balanced cost, and an outer loop
+drops targets that are cheaper never observed than the balanced consensus
+cost.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ SPLIT_GAIN = 5e-2            # within-target gain (damped on overshoot)
 SPLIT_MAX_ITERS = 10_000
 BRACKET_LOW = 0.1            # T_min = (1 + low) * travel time
 BRACKET_HIGH = 3.0           # T_max = high * travel time
-GOLDEN_EPS = 1e-6            # relative |g(T2) - g(T1)| stop
+GOLDEN_EPS = 1e-6            # relative |g(T2) - g(T1)| of the first two probes: a flat cost
+PERIOD_XTOL = 1e-4           # relative period tolerance of the period search
 GOLDEN_MAX_ITERS = 200
 COMPARE_TOL = 1e-6           # relative tolerance of the exclusion loop's cost comparisons
 PERIOD_REL_TOL = 1e-9        # a plan file's period against its travel time plus dwells
@@ -645,7 +647,9 @@ def golden_period_search(
     cache: SteadyStateCache | None = None,
     config: PlannerConfig | None = None,
 ) -> tuple[float, DwellState, list[tuple[float, float]]]:
-    """Golden-section search of the period against the balanced peak cost.
+    """Brent's search of the period against the balanced peak cost: golden
+    section safeguarding parabolic interpolation (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 5).
 
     Every probe is balanced by ``balance_level_set``, whose Newton steps
     hand a cycle with a multi-slot target to the consensus law should they
@@ -653,8 +657,17 @@ def golden_period_search(
     the previous probe's dwell vector (rescaled) as a warm start; the
     balanced cost is invariant to the start point.  The bracket is
     ``[(1 + BRACKET_LOW), BRACKET_HIGH]`` times the travel time ([1, 3] for
-    a cycle without travel).  Returns the bracket midpoint, its balanced
-    state, and the (period, cost) probe log.
+    a cycle without travel).
+
+    The first two probes are golden section's.  If their costs agree within
+    ``GOLDEN_EPS`` the cost is flat and the bracket midpoint is probed and
+    returned.  Otherwise the smaller one seeds Brent's steps, which stop once
+    the bracket around the best probe is within ``PERIOD_XTOL`` of it; a
+    parabola that is not finite (a probe may cost ``inf``) gives way to a
+    golden step.  A bracket end within that tolerance of the best probe is
+    probed once, so an optimum at the end is found exactly.  Returns the
+    cheapest probe's period and balanced state, and the (period, cost) probe
+    log.
     """
     cache = cache or SteadyStateCache(cycle.network)
     travel = cycle.travel_time
@@ -662,36 +675,74 @@ def golden_period_search(
 
     probes: list[tuple[float, float]] = []
     state: DwellState | None = None
+    best: DwellState | None = None
 
     def evaluate(period: float) -> float:
-        nonlocal state
+        nonlocal state, best
         state = balance_level_set(cycle, period, cache, config,
                                   initial_dwells=None if state is None else state.dwells)
         probes.append((period, state.g_con))
+        if best is None or state.g_con < best.g_con:
+            best = state
         return state.g_con
 
-    a, b = lo, hi
-    x1 = b - (b - a) / GOLDEN_RATIO
-    x2 = a + (b - a) / GOLDEN_RATIO
+    x1 = hi - (hi - lo) / GOLDEN_RATIO
+    x2 = lo + (hi - lo) / GOLDEN_RATIO
     f1, f2 = evaluate(x1), evaluate(x2)
+    if abs(f2 - f1) <= GOLDEN_EPS * max(abs(f1), abs(f2)):
+        t_star = 0.5 * (x1 + x2)
+        evaluate(t_star)
+        return t_star, state, probes
+    # (a, b) brackets the minimum; x is the best probe, w the second best
+    # and v the previous w
+    if f1 < f2:
+        a, b, x, fx, w, fw = lo, x2, x1, f1, x2, f2
+    else:
+        a, b, x, fx, w, fw = x1, hi, x2, f2, x1, f1
+    v, fv = w, fw
+    d = e = 0.0   # the last step and the one before it
     for _ in range(GOLDEN_MAX_ITERS):
-        if abs(f2 - f1) <= GOLDEN_EPS * max(abs(f1), abs(f2)):
+        mid = 0.5 * (a + b)
+        tol1 = PERIOD_XTOL * x
+        if abs(x - mid) <= 2.0 * tol1 - 0.5 * (b - a):
             break
-        if (b - a) <= 1e-12 * max(1.0, b):
-            break
-        if f2 > f1:
-            b = x2
-            x2, f2 = x1, f1
-            x1 = b - (b - a) / GOLDEN_RATIO
-            f1 = evaluate(x1)
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # a parabola is taken if it is finite, falls inside the bracket
+            # and moves less than half the step before last
+            if (math.isfinite(p) and math.isfinite(q)
+                    and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)):
+                e, d = d, p / q
+                golden = False
+                if x + d - a < 2.0 * tol1 or b - (x + d) < 2.0 * tol1:
+                    d = math.copysign(tol1, mid - x)
+        if golden:
+            # 1/φ² of the larger side, as 2 - φ: from a golden-section point
+            # this lands on golden section's next probe bit for bit
+            e = (a if x >= mid else b) - x
+            d = (2.0 - GOLDEN_RATIO) * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = evaluate(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a = x1
-            x1, f1 = x2, f2
-            x2 = a + (b - a) / GOLDEN_RATIO
-            f2 = evaluate(x2)
-    t_star = 0.5 * (x1 + x2)
-    evaluate(t_star)
-    return t_star, state, probes
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == w:
+                v, fv = u, fu
+    for end in (lo, hi):
+        if abs(end - x) <= 2.0 * PERIOD_XTOL * x:
+            evaluate(end)
+    return best.period, best, probes
 
 
 # ---------------------------------------------------------------------------
@@ -742,8 +793,11 @@ class Plan(DwellState):
         target the view does not cover, a negative or non-finite dwell, leg
         times other than the network's fastest travel times between
         consecutive instances, a period other than the travel time plus the
-        dwells (within ``PERIOD_REL_TOL``) and an active target the view does
-        not cover each raise a ``ValueError`` naming the field."""
+        dwells (within ``PERIOD_REL_TOL``), an active target the view does
+        not cover, a predicted, consensus or floor cost that is negative or
+        not finite, an active target without a finite cost or finite visit
+        costs, and a predicted cost other than the worst of the per-target
+        and excluded costs each raise a ``ValueError`` naming the field."""
         if not isinstance(doc, dict) or doc.get("format") != "plan":
             raise ValueError("not a plan document")
 
@@ -786,18 +840,39 @@ class Plan(DwellState):
         if not active <= ids:
             raise ValueError(f"plan document field 'active' names targets the plan does not "
                              f"cover: {sorted(active - ids)}")
+        report = {key: read(key, float)
+                  for key in ("predicted_cost", "consensus_cost", "metric_floor")}
+        for key, value in report.items():
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"plan document field {key!r} is {value!r}; "
+                                 f"it must be finite and nonnegative")
+        costs = read("per_target_cost", lambda v: {int(k): float(x) for k, x in v.items()})
+        visit_costs = read("per_visit_cost",
+                           lambda v: {int(k): [float(x) for x in xs] for k, xs in v.items()})
+        excluded = read("excluded", lambda v: {int(k): float(x) for k, x in v.items()})
+        for tid in sorted(active):
+            if not math.isfinite(costs.get(tid, math.nan)):
+                raise ValueError(f"plan document field 'per_target_cost' has no finite cost "
+                                 f"for active target {tid}")
+            if not visit_costs.get(tid) or not all(map(math.isfinite, visit_costs[tid])):
+                raise ValueError(f"plan document field 'per_visit_cost' has no finite visit "
+                                 f"costs for active target {tid}")
+        j_pred = report["predicted_cost"]
+        worst = [*costs.values(), *excluded.values()]
+        if j_pred not in worst or not all(c <= j_pred for c in worst):
+            raise ValueError(f"plan document field 'predicted_cost' is {j_pred!r}, but the worst "
+                             f"of 'per_target_cost' and 'excluded' is {max(worst, default=None)!r}")
         return cls(
             cycle=cycle,
             dwells=dwells,
             period=period,
-            j_pred=read("predicted_cost", float),
-            g_con=read("consensus_cost", float),
-            costs=read("per_target_cost", lambda v: {int(k): float(x) for k, x in v.items()}),
-            visit_costs=read("per_visit_cost",
-                             lambda v: {int(k): [float(x) for x in xs] for k, xs in v.items()}),
+            j_pred=j_pred,
+            g_con=report["consensus_cost"],
+            costs=costs,
+            visit_costs=visit_costs,
             active=active,
-            excluded=read("excluded", lambda v: {int(k): float(x) for k, x in v.items()}),
-            metric_value=read("metric_floor", float),
+            excluded=excluded,
+            metric_value=report["metric_floor"],
         )
 
 

@@ -9,13 +9,16 @@ instance seed ``randrange(10**6)``.  The instance is
 stable_fraction=..., r=(r_lo, 8.0), alpha=(1.0, alpha_hi), box=...))``;
 k = 1 plans it with ``plan_single_agent``, any other k with ``plan_fleet``.
 
-Each draw prints one line with its parameters, its status and its time, and
-the number of times the dwell level set handed a multi-slot cycle to the
-consensus law (``dwell.balance_multi_visit``) if it did; the last line lists
-the draws that reached that hand-off.  The script exits 1 if a draw outside
-``KNOWN_FAILURES`` fails; those are the multi-slot fleets that the level set
-hands to the consensus law, which does not converge on them.  A known
-failure that plans is reported, not counted.
+Each draw prints one line with its parameters, its status, its time, its plan
+cost (``j_pred``, or ``fleet_cost`` for a fleet, as ``%.12g``) if it planned,
+the number of period-search probes (``dwell.golden_period_search``) and the
+number of times the dwell level set handed a multi-slot cycle to the
+consensus law (``dwell.balance_multi_visit``) if it did.  The last lines list
+the draws that reached that hand-off and the total probe count, so the logs
+of two checkouts can be diffed for cost regressions and search effort.  The
+script exits 1 if a draw outside ``KNOWN_FAILURES`` fails; those are the
+multi-slot fleets that the level set hands to the consensus law, which does
+not converge on them.  A known failure that plans is reported, not counted.
 It is not collected by pytest.  Run it from the repository root::
 
     PYTHONPATH=src python tests/fuzz_plans.py          # all 600 draws
@@ -61,27 +64,39 @@ def draw(i: int) -> tuple[int, int, int, ParamRanges]:
     return n, k, seed, ranges
 
 
-def plan(i: int) -> None:
+def plan(i: int) -> float:
+    """The plan cost of draw ``i``."""
     n, k, seed, ranges = draw(i)
     net, _ = generate_random_instance(n, seed, ranges)
     cache = SteadyStateCache(net)
     if k == 1:
-        plan_single_agent(net, cache)
-    else:
-        plan_fleet(net, k, cache)
+        return plan_single_agent(net, cache).j_pred
+    return plan_fleet(net, k, cache).fleet_cost
 
 
 def main(argv: list[str]) -> int:
     indices = [int(a) for a in argv] or range(DRAWS)
     unexpected = []
     handed_off = []
+    probes = 0
+    search = dwell.golden_period_search
+
+    def counted_search(*args, **kwargs):
+        nonlocal probes
+        result = search(*args, **kwargs)
+        probes += len(result[2])
+        return result
+
     for i in indices:
         n, k, seed, ranges = draw(i)
         start = time.perf_counter()
+        draw_probes = probes
+        cost = ""
         with mock.patch.object(dwell, "balance_multi_visit",
-                               wraps=dwell.balance_multi_visit) as consensus:
+                               wraps=dwell.balance_multi_visit) as consensus, \
+                mock.patch.object(dwell, "golden_period_search", counted_search):
             try:
-                plan(i)
+                cost = f", cost {plan(i):.12g}"
                 status = "ok" if i not in KNOWN_FAILURES else "ok (a known failure plans)"
             except Exception as exc:  # every failure is reported, then judged
                 status = f"FAIL {type(exc).__name__}: {exc}"
@@ -94,8 +109,10 @@ def main(argv: list[str]) -> int:
             hand_offs = f", consensus hand-offs: {consensus.call_count}"
         print(f"draw {i} n={n} k={k} seed={seed} a_hi={ranges.a[1]} "
               f"stable={ranges.stable_fraction} r_lo={ranges.r[0]} alpha_hi={ranges.alpha[1]} "
-              f"box={ranges.box}: {status} ({elapsed:.2f} s{hand_offs})", flush=True)
+              f"box={ranges.box}: {status} ({elapsed:.2f} s{cost}, "
+              f"probes {probes - draw_probes}{hand_offs})", flush=True)
     print(f"{len(handed_off)} of {len(indices)} draws reach the consensus hand-off: {handed_off}")
+    print(f"{probes} period-search probes in all")
     if unexpected:
         print(f"unexpected failures: {unexpected}")
         return 1

@@ -27,6 +27,9 @@ path up once per hop.
 branch for one-instance cycles and targets, the reference for
 ``Cycle.visit_gaps``; ``exact_timelines`` gives every target's on/off times
 in rational arithmetic, the reference for ``Cycle.timelines``.
+``golden_section_search`` is the plain golden-section search of the period,
+the reference for ``dwell.golden_period_search``, which takes Brent's
+parabolic steps.
 """
 
 from __future__ import annotations
@@ -60,6 +63,14 @@ from patrolplan.cycles import (
     _visit_between,
     cycle_lower_bound,
     enumerate_cmos,
+)
+from patrolplan.dwell import (
+    BRACKET_HIGH,
+    BRACKET_LOW,
+    GOLDEN_EPS,
+    GOLDEN_MAX_ITERS,
+    GOLDEN_RATIO,
+    balance_level_set,
 )
 from patrolplan.fleet import BYPASS_MAX_RUN, cluster_subnetwork, enumerate_ceos
 from patrolplan.simulate import (
@@ -599,6 +610,48 @@ def random_initial_dwells(cycle: Cycle, budget: float, seed: int) -> list[float]
     dwells = [rng.random() if inst.dwell_eligible else 0.0 for inst in cycle.instances]
     total = sum(dwells)
     return [d * budget / total for d in dwells]
+
+
+def golden_section_search(cycle: Cycle, cache: SteadyStateCache | None = None, config=None):
+    """Golden-section search of the period against the balanced peak cost
+    over ``dwell.golden_period_search``'s bracket, each probe warm-started
+    from the previous one's dwells.  It stops once two probes agree within
+    ``GOLDEN_EPS`` or the bracket collapses, and returns the midpoint of the
+    last two probes, its balanced state and the (period, cost) probe log."""
+    cache = cache or SteadyStateCache(cycle.network)
+    travel = cycle.travel_time
+    a, b = ((1.0 + BRACKET_LOW) * travel, BRACKET_HIGH * travel) if travel > 0 else (1.0, 3.0)
+    probes = []
+    state = None
+
+    def evaluate(period):
+        nonlocal state
+        state = balance_level_set(cycle, period, cache, config,
+                                  initial_dwells=None if state is None else state.dwells)
+        probes.append((period, state.g_con))
+        return state.g_con
+
+    x1 = b - (b - a) / GOLDEN_RATIO
+    x2 = a + (b - a) / GOLDEN_RATIO
+    f1, f2 = evaluate(x1), evaluate(x2)
+    for _ in range(GOLDEN_MAX_ITERS):
+        if abs(f2 - f1) <= GOLDEN_EPS * max(abs(f1), abs(f2)):
+            break
+        if (b - a) <= 1e-12 * max(1.0, b):
+            break
+        if f2 > f1:
+            b = x2
+            x2, f2 = x1, f1
+            x1 = b - (b - a) / GOLDEN_RATIO
+            f1 = evaluate(x1)
+        else:
+            a = x1
+            x1, f1 = x2, f2
+            x2 = a + (b - a) / GOLDEN_RATIO
+            f2 = evaluate(x2)
+    t_star = 0.5 * (x1 + x2)
+    evaluate(t_star)
+    return t_star, state, probes
 
 
 # --- shared parameter table --------------------------------------------------

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from patrolplan.config import ParamRanges
+from patrolplan.config import ParamRanges, PlannerConfig
 from patrolplan.cycles import Cycle, SteadyStateCache, cycle_lower_bound, tsp_heuristic, greedy_construct
 from patrolplan.dwell import (
     balance_single_visit,
@@ -26,6 +26,7 @@ from patrolplan.simulate import simulate, validate
 from conftest import build_table1_network
 from oracles import (
     enumerate_cycles,
+    golden_section_search,
     propagate_observed,
     propagate_unobserved,
     random_initial_dwells,
@@ -182,9 +183,11 @@ def test_criterion_05_peak_monotonicity():
 
 def test_criterion_06_unimodality_and_golden_search():
     ranges = ParamRanges(a=(0.1, 0.5), q=(0.5, 1.5), r=(2.0, 6.0), box=0.3)
+    tol = PlannerConfig().balance_tol
     worst_step = -math.inf
     worst_period_err = 0.0
     worst_value_err = 0.0
+    worst_excess = -math.inf
     for seed in range(20):
         net, _ = generate_random_instance(3, seed=8000 + seed, param_ranges=ranges)
         cache = SteadyStateCache(net)
@@ -204,12 +207,16 @@ def test_criterion_06_unimodality_and_golden_search():
         for k in range(m, 49):
             worst_step = max(worst_step, values[k] - values[k + 1])
         t_star, state, _ = golden_period_search(cyc, cache)
+        _, reference, _ = golden_section_search(cyc, cache)
         worst_period_err = max(worst_period_err, abs(t_star - periods[m]) / periods[m])
         worst_value_err = max(worst_value_err, abs(state.g_con - values[m]) / values[m])
-    ok = worst_step <= 1e-6 and worst_period_err <= 0.01 and worst_value_err <= 1e-4
+        worst_excess = max(worst_excess, state.g_con / reference.g_con - 1.0)
+    ok = (worst_step <= 1e-6 and worst_period_err <= 0.01 and worst_value_err <= 1e-4
+          and worst_excess <= tol)
     report(6, ok,
            f"20 scalar instances: unimodality violation {worst_step:.2e} (<=1e-6), "
-           f"period error {worst_period_err:.3%} (<=1%), value error {worst_value_err:.2e} (<=1e-4 rel)")
+           f"period error {worst_period_err:.3%} (<=1%), value error {worst_value_err:.2e} "
+           f"(<=1e-4 rel), cost over golden section {worst_excess:.2e} (<={tol:.0e} rel)")
 
 
 def test_criterion_07_lower_bound_never_exceeded():

@@ -324,6 +324,28 @@ def _number_covers(doc):
     doc["covers"] = 3
 
 
+def _set_report(key, value):
+    def corrupt(doc):
+        doc[key] = value
+    return corrupt
+
+
+def _scale_predicted_cost(doc):
+    doc["predicted_cost"] *= 1.0 + 1e-9
+
+
+def _empty_report(key):
+    def corrupt(doc):
+        doc[key] = {}
+    return corrupt
+
+
+def _set_active_costs(key, value):
+    def corrupt(doc):
+        doc[key][str(doc["active"][0])] = value
+    return corrupt
+
+
 class TestPlanDocumentChecks:
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     @pytest.mark.parametrize("corrupt, field", [
@@ -340,9 +362,23 @@ class TestPlanDocumentChecks:
         (_set_first_dwell(-0.05), "'instances'"),
         (_set_first_dwell(float("nan")), "'instances'"),
         (_foreign_active, "'active'"),
+        (_set_report("predicted_cost", float("nan")), "'predicted_cost'"),
+        (_set_report("predicted_cost", -1.0), "'predicted_cost'"),
+        (_scale_predicted_cost, "'predicted_cost'"),
+        (_set_report("consensus_cost", float("inf")), "'consensus_cost'"),
+        (_set_report("metric_floor", -1e300), "'metric_floor'"),
+        (_empty_report("per_target_cost"), "'per_target_cost'"),
+        (_set_active_costs("per_target_cost", float("nan")), "'per_target_cost'"),
+        (_empty_report("per_visit_cost"), "'per_visit_cost'"),
+        (_set_active_costs("per_visit_cost", []), "'per_visit_cost'"),
+        (_set_active_costs("per_visit_cost", [float("inf")]), "'per_visit_cost'"),
     ], ids=["missing-key", "unknown-instance-target", "unknown-covers-target", "leg-count",
             "leg-time", "null-covers", "number-covers", "stretched-period", "negative-period",
-            "infinite-period", "negative-dwell", "nan-dwell", "foreign-active"])
+            "infinite-period", "negative-dwell", "nan-dwell", "foreign-active",
+            "nan-predicted-cost", "negative-predicted-cost", "predicted-cost-not-worst",
+            "infinite-consensus-cost", "negative-metric-floor", "empty-per-target-cost",
+            "nan-active-cost", "empty-per-visit-cost", "no-active-visit-costs",
+            "infinite-visit-cost"])
     def test_malformed_plan_is_input_error_naming_field(self, planned, tmp_path, capsys,
                                                         command, corrupt, field):
         doc = json.loads((planned / "plan.json").read_text())

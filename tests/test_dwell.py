@@ -282,21 +282,38 @@ class TestGoldenSearch:
             probe = balance_single_visit(cyc, t_probe, cache=cache)
             assert probe.g_con >= state.g_con - 1e-4 * state.g_con
 
-    def test_bracket_shrinks_monotonically(self, table1_network):
+    def test_probes_stay_in_bracket_and_result_is_cheapest(self, table1_network):
         cache = SteadyStateCache(table1_network)
         cyc = tsp_heuristic(table1_network, table1_network.ids)
-        _, _, probes = golden_period_search(cyc, cache)
+        t_star, state, probes = golden_period_search(cyc, cache)
+        lo = (1 + dwell.BRACKET_LOW) * cyc.travel_time
+        hi = dwell.BRACKET_HIGH * cyc.travel_time
         assert len(probes) >= 3
-        periods = [p for p, _ in probes]
-        spans = []
-        lo, hi = min(periods), max(periods)
-        # probes concentrate in one basin: successive probes stay inside the
-        # running min/max bracket
-        running_lo, running_hi = periods[0], periods[0]
-        for p in periods[1:]:
-            running_lo, running_hi = min(running_lo, p), max(running_hi, p)
-            spans.append(running_hi - running_lo)
-        assert spans[-1] <= (hi - lo) + 1e-12
+        assert all(lo <= period <= hi for period, _ in probes)
+        assert (t_star, state.g_con) == min(probes, key=lambda probe: probe[1])
+        assert state.period == t_star
+
+    def test_table1_search_takes_at_most_ten_probes(self, table1_network):
+        # golden section took 15
+        cyc = tsp_heuristic(table1_network, table1_network.ids)
+        _, _, probes = golden_period_search(cyc, SteadyStateCache(table1_network))
+        assert len(probes) <= 10
+
+    def test_duo2x2_optimum_is_the_bracket_end(self):
+        net, _ = load_instance(json.loads((INSTANCES / "duo2x2.json").read_text()))
+        cyc = tsp_heuristic(net, net.ids)
+        t_star, state, probes = golden_period_search(cyc, SteadyStateCache(net))
+        assert t_star == dwell.BRACKET_HIGH * cyc.travel_time
+        assert state.g_con == min(cost for _, cost in probes)
+
+    def test_travel_free_target_keeps_the_flat_midpoint(self):
+        # the cost of a lone target without travel does not depend on the
+        # period: the first two probes agree and the midpoint is returned
+        net = TargetNetwork(targets=[TargetSpec(id=1, A=0.3, Q=1.0, H=1.0, R=1.0)], edges=[])
+        cyc = Cycle.from_targets(net, [1])
+        t_star, state, probes = golden_period_search(cyc, SteadyStateCache(net))
+        assert len(probes) == 3
+        assert t_star == state.period == 2.0
 
 
 class TestPlanSingleAgent:

@@ -54,6 +54,9 @@ only a matrix target's function evaluates the bound, once per distinct gap.
 A plan is its balanced state: on random cycles ``plan_for_cycle`` carries,
 bit for bit, the state of ``golden_period_search`` on a fresh cache, and a
 single-agent plan predicts the worst of its target and excluded costs.
+On random single-visit tours that search (Brent's steps) must keep every
+probe inside the bracket, return its cheapest probe and cost no more than
+the plain golden-section search of ``oracles`` within ``balance_tol``.
 """
 
 import dataclasses
@@ -99,6 +102,7 @@ from oracles import (
     apply_period,
     bordered_level_step,
     exact_timelines,
+    golden_section_search,
     iterated_periodic_start,
     period_steps,
     python_floyd_warshall,
@@ -676,3 +680,17 @@ def test_plan_is_its_balanced_state(case, repeat):
     assert plan.j_pred == max(plan.costs.values()) and not plan.excluded
     single = plan_single_agent(network, SteadyStateCache(network))
     assert single.j_pred == max([*single.costs.values(), *single.excluded.values()])
+
+
+@settings(max_examples=25, deadline=None)
+@given(balance_cases())
+def test_period_search_is_no_dearer_than_golden_section(case):
+    network, tour, _, _ = case
+    cycle = Cycle.from_targets(network, tour)
+    t_star, state, probes = golden_period_search(cycle, SteadyStateCache(network))
+    _, reference, _ = golden_section_search(cycle, SteadyStateCache(network))
+    lo, hi = (1.0 + dwell.BRACKET_LOW) * cycle.travel_time, dwell.BRACKET_HIGH * cycle.travel_time
+    assert all(lo <= period <= hi for period, _ in probes)
+    if len(probes) > 3:   # not the flat midpoint
+        assert (t_star, state.g_con) == min(probes, key=lambda probe: probe[1])
+    assert state.g_con <= reference.g_con * (1.0 + PlannerConfig().balance_tol)
