@@ -287,13 +287,16 @@ class SteadyStates:
     a_is_hurwitz: bool
 
 
-def _check_solution(name: str, omega: np.ndarray, res: np.ndarray) -> None:
+def _check_solution(name: str, omega: np.ndarray, res: np.ndarray, term: np.ndarray) -> None:
     """Raise unless ``omega`` is positive semidefinite and its residual meets
-    ``RESIDUAL_TOL * (1 + ||omega||)`` (Frobenius).  Both sides are divided by
+    ``RESIDUAL_TOL * (1 + ||omega|| + ||term||)`` (Frobenius): ``term`` is
+    the equation's term that the others cancel (``omega G omega`` or ``Q``),
+    so the bound scales with the equation.  Both sides are divided by
     ``max(1, max|omega|)`` first, so no norm overflows, and NaN fails."""
     scale = max(1.0, float(np.abs(omega).max()))
     rel_res = float(np.linalg.norm(res / scale))
-    if not rel_res <= RESIDUAL_TOL * (1.0 / scale + float(np.linalg.norm(omega / scale))):
+    bound = 1.0 / scale + float(np.linalg.norm(omega / scale)) + float(np.linalg.norm(term / scale))
+    if not rel_res <= RESIDUAL_TOL * bound:
         raise EngineError(f"{name} solution residual {rel_res * scale:.3e} above tolerance")
     low = float(np.linalg.eigvalsh(omega).min())
     if low < -PSD_TOL * scale:
@@ -321,7 +324,8 @@ def solve_steady_states(A, Q, G, H=None, R=None) -> SteadyStates:
         r = np.eye(G.shape[0])
     omega_ss = scipy.linalg.solve_continuous_are(A.T, b, Q, r)
     omega_ss = symmetrize(omega_ss)
-    _check_solution("Riccati", omega_ss, A @ omega_ss + omega_ss @ A.T + Q - omega_ss @ G @ omega_ss)
+    quad = omega_ss @ G @ omega_ss
+    _check_solution("Riccati", omega_ss, A @ omega_ss + omega_ss @ A.T + Q - quad, quad)
     hurwitz = bool(np.all(np.linalg.eigvals(A).real < 0))
     omega_inf = None
     if hurwitz and A.shape == (1, 1):
@@ -334,7 +338,7 @@ def solve_steady_states(A, Q, G, H=None, R=None) -> SteadyStates:
     elif hurwitz:
         omega_inf = symmetrize(scipy.linalg.solve_continuous_lyapunov(A, -Q))
     if hurwitz:
-        _check_solution("Lyapunov", omega_inf, A @ omega_inf + omega_inf @ A.T + Q)
+        _check_solution("Lyapunov", omega_inf, A @ omega_inf + omega_inf @ A.T + Q, Q)
     return SteadyStates(omega_ss=omega_ss, omega_inf_finite=omega_inf, a_is_hurwitz=hurwitz)
 
 

@@ -6,19 +6,21 @@ once or several times.  The planning path reaches it by one Newton loop,
 ``balance_level_set``, which solves for the common level and the dwell of
 every slot together.  In each bordered step a single-slot target's row is
 one slope and is eliminated in closed form; only the dense rows of targets
-with several dwell slots go to a linear solve.  A cycle in which no target
-has two dwell slots is balanced by these steps alone; any other cycle on
-which they do not converge falls back to the paper's consensus law
-(``balance_multi_visit``): each target's total dwell moves
-proportionally to the log ratio of its peak cost to the geometric mean
-across active targets, which keeps the period constant while all active
-peak costs converge to a common value, and a target with several dwell
-slots also has its total split across them until its per-visit peaks agree.
-Either way a target that is cheaper never observed than the level takes no
-dwell.  The period itself is optimized by Brent's method (golden section
-safeguarding parabolic steps) over the balanced cost, and an outer loop
+with several dwell slots go to a linear solve.  A target that is cheaper
+never observed than the level takes no dwell.  A period at which the steps
+do not converge is an infeasible period.  The period itself is optimized by
+Brent's method (golden section safeguarding parabolic steps) over the
+balanced cost, with an infeasible period costing ``inf``, and an outer loop
 drops targets that are cheaper never observed than the balanced consensus
 cost.
+
+The paper's consensus law stays here as the reference the level set is
+tested against, and is not on the planning path: ``balance_multi_visit``
+moves each target's total dwell proportionally to the log ratio of its peak
+cost to the geometric mean across active targets, which keeps the period
+constant while all active peak costs converge to a common value, and
+``balance_within_target`` splits a target's total across its dwell slots
+until its per-visit peaks agree.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .covariance import (
     _scalar_periodic_peaks,
 )
 from .cycles import Cycle, SteadyStateCache, cycle_lower_bound, tsp_heuristic
-from .model import TargetNetwork
+from .model import TargetNetwork, _integer, _number
 
 __all__ = [
     "PlanningError",
@@ -173,7 +175,7 @@ def _init_dwells(cycle: Cycle, budget: float, initial: list[float] | None) -> li
 
 
 # ---------------------------------------------------------------------------
-# consensus balancing
+# consensus balancing (the paper's reference law; not on the planning path)
 # ---------------------------------------------------------------------------
 
 def balance_within_target(
@@ -382,7 +384,7 @@ def balance_single_visit(
 # level-set balancing
 # ---------------------------------------------------------------------------
 
-LEVEL_NEWTON_STEPS = 400  # Newton steps before ConvergenceError (the consensus law if multi-slot)
+LEVEL_NEWTON_STEPS = 400  # Newton steps before ConvergenceError
 FD_STEP = 1e-6            # relative dwell step of the finite-difference slopes
 
 
@@ -411,7 +413,9 @@ def _level_step(x: list[float], logs: list[float], slope: dict[int, float],
     A target takes part in the linear model while its rows are finite (a
     single-slot slope must also fall) and its modelled dwell stays above
     zero; a multi-slot target's rows couple it to every other dwell, so it
-    leaves only once no single-slot target does.  The others are modelled at
+    leaves only once no single-slot target does, and then alone: the one
+    with the most negative modelled total, one per pass, as dropping one
+    moves the level for the rest.  The others are modelled at
     zero dwell.  A step moves a dwell to between a quarter and four times its
     value (from zero, to at most the budget), a target cheaper never observed
     than ``e^L`` takes none, and the dwells are rescaled to the budget.
@@ -457,10 +461,11 @@ def _level_step(x: list[float], logs: list[float], slope: dict[int, float],
                 break
             ones = kept
             continue
-        kept = [tid for tid in multi if sum(x[k] + step[k] for k in groups[tid]) > 0.0]
-        if len(kept) == len(multi) or not (kept or ones):
+        totals = {tid: sum(x[k] + step[k] for k in groups[tid]) for tid in multi}
+        worst = min(totals, key=totals.get, default=None)
+        if worst is None or totals[worst] > 0.0 or not (ones or len(multi) > 1):
             break
-        multi = kept
+        multi = [tid for tid in multi if tid != worst]
     frozen = {k for tid in dense if tid not in finite for k in groups[tid]}
     proposed = [0.0] * len(x)
     for k, d in enumerate(x):
@@ -507,11 +512,10 @@ def balance_level_set(
 
     It stops once the spread of the active per-target costs and of every
     active eligible visit's peak is at most ``tol / 10``.  Should
-    ``LEVEL_NEWTON_STEPS`` steps not get there (or a step find no usable
-    row), a cycle with no multi-slot target raises ``ConvergenceError``, and
-    any other hands the iterate with the least spread to the consensus law
-    (``balance_multi_visit``).  ``trace`` is the running minimum of each
-    iterate's worst peak cost.
+    ``LEVEL_NEWTON_STEPS`` steps not get there, or a step find no usable
+    row, it raises ``ConvergenceError``: the period search takes that as an
+    infeasible period.  ``trace`` is the running minimum of each iterate's
+    worst peak cost.
     """
     cfg = config or DEFAULT_CONFIG
     cache = cache or SteadyStateCache(cycle.network)
@@ -566,7 +570,6 @@ def balance_level_set(
     slope: dict[int, float] = {}   # single-slot rows
     dense = {tid: np.empty((len(groups[tid]), len(slots))) for tid in multi}
     prev: tuple[list[float], list[float]] | None = None
-    best: tuple[float, list[float]] = (math.inf, x)
     steps = 0
     while True:
         dwells = full(x) if multi else None   # instance-aligned, for the multi-slot targets
@@ -585,8 +588,6 @@ def balance_level_set(
         inactive_ok = all(never[tid] <= g_con * (1.0 + tol) for tid in ids if tid not in on)
         if spread <= 0.1 * tol and inactive_ok:
             break
-        if spread < best[0]:
-            best = (spread, x)
         # log of the peak at the start of each eligible visit
         logs = [math.log(costs[tid]) for tid in owner]
         for tid, vcosts in visit_costs.items():
@@ -618,9 +619,7 @@ def balance_level_set(
                             slope[k] = secant
             new_x = _level_step(x, logs, slope, dense, groups, floor, budget)
         if new_x is None:
-            if not multi:
-                raise ConvergenceError("level-set balancing did not converge", spread)
-            return balance_multi_visit(cycle, period, cache, cfg, initial_dwells=full(best[1]))
+            raise ConvergenceError("level-set balancing did not converge", spread)
         prev = (x, logs)
         x = new_x
         steps += 1
@@ -651,36 +650,44 @@ def golden_period_search(
     section safeguarding parabolic interpolation (Brent, *Algorithms for
     Minimization without Derivatives*, 1973, ch. 5).
 
-    Every probe is balanced by ``balance_level_set``, whose Newton steps
-    hand a cycle with a multi-slot target to the consensus law should they
-    not converge (and raise ``ConvergenceError`` on any other).  Probes reuse
-    the previous probe's dwell vector (rescaled) as a warm start; the
-    balanced cost is invariant to the start point.  The bracket is
-    ``[(1 + BRACKET_LOW), BRACKET_HIGH]`` times the travel time ([1, 3] for
-    a cycle without travel).
+    Every probe is balanced by ``balance_level_set``.  A probe it cannot
+    balance (``ConvergenceError``) is infeasible: it is logged as ``(period,
+    inf)`` and costs ``inf`` to the search, the extreme barrier of
+    derivative-free search (Audet & Dennis, SIAM J. Optim. 17(1), 2006).
+    Probes reuse the last balanced probe's dwell vector (rescaled) as a warm
+    start; the balanced cost is invariant to the start point.  The bracket
+    is ``[(1 + BRACKET_LOW), BRACKET_HIGH]`` times the travel time ([1, 3]
+    for a cycle without travel).
 
-    The first two probes are golden section's.  If their costs agree within
-    ``GOLDEN_EPS`` the cost is flat and the bracket midpoint is probed and
-    returned.  Otherwise the smaller one seeds Brent's steps, which stop once
+    The first two probes are golden section's.  If both are finite and
+    agree within ``GOLDEN_EPS`` the cost is flat and the bracket midpoint is
+    probed and returned (the cheaper of the two, should the midpoint be
+    infeasible).  Otherwise the smaller one seeds Brent's steps, which stop once
     the bracket around the best probe is within ``PERIOD_XTOL`` of it; a
     parabola that is not finite (a probe may cost ``inf``) gives way to a
     golden step.  A bracket end within that tolerance of the best probe is
     probed once, so an optimum at the end is found exactly.  Returns the
     cheapest probe's period and balanced state, and the (period, cost) probe
-    log.
+    log; if no probe balanced, raises the first probe's ``ConvergenceError``.
     """
     cache = cache or SteadyStateCache(cycle.network)
     travel = cycle.travel_time
     lo, hi = ((1.0 + BRACKET_LOW) * travel, BRACKET_HIGH * travel) if travel > 0 else (1.0, 3.0)
 
     probes: list[tuple[float, float]] = []
-    state: DwellState | None = None
+    state: DwellState | None = None   # the last balanced probe
     best: DwellState | None = None
+    errors: list[ConvergenceError] = []
 
     def evaluate(period: float) -> float:
         nonlocal state, best
-        state = balance_level_set(cycle, period, cache, config,
-                                  initial_dwells=None if state is None else state.dwells)
+        try:
+            state = balance_level_set(cycle, period, cache, config,
+                                      initial_dwells=None if state is None else state.dwells)
+        except ConvergenceError as exc:
+            errors.append(exc)
+            probes.append((period, math.inf))
+            return math.inf
         probes.append((period, state.g_con))
         if best is None or state.g_con < best.g_con:
             best = state
@@ -689,10 +696,11 @@ def golden_period_search(
     x1 = hi - (hi - lo) / GOLDEN_RATIO
     x2 = lo + (hi - lo) / GOLDEN_RATIO
     f1, f2 = evaluate(x1), evaluate(x2)
-    if abs(f2 - f1) <= GOLDEN_EPS * max(abs(f1), abs(f2)):
+    if math.isfinite(f1 + f2) and abs(f2 - f1) <= GOLDEN_EPS * max(f1, f2):
         t_star = 0.5 * (x1 + x2)
-        evaluate(t_star)
-        return t_star, state, probes
+        if math.isfinite(evaluate(t_star)):
+            return t_star, state, probes
+        return best.period, best, probes
     # (a, b) brackets the minimum; x is the best probe, w the second best
     # and v the previous w
     if f1 < f2:
@@ -742,6 +750,8 @@ def golden_period_search(
     for end in (lo, hi):
         if abs(end - x) <= 2.0 * PERIOD_XTOL * x:
             evaluate(end)
+    if best is None:
+        raise errors[0]
     return best.period, best, probes
 
 
@@ -788,16 +798,20 @@ class Plan(DwellState):
     @classmethod
     def from_document(cls, network: TargetNetwork, doc: dict) -> "Plan":
         """Rebuild a plan over ``network``, a cluster's view for a fleet
-        plan, with an empty ``trace``.  A missing or malformed field, an
-        instance target without a route in the network, a dwell slot at a
-        target the view does not cover, a negative or non-finite dwell, leg
-        times other than the network's fastest travel times between
-        consecutive instances, a period other than the travel time plus the
-        dwells (within ``PERIOD_REL_TOL``), an active target the view does
-        not cover, a predicted, consensus or floor cost that is negative or
-        not finite, an active target without a finite cost or finite visit
-        costs, and a predicted cost other than the worst of the per-target
-        and excluded costs each raise a ``ValueError`` naming the field."""
+        plan, with an empty ``trace``.  A missing or malformed field (numbers
+        are read as strictly as an instance's: a string, a boolean or a
+        non-finite value is not a number, a target or active id must be
+        integral, and ``dwell_eligible`` must be a boolean), an instance
+        target without a route in the network, a dwell slot at a target the
+        view does not cover, a negative dwell, a positive dwell at an
+        instance that is not ``dwell_eligible``, leg times other than the
+        network's fastest travel times between consecutive instances, a
+        period other than the travel time plus the dwells (within
+        ``PERIOD_REL_TOL``), an active target the view does not cover, a
+        negative predicted, consensus or floor cost, an active target without
+        a cost or visit costs, and a predicted cost other than the worst of
+        the per-target and excluded costs each raise a ``ValueError`` naming
+        the field."""
         if not isinstance(doc, dict) or doc.get("format") != "plan":
             raise ValueError("not a plan document")
 
@@ -809,21 +823,31 @@ class Plan(DwellState):
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"plan document field {key!r} is malformed: {exc!r}") from exc
 
+        def flag(value, name):
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
+            return value
+
         entries = read("instances", lambda v: [
-            (int(e["target"]), bool(e["dwell_eligible"]), float(e["dwell"])) for e in v
+            (_integer(e["target"], f"entry {k} target"),
+             flag(e["dwell_eligible"], f"entry {k} dwell_eligible"),
+             _number(e["dwell"], f"entry {k} dwell")) for k, e in enumerate(v)
         ])
-        legs = read("leg_times", lambda v: [float(x) for x in v])
+        legs = read("leg_times", lambda v: [_number(x, "a leg time") for x in v])
         ids = set(network.ids)
         for k, (target, eligible, dwell) in enumerate(entries):
-            if not (math.isfinite(dwell) and dwell >= 0.0):
+            if dwell < 0.0:
                 raise ValueError(f"plan document field 'instances': entry {k} has dwell "
-                                 f"{dwell!r}; a dwell must be finite and nonnegative")
+                                 f"{dwell!r}; a dwell must be nonnegative")
             if target not in network.travel:
                 raise ValueError(f"plan document field 'instances': entry {k} visits "
                                  f"target {target}, which is not in the network")
             if target not in ids and (eligible or dwell != 0.0):
                 raise ValueError(f"plan document field 'instances': entry {k} may dwell at "
                                  f"target {target}, which the plan does not cover")
+            if dwell > 0.0 and not eligible:
+                raise ValueError(f"plan document field 'instances': entry {k} has dwell "
+                                 f"{dwell!r} but is not dwell_eligible")
         if not entries:
             raise ValueError("plan document field 'instances' is empty")
         cycle = Cycle(network, [(t, elig) for t, elig, _ in entries])
@@ -831,31 +855,36 @@ class Plan(DwellState):
             raise ValueError(f"plan document field 'leg_times' does not match the network's "
                              f"fastest travel times between its {len(entries)} instances")
         dwells = [dwell for _, _, dwell in entries]
-        period = read("period", float)
+        period = read("period", lambda v: _number(v, "period"))
         total = cycle.travel_time + sum(dwells)
-        if not (0.0 < period < math.inf and abs(period - total) <= PERIOD_REL_TOL * period):
+        if not (0.0 < period and abs(period - total) <= PERIOD_REL_TOL * period):
             raise ValueError(f"plan document field 'period' is {period!r}, but the travel time "
                              f"plus the dwells is {total!r}")
-        active = read("active", lambda v: {int(x) for x in v})
+        active = read("active", lambda v: {_integer(x, "an active target") for x in v})
         if not active <= ids:
             raise ValueError(f"plan document field 'active' names targets the plan does not "
                              f"cover: {sorted(active - ids)}")
-        report = {key: read(key, float)
+        report = {key: read(key, lambda v: _number(v, key))
                   for key in ("predicted_cost", "consensus_cost", "metric_floor")}
         for key, value in report.items():
-            if not 0.0 <= value < math.inf:
+            if value < 0.0:
                 raise ValueError(f"plan document field {key!r} is {value!r}; "
-                                 f"it must be finite and nonnegative")
-        costs = read("per_target_cost", lambda v: {int(k): float(x) for k, x in v.items()})
-        visit_costs = read("per_visit_cost",
-                           lambda v: {int(k): [float(x) for x in xs] for k, xs in v.items()})
-        excluded = read("excluded", lambda v: {int(k): float(x) for k, x in v.items()})
+                                 f"it must be nonnegative")
+
+        def target_costs(key):
+            return read(key, lambda v: {int(k): _number(x, f"the cost of target {k}")
+                                        for k, x in v.items()})
+
+        costs, excluded = target_costs("per_target_cost"), target_costs("excluded")
+        visit_costs = read("per_visit_cost", lambda v: {
+            int(k): [_number(x, f"a visit cost of target {k}") for x in xs] for k, xs in v.items()
+        })
         for tid in sorted(active):
-            if not math.isfinite(costs.get(tid, math.nan)):
-                raise ValueError(f"plan document field 'per_target_cost' has no finite cost "
+            if tid not in costs:
+                raise ValueError(f"plan document field 'per_target_cost' has no cost "
                                  f"for active target {tid}")
-            if not visit_costs.get(tid) or not all(map(math.isfinite, visit_costs[tid])):
-                raise ValueError(f"plan document field 'per_visit_cost' has no finite visit "
+            if not visit_costs.get(tid):
+                raise ValueError(f"plan document field 'per_visit_cost' has no visit "
                                  f"costs for active target {tid}")
         j_pred = report["predicted_cost"]
         worst = [*costs.values(), *excluded.values()]

@@ -316,6 +316,32 @@ def _set_first_dwell(value):
     return corrupt
 
 
+def _string_eligibility(doc):
+    doc["instances"][0]["dwell_eligible"] = str(doc["instances"][0]["dwell_eligible"]).lower()
+
+
+def _fractional_target(doc):
+    doc["instances"][0]["target"] += 0.7   # not an integer, though int() truncates it back
+
+
+def _string_dwell(doc):
+    entry = next(e for e in doc["instances"] if e["dwell_eligible"])
+    entry["dwell"] = repr(entry["dwell"])
+
+
+def _string_period(doc):
+    doc["period"] = repr(doc["period"])
+
+
+def _string_active(doc):
+    doc["active"] = [str(tid) for tid in doc["active"]]
+
+
+def _dwell_without_slot(doc):
+    # the dwell stays, so the period still adds up, and its target stays active
+    next(e for e in doc["instances"] if e["dwell"] > 0.0)["dwell_eligible"] = False
+
+
 def _foreign_active(doc):
     doc["active"] = [99]
 
@@ -372,13 +398,20 @@ class TestPlanDocumentChecks:
         (_empty_report("per_visit_cost"), "'per_visit_cost'"),
         (_set_active_costs("per_visit_cost", []), "'per_visit_cost'"),
         (_set_active_costs("per_visit_cost", [float("inf")]), "'per_visit_cost'"),
+        (_string_eligibility, "'instances'"),
+        (_fractional_target, "'instances'"),
+        (_string_dwell, "'instances'"),
+        (_string_period, "'period'"),
+        (_string_active, "'active'"),
+        (_dwell_without_slot, "'instances'"),
     ], ids=["missing-key", "unknown-instance-target", "unknown-covers-target", "leg-count",
             "leg-time", "null-covers", "number-covers", "stretched-period", "negative-period",
             "infinite-period", "negative-dwell", "nan-dwell", "foreign-active",
             "nan-predicted-cost", "negative-predicted-cost", "predicted-cost-not-worst",
             "infinite-consensus-cost", "negative-metric-floor", "empty-per-target-cost",
             "nan-active-cost", "empty-per-visit-cost", "no-active-visit-costs",
-            "infinite-visit-cost"])
+            "infinite-visit-cost", "string-dwell-eligible", "fractional-target",
+            "string-dwell", "string-period", "string-active", "dwell-without-slot"])
     def test_malformed_plan_is_input_error_naming_field(self, planned, tmp_path, capsys,
                                                         command, corrupt, field):
         doc = json.loads((planned / "plan.json").read_text())

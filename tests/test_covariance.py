@@ -154,6 +154,17 @@ class TestSteadyStates:
         res = A @ ss.omega_ss + ss.omega_ss @ A.T + Q - ss.omega_ss @ G @ ss.omega_ss
         assert np.linalg.norm(res) <= 1e-8 * (1 + np.linalg.norm(ss.omega_ss))
 
+    @pytest.mark.parametrize("q", [1e12, 1e13, 1e15])
+    @pytest.mark.parametrize("a", [-0.3, -2.0, 0.5])
+    def test_noisy_target_residual_scales_with_the_equation(self, a, q):
+        # the residual of a solution this large is about 1e-1 absolute, but
+        # 1e-13 of the equation's own terms, about ||Q||
+        spec = TargetSpec(id=1, A=a, Q=q, H=1.0, R=1.7)
+        ss = steady_states_for(spec)
+        assert ss.omega_ss[0, 0] == pytest.approx(scalar_care(a, q, 1.0 / 1.7), rel=1e-10)
+        if a < 0:
+            assert ss.omega_inf_finite[0, 0] == pytest.approx(q / (-2.0 * a), rel=1e-12)
+
     def test_target_spec_wrapper(self):
         spec = TargetSpec(id=1, A=TABLE1["A"][0], Q=TABLE1["Q"][0], H=1.0, R=TABLE1["R"][0])
         ss = steady_states_for(spec)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,50 @@ class TestGoldenSearch:
         assert len(probes) == 3
         assert t_star == state.period == 2.0
 
+    @staticmethod
+    def refuse_periods(monkeypatch, refused):
+        """Make ``balance_level_set`` raise at the periods ``refused`` admits,
+        numbering its errors from 1."""
+        balance = dwell.balance_level_set
+        errors = []
+
+        def balance_or_refuse(cycle, period, *args, **kwargs):
+            if refused(period):
+                errors.append(period)
+                raise ConvergenceError(f"refused probe {len(errors)}", math.nan)
+            return balance(cycle, period, *args, **kwargs)
+        monkeypatch.setattr(dwell, "balance_level_set", balance_or_refuse)
+
+    def test_infeasible_probe_costs_inf(self, table1_network, monkeypatch):
+        cache = SteadyStateCache(table1_network)
+        cyc = tsp_heuristic(table1_network, table1_network.ids)
+        _, _, clean = golden_period_search(cyc, cache)
+        refused = clean[2][0]   # Brent's first step, the same with a probe refused
+        self.refuse_periods(monkeypatch, lambda period: period == refused)
+        t_star, state, probes = golden_period_search(cyc, cache)
+        assert (refused, math.inf) in probes
+        finite = [probe for probe in probes if math.isfinite(probe[1])]
+        assert (t_star, state.g_con) == min(finite, key=lambda probe: probe[1])
+        assert state.period == t_star
+
+    def test_no_balanced_probe_raises_the_first_error(self, table1_network, monkeypatch):
+        self.refuse_periods(monkeypatch, lambda period: True)
+        cyc = tsp_heuristic(table1_network, table1_network.ids)
+        with pytest.raises(ConvergenceError, match="refused probe 1 "):
+            golden_period_search(cyc, SteadyStateCache(table1_network))
+
+    def test_an_infeasible_first_probe_is_not_a_flat_cost(self, monkeypatch):
+        # the lone travel-free target's cost is flat, but with its first
+        # probe infeasible the two probes do not agree: no midpoint
+        net = TargetNetwork(targets=[TargetSpec(id=1, A=0.3, Q=1.0, H=1.0, R=1.0)], edges=[])
+        cyc = Cycle.from_targets(net, [1])
+        first = 3.0 - 2.0 / dwell.GOLDEN_RATIO
+        self.refuse_periods(monkeypatch, lambda period: period == first)
+        t_star, state, probes = golden_period_search(cyc, SteadyStateCache(net))
+        assert probes[0] == (first, math.inf)
+        assert len(probes) > 3 and 2.0 not in [period for period, _ in probes]
+        assert (t_star, state.g_con) in probes[1:]
+
 
 class TestPlanSingleAgent:
     def test_table1_all_active(self, table1_network):
@@ -353,6 +398,32 @@ class TestPlanSingleAgent:
         assert back.j_pred == plan.j_pred
         assert back.dwells == pytest.approx(plan.dwells)
         assert back.active == plan.active
+
+    @staticmethod
+    def far_apart_unstable(d):
+        """Five unstable targets (A = 0.5) on a complete graph with legs
+        ``d (1 + 0.1 |i - j|)``: periods in the upper half of the bracket
+        overflow every peak."""
+        return TargetNetwork(
+            targets=[TargetSpec(id=k, A=0.5, Q=1.0, H=1.0, R=1.0) for k in range(1, 6)],
+            edges=[(i, j, d * (1 + 0.1 * (j - i))) for i in range(1, 6) for j in range(i + 1, 6)],
+        )
+
+    def test_far_apart_unstable_targets_plan_below_the_overflow(self):
+        net = self.far_apart_unstable(60.0)
+        plan = plan_single_agent(net, SteadyStateCache(net))
+        assert math.isfinite(plan.j_pred) and plan.metric_value <= plan.j_pred
+        assert math.inf in [cost for _, cost in plan.search_probes]
+        assert plan.period == pytest.approx((1.0 + dwell.BRACKET_LOW) * plan.cycle.travel_time,
+                                            rel=1e-3)
+        assert_plan_consistent(plan)
+
+    def test_every_probe_overflowing_is_a_convergence_error(self):
+        # the optimum, near the bracket's low end, is about 1e273, but every
+        # probe the search makes overflows
+        net = self.far_apart_unstable(100.0)
+        with pytest.raises(ConvergenceError):
+            plan_single_agent(net, SteadyStateCache(net))
 
     def test_metric_floor_below_prediction(self):
         for seed in (30, 31, 32):

@@ -27,7 +27,7 @@ from patrolplan.dwell import timeline_from_schedule
 from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance, load_instance_file
 
 from oracles import reference_annex_gain, reference_enumerate_ceos, reference_improve_cycle
-from test_dwell import assert_plan_consistent
+from test_dwell import assert_plan_consistent, refuse_consensus
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 
@@ -288,7 +288,7 @@ class TestPlanFleet:
 
     def test_fleet15_balances_without_consensus(self, monkeypatch):
         # every fleet15 cycle balances by the level set, the multi-slot ones
-        # included; the consensus law is only a fallback
+        # included; no planner calls the consensus law
         def refuse(*args, **kwargs):
             raise AssertionError("the consensus law ran")
         monkeypatch.setattr(dwell, "balance_multi_visit", refuse)
@@ -339,24 +339,39 @@ class TestFarApartUnstableTargets:
         assert_cluster_views(net, part)
 
 
-class TestConsensusHandOff:
-    @pytest.mark.parametrize("n, agents, seed, a_hi", [
-        (17, 4, 348987, 2.0),   # one active five-slot target, no usable row at step 0
-        (13, 3, 981192, 0.5),   # one active four-slot target, spread 2.5e-5 then 118
-    ], ids=["draw349", "draw400"])
-    def test_multi_slot_cycle_plans_through_the_consensus_law(self, n, agents, seed, a_hi):
-        # draws of tests/fuzz_plans.py whose level set hands a multi-slot
-        # cycle to the consensus law; once the level set balances them this
-        # test no longer reaches the hand-off
+class TestMultiSlotFleetsWithoutConsensus:
+    @pytest.mark.parametrize("n, agents, seed, a_hi, stable, r_lo, alpha_hi, box", [
+        (17, 4, 348987, 2.0, 0.7, 2.0, 5.0, 3.0),
+        (11, 2, 100039, 2.0, 0.7, 2.0, 1.0, 0.5),
+        (13, 3, 981192, 0.5, 0.7, 2.0, 5.0, 3.0),
+        (19, 2, 843031, 5.0, 0.0, 2.0, 5.0, 3.0),
+        (15, 3, 795642, 5.0, 0.3, 0.05, 1.0, 3.0),
+        (21, 2, 971506, 5.0, 0.0, 0.05, 1.0, 3.0),
+        (20, 3, 932952, 0.5, 0.7, 2.0, 5.0, 3.0),
+    ], ids=["draw349", "draw358", "draw400", "draw61", "draw96", "draw325", "draw362"])
+    def test_plans_with_the_consensus_law_refused(self, monkeypatch, n, agents, seed, a_hi,
+                                                  stable, r_lo, alpha_hi, box):
+        # draws of tests/fuzz_plans.py with a multi-slot cycle the level set
+        # cannot balance at some period: the period search must take such a
+        # probe as infeasible and plan at a period it can balance
         net, _ = generate_random_instance(n, seed, ParamRanges(
-            a=(0.05, a_hi), stable_fraction=0.7, r=(2.0, 8.0), alpha=(1.0, 5.0), box=3.0))
-        with mock.patch.object(dwell, "balance_multi_visit",
-                               wraps=dwell.balance_multi_visit) as consensus:
-            part = plan_fleet(net, agents, SteadyStateCache(net))
-        assert consensus.called
+            a=(0.05, a_hi), stable_fraction=stable, r=(r_lo, 8.0), alpha=(1.0, alpha_hi),
+            box=box))
+        refuse_consensus(monkeypatch)
+        search = dwell.golden_period_search
+        probes = []
+
+        def logged_search(*args, **kwargs):
+            result = search(*args, **kwargs)
+            probes.extend(result[2])
+            return result
+        monkeypatch.setattr(dwell, "golden_period_search", logged_search)
+        part = plan_fleet(net, agents, SteadyStateCache(net))
+        assert math.inf in [cost for _, cost in probes]
         assert len(part.plans) == agents
         for plan in part.plans:
             assert_plan_consistent(plan)
+        assert_plans_balance(part)
 
 
 @st.composite

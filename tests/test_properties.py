@@ -263,7 +263,7 @@ def single_visit_tours(draw):
 def assert_level_set_is_consensus(cycle, period):
     cache = SteadyStateCache(cycle.network)
     tol = PlannerConfig().balance_tol
-    # the level set must converge by itself, without its consensus fallback
+    # the level set must converge by itself, with the consensus law refused
     with mock.patch.object(dwell, "balance_multi_visit",
                            side_effect=AssertionError("the consensus law ran")):
         level = balance_level_set(cycle, period, cache)
