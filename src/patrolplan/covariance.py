@@ -12,6 +12,11 @@ single block matrix exponential:
 
 Scalar (1x1) targets get closed float kernels (exp / tanh forms) instead.
 
+The always-observed (algebraic Riccati) and never-observed (Lyapunov) steady
+states of a scalar target are in closed form too: the positive root of a
+quadratic and ``q / 2|a|``.  scipy's CARE and Lyapunov solvers serve matrix
+targets only.
+
 The periodic steady state of an on/off visit pattern is the fixed point of the
 one-period composition of these maps; it is unique and attractive whenever the
 target is observed for part of the period.  It is solved directly: the
@@ -303,15 +308,38 @@ def _check_solution(name: str, omega: np.ndarray, res: np.ndarray, term: np.ndar
         raise EngineError(f"{name} solution has negative eigenvalue {low:.3e}")
 
 
+def _scalar_riccati_root(a: float, q: float, g: float) -> float:
+    """Positive root of ``2 a w + q - g w^2 = 0``, the scalar always-observed
+    steady state, in the form that does not cancel for either sign of ``a``.
+    ``hypot`` keeps ``a^2`` from overflowing; ``sqrt(q) sqrt(g)`` stands in
+    for ``sqrt(q g)`` when that product leaves the normal range."""
+    qg = q * g
+    s = math.hypot(a, math.sqrt(qg) if 1e-300 < qg < math.inf else math.sqrt(q) * math.sqrt(g))
+    root = q / (s - a) if a < 0.0 else (a + s) / g
+    if not math.isfinite(root):
+        raise EngineError(f"Riccati solution {root} is not finite")
+    return root
+
+
 def solve_steady_states(A, Q, G, H=None, R=None) -> SteadyStates:
     """Solve the algebraic Riccati / Lyapunov equations for one target.
 
-    ``H`` and ``R`` are used when available (the solver prefers the factored
-    observation model); otherwise ``G`` is factored internally.
+    A scalar target takes both in closed form: the Riccati root above and
+    ``q / 2|a|``.  Matrix targets go to scipy; ``H`` and ``R`` are used when
+    available (the solver prefers the factored observation model), otherwise
+    ``G`` is factored internally.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     G = np.atleast_2d(np.asarray(G, dtype=float))
+    if A.shape == (1, 1):
+        a, q = float(A[0, 0]), float(Q[0, 0])
+        omega_ss = np.array([[_scalar_riccati_root(a, q, float(G[0, 0]))]])
+        # past double range (a = -5e-324) there is no finite limit, as for a = 0
+        resting = 0.5 * q / -a if a < 0.0 else math.inf
+        hurwitz = math.isfinite(resting)
+        omega_inf = np.array([[resting]]) if hurwitz else None
+        return SteadyStates(omega_ss=omega_ss, omega_inf_finite=omega_inf, a_is_hurwitz=hurwitz)
     if H is not None and R is not None:
         b = np.atleast_2d(np.asarray(H, dtype=float)).T
         r = np.atleast_2d(np.asarray(R, dtype=float))
@@ -328,16 +356,8 @@ def solve_steady_states(A, Q, G, H=None, R=None) -> SteadyStates:
     _check_solution("Riccati", omega_ss, A @ omega_ss + omega_ss @ A.T + Q - quad, quad)
     hurwitz = bool(np.all(np.linalg.eigvals(A).real < 0))
     omega_inf = None
-    if hurwitz and A.shape == (1, 1):
-        # q / 2|a| in closed form: scipy's solver returns a negative value
-        # for |a| near 1e-300.  Past double range (a = -5e-324) there is no
-        # finite limit, as for a = 0.
-        resting = float(Q[0, 0]) / (-2.0 * float(A[0, 0]))
-        hurwitz = math.isfinite(resting)
-        omega_inf = np.array([[resting]]) if hurwitz else None
-    elif hurwitz:
-        omega_inf = symmetrize(scipy.linalg.solve_continuous_lyapunov(A, -Q))
     if hurwitz:
+        omega_inf = symmetrize(scipy.linalg.solve_continuous_lyapunov(A, -Q))
         _check_solution("Lyapunov", omega_inf, A @ omega_inf + omega_inf @ A.T + Q, Q)
     return SteadyStates(omega_ss=omega_ss, omega_inf_finite=omega_inf, a_is_hurwitz=hurwitz)
 
@@ -378,7 +398,12 @@ def _scalar_periodic_peaks(
     """Scalar periodic peaks from the closed-form fixed point; returns the
     upper and lower peaks and the number of certifying walks (one).  A gap
     whose growth passes double range fails the walk and takes
-    ``_overflowed_peaks`` instead."""
+    ``_overflowed_peaks`` instead.  With no gap the target is never
+    unobserved, and the orbit rests at the always-observed steady state: the
+    peaks are its root, the same bits as the revisit floor at gap 0."""
+    if not any(t_off):
+        w = _scalar_riccati_root(a, q, g)
+        return [w] * len(t_on), [w] * len(t_on), 1
     obs = [_scalar_obs_coeffs(a, q, g, on) for on in t_on]
     unobs = [_scalar_unobs_coeffs(a, q, off) for off in t_off]
     phase_maps: list[tuple[float, float, float, float]] = []

@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately written from first principles, separate from
-the package code paths: closed-form scalar solutions, a fixed-step RK4
+the package code paths: closed-form scalar solutions (``decimal_care`` in
+60-digit decimal arithmetic), a fixed-step RK4
 integrator for the matrix equations, a bisection fixed-point solver for the
 single-visit periodic peaks, plain iteration of the one-period map for any
 visit pattern, the plain Floyd-Warshall loop for fastest paths, brute-force
@@ -34,10 +35,12 @@ parabolic steps.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import random
 from array import array
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +97,16 @@ def scalar_unobserved(a: float, q: float, w0: float, t: float) -> float:
 def scalar_care(a: float, q: float, g: float) -> float:
     """Positive root of 2 a w + q - g w^2 = 0."""
     return (a + math.sqrt(a * a + q * g)) / g
+
+
+def decimal_care(a: float, q: float, g: float, digits: int = 60) -> float:
+    """``scalar_care`` evaluated in ``digits``-digit decimal arithmetic, in
+    the form that does not cancel, rounded once to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        a, q, g = Decimal(a), Decimal(q), Decimal(g)
+        s = (a * a + q * g).sqrt()
+        return float(q / (s - a) if a < 0 else (a + s) / g)
 
 
 def scalar_observed(a: float, q: float, g: float, w0: float, t: float) -> float:

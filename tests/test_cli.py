@@ -95,6 +95,24 @@ class TestPlanSingle:
         assert len(plan["instances"]) == 1
 
 
+    @pytest.mark.parametrize("a, code", [(1e150, 1), (-1e200, 0)])
+    def test_drift_near_the_double_range(self, tmp_path, capsys, a, code):
+        # scipy's steady-state solve failed on both: a bare LinAlgError,
+        # reported as bad input (exit 2), and a residual above tolerance
+        doc = json.loads((INSTANCES / "line3.json").read_text())
+        doc["targets"][0]["A"] = a
+        instance = tmp_path / "line3.json"
+        instance.write_text(json.dumps(doc))
+        assert run_cli("plan-single", "--instance", str(instance), "--out", str(tmp_path)) == code
+        if code:
+            error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert error["error"] == "numeric"
+        else:
+            plan = json.loads((tmp_path / "plan.json").read_text())
+            assert plan["predicted_cost"] == pytest.approx(8.6611797654185, rel=1e-12)
+            assert plan["metric_floor"] <= plan["predicted_cost"]
+
+
 class TestPlanFleet:
     def test_fleet_artifacts(self, tmp_path):
         code = run_cli("plan-fleet", "--instance", str(INSTANCES / "fleet15.json"),

@@ -1,11 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from patrolplan.covariance import (
     ConvergenceError,
     EngineError,
+    _scalar_periodic_peaks,
     cov_norm,
     lower_bound,
     observed_flow,
@@ -18,6 +22,7 @@ from patrolplan.model import TargetSpec
 
 from oracles import (
     TABLE1,
+    decimal_care,
     iterated_periodic_start,
     propagate_observed,
     propagate_unobserved,
@@ -171,6 +176,74 @@ class TestSteadyStates:
         assert ss.omega_ss[0, 0] == pytest.approx(
             scalar_care(TABLE1["A"][0], TABLE1["Q"][0], 1.0 / TABLE1["R"][0]), rel=1e-10
         )
+
+
+def drift():
+    return st.builds(lambda sign, mag: sign * mag, st.sampled_from([-1.0, 1.0]),
+                     st.floats(1e-4, 20.0))
+
+
+class TestScalarSteadyStateClosedForm:
+    """A 1x1 target's steady states are the closed-form roots, never scipy's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drift(), st.floats(1e-3, 1e2), st.floats(1e-3, 1e2))
+    # scipy's own error is largest at this corner: 2.1e-11 relative with the
+    # factored observation sqrt(g) used below, 2.3e-10 with b = 1, r = 1/g
+    @example(16.0, 1e-3, 1e-3)
+    def test_root_is_correct_to_rounding(self, a, q, g):
+        w = solve_steady_states([[a]], [[q]], [[g]]).omega_ss[0, 0]
+        assert w == pytest.approx(decimal_care(a, q, g), rel=1e-15, abs=0.0)
+        scipy_w = scipy.linalg.solve_continuous_are([[a]], [[math.sqrt(g)]], [[q]], [[1.0]])[0, 0]
+        assert w == pytest.approx(scipy_w, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("a", [-2.0, -1e-300, 0.0, 0.4, 1e150])
+    def test_no_scipy_solver_runs(self, a):
+        refuse = mock.Mock(side_effect=AssertionError("scipy solver called"))
+        with mock.patch("scipy.linalg.solve_continuous_are", refuse), \
+                mock.patch("scipy.linalg.solve_continuous_lyapunov", refuse):
+            ss = solve_steady_states([[a]], [[1.3]], [[0.7]], [[1.0]], [[1 / 0.7]])
+            steady_states_for(TargetSpec(id=1, A=a, Q=1.3, H=1.0, R=1 / 0.7))
+        assert ss.a_is_hurwitz == (a < 0)
+        refuse.assert_not_called()
+
+    @pytest.mark.parametrize("a", [1e150, 1e300])
+    def test_fast_unstable_drift_is_finite(self, a):
+        # scipy raised a bare LinAlgError here, which the CLI took for bad input
+        ss = solve_steady_states([[a]], [[1.5]], [[0.5]])
+        assert ss.omega_ss[0, 0] == pytest.approx(2.0 * a / 0.5, rel=1e-15)
+        assert not ss.a_is_hurwitz
+        assert ss.omega_inf_finite is None
+
+    def test_fast_stable_drift_is_finite(self):
+        # scipy's residual check failed here ("residual 1.5 above tolerance")
+        ss = solve_steady_states([[-1e200]], [[1.5]], [[0.5]])
+        assert ss.a_is_hurwitz
+        assert ss.omega_ss[0, 0] == pytest.approx(1.5 / 2e200, rel=1e-15)
+        assert ss.omega_inf_finite[0, 0] == pytest.approx(1.5 / 2e200, rel=1e-15)
+
+    def test_root_past_double_range_raises(self):
+        with pytest.raises(EngineError, match="not finite"):
+            solve_steady_states([[1e308]], [[1.0]], [[0.1]])
+
+    @pytest.mark.parametrize("a, q, g", [(-1.0, 1e200, 1e200), (-1e-200, 1e-200, 1e-200),
+                                         (1e-200, 1e-250, 1e-150)])
+    def test_noise_product_outside_the_normal_range(self, a, q, g):
+        # q g overflows or underflows; the root does not
+        w = solve_steady_states([[a]], [[q]], [[g]]).omega_ss[0, 0]
+        assert w == pytest.approx(decimal_care(a, q, g), rel=1e-15)
+
+    @pytest.mark.parametrize("t_on", [[2.0], [0.5, 1.5], [1e-9, 3.0, 0.0]])
+    @pytest.mark.parametrize("a, q, g", [(0.3487, 1.1924, 0.43216), (-0.1, 5.0, 1 / 1.5),
+                                         (0.8, 0.05, 2.5)])
+    def test_travel_free_orbit_rests_at_the_steady_state(self, a, q, g, t_on):
+        # never unobserved, the orbit is the always-observed steady state;
+        # its peaks must be the very bits of the revisit floor at gap 0
+        w = solve_steady_states([[a]], [[q]], [[g]]).omega_ss[0, 0]
+        uppers, lowers, walks = _scalar_periodic_peaks(a, q, g, t_on, [0.0] * len(t_on))
+        assert uppers == [w] * len(t_on)
+        assert lowers == [w] * len(t_on)
+        assert walks == 1
 
 
 class TestPeriodicSteadyState:

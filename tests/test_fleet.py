@@ -301,6 +301,20 @@ class TestPlanFleet:
         assert len(part.plans) == spec.num_agents
         assert_plans_balance(part)
 
+    def test_fleet15_floors_stay_at_or_below_the_predicted_costs(self):
+        # agent 3 dwells at target 13 alone with no travel: its floor and its
+        # peak are both the always-observed steady state, equal in exact
+        # arithmetic, and must stay equal in floats (one ulp over failed the
+        # benchmark's plan check)
+        net, spec = load_instance_file(str(INSTANCES / "fleet15.json"))
+        part = plan_fleet(net, spec.num_agents)
+        for plan in part.plans:
+            assert plan.metric_value <= plan.j_pred
+        travel_free = part.plans[2]
+        assert travel_free.cycle.sequence() == [(13, True)]
+        assert sum(travel_free.cycle.legs) == 0.0
+        assert travel_free.metric_value == travel_free.j_pred
+
     def test_with_dwell_schedules(self):
         net, _ = generate_random_instance(8, seed=14)
         part = plan_fleet(net, 2, refine=False, with_dwells=True)
