@@ -28,7 +28,7 @@ from .model import (
     load_instance_file,
     read_json_file,
 )
-from .simulate import simulate, trace_to_csv, validate
+from .simulate import CSV_CHUNK_ROWS, simulate, trace_to_csv, validate
 
 
 def _config_from_args(args) -> PlannerConfig:
@@ -179,8 +179,10 @@ def _simulate_plan(args, write_trace: bool):
     out = _out_dir(args, ("trace.csv", "validation.json") if write_trace else ("validation.json",))
     trace = simulate(plan, network, num_periods=cfg.num_periods)
     if write_trace:
+        # one block of rows at a time: the file's text is never held whole
         with open(out / "trace.csv", "wb") as fh:
-            fh.write(trace_to_csv(trace))
+            for lo in range(0, len(trace.times), CSV_CHUNK_ROWS):
+                fh.write(trace_to_csv(trace, lo, lo + CSV_CHUNK_ROWS))
     report = validate(plan, trace)
     _write_json(out / "validation.json", report)
     return trace, report, out

@@ -512,9 +512,10 @@ def balance_level_set(
 
     It stops once the spread of the active per-target costs and of every
     active eligible visit's peak is at most ``tol / 10``.  Should
-    ``LEVEL_NEWTON_STEPS`` steps not get there, or a step find no usable
-    row, it raises ``ConvergenceError``: the period search takes that as an
-    infeasible period.  ``trace`` is the running minimum of each iterate's
+    ``LEVEL_NEWTON_STEPS`` steps not get there, a step find no usable row,
+    or an active peak overflow to ``inf`` (residual ``inf``), it raises
+    ``ConvergenceError``: the period search takes that as an infeasible
+    period.  ``trace`` is the running minimum of each iterate's
     worst peak cost.
     """
     cfg = config or DEFAULT_CONFIG
@@ -581,6 +582,9 @@ def balance_level_set(
         on = set(compress(owner, x))   # targets with a positive dwell
         active = sorted(on)
         peaks = [costs[tid] for tid in active]
+        if any(map(math.isinf, peaks)):   # no usable row, and inf - inf is no spread
+            raise ConvergenceError("level-set balancing: an active peak overflows the double "
+                                   "range", math.inf)
         g_con = _geometric_mean(peaks)
         for tid in on.intersection(multi):
             peaks += [visit_costs[tid][i] for i in visit[tid]]

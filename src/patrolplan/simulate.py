@@ -20,8 +20,10 @@ from, the substep recurrence repeats the periods since then exactly, so the
 rest of the column is tiled from them instead of integrated.  Times,
 observed flags and the per-period statistics are array operations.
 
-``trace_to_csv`` returns the ASCII text of ``trace.csv``, equal byte for
-byte to ``'%.9g'``/``'%.12g'`` per value.  It formats whole chunks of rows
+``trace_to_csv`` returns the ASCII text of a block of rows of
+``trace.csv`` (the whole file by default), equal byte for byte to
+``'%.9g'``/``'%.12g'`` per value, so a writer can stream the file one block
+at a time without holding its text.  It formats whole chunks of rows
 with numpy (``_format_g``: mantissa digits from a four-digit table, the dot
 placed by the decimal exponent, trailing zeros stripped) and falls back to
 ``%`` for the rows that path cannot get exactly right: values outside
@@ -424,23 +426,28 @@ def _format_g(x: np.ndarray, precision: int) -> np.ndarray:
     return out
 
 
-def trace_to_csv(trace: SimTrace) -> bytearray:
-    """Delimiter-separated trace as ASCII: t, then per target norm, cost,
-    observed.
+def trace_to_csv(trace: SimTrace, lo: int = 0, hi: int | None = None) -> bytearray:
+    """Rows ``[lo, hi)`` of the delimiter-separated trace as ASCII: t, then
+    per target norm, cost, observed; the header line comes first when
+    ``lo == 0``.  The defaults give the whole file, and the texts of
+    consecutive ranges concatenate to it.
 
     Works ``CSV_CHUNK_ROWS`` rows at a time.  Every field of the chunk is a
     byte matrix with one column per row (``_format_g``; a cost column that
     is its norm column is formatted once), the fields and separators are
     stacked, and the transposed matrix is read out with its NUL padding
-    dropped.  The chunks are appended to one ``bytearray``, so the whole
+    dropped.  The chunks are appended to one ``bytearray``, so the range's
     text is never held twice."""
     tids = sorted(trace.norms)
-    header = ["t"]
-    for tid in tids:
-        header += [f"norm_{tid}", f"g_{tid}", f"eta_{tid}"]
-    text = bytearray(",".join(header).encode("ascii") + b"\n")
-    for lo in range(0, len(trace.times), CSV_CHUNK_ROWS):
-        rows = slice(lo, lo + CSV_CHUNK_ROWS)
+    hi = len(trace.times) if hi is None else min(hi, len(trace.times))
+    text = bytearray()
+    if lo == 0:
+        header = ["t"]
+        for tid in tids:
+            header += [f"norm_{tid}", f"g_{tid}", f"eta_{tid}"]
+        text += ",".join(header).encode("ascii") + b"\n"
+    for start in range(lo, hi, CSV_CHUNK_ROWS):
+        rows = slice(start, min(start + CSV_CHUNK_ROWS, hi))
         fields = [_format_g(trace.times[rows], 9)]
         for tid in tids:
             norm, cost = trace.norms[tid], trace.costs[tid]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -105,8 +106,12 @@ class TestPlanSingle:
         instance.write_text(json.dumps(doc))
         assert run_cli("plan-single", "--instance", str(instance), "--out", str(tmp_path)) == code
         if code:
+            # every positive gap's growth overflows: the error says so, with no NaN
             error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
             assert error["error"] == "numeric"
+            assert error["type"] == "ConvergenceError"
+            assert "overflows the double range" in error["message"]
+            assert "nan" not in error["message"].lower()
         else:
             plan = json.loads((tmp_path / "plan.json").read_text())
             assert plan["predicted_cost"] == pytest.approx(8.6611797654185, rel=1e-12)
@@ -209,6 +214,31 @@ class TestSimulateAndValidate:
         report = json.loads((tmp_path / "validation.json").read_text())
         assert report["prediction_consistent"]
         assert report["relative_error"] <= 1e-4
+
+    def test_simulate_holds_one_block_of_trace_text(self, planned, tmp_path, monkeypatch):
+        # at the default period count line3's trace.csv is about 105 MB and
+        # its columns about 46 MB: holding the whole text would exceed the bound
+        simulate, traces = cli.simulate, []
+
+        def simulate_kept(*args, **kwargs):
+            traces.append(simulate(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(cli, "simulate", simulate_kept)
+        tracemalloc.start()
+        try:
+            code = run_cli("simulate", "--instance", str(INSTANCES / "line3.json"),
+                           "--plan", str(planned / "plan.json"), "--out", str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        (trace,) = traces
+        # a weight-1 target's cost column is its norm column: counted once
+        columns = {id(col): col.nbytes for cols in (trace.norms, trace.costs, trace.observed)
+                   for col in cols.values()}
+        held = trace.times.nbytes + sum(columns.values())
+        assert peak < held + (tmp_path / "trace.csv").stat().st_size / 4
 
     def test_validate_reports(self, planned, tmp_path):
         code = run_cli("validate", "--instance", str(INSTANCES / "line3.json"),

@@ -253,6 +253,15 @@ class TestColumnarMatchesStepwise:
         # several chunks, the last one short
         monkeypatch.setattr(simulate_module, "CSV_CHUNK_ROWS", 997)
         assert trace_to_csv(got) == expected
+        # ragged row blocks that cross chunk edges, the last one ending at
+        # the last row: they concatenate to the file, with one header
+        chunk, rows = simulate_module.CSV_CHUNK_ROWS, len(got.times)
+        bounds = [0, 1, chunk, 2 * chunk + 3, rows]
+        blocks = [trace_to_csv(got, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        assert b"".join(blocks) == expected
+        header = expected[:expected.index(b"\n") + 1]
+        assert [block.count(header) for block in blocks] == [1, 0, 0, 0]
+        assert trace_to_csv(got, rows) == b""
 
     @pytest.mark.parametrize("case", ["small_plan", "sandwich_plan"])
     def test_repeated_periods_are_tiled_exactly(self, case, request):
