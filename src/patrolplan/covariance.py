@@ -35,9 +35,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .model import TargetSpec
+
+# scipy.linalg is imported by the matrix-target functions that call it, so a
+# process that plans scalar targets only never loads scipy
 
 RESIDUAL_TOL = 1e-8   # relative residual of the algebraic steady-state equations
 PSD_TOL = 1e-10       # eigenvalue floor for a positive semidefinite covariance
@@ -188,6 +190,7 @@ class _MatrixUnobservedFlow:
         block[:dim, :dim] = A
         block[:dim, dim:] = Q
         block[dim:, dim:] = -A.T
+        import scipy.linalg
         with np.errstate(over="ignore", invalid="ignore"):
             self.E = scipy.linalg.expm(block * t)
         self.F = self.E[:dim, :dim]
@@ -219,6 +222,7 @@ class _MatrixObservedFlow:
         # conditioned over long dwells
         scale = float(np.abs(M).sum(axis=1).max()) * t
         self.chunks = max(1, min(100_000, math.ceil(scale / 20.0)))
+        import scipy.linalg
         self.E = E = scipy.linalg.expm(M * (t / self.chunks))
         self.E11 = E[:dim, :dim]
         self.E12 = E[:dim, dim:]
@@ -340,6 +344,7 @@ def solve_steady_states(A, Q, G, H=None, R=None) -> SteadyStates:
         hurwitz = math.isfinite(resting)
         omega_inf = np.array([[resting]]) if hurwitz else None
         return SteadyStates(omega_ss=omega_ss, omega_inf_finite=omega_inf, a_is_hurwitz=hurwitz)
+    import scipy.linalg
     if H is not None and R is not None:
         b = np.atleast_2d(np.asarray(H, dtype=float)).T
         r = np.atleast_2d(np.asarray(R, dtype=float))
@@ -456,6 +461,7 @@ def _dominant_graph(monodromy: np.ndarray) -> np.ndarray:
     dim = monodromy.shape[0] // 2
     moduli = np.sort(np.abs(np.linalg.eigvals(monodromy)))[::-1]
     cut = math.sqrt(moduli[dim - 1] * moduli[dim])
+    import scipy.linalg
     _, Z, sdim = scipy.linalg.schur(
         monodromy, output="real", sort=lambda re, im: math.hypot(re, im) > cut
     )

@@ -380,7 +380,7 @@ def _splice(cycle: Cycle, at: int, new_seq: list[tuple[int, bool]], cut: int = 1
 
 def _path_between(network: TargetNetwork, u: int, v: int) -> list[tuple[int, bool]]:
     """The pass-through instances of the fastest path u -> v."""
-    return [(h, False) for h in network.path[u][v]]
+    return [(h, False) for h in network.hops(u, v)]
 
 
 def _visit_between(network: TargetNetwork, u: int, t: int, v: int) -> list[tuple[int, bool]]:

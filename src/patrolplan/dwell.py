@@ -604,7 +604,9 @@ def balance_level_set(
             # step only, every multi-slot row on every step
             if prev is None or multi:
                 for k, p in enumerate(slots):
-                    h = -FD_STEP * x[k] if x[k] > 0.0 else FD_STEP * budget
+                    h = -FD_STEP * x[k]
+                    if not h < 0.0:   # a zero dwell, or a subnormal one (the step underflows)
+                        h = FD_STEP * budget
                     if prev is None and owner[k] in one:
                         slope[k] = (math.log(cost(owner[k], x[k] + h)) - logs[k]) / h
                     if multi:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_CONFIG, PlannerConfig
 from .cycles import (
@@ -280,6 +279,7 @@ def spectral_cluster(
     W = similarity.values
     D = np.diag(W.sum(axis=1))
     L = D - W
+    import scipy.linalg   # here, so that only a split fleet loads scipy
     eigvals, eigvecs = scipy.linalg.eigh(L, D)
     U = eigvecs[:, :n_clusters]
     rng = np.random.default_rng(seed)
@@ -307,9 +307,10 @@ def spectral_cluster(
 def cluster_subnetwork(network: TargetNetwork, members: set[int]) -> TargetNetwork:
     """The cluster's view of ``network``: ``targets``, ``ids``, ``positions``
     and ``target()`` cover ``members`` only, while ``edges``, ``travel`` and
-    ``path`` are the parent's own objects.  A fastest route may pass through
-    a target outside the cluster; a cycle carries it as a pass-through
-    instance, which takes no dwell and no part in the metric.
+    the predecessor table that ``hops`` walks are the parent's own objects.
+    A fastest route may pass through a target outside the cluster; a cycle
+    carries it as a pass-through instance, which takes no dwell and no part
+    in the metric.
     """
     view = copy.copy(network)
     view.targets = [t for t in network.targets if t.id in members]

@@ -3,7 +3,8 @@
 An instance is a set of targets with linear-Gaussian internal dynamics, an
 undirected travel-time graph over them, and an agent count.  Loading validates
 every structural requirement (definiteness, observability, connectivity) and
-precomputes the all-pairs fastest travel times with their physical paths.
+precomputes the all-pairs fastest travel times with a predecessor table, from
+which each physical route is read on demand.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import shortest_path
 
 from .config import ParamRanges
 
@@ -24,13 +23,15 @@ from .config import ParamRanges
 # fastest-path matrix
 MAX_RANDOM_TARGETS = 1000
 
+# entries of the travel closure updated per numpy pass (512 kB of doubles)
+FW_BLOCK_ENTRIES = 1 << 16
+
 __all__ = [
     "MAX_RANDOM_TARGETS",
     "InstanceError",
     "TargetSpec",
     "TargetNetwork",
     "FleetSpec",
-    "link_matrix",
     "load_instance",
     "load_instance_file",
     "read_json_file",
@@ -158,34 +159,24 @@ class FleetSpec:
             )
 
 
-def link_matrix(ids: list[int], links: list[tuple[int, int, float]]) -> scipy.sparse.csr_array:
-    """Sparse travel-time matrix over ``ids`` (in that order) with one stored
-    entry per link (i, j, d); a stored zero is a zero-length edge."""
-    index = {t: k for k, t in enumerate(ids)}
-    rows = np.array([index[i] for i, _, _ in links], dtype=int)
-    cols = np.array([index[j] for _, j, _ in links], dtype=int)
-    times = np.array([d for _, _, d in links], dtype=float)
-    return scipy.sparse.coo_array((times, (rows, cols)), shape=(len(ids), len(ids))).tocsr()
-
-
 @dataclass
 class TargetNetwork:
     """Targets plus the undirected travel graph and its shortest-path closure.
 
     ``travel[i][j]`` is the fastest travel time between targets i and j;
-    ``path[i][j]`` lists the intermediate targets traversed (exclusive of the
-    endpoints).  Indices are target ids.  A cluster's network is a view of
-    its parent (``fleet.cluster_subnetwork``): ``targets``, ``ids`` and
-    ``target()`` cover the members only, while ``edges``, ``travel`` and
-    ``path`` are the parent's, so a route may pass through a target outside
-    the view.  Immutable after construction.
+    ``hops(i, j)`` lists the intermediate targets traversed (exclusive of the
+    endpoints), walked from a predecessor table on each call.  Indices are
+    target ids.  A cluster's network is a view of its parent
+    (``fleet.cluster_subnetwork``): ``targets``, ``ids`` and ``target()``
+    cover the members only, while ``edges``, ``travel`` and the predecessor
+    table are the parent's, so a route may pass through a target outside the
+    view.  Immutable after construction.
     """
 
     targets: list[TargetSpec]
     edges: list[tuple[int, int, float]]
     positions: dict[int, tuple[float, float]] = field(default_factory=dict)
     travel: dict[int, dict[int, float]] = field(init=False)
-    path: dict[int, dict[int, list[int]]] = field(init=False)
 
     def __post_init__(self) -> None:
         ids = self.ids
@@ -212,25 +203,52 @@ class TargetNetwork:
                     raise InstanceError(f"graph is disconnected: no route between {i} and {j}")
 
     def _floyd_warshall(self) -> None:
-        """All-pairs closure by Floyd-Warshall over a sparse link matrix (a
-        sparse entry keeps a zero-length edge, a dense zero would drop it)."""
+        """All-pairs closure by Floyd-Warshall (Floyd, "Algorithm 97", CACM
+        1962), one pivot at a time over dense arrays.  An entry improves only
+        on a strictly shorter route, and then takes its predecessor from the
+        pivot's row; an edge of length zero is an edge like any other."""
         ids = self.ids
-        dist, pred = shortest_path(link_matrix(ids, self.edges), method="FW",
-                                   directed=False, return_predecessors=True)
-        self.travel = {i: dict(zip(ids, row)) for i, row in zip(ids, dist.tolist())}
-        self.path = {}
-        for a, (i, row) in enumerate(zip(ids, pred.tolist())):
-            paths = self.path[i] = {}
-            for b, j in enumerate(ids):
-                # row[b] is b's predecessor on the fastest route from a;
-                # a negative entry means none (b == a, or no route)
-                hops = []
-                k = row[b]
-                while k != a and k >= 0:
-                    hops.append(ids[k])
-                    k = row[k]
-                hops.reverse()
-                paths[j] = hops
+        n = len(ids)
+        row = {t: a for a, t in enumerate(ids)}
+        dist = np.full((n, n), math.inf)
+        for i, j, d in self.edges:
+            dist[row[i], row[j]] = dist[row[j], row[i]] = d
+        np.fill_diagonal(dist, 0.0)
+        # pred[a, b]: row of b's predecessor on the fastest route from row a;
+        # -1 for none (b == a, or no route)
+        pred = np.where(np.isinf(dist), -1, np.arange(n)[:, None])
+        np.fill_diagonal(pred, -1)
+        # a block of rows at a time, so that each pivot's passes stay in cache
+        rows = max(1, FW_BLOCK_ENTRIES // n)
+        via = np.empty((min(rows, n), n))
+        better = np.empty(via.shape, dtype=bool)
+        for k in range(n):
+            # dist[k, k] is 0, so pivot k never changes its own row or column
+            for lo in range(0, n, rows):
+                d, p = dist[lo:lo + rows], pred[lo:lo + rows]
+                v, b = via[:len(d)], better[:len(d)]
+                np.add(d[:, k, None], dist[k], out=v)
+                np.less(v, d, out=b)
+                if b.any():
+                    np.copyto(d, v, where=b)
+                    np.copyto(p, pred[k], where=b)
+        self.travel = {i: dict(zip(ids, r)) for i, r in zip(ids, dist.tolist())}
+        self._route_ids = ids
+        self._route_row = row
+        self._pred = pred
+
+    def hops(self, u: int, v: int) -> list[int]:
+        """The targets strictly between ``u`` and ``v`` on the fastest route
+        from ``u`` to ``v``, in travel order."""
+        a = self._route_row[u]
+        pred, ids = self._pred, self._route_ids
+        route = []
+        k = pred.item(a, self._route_row[v])
+        while k != a and k >= 0:
+            route.append(ids[k])
+            k = pred.item(a, k)
+        route.reverse()
+        return route
 
     @property
     def ids(self) -> list[int]:

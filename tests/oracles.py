@@ -45,6 +45,8 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import shortest_path
 
 from patrolplan.config import DEFAULT_CONFIG
 from patrolplan.covariance import (
@@ -435,6 +437,36 @@ def rowwise_trace_csv(trace) -> str:
 
 # --- all-pairs fastest paths -------------------------------------------------
 
+def link_matrix(ids: list[int], links: list[tuple[int, int, float]]) -> scipy.sparse.csr_array:
+    """Sparse travel-time matrix over ``ids`` (in that order) with one stored
+    entry per link (i, j, d); a stored zero is a zero-length edge."""
+    index = {t: k for k, t in enumerate(ids)}
+    rows = np.array([index[i] for i, _, _ in links], dtype=int)
+    cols = np.array([index[j] for _, j, _ in links], dtype=int)
+    times = np.array([d for _, _, d in links], dtype=float)
+    return scipy.sparse.coo_array((times, (rows, cols)), shape=(len(ids), len(ids))).tocsr()
+
+
+def scipy_floyd_warshall(ids: list[int], edges: list[tuple[int, int, float]]):
+    """Fastest travel times and intermediate hops by scipy's Floyd-Warshall
+    over ``link_matrix``, each route walked back from scipy's predecessor
+    matrix.  Returns ``(travel, path)`` in the layout of
+    ``python_floyd_warshall``."""
+    dist, pred = shortest_path(link_matrix(ids, edges), method="FW",
+                               directed=False, return_predecessors=True)
+    travel = {i: dict(zip(ids, row)) for i, row in zip(ids, dist.tolist())}
+    path = {i: {} for i in ids}
+    for a, i in enumerate(ids):
+        for b, j in enumerate(ids):
+            hops = []
+            k = pred[a, b]
+            while k != a and k >= 0:   # negative: b == a, or no route
+                hops.append(ids[k])
+                k = pred[a, k]
+            path[i][j] = hops[::-1]
+    return travel, path
+
+
 def python_floyd_warshall(ids: list[int], edges: list[tuple[int, int, float]]):
     """Fastest travel times and intermediate hops by the plain Floyd-Warshall
     triple loop over dicts: strict improvement, symmetric updates, and a
@@ -690,7 +722,8 @@ def bordered_level_step(x: np.ndarray, logs: np.ndarray, jac: np.ndarray,
     A target takes part in the linear model while its rows are finite (a
     single-slot row also needs a falling slope) and its modelled total dwell
     stays above zero; a multi-slot target leaves only once no single-slot
-    target does.  The others are modelled at zero dwell.  A step moves a
+    target does, and then alone: the one with the most negative modelled
+    total.  The others are modelled at zero dwell.  A step moves a
     dwell to between a quarter and four times its value (from zero, to at
     most the budget), a target cheaper never observed than ``e^L`` takes
     none, and the dwells are rescaled to the budget.
@@ -721,8 +754,10 @@ def bordered_level_step(x: np.ndarray, logs: np.ndarray, jac: np.ndarray,
             return None
         level = solution[-1]
         step = dict(zip(rows, solution[:-1]))
-        dropped = {tid for tid in model if sum(x[k] + step[k] for k in groups[tid]) <= 0.0}
-        dropped = {tid for tid in dropped if len(groups[tid]) == 1} or dropped
+        totals = {tid: sum(x[k] + step[k] for k in groups[tid]) for tid in model}
+        dropped = [tid for tid in model if totals[tid] <= 0.0]
+        dropped = ([tid for tid in dropped if len(groups[tid]) == 1]
+                   or sorted(dropped, key=totals.get)[:1])
         kept = [tid for tid in model if tid not in dropped]
         if len(kept) == len(model) or not kept:
             break

@@ -591,12 +591,42 @@ class TestEntryPoint:
         assert result.returncode == 2
 
     def test_import_leaves_scipy_optimize_out(self):
-        # scipy.optimize adds about 0.25 s and 15 MB to every start-up; the
-        # planner's root finders are hand-written so no import path needs it
+        # importing scipy takes longer than planning table1: only matrix
+        # targets and fleet clustering import it, inside the functions that
+        # call it, so no module-level import may load any part of it
         result = subprocess.run(
             [sys.executable, "-c",
              "import patrolplan.cli, patrolplan.fleet; import sys; "
-             "assert 'scipy.optimize' not in sys.modules"],
+             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+             "assert not loaded, loaded"],
             capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
+
+    def test_scalar_commands_leave_scipy_out(self, tmp_path):
+        table1 = str(INSTANCES / "table1.json")
+        script = (
+            "import sys\n"
+            "from patrolplan.cli import main\n"
+            "out = sys.argv[1]\n"
+            "assert main(['gen', '--targets', '6', '--seed', '3', '--out', out + '/gen.json']) == 0\n"
+            "assert main(['plan-single', '--instance', sys.argv[2], '--out', out + '/plan']) == 0\n"
+            "assert main(['simulate', '--instance', sys.argv[2], '--plan', out + '/plan/plan.json',"
+            " '--out', out + '/sim']) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script, str(tmp_path), table1],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "sim" / "trace.csv").stat().st_size > 0
+
+    def test_matrix_targets_plan_in_a_fresh_process(self, tmp_path):
+        # duo2x2's 2x2 targets take scipy's matrix solvers, imported on first use
+        result = subprocess.run(
+            [sys.executable, "-m", "patrolplan.cli", "plan-single",
+             "--instance", str(INSTANCES / "duo2x2.json"), "--out", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads((tmp_path / "plan.json").read_text())["predicted_cost"] > 0

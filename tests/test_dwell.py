@@ -537,6 +537,25 @@ class TestBalanceLevelSet:
         confirmed = balance_multi_visit(cyc, period, cache, initial_dwells=state.dwells, tol=1e-8)
         assert confirmed.iterations == 1
 
+    @pytest.mark.parametrize("order", [[1, 2, 3], [1, 2, 1, 3]], ids=["one-slot", "two-slot"])
+    def test_subnormal_initial_dwell(self, order):
+        # -FD_STEP * 5e-324 rounds to -0.0; a slope over that step divided by
+        # zero, so the start must end balanced or in the engine's own error
+        net = TargetNetwork(
+            targets=[TargetSpec(id=1, A=-0.5, Q=1.0, H=1.0, R=1.0),
+                     TargetSpec(id=2, A=0.2, Q=1.0, H=1.0, R=2.0),
+                     TargetSpec(id=3, A=0.25, Q=0.8, H=1.0, R=3.0)],
+            edges=[(1, 2, 0.5), (2, 3, 0.5), (1, 3, 0.5)],
+        )
+        cyc = Cycle.from_targets(net, order)
+        period = cyc.travel_time + 4.0
+        initial = [5e-324] + [2.0] * (len(order) - 1)
+        try:
+            state = balance_level_set(cyc, period, SteadyStateCache(net), initial_dwells=initial)
+        except ConvergenceError:
+            return
+        assert_level_set_balanced(state, period)
+
     def test_two_dwell_slots_match_consensus(self, monkeypatch):
         net, _ = generate_random_instance(3, seed=2)
         cache = SteadyStateCache(net)

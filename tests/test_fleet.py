@@ -226,7 +226,7 @@ class TestClusterSubnetwork:
         sub = cluster_subnetwork(net, {1, 3})
         assert sub.ids == [1, 3]
         assert sub.travel[1][3] == 2.0
-        assert sub.path[1][3] == [2]  # pass-through stays physical
+        assert sub.hops(1, 3) == [2]  # pass-through stays physical
         with pytest.raises(KeyError):
             sub.target(2)
         cycle = Cycle.from_targets(sub, [1, 3])
@@ -246,8 +246,8 @@ class TestClusterSubnetwork:
         sub = cluster_subnetwork(net, {1, 3, 5, 7})
         assert sub.ids == [1, 3, 5, 7]
         assert sub.travel[3][5] == 2.5
-        assert sub.path[3][5] == [4]
-        assert sub.path[5][3] == [4]
+        assert sub.hops(3, 5) == [4]
+        assert sub.hops(5, 3) == [4]
 
 
 class TestPlanFleet:

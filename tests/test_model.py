@@ -14,11 +14,10 @@ from patrolplan.model import (
     TargetNetwork,
     generate_random_instance,
     instance_to_document,
-    link_matrix,
     load_instance,
 )
 
-from oracles import TABLE1
+from oracles import TABLE1, link_matrix
 
 
 def table1_document():
@@ -51,7 +50,7 @@ class TestLoadInstance:
                "edges": [], "agents": {"count": 1}}
         network, _ = load_instance(doc)
         assert network.travel[0][0] == 0.0
-        assert network.path[0][0] == []
+        assert network.hops(0, 0) == []
 
     def test_path_graph_shortest(self):
         doc = {
@@ -61,7 +60,7 @@ class TestLoadInstance:
         }
         network, _ = load_instance(doc)
         assert network.travel[1][3] == pytest.approx(2.0)
-        assert network.path[1][3] == [2]
+        assert network.hops(1, 3) == [2]
 
     def test_non_pd_noise_rejected(self):
         doc = table1_document()
@@ -207,7 +206,8 @@ class TestNetworkInvariants:
         )
         sub = cluster_subnetwork(network, {1, 3})
         assert sub.ids == [1, 3]
-        assert sub.travel is network.travel and sub.path is network.path
+        assert sub.travel is network.travel and sub._pred is network._pred
+        assert sub.hops(1, 3) == [2]
         assert sub.edges is network.edges
 
     def test_zero_length_edge_keeps_line_connected(self):
@@ -217,7 +217,7 @@ class TestNetworkInvariants:
         )
         assert network.travel[1][2] == 0.0
         assert network.travel[1][3] == 1.5
-        assert network.path[1][3] == [2]
+        assert network.hops(1, 3) == [2]
         # the same graph as a dense matrix reads the zero as "no edge"
         dense = link_matrix(network.ids, network.edges).toarray()
         assert math.isinf(shortest_path(dense, method="FW", directed=False)[0, 1])

@@ -69,7 +69,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from patrolplan import dwell
 from patrolplan.cli import _load_plan
@@ -106,6 +106,7 @@ from oracles import (
     iterated_periodic_start,
     period_steps,
     python_floyd_warshall,
+    scipy_floyd_warshall,
     sequential_visit_gaps,
 )
 from test_dwell import assert_plan_consistent
@@ -361,8 +362,19 @@ def level_steps(draw):
     return x, logs, jac, groups, never, float(x.sum())
 
 
+def _two_negative_multi_slot_totals():
+    """Multi-slot targets 2 and 5 both model a negative total dwell, and
+    target 5's turns positive once target 2 alone leaves the model."""
+    jac = np.diag([-0.125, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -3.0, -2.0, -4.0])
+    jac[8, 1] = jac[8, 2] = 0.25
+    groups = {1: [0], 2: [1, 2], 3: [3, 4], 4: [5, 6], 5: [7, 8, 9]}
+    return (np.array([0.0] * 8 + [1.0, 1.0]), np.array([3.0, -20.0, -20.0] + [0.0] * 5 + [2.0, 0.0]),
+            jac, groups, dict.fromkeys(groups, math.inf), 2.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(level_steps())
+@example(_two_negative_multi_slot_totals())
 def test_level_step_matches_full_bordered_solve(case):
     # the closed-form elimination of the single-slot rows gives the step of
     # the whole bordered system
@@ -448,7 +460,29 @@ def test_closure_matches_python_floyd_warshall(network):
     for i in network.ids:
         for j in network.ids:
             assert np.float64(network.travel[i][j]).tobytes() == np.float64(travel[i][j]).tobytes()
-            assert network.path[i][j] == path[i][j]
+            assert network.hops(i, j) == path[i][j]
+
+
+def assert_closure_matches_scipy(network):
+    """``travel`` bit for bit, and every route, as scipy's Floyd-Warshall
+    has them; ties between equally fast routes must break the same way."""
+    travel, path = scipy_floyd_warshall(network.ids, network.edges)
+    for i in network.ids:
+        for j in network.ids:
+            assert np.float64(network.travel[i][j]).tobytes() == np.float64(travel[i][j]).tobytes()
+            assert network.hops(i, j) == path[i][j]
+
+
+@settings(max_examples=200, deadline=None)
+@given(travel_graphs())
+def test_closure_matches_scipy_on_tied_graphs(network):
+    assert_closure_matches_scipy(network)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_closure_matches_scipy_on_random_instances(n, seed):
+    assert_closure_matches_scipy(generate_random_instance(n, seed)[0])
 
 
 @st.composite
