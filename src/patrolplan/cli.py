@@ -23,6 +23,7 @@ from .fleet import FleetError, cluster_subnetwork, partition_to_document, plan_f
 from .model import (
     MAX_RANDOM_TARGETS,
     InstanceError,
+    _integer,
     generate_random_instance,
     instance_to_document,
     load_instance_file,
@@ -160,8 +161,8 @@ def _load_plan(args):
     if not isinstance(doc, dict):
         raise ValueError("not a plan document")
     try:
-        covers = set(doc.get("covers", network.ids))
-    except TypeError:  # null, a number or unhashable entries
+        covers = {_integer(tid, "'covers' entry") for tid in doc.get("covers", network.ids)}
+    except (TypeError, InstanceError):  # null, a number, or a non-integral entry
         covers = set()
     if not covers or not covers <= set(network.ids):
         raise ValueError(f"plan document field 'covers' must name targets of the instance, "

@@ -403,7 +403,8 @@ def _scalar_periodic_peaks(
     """Scalar periodic peaks from the closed-form fixed point; returns the
     upper and lower peaks and the number of certifying walks (one).  A gap
     whose growth passes double range fails the walk and takes
-    ``_overflowed_peaks`` instead.  With no gap the target is never
+    ``_overflowed_peaks`` instead; a fixed point beyond double range with
+    finite growth is reported as an overflow.  With no gap the target is never
     unobserved, and the orbit rests at the always-observed steady state: the
     peaks are its root, the same bits as the revisit floor at gap 0."""
     if not any(t_off):
@@ -427,6 +428,8 @@ def _scalar_periodic_peaks(
     if not residual <= PERIODIC_TOL * max(1.0, abs(omega)):
         if any(math.isinf(al) for al, _ in unobs):
             return _overflowed_peaks(obs, unobs)
+        if omega == math.inf:
+            raise ConvergenceError("periodic covariance overflows the double range", math.inf)
         raise ConvergenceError(_NOT_FIXED, residual)
     return uppers, lowers, 1
 

@@ -197,16 +197,14 @@ class TargetNetwork:
             seen.add(key)
         self._by_id = {t.id: t for t in self.targets}
         self._floyd_warshall()
-        for i in ids:
-            for j in ids:
-                if math.isinf(self.travel[i][j]):
-                    raise InstanceError(f"graph is disconnected: no route between {i} and {j}")
 
     def _floyd_warshall(self) -> None:
         """All-pairs closure by Floyd-Warshall (Floyd, "Algorithm 97", CACM
         1962), one pivot at a time over dense arrays.  An entry improves only
         on a strictly shorter route, and then takes its predecessor from the
-        pivot's row; an edge of length zero is an edge like any other."""
+        pivot's row; an edge of length zero is an edge like any other.
+        ``InstanceError`` naming the first pair, in the order of ``ids``, with no
+        route."""
         ids = self.ids
         n = len(ids)
         row = {t: a for a, t in enumerate(ids)}
@@ -232,6 +230,10 @@ class TargetNetwork:
                 if b.any():
                     np.copyto(d, v, where=b)
                     np.copyto(p, pred[k], where=b)
+        unreachable = np.argwhere(np.isinf(dist))
+        if len(unreachable):
+            a, b = unreachable[0]
+            raise InstanceError(f"graph is disconnected: no route between {ids[a]} and {ids[b]}")
         self.travel = {i: dict(zip(ids, r)) for i, r in zip(ids, dist.tolist())}
         self._route_ids = ids
         self._route_row = row

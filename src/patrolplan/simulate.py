@@ -17,8 +17,10 @@ time (scalar targets apply the Moebius substep inline, with the same
 operations as ``_ScalarFlow``), and its samples land in a numpy column.
 Once a period starts from bitwise the state some earlier period started
 from, the substep recurrence repeats the periods since then exactly, so the
-rest of the column is tiled from them instead of integrated.  Times,
-observed flags and the per-period statistics are array operations.
+rest of the column is tiled from them instead of integrated.  Times, the
+one observed column and the per-period statistics are array operations.
+Costs are weights times norms, not columns, and every period has the same
+rows, so the last one is found by its row (``_last_period_row``).
 
 ``trace_to_csv`` returns the ASCII text of a block of rows of
 ``trace.csv`` (the whole file by default), equal byte for byte to
@@ -56,14 +58,15 @@ MAX_TRACE_VALUES = 64_000_000   # samples (rows x targets) one simulate call may
 class SimTrace:
     """Sampled covariance trajectories under a plan's schedule.
 
-    ``times`` and the per-target ``norms``, ``costs`` and ``observed`` (0/1
-    int32 flags) are numpy columns with one entry per sample.  A target with
-    ``weight_alpha == 1`` has ``costs[tid] is norms[tid]``."""
+    ``times`` and the per-target ``norms`` are float columns with one entry
+    per sample.  ``observed`` is one int32 column: per sample, the position
+    in ``sorted(norms)`` of the target observed there, or -1 for none.  A
+    target's cost is ``weights[tid]`` times its norm."""
 
     times: np.ndarray
     norms: dict[int, np.ndarray]
-    costs: dict[int, np.ndarray]
-    observed: dict[int, np.ndarray]
+    weights: dict[int, float]
+    observed: np.ndarray
     period: float
     num_periods: int
     dt: float
@@ -73,6 +76,11 @@ class SimTrace:
     settle_period: int
     converged: bool
     period_maxima: dict[int, list[float]] = field(repr=False, default_factory=dict)
+
+
+def _last_period_row(times, num_periods: int) -> int:
+    """First row of the last of ``num_periods`` periods of equal row counts."""
+    return (num_periods - 1) * ((len(times) - 1) // num_periods)
 
 
 def _schedule_segments(plan: Plan) -> list[tuple[float, int | None]]:
@@ -234,8 +242,8 @@ def simulate(
     if initial is None:
         initial = steady_initial_covariances(plan, network, cache)
 
-    column = {tid: k for k, tid in enumerate(targets)}
-    # one period of substeps: length, and the column of the target observed
+    position = {tid: k for k, tid in enumerate(targets)}
+    # one period of substeps: length, and the position of the target observed
     # at the sample that ends it (-1: none).  A boundary sample belongs to
     # the segment that starts there, so dwell-start instants carry the flag.
     steps: list[float] = []
@@ -243,18 +251,16 @@ def simulate(
     for si, ((duration, obs_tid), n_sub) in enumerate(zip(segments, sub_counts)):
         nxt = segments[(si + 1) % len(segments)][1]
         steps += [duration / n_sub] * n_sub
-        row_obs += [column.get(obs_tid, -1)] * (n_sub - 1) + [column.get(nxt, -1)]
+        row_obs += [position.get(obs_tid, -1)] * (n_sub - 1) + [position.get(nxt, -1)]
     times = np.empty(n_rows)
     times[0] = 0.0
     # add.accumulate sums in order, as t += step does
     np.cumsum(np.tile(steps, num_periods), out=times[1:])
     obs_rows = np.empty(n_rows, dtype=np.int32)
-    obs_rows[0] = column.get(segments[0][1], -1)
+    obs_rows[0] = position.get(segments[0][1], -1)
     obs_rows[1:] = np.tile(np.array(row_obs, dtype=np.int32), num_periods)
 
     norms: dict[int, np.ndarray] = {}
-    costs: dict[int, np.ndarray] = {}
-    observed: dict[int, np.ndarray] = {}
     for tid in targets:
         spec = network.target(tid)
         # per segment, the flow for one of its substeps
@@ -270,20 +276,19 @@ def simulate(
         else:
             col = _column(w0, _matrix_advance(seg_flows), num_periods)
         norms[tid] = col
-        # x * 1.0 == x exactly, so a weight-1 target shares its norm column
-        costs[tid] = col if spec.weight_alpha == 1.0 else spec.weight_alpha * col
-        observed[tid] = (obs_rows == column[tid]).astype(np.int32)
+    weights = {tid: float(network.target(tid).weight_alpha) for tid in targets}
 
-    # per period, the maximum over its rows and the sample that ends it
+    # per period, the maximum over its rows and the sample that ends it;
+    # rounding is monotone, so the weighted maximum is the maximum weighted
     maxima = np.array([
-        np.maximum(costs[tid][:-1].reshape(num_periods, rows_per_period).max(axis=1),
-                   costs[tid][rows_per_period::rows_per_period])
+        weights[tid] * np.maximum(norms[tid][:-1].reshape(num_periods, rows_per_period).max(1),
+                                  norms[tid][rows_per_period::rows_per_period])
         for tid in targets
     ])
     period_maxima = dict(zip(targets, maxima.tolist()))
-    # the last sample at or before the start of the last period
-    last_start = int(np.searchsorted(times, (num_periods - 1) * period + 1e-9, side="right")) - 1
-    per_target_realized = {tid: float(costs[tid][last_start:].max()) for tid in targets}
+    last_start = _last_period_row(times, num_periods)
+    per_target_realized = {tid: weights[tid] * float(norms[tid][last_start:].max())
+                           for tid in targets}
     realized = max(per_target_realized.values())
 
     # settled after period k + 1 once no target's maximum is infinite or
@@ -301,8 +306,8 @@ def simulate(
     return SimTrace(
         times=times,
         norms=norms,
-        costs=costs,
-        observed=observed,
+        weights=weights,
+        observed=obs_rows,
         period=period,
         num_periods=num_periods,
         dt=dt,
@@ -322,12 +327,12 @@ def validate(plan: Plan, trace: SimTrace) -> dict:
     abs_err = abs(realized - predicted)
     rel_err = abs_err / max(abs(predicted), 1e-30)
     # peak instants: the worst sample of each dwelled target in the last
-    # period must sit on an off->on switch (within one sample step)
+    # period must sit on an off->on switch (within one sample step); the
+    # weight does not move the worst sample, so it is found on the norms
     peak_alignment = {}
-    last_period_start = (trace.num_periods - 1) * trace.period
-    lo = int(np.argmax(trace.times >= last_period_start - 1e-9))
+    lo = _last_period_row(trace.times, trace.num_periods)
     for tid, switches in trace.switch_times.items():
-        k_max = int(np.argmax(trace.costs[tid][lo:]))
+        k_max = int(np.argmax(trace.norms[tid][lo:]))
         t_peak = float(trace.times[lo + k_max]) % trace.period
         dist = min(
             min(abs(t_peak - s), trace.period - abs(t_peak - s)) for s in switches
@@ -428,13 +433,13 @@ def _format_g(x: np.ndarray, precision: int) -> np.ndarray:
 
 def trace_to_csv(trace: SimTrace, lo: int = 0, hi: int | None = None) -> bytearray:
     """Rows ``[lo, hi)`` of the delimiter-separated trace as ASCII: t, then
-    per target norm, cost, observed; the header line comes first when
-    ``lo == 0``.  The defaults give the whole file, and the texts of
-    consecutive ranges concatenate to it.
+    per target norm, cost (weight times norm) and observed (0/1); the
+    header line comes first when ``lo == 0``.  The defaults give the whole
+    file, and the texts of consecutive ranges concatenate to it.
 
     Works ``CSV_CHUNK_ROWS`` rows at a time.  Every field of the chunk is a
-    byte matrix with one column per row (``_format_g``; a cost column that
-    is its norm column is formatted once), the fields and separators are
+    byte matrix with one column per row (``_format_g``; the cost of a
+    weight-1 target is its norm text), the fields and separators are
     stacked, and the transposed matrix is read out with its NUL padding
     dropped.  The chunks are appended to one ``bytearray``, so the range's
     text is never held twice."""
@@ -449,11 +454,12 @@ def trace_to_csv(trace: SimTrace, lo: int = 0, hi: int | None = None) -> bytearr
     for start in range(lo, hi, CSV_CHUNK_ROWS):
         rows = slice(start, min(start + CSV_CHUNK_ROWS, hi))
         fields = [_format_g(trace.times[rows], 9)]
-        for tid in tids:
-            norm, cost = trace.norms[tid], trace.costs[tid]
-            norm_text = _format_g(norm[rows], 12)
-            cost_text = norm_text if cost is norm else _format_g(cost[rows], 12)
-            flags = (trace.observed[tid][rows] + _ZERO).astype(np.uint8)[None, :]
+        observed = trace.observed[rows]
+        for k, tid in enumerate(tids):
+            norm, weight = trace.norms[tid][rows], trace.weights[tid]
+            norm_text = _format_g(norm, 12)
+            cost_text = norm_text if weight == 1.0 else _format_g(weight * norm, 12)
+            flags = ((observed == k) + _ZERO).astype(np.uint8)[None, :]
             fields += [norm_text, cost_text, flags]
         count = fields[0].shape[1]
         comma = np.full((1, count), _COMMA, dtype=np.uint8)

@@ -314,9 +314,11 @@ def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONF
                       dt=None, cache=None, record_states=0):
     """``simulate`` as a loop over substeps that applies every target's flow
     and records one sample per target at a time, appended to ``array('d')``
-    columns (``array('b')`` for the observed flags).  It
-    shares the package's flows and schedule helpers: it checks the columnar
-    loop, not the propagators.  ``switch_times`` is left empty.
+    columns (``array('i')`` for the observed positions).  It finds the last
+    period by its start time, and takes maxima of the weighted costs (held
+    here only) rather than weighting maxima of the norms.  It shares the
+    package's flows and schedule helpers: it checks the columnar loop, not
+    the propagators.  ``switch_times`` is left empty.
 
     Returns the trace and, per target, the ``(time, covariance)`` of every
     ``record_states``-th sample (none for 0); a scalar's is a 1x1 array."""
@@ -355,23 +357,23 @@ def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONF
     times = array("d", [0.0])
     norms = {tid: array("d") for tid in targets}
     costs = {tid: array("d") for tid in targets}
-    observed = {tid: array("b") for tid in targets}
+    observed = array("i")
+    position = {tid: k for k, tid in enumerate(targets)}
     state_samples = {tid: [] for tid in targets}
 
-    def record(tid, obs_tid):
+    def record(tid):
         w = state[tid]
         n = w if scalar[tid] else cov_norm(w)
         norms[tid].append(n)
         costs[tid].append(specs[tid].g(n))
-        observed[tid].append(1 if tid == obs_tid else 0)
         if record_states and (len(norms[tid]) - 1) % record_states == 0:
             state_samples[tid].append(
                 (times[-1], np.array([[w]]) if scalar[tid] else np.array(w))
             )
 
-    first_obs = segments[0][1]
+    observed.append(position.get(segments[0][1], -1))
     for tid in targets:
-        record(tid, first_obs)
+        record(tid)
 
     t = 0.0
     period_maxima = {tid: [] for tid in targets}
@@ -385,8 +387,9 @@ def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONF
                 t += step
                 times.append(t)
                 nxt = seg_plans[(si + 1) % len(seg_plans)][1] if k == n_sub - 1 else obs_tid
+                observed.append(position.get(nxt, -1))
                 for tid in targets:
-                    record(tid, nxt)
+                    record(tid)
         for tid in targets:
             period_maxima[tid].append(max(costs[tid][start_idx:]))
 
@@ -410,7 +413,8 @@ def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONF
             break
 
     return SimTrace(
-        times=times, norms=norms, costs=costs, observed=observed,
+        times=times, norms=norms, observed=observed,
+        weights={tid: float(specs[tid].weight_alpha) for tid in targets},
         period=period, num_periods=num_periods, dt=dt, switch_times={},
         realized_cost=max(per_target_realized.values()),
         per_target_realized=per_target_realized, settle_period=settle,
@@ -427,10 +431,11 @@ def rowwise_trace_csv(trace) -> str:
     lines = [",".join(header)]
     for k, t in enumerate(trace.times):
         row = [f"{t:.9g}"]
-        for tid in tids:
-            row.append(f"{trace.norms[tid][k]:.12g}")
-            row.append(f"{trace.costs[tid][k]:.12g}")
-            row.append(str(trace.observed[tid][k]))
+        for pos, tid in enumerate(tids):
+            norm = float(trace.norms[tid][k])
+            row.append(f"{norm:.12g}")
+            row.append(f"{trace.weights[tid] * norm:.12g}")
+            row.append("1" if trace.observed[k] == pos else "0")
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

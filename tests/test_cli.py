@@ -234,10 +234,8 @@ class TestSimulateAndValidate:
             tracemalloc.stop()
         assert code == 0
         (trace,) = traces
-        # a weight-1 target's cost column is its norm column: counted once
-        columns = {id(col): col.nbytes for cols in (trace.norms, trace.costs, trace.observed)
-                   for col in cols.values()}
-        held = trace.times.nbytes + sum(columns.values())
+        held = trace.times.nbytes + trace.observed.nbytes + sum(
+            col.nbytes for col in trace.norms.values())
         assert peak < held + (tmp_path / "trace.csv").stat().st_size / 4
 
     def test_validate_reports(self, planned, tmp_path):
@@ -398,6 +396,13 @@ def _number_covers(doc):
     doc["covers"] = 3
 
 
+def _set_first_cover(value):
+    # True == 1 and hash(True) == hash(1): a set of the entries would take it
+    def corrupt(doc):
+        doc["covers"][0] = value
+    return corrupt
+
+
 def _set_report(key, value):
     def corrupt(doc):
         doc[key] = value
@@ -430,6 +435,9 @@ class TestPlanDocumentChecks:
         (_move_leg, "'leg_times'"),
         (_null_covers, "'covers'"),
         (_number_covers, "'covers'"),
+        (_set_first_cover(True), "'covers'"),
+        (_set_first_cover("1"), "'covers'"),
+        (_set_first_cover(1.5), "'covers'"),
         (_scale_period(1.5), "'period'"),
         (_set_period(-1.0), "'period'"),
         (_set_period(float("inf")), "'period'"),
@@ -453,7 +461,8 @@ class TestPlanDocumentChecks:
         (_string_active, "'active'"),
         (_dwell_without_slot, "'instances'"),
     ], ids=["missing-key", "unknown-instance-target", "unknown-covers-target", "leg-count",
-            "leg-time", "null-covers", "number-covers", "stretched-period", "negative-period",
+            "leg-time", "null-covers", "number-covers", "boolean-cover", "string-cover",
+            "fractional-cover", "stretched-period", "negative-period",
             "infinite-period", "negative-dwell", "nan-dwell", "foreign-active",
             "nan-predicted-cost", "negative-predicted-cost", "predicted-cost-not-worst",
             "infinite-consensus-cost", "negative-metric-floor", "empty-per-target-cost",

@@ -18,7 +18,7 @@ from patrolplan.covariance import (
     steady_states_for,
     unobserved_flow,
 )
-from patrolplan.model import TargetSpec
+from patrolplan.model import TargetSpec, generate_random_instance
 
 from oracles import (
     TABLE1,
@@ -323,8 +323,17 @@ class TestPeriodicSteadyState:
     def test_finite_overflow_still_fails_certificate(self):
         # every gap's growth stays finite (e^696), but the fixed point of a
         # 1e-9 dwell passes double range: the certifying walk must fail
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="overflows the double range"):
             periodic_steady_state([[20.0]], [[1.0]], [[1.0]], t_on=[1e-9], t_off=[17.4])
+
+    @pytest.mark.parametrize("dwell", [1e-310, 5e-324])
+    def test_subnormal_dwell_overflows(self, dwell):
+        # an unstable target observed for a subnormal dwell: the peak is
+        # beyond double range, reported as an overflow and not as a NaN
+        target = generate_random_instance(5, 1)[0].target(1)
+        with pytest.raises(ConvergenceError, match="overflows the double range") as info:
+            periodic_steady_state(target.A, target.Q, target.G, t_on=[dwell], t_off=[10.0])
+        assert info.value.residual == math.inf
 
 
 class TestLowerBound:

@@ -89,7 +89,7 @@ class TestLoadInstance:
             "edges": [{"i": 1, "j": 2, "d": 1.0}],
             "agents": {"count": 1},
         }
-        with pytest.raises(InstanceError, match="disconnected"):
+        with pytest.raises(InstanceError, match="disconnected: no route between 1 and 3$"):
             load_instance(doc)
 
     def test_agents_exceeding_targets_rejected(self):

@@ -140,16 +140,22 @@ class TestSimulate:
     def test_eta_matches_dwell_intervals(self, small_plan):
         net, cache, plan = small_plan
         trace = simulate(plan, net, cache=cache, num_periods=2)
-        # every target observed for a fraction of the period matching its dwell
-        total = {tid: 0 for tid in trace.observed}
-        for tid, flags in trace.observed.items():
-            total[tid] = sum(flags)
+        tids = sorted(trace.norms)
+        # within one period, each target is flagged once per substep of its
+        # dwell segments, and no other row is flagged
+        expected = [0] * len(tids)
+        for duration, tid in simulate_module._schedule_segments(plan):
+            if tid is not None:
+                expected[tids.index(tid)] += max(1, math.ceil(duration / trace.dt - 1e-9))
+        rows = (len(trace.times) - 1) // trace.num_periods
+        flagged = np.bincount(trace.observed[:rows] + 1, minlength=len(tids) + 1)
+        assert flagged[1:].tolist() == expected
+        assert flagged[0] == rows - sum(expected)
         for pos, inst in enumerate(plan.cycle.instances):
             if plan.dwells[pos] > 1e-9:
-                assert total[inst.target] > 0
-        # never two targets observed at once
-        for k in range(len(trace.times)):
-            assert sum(trace.observed[tid][k] for tid in trace.observed) <= 1
+                assert expected[tids.index(inst.target)] > 0
+        # the second period flags the same rows as the first
+        assert trace.observed[rows:-1].tolist() == trace.observed[:rows].tolist()
 
     def test_requires_two_periods(self, small_plan):
         net, cache, plan = small_plan
@@ -180,6 +186,21 @@ class TestValidate:
         trace = simulate(plan, net, cache=cache, num_periods=4)
         report = validate(plan, trace)
         assert report["metric_floor_holds"]
+
+    def test_peaks_are_taken_from_the_last_period_row(self):
+        """At 50 periods line3's last period starts at a sample 1e-9 before
+        ``49 * period``: the window is found by its row, not by its time."""
+        net, _ = load_instance_file(str(INSTANCES / "line3.json"))
+        _, cache, plan = _planned(net)
+        trace = simulate(plan, net, cache=cache, num_periods=50)
+        lo = 49 * ((len(trace.times) - 1) // 50)
+        offsets = {}
+        for tid, switches in trace.switch_times.items():
+            costs = trace.weights[tid] * trace.norms[tid][lo:]
+            t_peak = float(trace.times[lo + int(np.argmax(costs))]) % trace.period
+            offsets[tid] = min(min(abs(t_peak - s), trace.period - abs(t_peak - s))
+                               for s in switches)
+        assert validate(plan, trace)["peak_switch_offsets"] == offsets
 
     def test_fleet_plans_validate_per_cluster(self):
         net, _ = generate_random_instance(8, seed=31)
@@ -223,13 +244,13 @@ class TestSandwichOnTrace:
         assert all(lo < v < hi for v in settled)
 
 
-def _assert_matches_stepwise(got, ref, net):
+def _assert_matches_stepwise(got, ref):
     assert got.times.tolist() == ref.times.tolist()
+    assert got.observed.dtype == np.int32
+    assert got.observed.tolist() == ref.observed.tolist()
+    assert got.weights == ref.weights
     for tid in ref.norms:
         assert got.norms[tid].tolist() == ref.norms[tid].tolist()
-        assert got.costs[tid].tolist() == ref.costs[tid].tolist()
-        assert (got.costs[tid] is got.norms[tid]) == (net.target(tid).weight_alpha == 1.0)
-        assert got.observed[tid].tolist() == ref.observed[tid].tolist()
         assert got.period_maxima[tid] == ref.period_maxima[tid]
         assert got.per_target_realized[tid] == ref.per_target_realized[tid]
     assert got.realized_cost == ref.realized_cost
@@ -247,7 +268,7 @@ class TestColumnarMatchesStepwise:
         net, cache, plan = request.getfixturevalue(case)
         got = simulate(plan, net, cache=cache, num_periods=3)
         ref, _ = stepwise_simulate(plan, net, cache=cache, num_periods=3)
-        _assert_matches_stepwise(got, ref, net)
+        _assert_matches_stepwise(got, ref)
         expected = rowwise_trace_csv(ref).encode("ascii")
         assert trace_to_csv(got) == expected
         # several chunks, the last one short
@@ -274,7 +295,7 @@ class TestColumnarMatchesStepwise:
         rows = (len(ref.times) - 1) // 12
         last, before = slice(-rows, None), slice(-2 * rows, -rows)
         assert any(col[last] == col[before] for col in ref.norms.values())
-        _assert_matches_stepwise(got, ref, net)
+        _assert_matches_stepwise(got, ref)
         assert trace_to_csv(got) == rowwise_trace_csv(ref).encode("ascii")
 
 
@@ -365,13 +386,12 @@ class TestFormatter:
             col[rng.integers(0, rows, 200)] = rng.choice(edge, 200)
             return col
 
-        norm_1, norm_2 = column(1.0), column(1.0)
         trace = SimTrace(
             times=np.cumsum(rng.uniform(0.0, 0.05, rows)),
-            norms={1: norm_1, 2: norm_2},
-            costs={1: norm_1, 2: 2.5 * norm_2},
-            observed={1: rng.integers(0, 2, rows).astype(np.int32),
-                      2: rng.integers(0, 2, rows).astype(np.int32)},
+            norms={1: column(1.0), 2: column(1.0)},
+            weights={1: 1.0, 2: 2.5},
+            # -1: neither target observed
+            observed=rng.integers(-1, 2, rows).astype(np.int32),
             period=1.0, num_periods=2, dt=0.01, switch_times={}, realized_cost=0.0,
             per_target_realized={}, settle_period=1, converged=True,
         )
