@@ -293,7 +293,11 @@ class SteadyStates:
 
     omega_ss: np.ndarray
     omega_inf_finite: np.ndarray | None
-    a_is_hurwitz: bool
+
+    @property
+    def a_is_hurwitz(self) -> bool:
+        """Whether the never-observed fixed point exists."""
+        return self.omega_inf_finite is not None
 
 
 def _check_solution(name: str, omega: np.ndarray, res: np.ndarray, term: np.ndarray) -> None:
@@ -341,9 +345,8 @@ def solve_steady_states(A, Q, G, H=None, R=None) -> SteadyStates:
         omega_ss = np.array([[_scalar_riccati_root(a, q, float(G[0, 0]))]])
         # past double range (a = -5e-324) there is no finite limit, as for a = 0
         resting = 0.5 * q / -a if a < 0.0 else math.inf
-        hurwitz = math.isfinite(resting)
-        omega_inf = np.array([[resting]]) if hurwitz else None
-        return SteadyStates(omega_ss=omega_ss, omega_inf_finite=omega_inf, a_is_hurwitz=hurwitz)
+        omega_inf = np.array([[resting]]) if math.isfinite(resting) else None
+        return SteadyStates(omega_ss=omega_ss, omega_inf_finite=omega_inf)
     import scipy.linalg
     if H is not None and R is not None:
         b = np.atleast_2d(np.asarray(H, dtype=float)).T
@@ -359,12 +362,11 @@ def solve_steady_states(A, Q, G, H=None, R=None) -> SteadyStates:
     omega_ss = symmetrize(omega_ss)
     quad = omega_ss @ G @ omega_ss
     _check_solution("Riccati", omega_ss, A @ omega_ss + omega_ss @ A.T + Q - quad, quad)
-    hurwitz = bool(np.all(np.linalg.eigvals(A).real < 0))
     omega_inf = None
-    if hurwitz:
+    if np.all(np.linalg.eigvals(A).real < 0):
         omega_inf = symmetrize(scipy.linalg.solve_continuous_lyapunov(A, -Q))
         _check_solution("Lyapunov", omega_inf, A @ omega_inf + omega_inf @ A.T + Q, Q)
-    return SteadyStates(omega_ss=omega_ss, omega_inf_finite=omega_inf, a_is_hurwitz=hurwitz)
+    return SteadyStates(omega_ss=omega_ss, omega_inf_finite=omega_inf)
 
 
 def steady_states_for(target: TargetSpec) -> SteadyStates:

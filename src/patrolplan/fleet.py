@@ -45,7 +45,6 @@ __all__ = [
     "Partition",
     "enumerate_ceos",
     "disparity_matrix",
-    "shortest_path_disparity",
     "similarity_from_disparity",
     "spectral_cluster",
     "cluster_subnetwork",
@@ -81,7 +80,7 @@ class Partition:
     network is its cluster's view of ``network``."""
 
     network: TargetNetwork
-    clusters: list[set[int]]
+    clusters: list[frozenset[int]]
     cycles: list[Cycle]
     metrics: list[CycleMetric]
     tes_log: list[dict] = field(default_factory=list)
@@ -175,17 +174,6 @@ def disparity_matrix(
             round_trip = 2.0 * network.travel[i][j]
             d = max(cache.floor(i)(round_trip), cache.floor(j)(round_trip))
             values[a, b] = values[b, a] = d
-    return DisparityMatrix(ids=ids, values=values)
-
-
-def shortest_path_disparity(network: TargetNetwork) -> DisparityMatrix:
-    """Plain fastest-travel-time disparity (the ablation baseline)."""
-    ids = sorted(network.ids)
-    m = len(ids)
-    values = np.zeros((m, m))
-    for a in range(m):
-        for b in range(m):
-            values[a, b] = network.travel[ids[a]][ids[b]]
     return DisparityMatrix(ids=ids, values=values)
 
 
@@ -334,26 +322,18 @@ def plan_fleet(
     num_agents: int,
     cache: SteadyStateCache | None = None,
     config: PlannerConfig | None = None,
-    refine: bool = True,
-    disparity: str = "covering-cycle",
-    with_dwells: bool = True,
 ) -> Partition:
-    """Cluster the network, build a cycle per cluster, optionally rebalance
-    with target exchanges, then schedule dwells per cluster."""
+    """Cluster the network on the covering-cycle disparity, build a cycle per
+    cluster, rebalance with target exchanges, then schedule dwells per
+    cluster."""
     cfg = config or DEFAULT_CONFIG
     cache = cache or SteadyStateCache(network)
     if num_agents < 1:
         raise FleetError("need at least one agent")
     if num_agents > len(network.ids):
         raise FleetError("more agents than targets")
-    if disparity == "covering-cycle":
-        disp = disparity_matrix(network, cache)
-    elif disparity == "shortest-path":
-        disp = shortest_path_disparity(network)
-    else:
-        raise FleetError(f"unknown disparity kind: {disparity}")
-    sim = similarity_from_disparity(disp, cfg.sigma)
-    clusters = spectral_cluster(sim, num_agents, seed=cfg.seed)
+    sim = similarity_from_disparity(disparity_matrix(network, cache), cfg.sigma)
+    clusters = [frozenset(c) for c in spectral_cluster(sim, num_agents, seed=cfg.seed)]
     built = [_build_cluster(network, members, cache) for members in clusters]
     partition = Partition(
         network=network,
@@ -361,12 +341,9 @@ def plan_fleet(
         cycles=[cycle for cycle, _ in built],
         metrics=[metric for _, metric in built],
     )
-    if refine and num_agents > 1:
+    if num_agents > 1:
         partition = tes_refine(partition, cache)
-    if with_dwells:
-        partition.plans = [
-            plan_for_cycle(cycle, cache, cfg) for cycle in partition.cycles
-        ]
+    partition.plans = [plan_for_cycle(cycle, cache, cfg) for cycle in partition.cycles]
     return partition
 
 
@@ -374,24 +351,23 @@ def plan_fleet(
 # target-exchange refinement
 # ---------------------------------------------------------------------------
 
-def _contracted_metric(network, cache, cycle, drop: int) -> float:
-    """Estimated cost floor of ``cycle``'s cluster after it gives ``drop``
-    away: the floor of the cycle's dwell order without ``drop``, expanded
-    along fastest paths over the view of the remaining members, with no
-    greedy improvement.  Where deleting ``drop`` leaves two visits to one
-    target back to back, the zero-length leg between them changes no gap's
-    maximum.  The estimate only ranks exchange candidates; a commit rebuilds
-    both clusters."""
-    keep = [t for t, elig in cycle.sequence() if elig and t != drop]
-    return cycle_lower_bound(Cycle.from_targets(cluster_subnetwork(network, set(keep)), keep),
-                             cache).value
+def _reexpanded(network, cache, cycle, members) -> tuple[Cycle, CycleMetric]:
+    """``cycle``'s dwell order restricted to ``members``, expanded along
+    fastest paths over the view of ``members``, and its cost floor; no greedy
+    improvement.  Where dropping a target leaves two visits to one target
+    back to back, the zero-length leg between them changes no gap's maximum.
+    Both exchange estimates start here; they only rank candidates, and a
+    commit rebuilds both clusters."""
+    order = [t for t, elig in cycle.sequence() if elig and t in members]
+    expanded = Cycle.from_targets(cluster_subnetwork(network, members), order)
+    return expanded, cycle_lower_bound(expanded, cache)
 
 
 def _annex_gain(network, cache, cycle, members, join: int) -> float:
-    prospective = cluster_subnetwork(network, set(members) | {join})
-    base_seq = [t for t, elig in cycle.sequence() if elig]
-    base = Cycle.from_targets(prospective, base_seq)
-    base_metric = cycle_lower_bound(base, cache)
+    """The largest floor decrease, usually negative, among the expansions
+    that add a visit to ``join`` to ``cycle`` re-expanded over ``members``
+    and ``join``."""
+    base, base_metric = _reexpanded(network, cache, cycle, members | {join})
     best = -math.inf
     for _, _, cand_metric in _contenders(base, base_metric, enumerate_ceos(base, join), cache):
         gain = base_metric.value - cand_metric.value
@@ -408,53 +384,51 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None) -> P
     Candidates come from the critical sub-cycle; they are ranked by the
     estimated annex + removal gain and the first exchange whose full rebuild
     passes the commit test is applied.  The removal gain is estimated from
-    the floor of the critical cycle contracted without the target
-    (``_contracted_metric``), the annex gain from the receiving cycle's best
-    expansion to it (``_annex_gain``); neither runs a greedy improvement.
+    the floor of the critical cycle re-expanded without the target, the annex
+    gain from the receiving cycle's best expansion to it (``_annex_gain``);
+    neither runs a greedy improvement.
     """
     cache = cache or SteadyStateCache(partition.network)
     network = partition.network
-    clusters = [set(c) for c in partition.clusters]
-    cycles = list(partition.cycles)
-    metrics = list(partition.metrics)
+    clusters = [frozenset(c) for c in partition.clusters]
+    # cycle and metric by member set, and annex gains by (member set, joining
+    # target): both depend on the member set alone, so a commit, which swaps
+    # two member sets, leaves every entry valid
+    built = dict(zip(clusters, zip(partition.cycles, partition.metrics)))
+    annex_gains: dict[tuple[frozenset[int], int], float] = {}
     log: list[dict] = []
-    # annex gains by (receiving cluster, joining target); a commit drops the
-    # entries of the two clusters it rebuilds, and any other cluster keeps
-    # its cycle and members, so its gains stand
-    annex_gains: dict[tuple[int, int], float] = {}
+
+    def metric_of(members: frozenset[int]) -> CycleMetric:
+        if members not in built:
+            built[members] = _build_cluster(network, members, cache)
+        return built[members][1]
 
     for _ in range(TES_MAX_COMMITS):
-        fleet_val = max(m.value for m in metrics)
-        ratio = max(m.value for m in metrics) / min(m.value for m in metrics)
-        a_star = min(
-            (k for k in range(len(clusters)) if metrics[k].value == fleet_val),
-            default=None,
-        )
+        values = [metric_of(c).value for c in clusters]
+        fleet_val = max(values)
+        ratio = fleet_val / min(values)
+        a_star = next((k for k, v in enumerate(values) if v == fleet_val), None)
         if a_star is None or len(clusters[a_star]) <= 1:
             break
-        metric_a = metrics[a_star]
-        cycle_a = cycles[a_star]
+        members_a = clusters[a_star]
+        cycle_a, metric_a = built[members_a]
         candidates = []
         for j in _critical_span_targets(cycle_a, metric_a):
-            removal = metric_a.value - _contracted_metric(network, cache, cycle_a, j)
-            for b in range(len(clusters)):
+            removal = metric_a.value - _reexpanded(network, cache, cycle_a, members_a - {j})[1].value
+            for b, members_b in enumerate(clusters):
                 if b == a_star:
                     continue
-                if (b, j) not in annex_gains:
-                    annex_gains[b, j] = _annex_gain(network, cache, cycles[b], clusters[b], j)
-                candidates.append((removal + annex_gains[b, j], j, b))
+                if (members_b, j) not in annex_gains:
+                    annex_gains[members_b, j] = _annex_gain(network, cache, built[members_b][0],
+                                                            members_b, j)
+                candidates.append((removal + annex_gains[members_b, j], j, b))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        committed = False
         for est_gain, j, b in candidates:
-            new_a = clusters[a_star] - {j}
-            new_b = clusters[b] | {j}
-            cyc_a, met_a = _build_cluster(network, new_a, cache)
-            cyc_b, met_b = _build_cluster(network, new_b, cache)
-            new_metrics = list(metrics)
-            new_metrics[a_star] = met_a
-            new_metrics[b] = met_b
-            new_fleet = max(m.value for m in new_metrics)
-            new_ratio = max(m.value for m in new_metrics) / min(m.value for m in new_metrics)
+            new_clusters = list(clusters)
+            new_clusters[a_star], new_clusters[b] = members_a - {j}, clusters[b] | {j}
+            new_values = [metric_of(c).value for c in new_clusters]
+            new_fleet = max(new_values)
+            new_ratio = new_fleet / min(new_values)
             # commit on a strictly lower worst cost floor, or on equal floor
             # with strictly better balance (escapes plateaus; the pair
             # (worst, ratio) decreases lexicographically, so this terminates)
@@ -464,11 +438,7 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None) -> P
                 and new_ratio < ratio * (1.0 - 1e-9)
             )
             if improves or rebalances:
-                clusters[a_star], clusters[b] = new_a, new_b
-                cycles[a_star], cycles[b] = cyc_a, cyc_b
-                metrics = new_metrics
-                annex_gains = {key: gain for key, gain in annex_gains.items()
-                               if key[0] not in (a_star, b)}
+                clusters = new_clusters
                 log.append({
                     "moved_target": j,
                     "from_cluster": a_star,
@@ -479,15 +449,14 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None) -> P
                     "ratio_before": ratio,
                     "ratio_after": new_ratio,
                 })
-                committed = True
                 break
-        if not committed:
+        else:
             break
     return Partition(
         network=network,
         clusters=clusters,
-        cycles=cycles,
-        metrics=metrics,
+        cycles=[built[c][0] for c in clusters],
+        metrics=[built[c][1] for c in clusters],
         tes_log=partition.tes_log + log,
         plans=None,
     )

@@ -135,10 +135,6 @@ class TargetSpec:
     def is_scalar(self) -> bool:
         return self.dim == 1
 
-    @property
-    def is_hurwitz(self) -> bool:
-        return bool(np.all(np.linalg.eigvals(self.A).real < 0))
-
     def g(self, x: float) -> float:
         """Cost weight: linear, g(x) = weight_alpha * x."""
         return self.weight_alpha * x

@@ -328,12 +328,14 @@ def validate(plan: Plan, trace: SimTrace) -> dict:
     rel_err = abs_err / max(abs(predicted), 1e-30)
     # peak instants: the worst sample of each dwelled target in the last
     # period must sit on an off->on switch (within one sample step); the
-    # weight does not move the worst sample, so it is found on the norms
+    # weight does not move the worst sample, so it is found on the norms.
+    # Every period has the same rows, so the peak's time within the period
+    # is that of its row in the first period, free of the drift that the
+    # sum of many steps carries into the last period's times.
     peak_alignment = {}
     lo = _last_period_row(trace.times, trace.num_periods)
     for tid, switches in trace.switch_times.items():
-        k_max = int(np.argmax(trace.norms[tid][lo:]))
-        t_peak = float(trace.times[lo + k_max]) % trace.period
+        t_peak = float(trace.times[int(np.argmax(trace.norms[tid][lo:]))])
         dist = min(
             min(abs(t_peak - s), trace.period - abs(t_peak - s)) for s in switches
         )

@@ -1,14 +1,14 @@
 """Fleet-planning sweep: 36 random fleets, each clustered and refined once.
 
 Draws are ``generate_random_instance(n, seed)`` with the default ranges, for
-n in {20, 30, 40, 60}, k in {2, 3, 4} agents and seeds 1-3, planned with
-``plan_fleet(net, k, with_dwells=False)``: clustering, greedy cycles and
-target exchanges, no dwell schedules.  Each draw prints one line with its
-fleet floor (``Partition.fleet_metric``, the worst cycle cost floor) and its
-planning time; the last line gives the total time.  The script exits 1 if a
-draw raises.  With ``--json PATH`` it also writes the per-draw floors and
-times to ``PATH``.  It is not collected by pytest.  Run it from the
-repository root::
+n in {20, 30, 40, 60}, k in {2, 3, 4} agents and seeds 1-3, partitioned with
+``oracles.fleet_partition(net, k)``: ``plan_fleet``'s stages before the dwell
+schedules, that is clustering, greedy cycles and target exchanges.  Each draw
+prints one line with its fleet floor (``Partition.fleet_metric``, the worst
+cycle cost floor) and its planning time; the last line gives the total time.
+The script exits 1 if a draw raises.  With ``--json PATH`` it also writes the
+per-draw floors and times to ``PATH``.  It is not collected by pytest.  Run
+it from the repository root::
 
     PYTHONPATH=src python tests/fleet_sweep.py
     PYTHONPATH=src python tests/fleet_sweep.py --json sweep.json
@@ -27,8 +27,9 @@ import sys
 import time
 
 from patrolplan.cycles import SteadyStateCache
-from patrolplan.fleet import plan_fleet
 from patrolplan.model import generate_random_instance
+
+from oracles import fleet_partition
 
 SIZES = (20, 30, 40, 60)
 AGENTS = (2, 3, 4)
@@ -47,7 +48,7 @@ def main(argv: list[str]) -> int:
                 net, _ = generate_random_instance(n, seed)
                 start = time.perf_counter()
                 try:
-                    floor = plan_fleet(net, k, SteadyStateCache(net), with_dwells=False).fleet_metric
+                    floor = fleet_partition(net, k, SteadyStateCache(net)).fleet_metric
                     status = f"floor {floor!r}"
                 except Exception as exc:  # every failure is reported, then counted
                     floor = None

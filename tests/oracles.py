@@ -28,6 +28,9 @@ path up once per hop.
 branch for one-instance cycles and targets, the reference for
 ``Cycle.visit_gaps``; ``exact_timelines`` gives every target's on/off times
 in rational arithmetic, the reference for ``Cycle.timelines``.
+``fleet_partition`` runs ``plan_fleet``'s stages up to the partition, with
+any disparity and with or without target exchanges, and no dwell schedules;
+``shortest_path_disparity`` is the clustering ablation's baseline metric.
 ``golden_section_search`` is the plain golden-section search of the period,
 the reference for ``dwell.golden_period_search``, which takes Brent's
 parabolic steps.
@@ -77,7 +80,18 @@ from patrolplan.dwell import (
     GOLDEN_RATIO,
     balance_level_set,
 )
-from patrolplan.fleet import BYPASS_MAX_RUN, cluster_subnetwork, enumerate_ceos
+from patrolplan.fleet import (
+    BYPASS_MAX_RUN,
+    DisparityMatrix,
+    Partition,
+    _build_cluster,
+    cluster_subnetwork,
+    disparity_matrix,
+    enumerate_ceos,
+    similarity_from_disparity,
+    spectral_cluster,
+    tes_refine,
+)
 from patrolplan.simulate import (
     GRID_POINTS_PER_PERIOD,
     SimTrace,
@@ -785,3 +799,28 @@ def bordered_level_step(x: np.ndarray, logs: np.ndarray, jac: np.ndarray,
             proposed[k] = min(4.0 * d, max(0.25 * d, target)) if d > 0.0 else min(target, budget)
     total = proposed.sum()
     return proposed * (budget / total) if total > 0.0 else None
+
+
+# --- fleet partitions without dwell schedules ----------------------------------
+
+def shortest_path_disparity(network, cache=None) -> DisparityMatrix:
+    """Plain fastest-travel-time disparity (the clustering ablation's
+    baseline); ``cache`` is unused, as a stand-in for ``disparity_matrix``."""
+    ids = sorted(network.ids)
+    values = np.array([[network.travel[i][j] for j in ids] for i in ids], dtype=float)
+    return DisparityMatrix(ids=ids, values=values)
+
+
+def fleet_partition(network, k: int, cache=None, disparity=disparity_matrix,
+                    refine: bool = True) -> Partition:
+    """``plan_fleet``'s stages with the disparity chosen and the target
+    exchanges optional: clusters, their greedy cycles and, if ``refine`` and
+    ``k > 1``, ``tes_refine``; no dwell schedules."""
+    cache = cache or SteadyStateCache(network)
+    sim = similarity_from_disparity(disparity(network, cache), DEFAULT_CONFIG.sigma)
+    clusters = [frozenset(c) for c in spectral_cluster(sim, k, seed=DEFAULT_CONFIG.seed)]
+    built = [_build_cluster(network, members, cache) for members in clusters]
+    partition = Partition(network=network, clusters=clusters,
+                          cycles=[cycle for cycle, _ in built],
+                          metrics=[metric for _, metric in built])
+    return tes_refine(partition, cache) if refine and k > 1 else partition

@@ -26,6 +26,7 @@ from patrolplan.simulate import simulate, validate
 from conftest import build_table1_network
 from oracles import (
     enumerate_cycles,
+    fleet_partition,
     golden_section_search,
     propagate_observed,
     propagate_unobserved,
@@ -33,6 +34,7 @@ from oracles import (
     rk4_propagate_batch,
     scalar_observed,
     scalar_unobserved,
+    shortest_path_disparity,
     stepwise_simulate,
     tightly_periodic,
 )
@@ -268,10 +270,9 @@ def fleet_results():
     for seed in FLEET_SEEDS:
         net, _ = generate_random_instance(15, seed=seed, param_ranges=FLEET_RANGES)
         cache = SteadyStateCache(net)
-        ccc0 = plan_fleet(net, 3, cache=cache, refine=False, with_dwells=False)
+        ccc0 = fleet_partition(net, 3, cache, refine=False)
         ccc = tes_refine(ccc0, cache)
-        sp0 = plan_fleet(net, 3, cache=cache, refine=False, with_dwells=False,
-                         disparity="shortest-path")
+        sp0 = fleet_partition(net, 3, cache, disparity=shortest_path_disparity, refine=False)
         sp = tes_refine(sp0, cache)
         results.append((ccc0, ccc, sp0, sp))
     return results

@@ -26,7 +26,12 @@ from patrolplan.fleet import (
 from patrolplan.dwell import timeline_from_schedule
 from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance, load_instance_file
 
-from oracles import reference_annex_gain, reference_enumerate_ceos, reference_improve_cycle
+from oracles import (
+    fleet_partition,
+    reference_annex_gain,
+    reference_enumerate_ceos,
+    reference_improve_cycle,
+)
 from test_dwell import assert_plan_consistent, refuse_consensus
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
@@ -254,14 +259,14 @@ class TestPlanFleet:
     def test_single_agent_reduces_to_greedy(self):
         net, _ = generate_random_instance(5, seed=11)
         cache = SteadyStateCache(net)
-        part = plan_fleet(net, 1, cache=cache, with_dwells=False)
+        part = plan_fleet(net, 1, cache=cache)
         assert part.clusters == [set(net.ids)]
         _, metric, _ = greedy_construct(net, net.ids, cache)
         assert part.fleet_metric == pytest.approx(metric.value, rel=1e-12)
 
     def test_fifteen_three_structure(self):
         net, _ = generate_random_instance(15, seed=42, num_agents=3)
-        part = plan_fleet(net, 3, refine=False, with_dwells=False)
+        part = fleet_partition(net, 3, refine=False)
         assert len(part.clusters) == 3
         covered = set()
         for c in part.clusters:
@@ -281,8 +286,8 @@ class TestPlanFleet:
 
     def test_deterministic(self):
         net, _ = generate_random_instance(10, seed=13)
-        p1 = plan_fleet(net, 2, refine=False, with_dwells=False)
-        p2 = plan_fleet(net, 2, refine=False, with_dwells=False)
+        p1 = plan_fleet(net, 2)
+        p2 = plan_fleet(net, 2)
         assert p1.clusters == p2.clusters
         assert [c.sequence() for c in p1.cycles] == [c.sequence() for c in p2.cycles]
 
@@ -317,7 +322,7 @@ class TestPlanFleet:
 
     def test_with_dwell_schedules(self):
         net, _ = generate_random_instance(8, seed=14)
-        part = plan_fleet(net, 2, refine=False, with_dwells=True)
+        part = plan_fleet(net, 2)
         assert part.plans is not None
         assert part.fleet_cost >= part.fleet_metric - 1e-9
         for members, plan in zip(part.clusters, part.plans):
@@ -349,7 +354,7 @@ class TestFarApartUnstableTargets:
     def test_clusters_without_dwells(self, d):
         # the kernel width overflowed (d = 150) or became infinite (d = 300)
         net = far_apart_unstable(d)
-        part = plan_fleet(net, 2, with_dwells=False)
+        part = fleet_partition(net, 2)
         assert_cluster_views(net, part)
 
 
@@ -452,12 +457,12 @@ class TestSparseGraphs:
         base, _ = generate_random_instance(12, seed=0)
         edges = [(k, k % 12 + 1, 1.0) for k in range(1, 13)] + [(1, 7, 1.0)]
         net = TargetNetwork(targets=base.targets, edges=edges)
-        assert_cluster_views(net, plan_fleet(net, agents, with_dwells=False))
+        assert_cluster_views(net, fleet_partition(net, agents))
 
     @settings(max_examples=40, deadline=None)
     @given(sparse_graphs(), st.integers(2, 3))
     def test_clusters_plan_on_parent_routes(self, net, agents):
-        assert_cluster_views(net, plan_fleet(net, agents, with_dwells=False))
+        assert_cluster_views(net, fleet_partition(net, agents))
 
     def test_dwells_on_tree_with_chords(self):
         # eight random targets on nine edges (a spanning tree plus two
@@ -497,7 +502,7 @@ class TestSparseGraphs:
 def fleet_document(net: TargetNetwork, agents: int) -> str:
     """The partition document without dwells, or the error planning raised."""
     try:
-        return json.dumps(partition_to_document(plan_fleet(net, agents, with_dwells=False)))
+        return json.dumps(partition_to_document(fleet_partition(net, agents)))
     except (EngineError, FleetError) as exc:  # the reference must fail the same way
         return repr(exc)
 
@@ -549,7 +554,7 @@ class TestRemovalEstimate:
         # scores: the estimate is the floor of a cycle that dwells at exactly
         # the rest of the critical cluster, over a network naming only them
         cache = SteadyStateCache(net)
-        part = plan_fleet(net, agents, cache, refine=False, with_dwells=False)
+        part = fleet_partition(net, agents, cache, refine=False)
         for p in (part, tes_refine(part, cache)):
             a = max(range(agents), key=lambda k: (p.metrics[k].value, -k))
             members, cycle = p.clusters[a], p.cycles[a]
@@ -563,15 +568,15 @@ class TestRemovalEstimate:
                 contracted = Cycle.from_targets(cluster_subnetwork(net, rest), order)
                 assert contracted.dwell_targets == rest
                 assert set(contracted.network.ids) == rest
-                estimate = fleet._contracted_metric(net, cache, cycle, j)
-                assert estimate == cycle_lower_bound(contracted, cache).value
+                _, estimate = fleet._reexpanded(net, cache, cycle, rest)
+                assert estimate.value == cycle_lower_bound(contracted, cache).value
 
 
 class TestTesRefine:
     def test_never_worsens_and_ratio_never_grows(self):
         for seed in (20, 21, 22):
             net, _ = generate_random_instance(12, seed=seed)
-            part = plan_fleet(net, 3, refine=False, with_dwells=False)
+            part = fleet_partition(net, 3, refine=False)
             refined = tes_refine(part)
             assert refined.fleet_metric <= part.fleet_metric + 1e-12
             assert refined.metric_ratio <= part.metric_ratio * (1 + 1e-9)
@@ -580,14 +585,37 @@ class TestTesRefine:
 
     def test_identity_when_balanced(self):
         net, _ = generate_random_instance(12, seed=20)
-        part = plan_fleet(net, 3, refine=True, with_dwells=False)
+        part = fleet_partition(net, 3)
         again = tes_refine(part)
         assert again.tes_log == part.tes_log  # no further exchange found
         assert again.clusters == part.clusters
 
+    def test_no_member_set_is_built_or_annexed_twice(self, monkeypatch):
+        # cycles and annex gains are kept by member set: a commit swaps two
+        # sets and the critical cluster without j is built once, not once
+        # per receiver
+        net, _ = generate_random_instance(30, 1, num_agents=3)
+        builds, annexes = [], []
+        build, annex = fleet._build_cluster, fleet._annex_gain
+
+        def counted_build(network, members, cache):
+            builds.append(frozenset(members))
+            return build(network, members, cache)
+
+        def counted_annex(network, cache, cycle, members, join):
+            annexes.append((frozenset(members), join))
+            return annex(network, cache, cycle, members, join)
+        monkeypatch.setattr(fleet, "_build_cluster", counted_build)
+        monkeypatch.setattr(fleet, "_annex_gain", counted_annex)
+        part = plan_fleet(net, 3)
+        assert part.tes_log and len(builds) > 3 and annexes
+        assert len(builds) == len(set(builds))
+        assert len(annexes) == len(set(annexes))
+
     def test_clusters_stay_valid_after_commits(self):
         net, _ = generate_random_instance(12, seed=23)
-        part = plan_fleet(net, 3, refine=True, with_dwells=False)
+        cache = SteadyStateCache(net)
+        part = fleet_partition(net, 3, cache)
         covered = set()
         for members, cycle in zip(part.clusters, part.cycles):
             assert members
@@ -596,7 +624,7 @@ class TestTesRefine:
             assert cycle.dwell_targets >= members
             # unstable members must be dwellable in their own cluster's cycle
             for tid in members:
-                if not net.target(tid).is_hurwitz:
+                if not cache.steady(tid).a_is_hurwitz:
                     assert tid in cycle.dwell_targets
         assert covered == set(net.ids)
 
@@ -604,7 +632,7 @@ class TestTesRefine:
 class TestPartitionDocument:
     def test_fields(self):
         net, _ = generate_random_instance(8, seed=24)
-        part = plan_fleet(net, 2, refine=True, with_dwells=True)
+        part = plan_fleet(net, 2)
         doc = partition_to_document(part)
         assert doc["num_agents"] == 2
         assert len(doc["clusters"]) == 2

@@ -6,6 +6,7 @@ import pytest
 from scipy.sparse.csgraph import shortest_path
 
 from patrolplan.config import ParamRanges
+from patrolplan.cycles import SteadyStateCache
 from patrolplan.fleet import cluster_subnetwork
 from patrolplan.model import (
     MAX_RANDOM_TARGETS,
@@ -145,7 +146,8 @@ class TestGenerateRandom:
     def test_stable_fraction(self):
         ranges = ParamRanges(stable_fraction=0.4)
         network, _ = generate_random_instance(5, seed=11, param_ranges=ranges)
-        n_stable = sum(t.is_hurwitz for t in network.targets)
+        cache = SteadyStateCache(network)
+        n_stable = sum(cache.steady(tid).a_is_hurwitz for tid in network.ids)
         assert n_stable == 2
 
     @pytest.mark.parametrize("num_targets", [0, MAX_RANDOM_TARGETS + 1, 10**9])
