@@ -20,7 +20,7 @@ moves each target's total dwell proportionally to the log ratio of its peak
 cost to the geometric mean across active targets, which keeps the period
 constant while all active peak costs converge to a common value, and
 ``balance_within_target`` splits a target's total across its dwell slots
-until its per-visit peaks agree.
+until its per-visit peaks agree, by the level set's own Newton step.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ CONSENSUS_GAIN = 1e-2        # consensus law's initial gain (halved on a rise)
 BALANCE_MAX_ITERS = 50_000   # consensus sweeps before ConvergenceError
 LOG_RATIO_CAP = 50.0         # |log(g_i/g_avg)| cap (infinite-cost guard)
 SPLIT_TOL = 1e-7             # within-target split convergence
-SPLIT_GAIN = 5e-2            # within-target gain (damped on overshoot)
-SPLIT_MAX_ITERS = 10_000
+LEVEL_NEWTON_STEPS = 400     # Newton steps before ConvergenceError
+FD_STEP = 1e-6               # relative dwell step of the finite-difference slopes
 BRACKET_LOW = 0.1            # T_min = (1 + low) * travel time
 BRACKET_HIGH = 3.0           # T_max = high * travel time
 GOLDEN_EPS = 1e-6            # relative |g(T2) - g(T1)| of the first two probes: a flat cost
@@ -188,45 +188,39 @@ def balance_within_target(
     """Split a fixed total dwell across one target's visits until the
     per-visit peak costs agree (the inner process of the two-level scheme).
 
-    Gaps ``t_off`` are frozen; only the split moves.  Each visit's dwell is
-    driven by the peak it directly suppresses, i.e. the one at the start of
-    the following visit: under the zero-sum transfer the cross-visit
-    sensitivity dominates the own-peak one, so pairing a dwell with its own
-    starting peak is unstable.  Returns the new split and the per-visit costs.
+    Gaps ``t_off`` are frozen; only the eligible splits move.  Each step is
+    the level set's bordered Newton step (``_level_step``) with this target
+    as its one multi-slot target: its rows are the eligible visits' log
+    peaks, one finite difference per eligible split, and its budget is the
+    target's total.  It stops once their spread is at most ``SPLIT_TOL``; a
+    step without a usable row, or ``LEVEL_NEWTON_STEPS`` steps, raise
+    ``ConvergenceError``.  Returns the new split and the per-visit costs.
     """
     total = sum(splits)
-    gain = SPLIT_GAIN
-    n = len(splits)
-    n_eligible = sum(eligible_mask)
     costs = _visit_costs(cache, tid, splits, t_off)
-    if n_eligible <= 1 or total <= 0.0:
+    elig = list(compress(range(len(splits)), eligible_mask))
+    if len(elig) <= 1 or total <= 0.0:
         return list(splits), costs
-    spread = math.inf
-    prev_spread = math.inf
-    for _ in range(SPLIT_MAX_ITERS):
-        elig_costs = [c for c, e in zip(costs, eligible_mask) if e]
+    rows = np.zeros((len(elig), len(splits)))   # an ineligible split stays at zero
+    for _ in range(LEVEL_NEWTON_STEPS):
+        elig_costs = [costs[p] for p in elig]
         g_avg = _geometric_mean(elig_costs)
         spread = max(abs(c - g_avg) for c in elig_costs) / g_avg
         if spread <= SPLIT_TOL:
             return list(splits), costs
-        if spread > prev_spread * (1.0 + 1e-12):
-            gain = max(0.5 * gain, 1e-4 * SPLIT_GAIN)
-        prev_spread = spread
-        proposed = []
-        for p in range(n):
-            if not eligible_mask[p]:
-                proposed.append(0.0)
-                continue
-            c_next = costs[(p + 1) % n]
-            if splits[p] <= 0.0 and c_next <= g_avg:
-                proposed.append(0.0)
-                continue
-            proposed.append(max(0.0, splits[p] + gain * _log_ratio(c_next, g_avg)))
-        subtotal = sum(proposed)
-        if subtotal <= 0.0:
-            proposed = [total / n_eligible if e else 0.0 for e in eligible_mask]
-            subtotal = total
-        splits = [p * total / subtotal for p in proposed]
+        logs = [math.log(c) for c in costs]
+        for p in elig:
+            h = -FD_STEP * splits[p]
+            if not h < 0.0:   # a zero split, or a subnormal one (the step underflows)
+                h = FD_STEP * total
+            bumped = [*splits]
+            bumped[p] += h
+            bumped_costs = _visit_costs(cache, tid, bumped, t_off)
+            rows[:, p] = [(math.log(bumped_costs[r]) - logs[r]) / h for r in elig]
+        splits = _level_step(splits, logs, {}, {tid: rows}, {tid: elig},
+                             [math.inf] * len(splits), total)
+        if splits is None:
+            break
         costs = _visit_costs(cache, tid, splits, t_off)
     raise ConvergenceError(f"within-target split for target {tid} did not converge", spread)
 
@@ -383,10 +377,6 @@ def balance_single_visit(
 # ---------------------------------------------------------------------------
 # level-set balancing
 # ---------------------------------------------------------------------------
-
-LEVEL_NEWTON_STEPS = 400  # Newton steps before ConvergenceError
-FD_STEP = 1e-6            # relative dwell step of the finite-difference slopes
-
 
 def _to_budget(x: list[float], budget: float) -> list[float]:
     scale = budget / sum(x)
@@ -814,10 +804,10 @@ class Plan(DwellState):
         network's fastest travel times between consecutive instances, a
         period other than the travel time plus the dwells (within
         ``PERIOD_REL_TOL``), an active target the view does not cover, a
-        negative predicted, consensus or floor cost, an active target without
-        a cost or visit costs, and a predicted cost other than the worst of
-        the per-target and excluded costs each raise a ``ValueError`` naming
-        the field."""
+        negative predicted or floor cost, a consensus cost that is not
+        positive, an active target without a cost or visit costs, and a
+        predicted cost other than the worst of the per-target and excluded
+        costs each raise a ``ValueError`` naming the field."""
         if not isinstance(doc, dict) or doc.get("format") != "plan":
             raise ValueError("not a plan document")
 
@@ -876,6 +866,10 @@ class Plan(DwellState):
             if value < 0.0:
                 raise ValueError(f"plan document field {key!r} is {value!r}; "
                                  f"it must be nonnegative")
+        g_con = report["consensus_cost"]
+        if g_con == 0.0:
+            raise ValueError(f"plan document field 'consensus_cost' is {g_con!r}; a balanced "
+                             f"level is a geometric mean of positive peaks, so it must be positive")
 
         def target_costs(key):
             return read(key, lambda v: {int(k): _number(x, f"the cost of target {k}")
@@ -902,7 +896,7 @@ class Plan(DwellState):
             dwells=dwells,
             period=period,
             j_pred=j_pred,
-            g_con=report["consensus_cost"],
+            g_con=g_con,
             costs=costs,
             visit_costs=visit_costs,
             active=active,

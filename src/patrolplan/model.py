@@ -178,19 +178,6 @@ class TargetNetwork:
         ids = self.ids
         if len(set(ids)) != len(ids):
             raise InstanceError("duplicate target ids")
-        id_set = set(ids)
-        seen = set()
-        for i, j, d in self.edges:
-            if i not in id_set or j not in id_set:
-                raise InstanceError(f"edge ({i}, {j}) references an unknown target")
-            if i == j:
-                raise InstanceError(f"edge ({i}, {j}) is a self-loop")
-            if not 0 <= d < math.inf:
-                raise InstanceError(f"edge ({i}, {j}) has a negative or non-finite travel time")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise InstanceError(f"duplicate edge ({i}, {j})")
-            seen.add(key)
         self._by_id = {t.id: t for t in self.targets}
         self._floyd_warshall()
 
@@ -199,14 +186,25 @@ class TargetNetwork:
         1962), one pivot at a time over dense arrays.  An entry improves only
         on a strictly shorter route, and then takes its predecessor from the
         pivot's row; an edge of length zero is an edge like any other.
-        ``InstanceError`` naming the first pair, in the order of ``ids``, with no
+        ``InstanceError`` naming the first edge, in list order, with an
+        unknown target, a self-loop, a travel time outside [0, inf) or a pair
+        already joined, else the first pair, in the order of ``ids``, with no
         route."""
         ids = self.ids
         n = len(ids)
         row = {t: a for a, t in enumerate(ids)}
         dist = np.full((n, n), math.inf)
         for i, j, d in self.edges:
-            dist[row[i], row[j]] = dist[row[j], row[i]] = d
+            a, b = row.get(i), row.get(j)
+            if a is None or b is None:
+                raise InstanceError(f"edge ({i}, {j}) references an unknown target")
+            if a == b:
+                raise InstanceError(f"edge ({i}, {j}) is a self-loop")
+            if not 0 <= d < math.inf:
+                raise InstanceError(f"edge ({i}, {j}) has a negative or non-finite travel time")
+            if dist[a, b] != math.inf:
+                raise InstanceError(f"duplicate edge ({i}, {j})")
+            dist[a, b] = dist[b, a] = d
         np.fill_diagonal(dist, 0.0)
         # pred[a, b]: row of b's predecessor on the fastest route from row a;
         # -1 for none (b == a, or no route)
@@ -382,11 +380,9 @@ def generate_random_instance(
                 weight_alpha=float(rng.uniform(*ranges.alpha)),
             )
         )
-    edges = []
-    for a in range(num_targets):
-        for b in range(a + 1, num_targets):
-            d = float(np.hypot(*(pos[a] - pos[b])))
-            edges.append((a + 1, b + 1, d))
+    a, b = np.triu_indices(num_targets, 1)
+    edges = list(zip((a + 1).tolist(), (b + 1).tolist(),
+                     np.hypot(*(pos[a] - pos[b]).T).tolist()))
     network = TargetNetwork(
         targets=targets,
         edges=edges,

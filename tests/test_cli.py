@@ -448,6 +448,7 @@ class TestPlanDocumentChecks:
         (_set_report("predicted_cost", -1.0), "'predicted_cost'"),
         (_scale_predicted_cost, "'predicted_cost'"),
         (_set_report("consensus_cost", float("inf")), "'consensus_cost'"),
+        (_set_report("consensus_cost", 0), "'consensus_cost'"),
         (_set_report("metric_floor", -1e300), "'metric_floor'"),
         (_empty_report("per_target_cost"), "'per_target_cost'"),
         (_set_active_costs("per_target_cost", float("nan")), "'per_target_cost'"),
@@ -465,10 +466,11 @@ class TestPlanDocumentChecks:
             "fractional-cover", "stretched-period", "negative-period",
             "infinite-period", "negative-dwell", "nan-dwell", "foreign-active",
             "nan-predicted-cost", "negative-predicted-cost", "predicted-cost-not-worst",
-            "infinite-consensus-cost", "negative-metric-floor", "empty-per-target-cost",
-            "nan-active-cost", "empty-per-visit-cost", "no-active-visit-costs",
-            "infinite-visit-cost", "string-dwell-eligible", "fractional-target",
-            "string-dwell", "string-period", "string-active", "dwell-without-slot"])
+            "infinite-consensus-cost", "zero-consensus-cost", "negative-metric-floor",
+            "empty-per-target-cost", "nan-active-cost", "empty-per-visit-cost",
+            "no-active-visit-costs", "infinite-visit-cost", "string-dwell-eligible",
+            "fractional-target", "string-dwell", "string-period", "string-active",
+            "dwell-without-slot"])
     def test_malformed_plan_is_input_error_naming_field(self, planned, tmp_path, capsys,
                                                         command, corrupt, field):
         doc = json.loads((planned / "plan.json").read_text())

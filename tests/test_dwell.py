@@ -237,10 +237,6 @@ class TestBalanceMultiVisit:
                 hi = mid
         assert splits[0] / total == pytest.approx(0.5 * (lo + hi), abs=1e-4)
 
-    # Known failures of the within-target split, kept visible until it is
-    # mended: each input has a split with equal peaks, but the split stalls.
-    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                       reason="stable, weakly sensed target: the fixed-gain split is too slow")
     def test_split_converges_for_stable_target(self):
         net = TargetNetwork(targets=[TargetSpec(id=1, A=-0.415, Q=0.64, H=1.0, R=7.5)], edges=[])
         splits, costs = balance_within_target(
@@ -248,8 +244,6 @@ class TestBalanceMultiVisit:
         )
         assert costs[0] == pytest.approx(costs[1], rel=1e-6)
 
-    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                       reason="a dwell is paired with the peak of the pass-through after it")
     def test_split_converges_across_pass_through(self):
         net = TargetNetwork(targets=[TargetSpec(id=1, A=0.3, Q=1.0, H=1.0, R=1.0)], edges=[])
         splits, costs = balance_within_target(
@@ -571,8 +565,7 @@ class TestBalanceLevelSet:
         assert_level_set_balanced(level, period)
 
     def test_pass_through_between_dwell_slots(self, monkeypatch):
-        # target 1 dwells at positions 0 and 4 and is passed through at 2:
-        # the within-target split stalls on this shape, the level set does not
+        # target 1 dwells at positions 0 and 4 and is passed through at 2
         net = TargetNetwork(
             targets=[TargetSpec(id=1, A=0.3, Q=1.0, H=1.0, R=1.0),
                      TargetSpec(id=2, A=0.2, Q=1.0, H=1.0, R=2.0),
@@ -583,20 +576,20 @@ class TestBalanceLevelSet:
         cache = SteadyStateCache(net)
         cyc = Cycle(net, [(1, True), (2, True), (1, False), (3, True), (1, True), (4, True)])
         period = 2.0 * cyc.travel_time
-        with pytest.raises(ConvergenceError):
-            balance_multi_visit(cyc, period, cache)
+        consensus = balance_multi_visit(cyc, period, cache)
         with monkeypatch.context() as patch:
             refuse_consensus(patch)
             state = balance_level_set(cyc, period, cache)
-        assert state.active == {1, 2, 3, 4}
+        assert state.active == consensus.active == {1, 2, 3, 4}
+        assert state.g_con == pytest.approx(consensus.g_con, rel=1e-6)
         assert_level_set_balanced(state, period)
         # the consensus law accepts the result as its own fixed point
         confirmed = balance_multi_visit(cyc, period, cache, initial_dwells=state.dwells)
         assert confirmed.iterations == 1
 
     def test_stable_weakly_sensed_repeated_target(self, monkeypatch):
-        # target 1 (A = -0.415, G = 0.133) dwells twice; the fixed-gain
-        # within-target split is slow on it
+        # target 1 (A = -0.415, G = 0.133) dwells twice: a stable, weakly
+        # sensed target
         weak = TargetSpec(id=1, A=-0.415, Q=0.64, H=1.0, R=7.5)
         others = [TargetSpec(id=k, A=-0.2, Q=0.5, H=1.0, R=0.5) for k in (2, 3)]
         net = TargetNetwork(targets=[weak, *others], edges=[(1, 2, 0.05), (1, 3, 0.15)])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,14 @@ class TestGenerateRandom:
             assert np.array_equal(ta.R, tb.R)
         assert net_a.edges == net_b.edges
 
+    def test_edges_match_the_pairwise_loop(self):
+        network, _ = generate_random_instance(12, seed=3)
+        pos = network.positions
+        assert network.edges == [
+            (a, b, float(np.hypot(pos[a][0] - pos[b][0], pos[a][1] - pos[b][1])))
+            for a in range(1, 13) for b in range(a + 1, 13)
+        ]
+
     def test_single_target_has_no_edges(self):
         network, _ = generate_random_instance(1, seed=0)
         assert network.edges == []
@@ -154,6 +163,40 @@ class TestGenerateRandom:
     def test_target_count_outside_range_names_num_targets(self, num_targets):
         with pytest.raises(InstanceError, match="num_targets"):
             generate_random_instance(num_targets, seed=0)
+
+
+def line_targets(ids=(1, 2, 3)):
+    return [TargetSpec(id=k, A=0.1, Q=1.0, H=1.0, R=1.0) for k in ids]
+
+
+class TestNetworkRejects:
+    @pytest.mark.parametrize("edges, message", [
+        ([(1, 2, 1.0), (2, 2, 1.0)], "edge (2, 2) is a self-loop"),
+        ([(1, 2, 1.0), (2, 3, 1.0), (1, 2, 2.0)], "duplicate edge (1, 2)"),
+        ([(1, 2, 1.0), (2, 1, 1.0)], "duplicate edge (2, 1)"),
+        ([(1, 2, 0.0), (2, 3, 1.0), (1, 2, 0.0)], "duplicate edge (1, 2)"),
+        ([(1, 2, -0.5)], "edge (1, 2) has a negative or non-finite travel time"),
+        ([(1, 2, math.inf)], "edge (1, 2) has a negative or non-finite travel time"),
+        ([(1, 2, math.nan)], "edge (1, 2) has a negative or non-finite travel time"),
+        ([(1, 2, 1.0), (3, 9, 1.0)], "edge (3, 9) references an unknown target"),
+    ], ids=["self-loop", "duplicate", "reversed-duplicate", "zero-length-duplicate",
+            "negative", "infinite", "nan", "unknown-target"])
+    def test_bad_edge_is_named(self, edges, message):
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            TargetNetwork(targets=line_targets(), edges=edges)
+
+    def test_duplicate_ids(self):
+        with pytest.raises(InstanceError, match="^duplicate target ids$"):
+            TargetNetwork(targets=line_targets((1, 2, 1)), edges=[(1, 2, 1.0)])
+
+    def test_first_faulty_edge_is_reported(self):
+        # each edge is checked in full (unknown target, self-loop, travel
+        # time, duplicate) before the next one is read
+        edges = [(1, 2, 1.0), (3, 3, -1.0), (1, 9, 1.0), (2, 1, 1.0)]
+        with pytest.raises(InstanceError, match=r"^edge \(3, 3\) is a self-loop$"):
+            TargetNetwork(targets=line_targets(), edges=edges)
+        with pytest.raises(InstanceError, match=r"^edge \(9, 9\) references an unknown"):
+            TargetNetwork(targets=line_targets(), edges=[(9, 9, -1.0), *edges])
 
 
 class TestNetworkInvariants:

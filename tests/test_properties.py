@@ -6,14 +6,14 @@ iteration of the period map, that one more period leaves it in place, and
 that its peaks rise with a gap and fall with a dwell.
 
 The second group draws three or four scalar targets on a random travel graph
-and checks the consensus dwell balancer: on a cycle with one repeated visit
-the period is kept and the active peaks meet at the consensus level above
-every inactive target, and on a single-visit tour the single- and
-multi-visit entry points agree exactly.  On those repeated-visit cycles and
-on single-visit tours of three to six targets the level-set balancer must
-land on the consensus law's fixed point, and on a single-visit tour neither
-the cost floor nor the balanced costs may depend on where the tour starts
-or on the targets' ids.  On random slot layouts the level set's Newton step,
+and checks the consensus dwell balancer: on a cycle with one repeated visit,
+passed through between its two dwell slots in some draws, the period is
+kept and the active peaks meet at the consensus level above every inactive
+target, and on a single-visit tour the single- and multi-visit entry points
+agree exactly.  On those repeated-visit cycles and on single-visit tours of
+three to six targets the level-set balancer must land on the consensus law's
+fixed point, and on a single-visit tour neither the cost floor nor the
+balanced costs may depend on where the tour starts or on the targets' ids.  On random slot layouts the level set's Newton step,
 which eliminates the single-slot rows in closed form, must give the dwells
 of the whole bordered solve in ``oracles.bordered_level_step``.
 
@@ -184,31 +184,29 @@ def test_peaks_rise_with_gap_and_fall_with_dwell(target, pattern, data):
 
 @st.composite
 def balance_cases(draw):
-    """Three or four scalar targets, a tour of them, the tour with its first
-    target visited once more at a non-adjacent place, and a period factor
-    over the travel time.
+    """Three or four scalar targets, a tour of them, the tour as a cycle
+    sequence with its first target given one more dwell slot at a
+    non-adjacent place, and a period factor over the travel time.
 
     Targets sit at random points of a 0.5 x 0.5 box, and a leg takes the
-    Euclidean distance plus 0.1, so every leg is direct (no pass-through
-    instances).  The other targets drift anywhere in [-0.5, 0.5], so stable
-    ones can go inactive; the repeated target is unstable, because a stable
-    repeated target and a pass-through between two dwell slots stall the
-    consensus law's within-target split (the xfail tests in
-    ``test_dwell.py``).
+    Euclidean distance plus 0.1, so every leg is direct.  Every target,
+    the repeated one included, drifts anywhere in [-0.5, 0.5], so stable
+    ones can go inactive, and some draws pass through the repeated target
+    between its two dwell slots.
     """
     n = draw(st.integers(3, 4))
     tour = draw(st.permutations(range(1, n + 1)))
-    targets = [
-        TargetSpec(id=k, A=draw(st.floats(0.05, 0.5) if k == tour[0] else st.floats(-0.5, 0.5)),
-                   Q=draw(st.floats(0.4, 1.8)), H=1.0, R=draw(st.floats(2.0, 8.0)))
-        for k in range(1, n + 1)
-    ]
+    targets = [TargetSpec(id=k, A=draw(st.floats(-0.5, 0.5)), Q=draw(st.floats(0.4, 1.8)),
+                          H=1.0, R=draw(st.floats(2.0, 8.0)))
+               for k in range(1, n + 1)]
     pos = {k: draw(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5))) for k in range(1, n + 1)}
     edges = [(i, j, 0.1 + float(np.hypot(pos[i][0] - pos[j][0], pos[i][1] - pos[j][1])))
              for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     network = TargetNetwork(targets=targets, edges=edges)
     at = draw(st.integers(2, n - 1))
-    repeated = tour[:at] + [tour[0]] + tour[at:]
+    repeated = [(tid, True) for tid in tour[:at] + [tour[0]] + tour[at:]]
+    if draw(st.booleans()):
+        repeated.insert(draw(st.integers(1, len(repeated))), (tour[0], False))
     return network, tour, repeated, draw(st.floats(1.3, 3.0))
 
 
@@ -216,7 +214,7 @@ def balance_cases(draw):
 @given(balance_cases())
 def test_balanced_cycle_meets_consensus(case):
     network, _, repeated, factor = case
-    cycle = Cycle.from_targets(network, repeated)
+    cycle = Cycle(network, repeated)
     period = factor * cycle.travel_time
     tol = PlannerConfig().balance_tol
     state = balance_multi_visit(cycle, period, SteadyStateCache(network))
@@ -307,7 +305,7 @@ def test_level_set_lands_on_consensus(case):
 @given(balance_cases())
 def test_multi_slot_level_set_lands_on_consensus(case):
     network, _, repeated, factor = case
-    cycle = Cycle.from_targets(network, repeated)
+    cycle = Cycle(network, repeated)
     assert_level_set_is_consensus(cycle, factor * cycle.travel_time)
 
 
@@ -704,7 +702,7 @@ def test_one_floor_function_per_target(case):
 @given(balance_cases(), st.booleans())
 def test_plan_is_its_balanced_state(case, repeat):
     network, tour, repeated, _ = case
-    cycle = Cycle.from_targets(network, repeated if repeat else tour)
+    cycle = Cycle(network, repeated) if repeat else Cycle.from_targets(network, tour)
     plan = plan_for_cycle(cycle, SteadyStateCache(network))
     _, state, probes = golden_period_search(cycle, SteadyStateCache(network))
     assert isinstance(plan, DwellState)
