@@ -15,7 +15,7 @@ Scalar (1x1) targets get closed float kernels (exp / tanh forms) instead.
 The always-observed (algebraic Riccati) and never-observed (Lyapunov) steady
 states of a scalar target are in closed form too: the positive root of a
 quadratic and ``q / 2|a|``.  scipy's CARE and Lyapunov solvers serve matrix
-targets only.
+targets only, and a failure of either is an ``EngineError``.
 
 The periodic steady state of an on/off visit pattern is the fixed point of the
 one-period composition of these maps; it is unique and attractive whenever the
@@ -316,6 +316,14 @@ def _check_solution(name: str, omega: np.ndarray, res: np.ndarray, term: np.ndar
         raise EngineError(f"{name} solution has negative eigenvalue {low:.3e}")
 
 
+def _scipy_solve(solver, *args) -> np.ndarray:
+    """``solver(*args)`` symmetrized; a failure of scipy's is an ``EngineError``."""
+    try:
+        return symmetrize(solver(*args))
+    except ValueError as exc:   # numpy's LinAlgError included
+        raise EngineError(f"scipy's {solver.__name__} failed: {exc}") from exc
+
+
 def _scalar_riccati_root(a: float, q: float, g: float) -> float:
     """Positive root of ``2 a w + q - g w^2 = 0``, the scalar always-observed
     steady state, in the form that does not cancel for either sign of ``a``.
@@ -358,13 +366,12 @@ def solve_steady_states(A, Q, G, H=None, R=None) -> SteadyStates:
         c = (v * np.sqrt(w)) @ v.T
         b = c.T
         r = np.eye(G.shape[0])
-    omega_ss = scipy.linalg.solve_continuous_are(A.T, b, Q, r)
-    omega_ss = symmetrize(omega_ss)
+    omega_ss = _scipy_solve(scipy.linalg.solve_continuous_are, A.T, b, Q, r)
     quad = omega_ss @ G @ omega_ss
     _check_solution("Riccati", omega_ss, A @ omega_ss + omega_ss @ A.T + Q - quad, quad)
     omega_inf = None
     if np.all(np.linalg.eigvals(A).real < 0):
-        omega_inf = symmetrize(scipy.linalg.solve_continuous_lyapunov(A, -Q))
+        omega_inf = _scipy_solve(scipy.linalg.solve_continuous_lyapunov, A, -Q)
         _check_solution("Lyapunov", omega_inf, A @ omega_inf + omega_inf @ A.T + Q, Q)
     return SteadyStates(omega_ss=omega_ss, omega_inf_finite=omega_inf)
 

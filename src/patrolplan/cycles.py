@@ -187,6 +187,7 @@ class SteadyStateCache:
     def __init__(self, network: TargetNetwork):
         self.network = network
         self._steady: dict[int, SteadyStates] = {}
+        self._never: dict[int, float] = {}   # dwell._visit_costs reads it at every zero dwell
         self._floors: dict[int, Callable[[float], float]] = {}
 
     def target(self, tid: int) -> TargetSpec:
@@ -224,10 +225,11 @@ class SteadyStateCache:
 
     def never_observed_cost(self, tid: int) -> float:
         """Steady cost when the target is never observed; +inf if unstable."""
-        ss = self.steady(tid)
-        if not ss.a_is_hurwitz:
-            return math.inf
-        return self.target(tid).g(cov_norm(ss.omega_inf_finite))
+        if tid not in self._never:
+            ss = self.steady(tid)
+            self._never[tid] = (self.target(tid).g(cov_norm(ss.omega_inf_finite))
+                                if ss.a_is_hurwitz else math.inf)
+        return self._never[tid]
 
     def steady_cost(self, tid: int) -> float:
         return self.target(tid).g(cov_norm(self.steady(tid).omega_ss))

@@ -14,13 +14,18 @@ balanced cost, with an infeasible period costing ``inf``, and an outer loop
 drops targets that are cheaper never observed than the balanced consensus
 cost.
 
+One function prices a target's schedule, ``_visit_costs``: the peak cost at
+the start of each of its visits in the periodic steady state, or its
+never-observed cost at every visit when it takes no dwell.
+
 The paper's consensus law stays here as the reference the level set is
 tested against, and is not on the planning path: ``balance_multi_visit``
 moves each target's total dwell proportionally to the log ratio of its peak
 cost to the geometric mean across active targets, which keeps the period
-constant while all active peak costs converge to a common value, and
-``balance_within_target`` splits a target's total across its dwell slots
-until its per-visit peaks agree, by the level set's own Newton step.
+constant while all active peak costs converge to a common value.  It costs
+every target through ``balance_within_target``, which splits a target's
+total across its dwell slots until its per-visit peaks agree, by the level
+set's own Newton step (a target with one slot has nothing to split).
 """
 
 from __future__ import annotations
@@ -130,7 +135,10 @@ class DwellState:
 
 def _visit_costs(cache: SteadyStateCache, tid: int, t_on: list[float],
                  t_off: list[float]) -> list[float]:
-    """Per-visit peak costs of one target's periodic steady state."""
+    """Per-visit peak costs of one target's periodic steady state; a target
+    that is never observed sits at its never-observed cost at every visit."""
+    if sum(t_on) <= 0.0:
+        return [cache.never_observed_cost(tid)] * len(t_on)
     target = cache.target(tid)
     if target.is_scalar:
         uppers, _, _ = _scalar_periodic_peaks(
@@ -152,7 +160,14 @@ def _log_ratio(cost: float, g_avg: float) -> float:
     return max(-LOG_RATIO_CAP, min(LOG_RATIO_CAP, r))
 
 
-def _init_dwells(cycle: Cycle, budget: float, initial: list[float] | None) -> list[float]:
+def _init_dwells(cycle: Cycle, period: float,
+                 initial: list[float] | None) -> tuple[float, list[float]]:
+    """The dwell budget of ``period`` and a start dwell vector that fills it."""
+    budget = period - cycle.travel_time
+    if budget <= 0:
+        raise PlanningError(
+            f"period {period:.6g} does not exceed the travel time {cycle.travel_time:.6g}"
+        )
     n = len(cycle.instances)
     dwells = [0.0] * n
     if initial is not None:
@@ -166,12 +181,12 @@ def _init_dwells(cycle: Cycle, budget: float, initial: list[float] | None) -> li
         total = sum(initial)
         if total <= 0:
             raise ValueError("initial dwells must not all be zero")
-        return [v * budget / total for v in initial]
+        return budget, [v * budget / total for v in initial]
     share = budget / len(cycle.eligible)
     for positions in cycle.eligible.values():
         for pos in positions:
             dwells[pos] = share / len(positions)
-    return dwells
+    return budget, dwells
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +244,6 @@ def balance_multi_visit(
     cycle: Cycle,
     period: float,
     cache: SteadyStateCache | None = None,
-    config: PlannerConfig | None = None,
     initial_dwells: list[float] | None = None,
     tol: float | None = None,
 ) -> DwellState:
@@ -237,61 +251,39 @@ def balance_multi_visit(
 
     Each sweep costs every target at the current dwells and moves its total
     dwell by the consensus law with the period held exactly constant; clipped
-    dwell mass is redistributed proportionally.  A target with one dwell slot
-    is costed directly over the period.  A target with several slots has its
-    total rescaled proportionally across them, and the split re-balanced
-    within the target against gaps computed from the other targets' current
-    dwells.  The gain starts at ``CONSENSUS_GAIN`` and is halved whenever a
-    step raises the worst cost by more than a rise tolerance: round-off when
-    every target has one slot, 1e-3 otherwise (the within-target split lags
-    one sweep, which allows small transient rises; only a gross increase
-    signals an unstable step size).
+    dwell mass is redistributed proportionally.  Every target is costed one
+    way: ``balance_within_target`` re-balances its split against gaps
+    computed from the other targets' current dwells (a target with one dwell
+    slot returns at once), and its cost is its worst visit.  A new total is
+    rescaled proportionally across the target's slots, or shared evenly by
+    them from zero.  The gain starts at ``CONSENSUS_GAIN`` and is halved
+    whenever a step raises the worst cost by more than a rise tolerance:
+    round-off when every target has one slot, 1e-3 when some target has
+    several (at round-off three cases of ``tests/test_dwell.py`` stall).
     """
-    cfg = config or DEFAULT_CONFIG
     cache = cache or SteadyStateCache(cycle.network)
-    eligible = cycle.eligible
-    budget = period - cycle.travel_time
-    if budget <= 0:
-        raise PlanningError(
-            f"period {period:.6g} does not exceed the travel time {cycle.travel_time:.6g}"
-        )
+    budget, dwells = _init_dwells(cycle, period, initial_dwells)
     gain = CONSENSUS_GAIN
-    tol = cfg.balance_tol if tol is None else tol
-    dwells = _init_dwells(cycle, budget, initial_dwells)
-    dwell_ids = sorted(eligible)
-    never = {tid: cache.never_observed_cost(tid) for tid in dwell_ids}
-    slot = {tid: eligible[tid][0] for tid in dwell_ids if len(eligible[tid]) == 1}
-    # targets with several dwell slots: all their instance positions
-    split = {tid: cycle.positions_of(tid) for tid in dwell_ids if tid not in slot}
-    masks = {tid: [cycle.instances[p].dwell_eligible for p in split[tid]] for tid in split}
-    rise_rel, rise_abs = (1e-3, 0.0) if split else (1e-12, 1e-15)
+    tol = DEFAULT_CONFIG.balance_tol if tol is None else tol
+    dwell_ids = sorted(cycle.eligible)
+    positions = {tid: cycle.positions_of(tid) for tid in dwell_ids}
+    masks = {tid: [cycle.instances[p].dwell_eligible for p in ps] for tid, ps in positions.items()}
+    several = any(len(slots) > 1 for slots in cycle.eligible.values())
+    rise_rel, rise_abs = (1e-3, 0.0) if several else (1e-12, 1e-15)
 
     trace: list[float] = []
     prev: tuple[list[float], dict[int, float], dict[int, list[float]], float] | None = None
     spread = math.inf
     for iters in range(1, BALANCE_MAX_ITERS + 1):
-        timelines = cycle.timelines(dwells, split) if split else {}
+        timelines = cycle.timelines(dwells, dwell_ids)
         costs: dict[int, float] = {}
-        visit_costs: dict[int, list[float]] = {}  # targets with several slots only
+        visit_costs: dict[int, list[float]] = {}
         for tid in dwell_ids:
-            pos = slot.get(tid)
-            if pos is not None:
-                ton = dwells[pos]
-                if ton <= 0.0:
-                    costs[tid] = never[tid]
-                else:
-                    costs[tid] = _visit_costs(cache, tid, [ton], [period - ton])[0]
-                continue
-            t_on, t_off = timelines[tid]
-            if sum(t_on) <= 0.0:
-                costs[tid] = never[tid]
-                visit_costs[tid] = [never[tid]] * len(split[tid])
-                continue
-            new_splits, vcosts = balance_within_target(tid, t_on, t_off, masks[tid], cache)
-            for p, s in zip(split[tid], new_splits):
+            new_splits, visit_costs[tid] = balance_within_target(tid, *timelines[tid],
+                                                                 masks[tid], cache)
+            for p, s in zip(positions[tid], new_splits):
                 dwells[p] = s
-            visit_costs[tid] = vcosts
-            costs[tid] = max(vcosts)
+            costs[tid] = max(visit_costs[tid])
         max_cost = max(costs.values())
         if prev is not None and max_cost > prev[3] * (1.0 + rise_rel) + rise_abs:
             dwells, costs, visit_costs, max_cost = (
@@ -301,9 +293,7 @@ def balance_multi_visit(
             if gain < CONSENSUS_GAIN * 2.0 ** -40:
                 raise ConvergenceError("dwell balancing stalled", spread)
         trace.append(max_cost)
-        totals = {tid: dwells[pos] for tid, pos in slot.items()}
-        for tid, positions in split.items():
-            totals[tid] = sum(dwells[p] for p in positions)
+        totals = {tid: sum(dwells[p] for p in positions[tid]) for tid in dwell_ids}
         active = [tid for tid in dwell_ids if totals[tid] > 0.0]
         if not active:
             raise PlanningError("no active target; every dwell collapsed to zero")
@@ -329,17 +319,15 @@ def balance_multi_visit(
             proposed = {tid: budget / len(dwell_ids) for tid in dwell_ids}
             grand = budget
         scale = budget / grand
-        for tid, pos in slot.items():
-            dwells[pos] = proposed[tid] * scale
-        for tid, positions in split.items():
+        for tid in dwell_ids:
             new_total = proposed[tid] * scale
             if totals[tid] > 0.0:
                 ratio = new_total / totals[tid]
-                for p in positions:
+                for p in positions[tid]:
                     dwells[p] = dwells[p] * ratio
             elif new_total > 0.0:
                 n_el = sum(masks[tid])
-                for p, e in zip(positions, masks[tid]):
+                for p, e in zip(positions[tid], masks[tid]):
                     dwells[p] = new_total / n_el if e else 0.0
     else:
         raise ConvergenceError("dwell balancing did not converge", spread)
@@ -349,7 +337,7 @@ def balance_multi_visit(
         dwells=dwells,
         period=period,
         costs=costs,
-        visit_costs={tid: visit_costs[tid] if tid in split else [costs[tid]] for tid in dwell_ids},
+        visit_costs=visit_costs,
         g_con=g_con,
         active=set(active),
         trace=trace,
@@ -361,7 +349,6 @@ def balance_single_visit(
     cycle: Cycle,
     period: float,
     cache: SteadyStateCache | None = None,
-    config: PlannerConfig | None = None,
     initial_dwells: list[float] | None = None,
     tol: float | None = None,
 ) -> DwellState:
@@ -371,7 +358,7 @@ def balance_single_visit(
         if len(positions) > 1:
             raise PlanningError(f"target {tid} has multiple dwell slots; "
                                 "use the multi-visit balancer")
-    return balance_multi_visit(cycle, period, cache, config, initial_dwells, tol)
+    return balance_multi_visit(cycle, period, cache, initial_dwells, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +498,7 @@ def balance_level_set(
     cfg = config or DEFAULT_CONFIG
     cache = cache or SteadyStateCache(cycle.network)
     eligible = cycle.eligible
-    budget = period - cycle.travel_time
-    if budget <= 0:
-        raise PlanningError(
-            f"period {period:.6g} does not exceed the travel time {cycle.travel_time:.6g}"
-        )
+    budget, start = _init_dwells(cycle, period, initial_dwells)
     tol = cfg.balance_tol
     ids = sorted(eligible)
     never = {tid: cache.never_observed_cost(tid) for tid in ids}
@@ -531,17 +514,12 @@ def balance_level_set(
     visit = {tid: [positions.index(p) for p in eligible[tid]] for tid, positions in multi.items()}
 
     def cost(tid: int, d: float) -> float:
-        if d <= 0.0:
-            return never[tid]
         return _visit_costs(cache, tid, [d], [period - d])[0]
 
     def multi_costs(dwells: list[float]) -> dict[int, list[float]]:
         """Per-visit peak costs of every multi-slot target."""
-        timelines = cycle.timelines(dwells, multi)
-        return {tid: [never[tid]] * len(positions)
-                if all(dwells[p] <= 0.0 for p in eligible[tid])
-                else _visit_costs(cache, tid, *timelines[tid])
-                for tid, positions in multi.items()}
+        return {tid: _visit_costs(cache, tid, *on_off)
+                for tid, on_off in cycle.timelines(dwells, multi).items()}
 
     def full(x: list[float]) -> list[float]:
         dwells = [0.0] * len(cycle.instances)
@@ -549,7 +527,6 @@ def balance_level_set(
             dwells[p] = x[k]
         return dwells
 
-    start = _init_dwells(cycle, budget, initial_dwells)
     x = [start[p] for p in slots]
     for tid, ks in groups.items():   # an unstable target is never inactive
         if math.isinf(never[tid]) and sum(x[k] for k in ks) <= 0.0:

@@ -19,8 +19,9 @@ Once a period starts from bitwise the state some earlier period started
 from, the substep recurrence repeats the periods since then exactly, so the
 rest of the column is tiled from them instead of integrated.  Times, the
 one observed column and the per-period statistics are array operations.
-Costs are weights times norms, not columns, and every period has the same
-rows, so the last one is found by its row (``_last_period_row``).
+Costs are weights times norms, not columns; a realized cost is the last
+period's maximum, and every period has the same rows, so the last one is
+found by its row (``_last_period_row``).
 
 ``trace_to_csv`` returns the ASCII text of a block of rows of
 ``trace.csv`` (the whole file by default), equal byte for byte to
@@ -286,9 +287,7 @@ def simulate(
         for tid in targets
     ])
     period_maxima = dict(zip(targets, maxima.tolist()))
-    last_start = _last_period_row(times, num_periods)
-    per_target_realized = {tid: weights[tid] * float(norms[tid][last_start:].max())
-                           for tid in targets}
+    per_target_realized = {tid: period_maxima[tid][-1] for tid in targets}
     realized = max(per_target_realized.values())
 
     # settled after period k + 1 once no target's maximum is infinite or

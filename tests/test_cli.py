@@ -117,6 +117,26 @@ class TestPlanSingle:
             assert plan["predicted_cost"] == pytest.approx(8.6611797654185, rel=1e-12)
             assert plan["metric_floor"] <= plan["predicted_cost"]
 
+    @pytest.mark.parametrize("argv", [("plan-single",), ("plan-fleet", "--agents", "2")],
+                             ids=["single", "fleet"])
+    def test_failed_steady_state_solve_is_numeric_error(self, tmp_path, capsys, argv):
+        # scipy's Riccati solver finds no finite solution for this weakly
+        # sensed matrix target: its LinAlgError, a ValueError, was reported
+        # as bad input (exit 2)
+        doc = {
+            "targets": [{"id": 1, "A": [[0.1, 1.0], [0.0, 0.1]], "Q": [[1.0, 0.0], [0.0, 1.0]],
+                         "H": [[1.0, 0.0]], "R": [[1e16]]},
+                        {"id": 2, "A": -0.2, "Q": 1.0, "H": 1.0, "R": 1.0}],
+            "edges": [{"i": 1, "j": 2, "d": 1.0}],
+        }
+        instance = tmp_path / "weak.json"
+        instance.write_text(json.dumps(doc))
+        assert run_cli(*argv, "--instance", str(instance), "--out", str(tmp_path / "out")) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "numeric"
+        assert error["type"] == "EngineError"
+        assert "solve_continuous_are" in error["message"]
+
 
 class TestPlanFleet:
     def test_fleet_artifacts(self, tmp_path):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from patrolplan.config import PlannerConfig
+from patrolplan.config import ParamRanges, PlannerConfig
 from patrolplan.covariance import ConvergenceError, cov_norm, periodic_steady_state
 from patrolplan import dwell
 from patrolplan.cycles import Cycle, SteadyStateCache, tsp_heuristic
@@ -169,6 +169,32 @@ class TestBalanceSingleVisit:
         cyc = Cycle.from_targets(net, [1, 2])
         with pytest.raises(PlanningError):
             balance_single_visit(cyc, period=1.5)  # travel time is 2
+
+
+@pytest.mark.parametrize("balance", [balance_level_set, balance_multi_visit])
+@pytest.mark.parametrize("period", [1.5, 2.0])   # the travel time is 2
+def test_period_at_or_below_travel_rejected(balance, period):
+    cyc = Cycle.from_targets(two_identical_targets(), [1, 2])
+    with pytest.raises(PlanningError, match="does not exceed the travel time"):
+        balance(cyc, period)
+
+
+class TestVisitCosts:
+    @pytest.mark.parametrize("tid", [2, 3])   # stable, unstable
+    def test_never_observed_scalar_sits_at_its_never_cost(self, tid):
+        net, _ = generate_random_instance(4, 3, ParamRanges(stable_fraction=0.5))
+        cache = SteadyStateCache(net)
+        never = cache.never_observed_cost(tid)
+        assert math.isfinite(never) == (tid == 2)
+        assert _visit_costs(cache, tid, [0.0, 0.0], [1.0, 2.0]) == [never, never]
+
+    @pytest.mark.parametrize("tid", [1, 2])   # stable, unstable
+    def test_never_observed_matrix_sits_at_its_never_cost(self, tid):
+        net, _ = load_instance(json.loads((INSTANCES / "duo2x2.json").read_text()))
+        cache = SteadyStateCache(net)
+        never = cache.never_observed_cost(tid)
+        assert math.isfinite(never) == (tid == 1)
+        assert _visit_costs(cache, tid, [0.0], [1.0]) == [never]
 
 
 class TestBalanceMultiVisit:

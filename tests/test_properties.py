@@ -11,8 +11,9 @@ passed through between its two dwell slots in some draws, the period is
 kept and the active peaks meet at the consensus level above every inactive
 target, and on a single-visit tour the single- and multi-visit entry points
 agree exactly.  On those repeated-visit cycles and on single-visit tours of
-three to six targets the level-set balancer must land on the consensus law's
-fixed point, and on a single-visit tour neither the cost floor nor the
+three to six targets, on a complete graph or a random spanning tree (routes
+through other targets), the level-set balancer must land on the consensus
+law's fixed point, and on a single-visit tour neither the cost floor nor the
 balanced costs may depend on where the tour starts or on the targets' ids.  On random slot layouts the level set's Newton step,
 which eliminates the single-slot rows in closed form, must give the dwells
 of the whole bordered solve in ``oracles.bordered_level_step``.
@@ -241,10 +242,12 @@ def test_single_visit_tour_balances_alike(case):
 
 
 @st.composite
-def single_visit_tours(draw):
+def single_visit_tours(draw, tree=False):
     """Three to six scalar targets with stable and unstable drifts, on legs of
-    Euclidean length plus 0.1 (all direct), a tour of them and a period
-    factor over its travel time."""
+    Euclidean length plus 0.1, a tour of them and a period factor over its
+    travel time.  The legs join every pair (all direct), or with ``tree``
+    only the pairs of a random spanning tree, so that fastest routes pass
+    through other targets: zero-dwell instances of single-slot targets."""
     n = draw(st.integers(3, 6))
     targets = [
         TargetSpec(id=k, A=draw(st.floats(-0.6, 0.5)), Q=draw(st.floats(0.4, 1.8)),
@@ -252,8 +255,10 @@ def single_visit_tours(draw):
         for k in range(1, n + 1)
     ]
     pos = {k: draw(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5))) for k in range(1, n + 1)}
+    pairs = ([(draw(st.integers(1, j - 1)), j) for j in range(2, n + 1)] if tree
+             else [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
     edges = [(i, j, 0.1 + float(np.hypot(pos[i][0] - pos[j][0], pos[i][1] - pos[j][1])))
-             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+             for i, j in pairs]
     network = TargetNetwork(targets=targets, edges=edges)
     cycle = Cycle.from_targets(network, draw(st.permutations(range(1, n + 1))))
     return cycle, draw(st.floats(1.3, 3.0)) * cycle.travel_time
@@ -299,6 +304,17 @@ def assert_level_set_is_consensus(cycle, period):
 @given(single_visit_tours())
 def test_level_set_lands_on_consensus(case):
     assert_level_set_is_consensus(*case)
+
+
+@settings(max_examples=10, deadline=None)
+@given(single_visit_tours(tree=True))
+def test_level_set_lands_on_consensus_across_pass_throughs(case):
+    # the consensus law costs a single-slot target over its whole timeline,
+    # zero-dwell visits included; the level set over its one visit
+    cycle, period = case
+    assert any(len(cycle.positions_of(tid)) > 1 for tid in cycle.eligible)
+    assert all(len(slots) == 1 for slots in cycle.eligible.values())
+    assert_level_set_is_consensus(cycle, period)
 
 
 @settings(max_examples=10, deadline=None)
