@@ -90,9 +90,8 @@ def cov_norm(mat: np.ndarray | float) -> float:
 
 def _scalar_unobs_coeffs(a: float, q: float, t: float) -> tuple[float, float]:
     """Affine map w -> alpha*w + beta for the unobserved phase."""
-    if t == 0.0:
-        return 1.0, 0.0
-    x = 2.0 * a * t
+    # a * t first: t = 0 gives x = 0 even where 2a overflows
+    x = 2.0 * (a * t)
     if x > 700.0:
         return math.inf, math.inf
     alpha = math.exp(x)
@@ -112,13 +111,10 @@ def _scalar_obs_coeffs(a: float, q: float, g: float, t: float) -> tuple[float, f
     w -> (m21 + m22 w) / (m11 + m12 w).  Scaled by cosh so coefficients never
     overflow for long dwells.
     """
-    if t == 0.0:
-        return 1.0, 0.0, 0.0, 1.0
     s = math.sqrt(a * a + q * g)
-    if s == 0.0:
-        u = t
-    else:
-        u = math.tanh(s * t) / s
+    # tanh(s t) / s tends to t as s t goes to 0; the limit also stands in
+    # for inf * 0 when s overflows at t = 0
+    u = math.tanh(s * t) / s if s * t > 0.0 else t
     return 1.0 - a * u, g * u, q * u, 1.0 + a * u
 
 
@@ -250,20 +246,8 @@ class _MatrixObservedFlow:
             base = _rescaled(base @ base)
 
 
-class _IdentityFlow:
-    __slots__ = ()
-
-    def apply(self, omega):
-        return omega
-
-
-_IDENTITY = _IdentityFlow()
-
-
 def unobserved_flow(A: np.ndarray, Q: np.ndarray, t: float):
     """Reusable propagator for an unobserved stretch of length ``t``."""
-    if t == 0.0:
-        return _IDENTITY
     if A.shape == (1, 1):
         a, b = _scalar_unobs_coeffs(float(A[0, 0]), float(Q[0, 0]), t)
         return _ScalarFlow((1.0, 0.0, b, a))
@@ -272,8 +256,6 @@ def unobserved_flow(A: np.ndarray, Q: np.ndarray, t: float):
 
 def observed_flow(A: np.ndarray, Q: np.ndarray, G: np.ndarray, t: float):
     """Reusable propagator for an observed stretch of length ``t``."""
-    if t == 0.0:
-        return _IDENTITY
     if A.shape == (1, 1):
         m = _scalar_obs_coeffs(float(A[0, 0]), float(Q[0, 0]), float(G[0, 0]), t)
         return _ScalarFlow(m)
@@ -529,11 +511,9 @@ def periodic_steady_state(
     for on, off in zip(t_on, t_off):
         flows.append(observed_flow(A, Q, G, on))
         flows.append(unobserved_flow(A, Q, off))
-    monodromy = None
-    for flow in flows:
-        if flow is not _IDENTITY:
-            H = flow.homogeneous()
-            monodromy = H if monodromy is None else _rescaled(H @ monodromy)
+    monodromy = flows[0].homogeneous()
+    for flow in flows[1:]:
+        monodromy = _rescaled(flow.homogeneous() @ monodromy)
     try:
         omega = _dominant_graph(monodromy)
     except (np.linalg.LinAlgError, ValueError) as exc:
@@ -566,8 +546,6 @@ def lower_bound(target: TargetSpec, gap: float, omega_ss: np.ndarray) -> float:
         raise ValueError("gap must be nonnegative")
     if target.is_scalar:
         return scalar_lower_bound(target, omega_ss)(gap)
-    if gap == 0.0:
-        return target.g(cov_norm(omega_ss))
     grown = _MatrixUnobservedFlow(target.A, target.Q, gap).apply(omega_ss)
     return target.g(cov_norm(grown))
 

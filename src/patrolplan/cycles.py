@@ -319,8 +319,6 @@ def tsp_heuristic(network: TargetNetwork, subset: set[int] | list[int]) -> Cycle
 
 def _two_opt(tour: list[int], travel) -> list[int]:
     n = len(tour)
-    if n <= 3:
-        return tour
     improved = True
     while improved:
         improved = False
@@ -409,8 +407,6 @@ def enumerate_cmos(cycle: Cycle, metric: CycleMetric) -> list[tuple[str, Splice]
     """
     network = cycle.network
     tid = metric.critical_target
-    if len(cycle.instances) == 1:
-        return []
     prev, span = _critical_span(cycle, metric)
     n = len(cycle.instances)
     candidates: list[tuple[str, Splice]] = []

@@ -781,10 +781,12 @@ class Plan(DwellState):
         network's fastest travel times between consecutive instances, a
         period other than the travel time plus the dwells (within
         ``PERIOD_REL_TOL``), an active target the view does not cover, a
-        negative predicted or floor cost, a consensus cost that is not
-        positive, an active target without a cost or visit costs, and a
-        predicted cost other than the worst of the per-target and excluded
-        costs each raise a ``ValueError`` naming the field."""
+        cost, visit cost or exclusion of a target the view does not cover,
+        an excluded target that is active, a negative predicted or floor
+        cost, a consensus cost that is not positive, an active target
+        without a cost or visit costs, and a predicted cost other than the
+        worst of the per-target and excluded costs each raise a
+        ``ValueError`` naming the field."""
         if not isinstance(doc, dict) or doc.get("format") != "plan":
             raise ValueError("not a plan document")
 
@@ -856,6 +858,14 @@ class Plan(DwellState):
         visit_costs = read("per_visit_cost", lambda v: {
             int(k): [_number(x, f"a visit cost of target {k}") for x in xs] for k, xs in v.items()
         })
+        for key, named in (("per_target_cost", costs), ("per_visit_cost", visit_costs),
+                           ("excluded", excluded)):
+            if not named.keys() <= ids:
+                raise ValueError(f"plan document field {key!r} names targets the plan does not "
+                                 f"cover: {sorted(named.keys() - ids)}")
+        if active & excluded.keys():
+            raise ValueError(f"plan document field 'excluded' names active targets: "
+                             f"{sorted(active & excluded.keys())}")
         for tid in sorted(active):
             if tid not in costs:
                 raise ValueError(f"plan document field 'per_target_cost' has no cost "

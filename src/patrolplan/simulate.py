@@ -85,15 +85,16 @@ def _last_period_row(times, num_periods: int) -> int:
 
 
 def _schedule_segments(plan: Plan) -> list[tuple[float, int | None]]:
-    """Execution order of (duration, observed target or None) segments."""
+    """Execution order of (duration, observed target or None) segments;
+    only a dwell or leg of zero length is left out."""
     cycle = plan.cycle
     segments: list[tuple[float, int | None]] = []
     n = len(cycle.instances)
     for pos, inst in enumerate(cycle.instances):
         dwell = plan.dwells[pos]
-        if dwell > 1e-12:
+        if dwell > 0.0:
             segments.append((dwell, inst.target))
-        if n > 1 and cycle.legs[pos] > 1e-12:
+        if n > 1 and cycle.legs[pos] > 0.0:
             segments.append((cycle.legs[pos], None))
     return segments
 

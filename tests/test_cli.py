@@ -445,6 +445,12 @@ def _set_active_costs(key, value):
     return corrupt
 
 
+def _set_target_costs(key, tid, value):
+    def corrupt(doc):
+        doc[key][str(tid)] = value
+    return corrupt
+
+
 class TestPlanDocumentChecks:
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     @pytest.mark.parametrize("corrupt, field", [
@@ -481,6 +487,10 @@ class TestPlanDocumentChecks:
         (_string_period, "'period'"),
         (_string_active, "'active'"),
         (_dwell_without_slot, "'instances'"),
+        (_set_target_costs("excluded", 99, 0.5), "'excluded'"),
+        (_set_active_costs("excluded", 0.5), "'excluded'"),
+        (_set_target_costs("per_target_cost", 77, 0.5), "'per_target_cost'"),
+        (_set_target_costs("per_visit_cost", 77, [0.5]), "'per_visit_cost'"),
     ], ids=["missing-key", "unknown-instance-target", "unknown-covers-target", "leg-count",
             "leg-time", "null-covers", "number-covers", "boolean-cover", "string-cover",
             "fractional-cover", "stretched-period", "negative-period",
@@ -490,7 +500,8 @@ class TestPlanDocumentChecks:
             "empty-per-target-cost", "nan-active-cost", "empty-per-visit-cost",
             "no-active-visit-costs", "infinite-visit-cost", "string-dwell-eligible",
             "fractional-target", "string-dwell", "string-period", "string-active",
-            "dwell-without-slot"])
+            "dwell-without-slot", "foreign-excluded", "active-excluded", "foreign-target-cost",
+            "foreign-visit-cost"])
     def test_malformed_plan_is_input_error_naming_field(self, planned, tmp_path, capsys,
                                                         command, corrupt, field):
         doc = json.loads((planned / "plan.json").read_text())

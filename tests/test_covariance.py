@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from patrolplan.covariance import (
     steady_states_for,
     unobserved_flow,
 )
-from patrolplan.model import TargetSpec, generate_random_instance
+from patrolplan.model import TargetSpec, generate_random_instance, load_instance_file
 
 from oracles import (
     TABLE1,
@@ -33,6 +34,13 @@ from oracles import (
     scalar_unobserved,
     tightly_periodic,
 )
+
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
+
+
+def bundled_target(name, tid):
+    network, _ = load_instance_file(str(INSTANCES / f"{name}.json"))
+    return network.target(tid)
 
 
 def random_matrix_system(rng, dim):
@@ -113,6 +121,35 @@ class TestPropagateObserved:
         a, q, g = 0.45, 1.5, 0.4
         out = propagate_observed([[50.0]], [[a]], [[q]], [[g]], 60.0)
         assert out[0, 0] == pytest.approx(scalar_care(a, q, g), rel=1e-9)
+
+
+# drifts whose 2a (-1.7e308) or a^2 (-1e200) overflows
+EXTREME_DRIFTS = [TargetSpec(id=1, A=-1.7e308, Q=1.0, H=1.0, R=1.0),
+                  TargetSpec(id=1, A=-1e200, Q=1e300, H=1.0, R=1.0)]
+
+
+class TestZeroLengthFlows:
+    @pytest.mark.parametrize("target", [
+        *(bundled_target(name, tid) for name, tid in (("table1", 1), ("duo2x2", 1), ("duo2x2", 2))),
+        *EXTREME_DRIFTS,
+    ], ids=["table1-1", "duo2x2-1", "duo2x2-2", "a=-1.7e308", "a=-1e200"])
+    def test_zero_length_flows_return_omega_bit_for_bit(self, target):
+        # a zero-length phase is an ordinary flow: the scalar kernels give the
+        # Moebius identity, and scipy's expm of a zero matrix is exactly I
+        omega = steady_states_for(target).omega_ss
+        for flow in (observed_flow(target.A, target.Q, target.G, 0.0),
+                     unobserved_flow(target.A, target.Q, 0.0)):
+            out = np.asarray(flow.apply(omega))
+            assert out.shape == omega.shape
+            assert out.tobytes() == omega.tobytes()
+
+    def test_zero_dwell_slot_past_overflowing_a_squared(self):
+        # s = sqrt(a^2 + qg) is inf, and a zero dwell must not make it NaN:
+        # the orbit rests at q / 2|a|, as every phase resets it there
+        t = EXTREME_DRIFTS[1]
+        peaks = periodic_steady_state(t.A, t.Q, t.G, [1.0, 0.0], [0.5, 0.5])
+        for w in peaks.upper + peaks.lower:
+            assert w[0, 0] == pytest.approx(5e99, rel=1e-12)
 
 
 class TestSteadyStates:
@@ -340,10 +377,11 @@ class TestLowerBound:
     def make_target(self, k=0):
         return TargetSpec(id=k + 1, A=TABLE1["A"][k], Q=TABLE1["Q"][k], H=1.0, R=TABLE1["R"][k])
 
-    def test_zero_gap_is_steady_cost(self):
-        t = self.make_target()
+    @pytest.mark.parametrize("name, tid", [("table1", 1), ("duo2x2", 1)])
+    def test_zero_gap_is_steady_cost(self, name, tid):
+        t = bundled_target(name, tid)
         ss = steady_states_for(t)
-        assert lower_bound(t, 0.0, ss.omega_ss) == pytest.approx(cov_norm(ss.omega_ss))
+        assert lower_bound(t, 0.0, ss.omega_ss) == t.g(cov_norm(ss.omega_ss))
 
     def test_gap_matches_propagation(self):
         t = self.make_target()

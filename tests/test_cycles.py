@@ -168,6 +168,14 @@ class TestEnumerateCmos:
         kinds = [k for k, _ in enumerate_cmos(cyc, m)]
         assert "II" not in kinds
 
+    def test_one_instance_cycle_has_no_candidates(self):
+        # the critical span of a lone instance runs from it to itself
+        net = simple_network([(1, 2, 1.0)], a=0.3)
+        cyc = Cycle.from_targets(net, [1])
+        m = cycle_lower_bound(cyc, SteadyStateCache(net))
+        assert _critical_span(cyc, m) == (0, [0])
+        assert enumerate_cmos(cyc, m) == []
+
     def test_candidate_count_bound(self):
         for seed in range(6):
             net, _ = generate_random_instance(6, seed=100 + seed)

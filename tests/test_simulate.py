@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -156,6 +157,24 @@ class TestSimulate:
                 assert expected[tids.index(inst.target)] > 0
         # the second period flags the same rows as the first
         assert trace.observed[rows:-1].tolist() == trace.observed[:rows].tolist()
+
+    def test_dwell_below_1e_12_is_simulated(self):
+        # only a zero-length segment is left out: a dwell of 1e-13 is a switch
+        # and an observed substep, and sets the default grid as any short
+        # segment does
+        net, _ = load_instance_file(str(INSTANCES / "table1.json"))
+        net, cache, plan = _planned(net)
+        here = plan.cycle.positions_of(1)[0]
+        there = next(p for p, d in enumerate(plan.dwells) if d > 0.0 and p != here)
+        dwells = list(plan.dwells)
+        dwells[there] += dwells[here] - 1e-13
+        dwells[here] = 1e-13
+        tiny = dataclasses.replace(plan, dwells=dwells)
+        trace = simulate(tiny, net, cache=cache, num_periods=2)
+        assert trace.switch_times[1] == [0.0]
+        # one substep a period, plus the initial row, which the dwell opens
+        assert int((trace.observed == sorted(net.ids).index(1)).sum()) == 3
+        assert trace.dt == plan.period / 200_000.0
 
     def test_requires_two_periods(self, small_plan):
         net, cache, plan = small_plan
