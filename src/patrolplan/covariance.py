@@ -112,6 +112,8 @@ def _scalar_obs_coeffs(a: float, q: float, g: float, t: float) -> tuple[float, f
     overflow for long dwells.
     """
     s = math.sqrt(a * a + q * g)
+    if not s < math.inf:   # only past the double range, so no finite s moves
+        s = _riccati_rate(a, q, g)
     # tanh(s t) / s tends to t as s t goes to 0; the limit also stands in
     # for inf * 0 when s overflows at t = 0
     u = math.tanh(s * t) / s if s * t > 0.0 else t
@@ -306,13 +308,19 @@ def _scipy_solve(solver, *args) -> np.ndarray:
         raise EngineError(f"scipy's {solver.__name__} failed: {exc}") from exc
 
 
+def _riccati_rate(a: float, q: float, g: float) -> float:
+    """``sqrt(a^2 + q g)`` where the plain form overflows: ``hypot`` keeps
+    ``a^2`` from overflowing, and ``sqrt(q) sqrt(g)`` stands in for
+    ``sqrt(q g)`` when that product leaves the normal range."""
+    qg = q * g
+    return math.hypot(a, math.sqrt(qg) if 1e-300 < qg < math.inf else math.sqrt(q) * math.sqrt(g))
+
+
 def _scalar_riccati_root(a: float, q: float, g: float) -> float:
     """Positive root of ``2 a w + q - g w^2 = 0``, the scalar always-observed
-    steady state, in the form that does not cancel for either sign of ``a``.
-    ``hypot`` keeps ``a^2`` from overflowing; ``sqrt(q) sqrt(g)`` stands in
-    for ``sqrt(q g)`` when that product leaves the normal range."""
-    qg = q * g
-    s = math.hypot(a, math.sqrt(qg) if 1e-300 < qg < math.inf else math.sqrt(q) * math.sqrt(g))
+    steady state, in the form that does not cancel for either sign of ``a``,
+    with ``s`` from ``_riccati_rate``."""
+    s = _riccati_rate(a, q, g)
     root = q / (s - a) if a < 0.0 else (a + s) / g
     if not math.isfinite(root):
         raise EngineError(f"Riccati solution {root} is not finite")

@@ -55,7 +55,8 @@ class Cycle:
     """A closed visiting sequence over a network.
 
     ``legs[j]`` is the network's fastest travel time from ``instances[j]`` to
-    ``instances[j + 1]`` (cyclically); a one-instance cycle has no legs.
+    ``instances[j + 1]`` (cyclically), one leg per instance, so a
+    one-instance cycle's legs are ``[0.0]``.
     ``cum[j]`` is the travel time from ``instances[0]`` to ``instances[j]``,
     and ``cum[-1]`` that of the whole tour.  Ordinals are assigned in order
     of appearance.  Instances of the same target may repeat, including back
@@ -75,11 +76,10 @@ class Cycle:
             self.instances.append(Instance(target, counts[target], eligible))
         travel = network.travel
         hops = [t for t, _ in seq]
-        self.legs = ([travel[a][b] for a, b in zip(hops, hops[1:] + hops[:1])]
-                     if len(seq) > 1 else [])
+        self.legs = [travel[a][b] for a, b in zip(hops, hops[1:] + hops[:1])]
         self.travel_time = float(sum(self.legs))
         self.cum = [0.0]
-        for leg in self.legs or [0.0]:
+        for leg in self.legs:
             self.cum.append(self.cum[-1] + leg)
         self._positions: dict[int, list[int]] = {}
         self.eligible: dict[int, list[int]] = {}
@@ -147,7 +147,7 @@ class Cycle:
         divide by that change, and a prefix sum would move every later gap
         by the rounding of the whole period.
         """
-        legs = self.legs or [0.0]
+        legs = self.legs
         n = len(legs)
         out: dict[int, tuple[list[float], list[float]]] = {}
         for target in targets:
@@ -230,9 +230,6 @@ class SteadyStateCache:
             self._never[tid] = (self.target(tid).g(cov_norm(ss.omega_inf_finite))
                                 if ss.a_is_hurwitz else math.inf)
         return self._never[tid]
-
-    def steady_cost(self, tid: int) -> float:
-        return self.target(tid).g(cov_norm(self.steady(tid).omega_ss))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +452,7 @@ class _GapTable:
     """
 
     def __init__(self, cycle: Cycle, metric: CycleMetric, cache: SteadyStateCache):
-        self.legs = cycle.legs or [0.0]
+        self.legs = cycle.legs
         self.cum = cycle.cum
         self.hops = [inst.target for inst in cycle.instances]
         self.travel = cycle.network.travel

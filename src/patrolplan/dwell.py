@@ -777,8 +777,8 @@ class Plan(DwellState):
         integral, and ``dwell_eligible`` must be a boolean), an instance
         target without a route in the network, a dwell slot at a target the
         view does not cover, a negative dwell, a positive dwell at an
-        instance that is not ``dwell_eligible``, leg times other than the
-        network's fastest travel times between consecutive instances, a
+        instance that is not ``dwell_eligible``, leg times other than
+        ``Cycle.legs`` (one per instance, ``[0.0]`` for one instance), a
         period other than the travel time plus the dwells (within
         ``PERIOD_REL_TOL``), an active target the view does not cover, a
         cost, visit cost or exclusion of a target the view does not cover,

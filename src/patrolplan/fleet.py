@@ -63,9 +63,6 @@ class DisparityMatrix:
     ids: list[int]
     values: np.ndarray  # symmetric, zero diagonal
 
-    def of(self, i: int, j: int) -> float:
-        return float(self.values[self.ids.index(i), self.ids.index(j)])
-
 
 @dataclass
 class SimilarityMatrix:
@@ -89,11 +86,6 @@ class Partition:
     @property
     def fleet_metric(self) -> float:
         return max(m.value for m in self.metrics)
-
-    @property
-    def metric_ratio(self) -> float:
-        values = [m.value for m in self.metrics]
-        return max(values) / min(values)
 
     @property
     def fleet_cost(self) -> float:
@@ -262,12 +254,10 @@ def spectral_cluster(
     m = len(ids)
     if not 1 <= n_clusters <= m:
         raise FleetError(f"cannot split {m} targets into {n_clusters} clusters")
-    if n_clusters == 1:
-        return [set(ids)]
     W = similarity.values
     D = np.diag(W.sum(axis=1))
     L = D - W
-    import scipy.linalg   # here, so that only a split fleet loads scipy
+    import scipy.linalg   # here, so that only fleet planning loads scipy
     eigvals, eigvecs = scipy.linalg.eigh(L, D)
     U = eigvecs[:, :n_clusters]
     rng = np.random.default_rng(seed)
@@ -335,14 +325,12 @@ def plan_fleet(
     sim = similarity_from_disparity(disparity_matrix(network, cache), cfg.sigma)
     clusters = [frozenset(c) for c in spectral_cluster(sim, num_agents, seed=cfg.seed)]
     built = [_build_cluster(network, members, cache) for members in clusters]
-    partition = Partition(
+    partition = tes_refine(Partition(
         network=network,
         clusters=clusters,
         cycles=[cycle for cycle, _ in built],
         metrics=[metric for _, metric in built],
-    )
-    if num_agents > 1:
-        partition = tes_refine(partition, cache)
+    ), cache)
     partition.plans = [plan_for_cycle(cycle, cache, cfg) for cycle in partition.cycles]
     return partition
 

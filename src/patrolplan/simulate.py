@@ -89,12 +89,11 @@ def _schedule_segments(plan: Plan) -> list[tuple[float, int | None]]:
     only a dwell or leg of zero length is left out."""
     cycle = plan.cycle
     segments: list[tuple[float, int | None]] = []
-    n = len(cycle.instances)
     for pos, inst in enumerate(cycle.instances):
         dwell = plan.dwells[pos]
         if dwell > 0.0:
             segments.append((dwell, inst.target))
-        if n > 1 and cycle.legs[pos] > 0.0:
+        if cycle.legs[pos] > 0.0:
             segments.append((cycle.legs[pos], None))
     return segments
 

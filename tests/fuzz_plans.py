@@ -13,9 +13,11 @@ Each draw prints one line with its parameters, its status, its time, its plan
 cost (``j_pred``, or ``fleet_cost`` for a fleet, as ``%.12g``) if it planned,
 the number of period-search probes (``dwell.golden_period_search``) and the
 number of those that were infeasible (the level set could not balance them)
-if there were any.  The last lines list the draws with an infeasible probe
-and the total probe count, so the logs of two checkouts can be diffed for
-cost regressions and search effort.  The consensus law
+if there were any.  A draw whose cost floor exceeds its cost fails: a plan
+with ``metric_value > j_pred``, a fleet with ``fleet_metric > fleet_cost``,
+or a fleet with such a plan.  The last lines list the draws with an
+infeasible probe and the total probe count, so the logs of two checkouts can
+be diffed for cost regressions and search effort.  The consensus law
 (``dwell.balance_multi_visit``, ``dwell.balance_within_target``) is not on
 the planning path: a draw that calls it fails.  The script exits 1 if a draw
 outside ``KNOWN_FAILURES`` fails; the one known failure, draw 502, is a
@@ -67,14 +69,29 @@ def draw(i: int) -> tuple[int, int, int, ParamRanges]:
     return n, k, seed, ranges
 
 
+class FloorAboveCost(AssertionError):
+    """A cost floor above the cost it bounds."""
+
+
+def _check_floor(what: str, floor: float, cost: float) -> None:
+    if not floor <= cost:
+        raise FloorAboveCost(f"{what} cost floor {floor!r} exceeds its cost {cost!r}")
+
+
 def plan(i: int) -> float:
-    """The plan cost of draw ``i``."""
+    """The plan cost of draw ``i``, after checking its cost floors."""
     n, k, seed, ranges = draw(i)
     net, _ = generate_random_instance(n, seed, ranges)
     cache = SteadyStateCache(net)
     if k == 1:
-        return plan_single_agent(net, cache).j_pred
-    return plan_fleet(net, k, cache).fleet_cost
+        single = plan_single_agent(net, cache)
+        _check_floor("the plan's", single.metric_value, single.j_pred)
+        return single.j_pred
+    fleet = plan_fleet(net, k, cache)
+    _check_floor("the fleet's", fleet.fleet_metric, fleet.fleet_cost)
+    for agent, agent_plan in enumerate(fleet.plans, 1):
+        _check_floor(f"agent {agent}'s", agent_plan.metric_value, agent_plan.j_pred)
+    return fleet.fleet_cost
 
 
 def main(argv: list[str]) -> int:

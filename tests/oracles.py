@@ -25,12 +25,14 @@ candidates from the base cycle's gaps and build only the near-best few.
 path lookups, the reference for ``fleet.enumerate_ceos``, which looks each
 path up once per hop.
 ``sequential_visit_gaps`` walks a cycle's legs one target at a time, with a
-branch for one-instance cycles and targets, the reference for
+branch for one-instance targets, the reference for
 ``Cycle.visit_gaps``; ``exact_timelines`` gives every target's on/off times
 in rational arithmetic, the reference for ``Cycle.timelines``.
 ``fleet_partition`` runs ``plan_fleet``'s stages up to the partition, with
 any disparity and with or without target exchanges, and no dwell schedules;
 ``shortest_path_disparity`` is the clustering ablation's baseline metric.
+``steady_cost``, ``disparity_of`` and ``metric_ratio`` read numbers off the
+package's objects that only the tests ask for.
 ``golden_section_search`` is the plain golden-section search of the period,
 the reference for ``dwell.golden_period_search``, which takes Brent's
 parabolic steps.
@@ -566,9 +568,7 @@ def enumerate_cycles(ids: list[int], max_len: int) -> list[tuple[int, ...]]:
 def sequential_visit_gaps(cycle: Cycle) -> dict[int, list[float]]:
     """Per target, the zero-dwell revisit gap ending at each of its visits,
     from prefix sums of the legs; a single-instance target's gap is the whole
-    tour and a one-instance cycle's is zero."""
-    if len(cycle.instances) == 1:
-        return {cycle.instances[0].target: [0.0]}
+    tour."""
     cum = [0.0]
     for leg in cycle.legs:
         cum.append(cum[-1] + leg)
@@ -594,9 +594,8 @@ def sequential_visit_gaps(cycle: Cycle) -> dict[int, list[float]]:
 def exact_timelines(cycle: Cycle, dwells: list[float]) -> dict[int, tuple[list, list]]:
     """Per target, ``t_on`` and ``t_off`` as exact fractions: prefix sums of
     dwell + leg in rational arithmetic, differenced at the target's visits."""
-    legs = cycle.legs or [0.0]
     cum = [Fraction(0)]
-    for d, leg in zip(dwells, legs):
+    for d, leg in zip(dwells, cycle.legs):
         cum.append(cum[-1] + Fraction(d) + Fraction(leg))
     out = {}
     for target in cycle.target_ids:
@@ -814,8 +813,8 @@ def shortest_path_disparity(network, cache=None) -> DisparityMatrix:
 def fleet_partition(network, k: int, cache=None, disparity=disparity_matrix,
                     refine: bool = True) -> Partition:
     """``plan_fleet``'s stages with the disparity chosen and the target
-    exchanges optional: clusters, their greedy cycles and, if ``refine`` and
-    ``k > 1``, ``tes_refine``; no dwell schedules."""
+    exchanges optional: clusters, their greedy cycles and, if ``refine``,
+    ``tes_refine``; no dwell schedules."""
     cache = cache or SteadyStateCache(network)
     sim = similarity_from_disparity(disparity(network, cache), DEFAULT_CONFIG.sigma)
     clusters = [frozenset(c) for c in spectral_cluster(sim, k, seed=DEFAULT_CONFIG.seed)]
@@ -823,4 +822,22 @@ def fleet_partition(network, k: int, cache=None, disparity=disparity_matrix,
     partition = Partition(network=network, clusters=clusters,
                           cycles=[cycle for cycle, _ in built],
                           metrics=[metric for _, metric in built])
-    return tes_refine(partition, cache) if refine and k > 1 else partition
+    return tes_refine(partition, cache) if refine else partition
+
+
+# --- readings only the tests take ----------------------------------------------
+
+def steady_cost(cache: SteadyStateCache, tid: int) -> float:
+    """Cost of target ``tid`` at its always-observed steady state."""
+    return cache.target(tid).g(cov_norm(cache.steady(tid).omega_ss))
+
+
+def disparity_of(disparity: DisparityMatrix, i: int, j: int) -> float:
+    """The disparity between targets ``i`` and ``j``."""
+    return float(disparity.values[disparity.ids.index(i), disparity.ids.index(j)])
+
+
+def metric_ratio(partition: Partition) -> float:
+    """Worst over best cluster cost floor of a partition."""
+    values = [m.value for m in partition.metrics]
+    return max(values) / min(values)

@@ -28,6 +28,7 @@ from oracles import (
     enumerate_cycles,
     fleet_partition,
     golden_section_search,
+    metric_ratio,
     propagate_observed,
     propagate_unobserved,
     random_initial_dwells,
@@ -297,7 +298,7 @@ def test_criterion_10_target_exchanges(fleet_results):
             never_worse = False
         if ccc.fleet_metric < ccc0.fleet_metric * (1 - 1e-9):
             strict += 1
-        if ccc.metric_ratio > ccc0.metric_ratio * (1 + 1e-9):
+        if metric_ratio(ccc) > metric_ratio(ccc0) * (1 + 1e-9):
             ratio_ok = False
         if len(ccc.tes_log) > 50:
             commits_ok = False

@@ -87,13 +87,41 @@ class TestPlanSingle:
         assert error["error"] == "input"
         assert str(tmp_path) in error["message"]
 
-    def test_single_target_instance(self, tmp_path):
+    def test_single_target_instance(self, tmp_path, capsys):
         inst = tmp_path / "one.json"
         run_cli("gen", "--targets", "1", "--seed", "3", "--out", str(inst))
         code = run_cli("plan-single", "--instance", str(inst), "--out", str(tmp_path))
         assert code == 0
-        plan = json.loads((tmp_path / "plan.json").read_text())
+        plan_file = tmp_path / "plan.json"
+        plan = json.loads(plan_file.read_text())
         assert len(plan["instances"]) == 1
+        # a one-instance cycle's one leg returns to where it starts; a plan
+        # file without it is refused at load
+        assert plan["leg_times"] == [0.0]
+        for command in ("simulate", "validate"):
+            assert run_cli(command, "--instance", str(inst), "--plan", str(plan_file),
+                           "--periods", "2", "--out", str(tmp_path / command)) == 0
+        legless = tmp_path / "legless.json"
+        legless.write_text(json.dumps(dict(plan, leg_times=[])))
+        capsys.readouterr()
+        assert run_cli("validate", "--instance", str(inst), "--plan", str(legless),
+                       "--out", str(tmp_path / "refused")) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "input"
+        assert "'leg_times'" in error["message"]
+
+    def test_sensing_past_the_double_range_plans(self, tmp_path):
+        # a^2 + q g overflows for target 1, whose dwells must still observe it
+        doc = {
+            "targets": [{"id": 1, "A": 0.3, "Q": 1e160, "H": 1.0, "R": 1e-160},
+                        {"id": 2, "A": 0.2, "Q": 1.0, "H": 1.0, "R": 1.0}],
+            "edges": [{"i": 1, "j": 2, "d": 1.0}],
+        }
+        instance = tmp_path / "loud.json"
+        instance.write_text(json.dumps(doc))
+        assert run_cli("plan-single", "--instance", str(instance), "--out", str(tmp_path)) == 0
+        plan = json.loads((tmp_path / "plan.json").read_text())
+        assert plan["metric_floor"] <= plan["predicted_cost"]
 
 
     @pytest.mark.parametrize("a, code", [(1e150, 1), (-1e200, 0)])

@@ -372,6 +372,14 @@ class TestPeriodicSteadyState:
             periodic_steady_state(target.A, target.Q, target.G, t_on=[dwell], t_off=[10.0])
         assert info.value.residual == math.inf
 
+    def test_sensing_past_the_double_range(self):
+        # a^2 + q g overflows at q = g = 1e160; the dwell still settles the
+        # state at its Riccati root (about 1), so the peak is the gap's growth
+        # of the noise, q expm1(2 a t_off) / 2a, and not an overflow
+        q = g = 1e160
+        peaks = periodic_steady_state([[0.3]], [[q]], [[g]], t_on=[1.0], t_off=[2.0])
+        assert peaks.upper[0][0, 0] / q == pytest.approx(math.expm1(1.2) / 0.6, rel=1e-12)
+
 
 class TestLowerBound:
     def make_target(self, k=0):

@@ -648,11 +648,8 @@ def test_plan_document_round_trips(num_targets, seed):
     # leg times must be the network's own, to the last bit
     bad = json_round_trip(doc)
     legs = bad["leg_times"]
-    if legs:
-        k = seed % len(legs)
-        legs[k] = math.nextafter(legs[k], math.inf)
-    else:
-        legs.append(0.0)
+    k = seed % len(legs)
+    legs[k] = math.nextafter(legs[k], math.inf)
     with pytest.raises(ValueError, match="'leg_times'"):
         Plan.from_document(network, bad)
     # the period must be the travel time plus the dwells
