@@ -10,7 +10,8 @@ single block matrix exponential:
 * observed: ``Omega(t) = (E21 + E22 Omega0)(E11 + E12 Omega0)^{-1}`` with the
   ``E`` blocks from ``expm([[-A', G], [Q, A]] t)``.
 
-Scalar (1x1) targets get closed float kernels (exp / tanh forms) instead.
+Scalar (1x1) targets get closed float kernels (exp / tanh forms) instead;
+``scalar_flow_at`` evaluates them over a whole array of durations at once.
 
 The always-observed (algebraic Riccati) and never-observed (Lyapunov) steady
 states of a scalar target are in closed form too: the positive root of a
@@ -58,6 +59,7 @@ __all__ = [
     "scalar_lower_bound",
     "observed_flow",
     "unobserved_flow",
+    "scalar_flow_at",
 ]
 
 
@@ -117,6 +119,35 @@ def _scalar_obs_coeffs(a: float, q: float, g: float, t: float) -> tuple[float, f
     # tanh(s t) / s tends to t as s t goes to 0; the limit also stands in
     # for inf * 0 when s overflows at t = 0
     u = math.tanh(s * t) / s if s * t > 0.0 else t
+    return 1.0 - a * u, g * u, q * u, 1.0 + a * u
+
+
+def _scalar_unobs_coeff_arrays(a: float, q: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_scalar_unobs_coeffs`` at every duration of the array ``t``: the
+    same operations and branches, elementwise, with numpy's ``exp`` and
+    ``expm1``."""
+    x = 2.0 * (a * t)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        alpha = np.exp(x)
+        beta = q * np.expm1(x) / (2.0 * a)
+    small = np.abs(x) < 1e-8
+    beta[small] = q * t[small] * (1.0 + 0.5 * x[small])
+    big = x > 700.0
+    alpha[big] = beta[big] = math.inf
+    return alpha, beta
+
+
+def _scalar_obs_coeff_arrays(a: float, q: float, g: float, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_scalar_obs_coeffs`` at every duration of the array ``t``: the same
+    operations and branches, elementwise, with numpy's ``tanh``."""
+    s = math.sqrt(a * a + q * g)
+    if not s < math.inf:
+        s = _riccati_rate(a, q, g)
+    st = s * t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.tanh(st) / s
+    flat = ~(st > 0.0)
+    u[flat] = t[flat]
     return 1.0 - a * u, g * u, q * u, 1.0 + a * u
 
 
@@ -262,6 +293,19 @@ def observed_flow(A: np.ndarray, Q: np.ndarray, G: np.ndarray, t: float):
         m = _scalar_obs_coeffs(float(A[0, 0]), float(Q[0, 0]), float(G[0, 0]), t)
         return _ScalarFlow(m)
     return _MatrixObservedFlow(A, Q, G, t)
+
+
+def scalar_flow_at(a: float, q: float, g: float | None, t: np.ndarray) -> Callable[[float], np.ndarray]:
+    """The scalar flow over every duration of the array ``t`` at once,
+    observed with ``g`` or unobserved for ``g=None``: a function from a
+    start state ``w`` to the array of its images, ``beta + alpha w``
+    unobserved and ``(m21 + m22 w) / (m11 + m12 w)`` observed.  The
+    coefficient arrays are built once, by the call."""
+    if g is None:
+        alpha, beta = _scalar_unobs_coeff_arrays(a, q, t)
+        return lambda w: beta + alpha * w
+    m11, m12, m21, m22 = _scalar_obs_coeff_arrays(a, q, g, t)
+    return lambda w: (m21 + m22 * w) / (m11 + m12 * w)
 
 
 # ---------------------------------------------------------------------------

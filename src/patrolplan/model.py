@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -126,6 +127,20 @@ class TargetSpec:
         if _observability_rank(self.A, self.H) < dim:
             raise InstanceError(f"target {self.id}: (A, H) is not observable")
         self.G = self.H.T @ np.linalg.solve(self.R, self.H)
+        if self.is_scalar and self.A[0, 0] < 0.0:
+            # the always-observed steady state q / (s - a) floors every cost
+            # of the target; one that underflows (A = -1.7e308) would reach a
+            # cost ratio or a log as 0.  An overflowing one is the planner's
+            # to report.  Function-local: covariance imports this module.
+            from .covariance import EngineError, _scalar_riccati_root
+            a = float(self.A[0, 0])
+            try:
+                root = _scalar_riccati_root(a, float(self.Q[0, 0]), float(self.G[0, 0]))
+            except EngineError:
+                root = math.inf
+            if root < sys.float_info.min:
+                raise InstanceError(f"target {self.id}: A = {a!r} makes the always-observed "
+                                    f"steady covariance {root!r} underflow the double range")
 
     @property
     def dim(self) -> int:

@@ -1,24 +1,29 @@
 """Forward time-domain validation of a plan.
 
 Simulates every target's covariance under the plan's observation schedule
-from arbitrary initial conditions, using the engine's segment-exact
-propagators (uniform substeps inside each dwell/travel segment, exact values
-at segment boundaries), and checks the realized worst cost against the plan's
-prediction.
+from arbitrary initial conditions, sampled at uniform substeps inside each
+dwell/travel segment with its boundaries sampled exactly, and checks the
+realized worst cost against the plan's prediction.
 
 The schedule is described once, by ``_schedule_segments``: the trace
-integrates its segments, and ``_phases`` reads each target's dwells and
-gaps off them for its switch times and its start state on the periodic
-orbit.  A run whose trace would hold more than ``MAX_TRACE_VALUES`` samples
-(rows times targets) is refused before anything is allocated.
+samples its segments, and ``_phases`` reads each target's dwells and gaps
+off them for its switch times and its start state on the periodic orbit.
+A dwell start is an off->on switch only after a positive gap, so a target
+that is never unobserved has no switch and no peak to check.  A run whose
+trace would hold more than ``MAX_TRACE_VALUES`` samples (rows times
+targets) is refused before anything is allocated.
 
-The trace is columnar: ``_column`` integrates each target one period at a
-time (scalar targets apply the Moebius substep inline, with the same
-operations as ``_ScalarFlow``), and its samples land in a numpy column.
-Once a period starts from bitwise the state some earlier period started
-from, the substep recurrence repeats the periods since then exactly, so the
-rest of the column is tiled from them instead of integrated.  Times, the
-one observed column and the per-period statistics are array operations.
+The trace is columnar: ``_column`` builds each target's norms one period at
+a time, one array chunk per segment.  A scalar target's samples are closed
+forms: sample ``k`` of ``n`` in a segment of length ``d`` is the segment's
+flow over ``d (k / n)`` applied to its start state
+(``covariance.scalar_flow_at``, whose coefficient arrays are built once per
+target and segment), so each rounds once, and the last one is the next
+segment's start state.  A matrix target takes ``n`` substeps of the
+engine's flow.  Once a period starts from bitwise the state some earlier
+period started from, the periods since then repeat exactly, so the rest of
+the column is tiled from them instead of computed.  Times, the one observed
+column and the per-period statistics are array operations.
 Costs are weights times norms, not columns; a realized cost is the last
 period's maximum, and every period has the same rows, so the last one is
 found by its row (``_last_period_row``).
@@ -36,13 +41,12 @@ placed by the decimal exponent, trailing zeros stripped) and falls back to
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .covariance import cov_norm, observed_flow, unobserved_flow, periodic_steady_state
+from .covariance import cov_norm, observed_flow, unobserved_flow, periodic_steady_state, scalar_flow_at
 from .cycles import SteadyStateCache
 from .dwell import Plan
 from .model import TargetNetwork
@@ -163,45 +167,43 @@ def _repeat_cycle(col: np.ndarray, first: int, done: int, num_periods: int) -> n
     return np.concatenate([col, np.resize(cycle, (num_periods - done) * period_rows)])
 
 
-def _column(w, advance, num_periods: int) -> np.ndarray:
+def _column(w, segments, num_periods: int) -> np.ndarray:
     """Norm of one target's covariance at every sample of ``num_periods``
-    periods from state ``w``; ``advance(w, append)`` integrates one period
-    from ``w``, appends the norm after every substep and returns the end
-    state.  A period that starts from bitwise the state an earlier one
-    started from repeats the periods since then exactly (the recurrence is
-    deterministic), so the column stops there and repeats them."""
-    col = array("d", [cov_norm(w)])
+    periods from state ``w``; each of ``segments`` maps the state at its
+    start to the array of its samples' norms and the state at its end.  A
+    period's samples depend on its start state alone, so a period that
+    starts from bitwise the state an earlier one started from repeats the
+    periods since then exactly: the column stops there and repeats them."""
+    chunks = [np.array([cov_norm(w)])]
     seen: dict[bytes, int] = {}
     for done in range(num_periods):
         first = seen.setdefault(np.asarray(w).tobytes(), done)
         if first < done:
-            return _repeat_cycle(np.frombuffer(col, dtype=float), first, done, num_periods)
-        w = advance(w, col.append)
-    return np.frombuffer(col, dtype=float)
+            return _repeat_cycle(np.concatenate(chunks), first, done, num_periods)
+        for segment in segments:
+            norms, w = segment(w)
+            chunks.append(norms)
+    return np.concatenate(chunks)
 
 
-def _scalar_advance(seg_coeffs):
-    """One period of a scalar target: one Moebius substep
-    ``w -> (m21 + m22 w) / (m11 + m12 w)`` per row, as ``_ScalarFlow``
-    applies it, for each segment's ``(m, n_sub)``."""
-    def advance(w, append):
-        for (m11, m12, m21, m22), n_sub in seg_coeffs:
-            for _ in range(n_sub):
-                w = (m21 + m22 * w) / (m11 + m12 * w)
-                append(w)
-        return w
-    return advance
+def _scalar_segment(flow):
+    """A scalar segment for ``_column``: its samples, the flow over every
+    offset from its start, are the norms, and the last one is its end state."""
+    def segment(w):
+        norms = flow(w)
+        return norms, norms[-1]
+    return segment
 
 
-def _matrix_advance(seg_flows):
-    """One period of a matrix target, for each segment's ``(flow, n_sub)``."""
-    def advance(w, append):
-        for flow, n_sub in seg_flows:
-            for _ in range(n_sub):
-                w = flow.apply(w)
-                append(cov_norm(w))
-        return w
-    return advance
+def _matrix_segment(flow, n_sub: int):
+    """A matrix segment for ``_column``: ``n_sub`` substeps of ``flow``."""
+    def segment(w):
+        norms = np.empty(n_sub)
+        for k in range(n_sub):
+            w = flow.apply(w)
+            norms[k] = cov_norm(w)
+        return norms, w
+    return segment
 
 
 def simulate(
@@ -261,22 +263,27 @@ def simulate(
     obs_rows[0] = position.get(segments[0][1], -1)
     obs_rows[1:] = np.tile(np.array(row_obs, dtype=np.int32), num_periods)
 
+    # per segment, the offsets of its samples from its start: sample k of n
+    # is at d (k / n), so the last one is its end
+    offsets = [duration * (np.arange(1, n_sub + 1) / n_sub)
+               for (duration, _), n_sub in zip(segments, sub_counts)]
     norms: dict[int, np.ndarray] = {}
     for tid in targets:
         spec = network.target(tid)
-        # per segment, the flow for one of its substeps
-        seg_flows = [
-            (observed_flow(spec.A, spec.Q, spec.G, duration / n_sub) if tid == obs_tid
-             else unobserved_flow(spec.A, spec.Q, duration / n_sub), n_sub)
-            for (duration, obs_tid), n_sub in zip(segments, sub_counts)
-        ]
         w0 = np.atleast_2d(np.asarray(initial[tid], dtype=float))
         if spec.is_scalar:
-            col = _column(float(w0[0, 0]), _scalar_advance([(f.m, n) for f, n in seg_flows]),
-                          num_periods)
+            a, q, g = float(spec.A[0, 0]), float(spec.Q[0, 0]), float(spec.G[0, 0])
+            w = float(w0[0, 0])
+            pieces = [_scalar_segment(scalar_flow_at(a, q, g if tid == obs_tid else None, t))
+                      for (_, obs_tid), t in zip(segments, offsets)]
         else:
-            col = _column(w0, _matrix_advance(seg_flows), num_periods)
-        norms[tid] = col
+            w = w0
+            pieces = [
+                _matrix_segment(observed_flow(spec.A, spec.Q, spec.G, duration / n_sub) if tid == obs_tid
+                                else unobserved_flow(spec.A, spec.Q, duration / n_sub), n_sub)
+                for (duration, obs_tid), n_sub in zip(segments, sub_counts)
+            ]
+        norms[tid] = _column(w, pieces, num_periods)
     weights = {tid: float(network.target(tid).weight_alpha) for tid in targets}
 
     # per period, the maximum over its rows and the sample that ends it;
@@ -299,8 +306,14 @@ def simulate(
     converged = len(settled) > 0
     settle = int(settled[0]) + 1 if converged else num_periods
 
-    starts = {tid: _phases(segments, tid)[2] for tid in targets}
-    switch_times = {tid: at for tid, at in starts.items() if at}
+    # a dwell start is an off->on switch only after a positive gap, so a
+    # target that is never unobserved has none
+    switch_times = {}
+    for tid in targets:
+        _, t_off, starts, _ = _phases(segments, tid)
+        at = [start for k, start in enumerate(starts) if t_off[k - 1] > 0.0]
+        if at:
+            switch_times[tid] = at
 
     return SimTrace(
         times=times,

@@ -11,8 +11,10 @@ The block-exponential propagators ``propagate_unobserved`` and
 ``propagate_observed`` run the package's matrix flows at any dimension,
 scalars included, which the planner itself never does.
 The forward simulation and its CSV export are kept in their plain per-sample
-form, as the reference for the columnar versions in ``patrolplan.simulate``;
-the simulation also returns full covariances along the trajectory.
+form, as the reference for the columnar versions in ``patrolplan.simulate``:
+each scalar sample comes from its segment's start state through the package's
+array kernel on a one-entry array, and the simulation also returns full
+covariances along the trajectory.
 ``tightly_periodic`` holds the package's periodic solve to a tighter
 certificate than ``PERIODIC_TOL``.
 ``bordered_level_step`` solves the level-set balancer's whole bordered Newton
@@ -57,6 +59,9 @@ from patrolplan.config import DEFAULT_CONFIG
 from patrolplan.covariance import (
     _MatrixObservedFlow,
     _MatrixUnobservedFlow,
+    _scalar_apply,
+    _scalar_obs_coeff_arrays,
+    _scalar_unobs_coeff_arrays,
     cov_norm,
     observed_flow,
     periodic_steady_state,
@@ -326,15 +331,32 @@ def tightly_periodic(A, Q, G, t_on, t_off, tol: float):
 
 # --- per-substep forward simulation -----------------------------------------
 
+def _scalar_sample(spec, observed: bool, offset: float):
+    """A scalar target's covariance ``offset`` into a segment, as a function
+    of its state at the segment's start: the package's array kernel on the
+    one-entry array ``[offset]``, applied in Python floats (the same
+    operations as ``scalar_flow_at``'s maps, so the same bits)."""
+    a, q, at = float(spec.A[0, 0]), float(spec.Q[0, 0]), np.array([offset])
+    if observed:
+        m = tuple(float(c[0]) for c in _scalar_obs_coeff_arrays(a, q, float(spec.G[0, 0]), at))
+        return lambda w: _scalar_apply(m, w)
+    alpha, beta = (float(c[0]) for c in _scalar_unobs_coeff_arrays(a, q, at))
+    return lambda w: beta + alpha * w
+
+
 def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONFIG.num_periods,
                       dt=None, cache=None, record_states=0):
-    """``simulate`` as a loop over substeps that applies every target's flow
-    and records one sample per target at a time, appended to ``array('d')``
-    columns (``array('i')`` for the observed positions).  It finds the last
-    period by its start time, and takes maxima of the weighted costs (held
-    here only) rather than weighting maxima of the norms.  It shares the
-    package's flows and schedule helpers: it checks the columnar loop, not
-    the propagators.  ``switch_times`` is left empty.
+    """``simulate`` as a loop over substeps that computes every target's
+    next sample and records one sample per target at a time, appended to
+    ``array('d')`` columns (``array('i')`` for the observed positions).  A
+    scalar target's sample ``k`` of ``n`` in a segment of length ``d`` is its
+    flow over ``d (k / n)`` from the segment's start state
+    (``_scalar_sample``); a matrix target takes one substep of the package's
+    flow per sample.  It finds the last period by its start time, and takes
+    maxima of the weighted costs (held here only) rather than weighting
+    maxima of the norms.  It shares the package's kernels and schedule
+    helpers: it checks the columnar loop, not the propagators.
+    ``switch_times`` is left empty.
 
     Returns the trace and, per target, the ``(time, covariance)`` of every
     ``record_states``-th sample (none for 0); a scalar's is a 1x1 array."""
@@ -351,20 +373,25 @@ def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONF
 
     targets = sorted(network.ids)
     specs = {t.id: t for t in network.targets}
+    scalar = {tid: specs[tid].is_scalar for tid in targets}
     seg_plans = []
     for duration, obs_tid in segments:
         n_sub = max(1, math.ceil(duration / dt - 1e-9))
         step = duration / n_sub
-        flows = {}
+        # per target, the function that takes it to its sample k from its
+        # state at the segment's start (scalar) or at sample k - 1 (matrix)
+        samplers = {}
         for tid in targets:
             spec = specs[tid]
-            if tid == obs_tid:
-                flows[tid] = observed_flow(spec.A, spec.Q, spec.G, step)
+            if scalar[tid]:
+                samplers[tid] = [_scalar_sample(spec, tid == obs_tid, duration * (k / n_sub))
+                                 for k in range(1, n_sub + 1)]
+            elif tid == obs_tid:
+                samplers[tid] = observed_flow(spec.A, spec.Q, spec.G, step).apply
             else:
-                flows[tid] = unobserved_flow(spec.A, spec.Q, step)
-        seg_plans.append((duration, obs_tid, n_sub, flows))
+                samplers[tid] = unobserved_flow(spec.A, spec.Q, step).apply
+        seg_plans.append((duration, obs_tid, n_sub, samplers))
 
-    scalar = {tid: specs[tid].is_scalar for tid in targets}
     state = {}
     for tid in targets:
         w0 = np.atleast_2d(np.asarray(initial[tid], dtype=float))
@@ -395,11 +422,15 @@ def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONF
     period_maxima = {tid: [] for tid in targets}
     for _ in range(num_periods):
         start_idx = len(times) - 1
-        for si, (duration, obs_tid, n_sub, flows) in enumerate(seg_plans):
+        for si, (duration, obs_tid, n_sub, samplers) in enumerate(seg_plans):
             step = duration / n_sub
+            start = dict(state)
             for k in range(n_sub):
                 for tid in targets:
-                    state[tid] = flows[tid].apply(state[tid])
+                    if scalar[tid]:
+                        state[tid] = samplers[tid][k](start[tid])
+                    else:
+                        state[tid] = samplers[tid](state[tid])
                 t += step
                 times.append(t)
                 nxt = seg_plans[(si + 1) % len(seg_plans)][1] if k == n_sub - 1 else obs_tid

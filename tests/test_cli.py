@@ -147,6 +147,24 @@ class TestPlanSingle:
 
     @pytest.mark.parametrize("argv", [("plan-single",), ("plan-fleet", "--agents", "2")],
                              ids=["single", "fleet"])
+    @pytest.mark.parametrize("a, code", [(-1.7e308, 2), (-1e300, 0)])
+    def test_drift_whose_steady_state_underflows(self, tmp_path, capsys, argv, a, code):
+        # at -1.7e308 the always-observed root q / (s - a) is 0: planning
+        # raised a bare math domain error (single) or ZeroDivisionError (fleet)
+        doc = json.loads((INSTANCES / "line3.json").read_text())
+        doc["targets"][0]["A"] = a
+        instance = tmp_path / "line3.json"
+        instance.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(*argv, "--instance", str(instance), "--out", str(tmp_path / "out")) == code
+        if code:
+            error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert error["error"] == "input"
+            assert error["type"] == "InstanceError"
+            assert error["message"].startswith("target 1: A = -1.7e+308 ")
+
+    @pytest.mark.parametrize("argv", [("plan-single",), ("plan-fleet", "--agents", "2")],
+                             ids=["single", "fleet"])
     def test_failed_steady_state_solve_is_numeric_error(self, tmp_path, capsys, argv):
         # scipy's Riccati solver finds no finite solution for this weakly
         # sensed matrix target: its LinAlgError, a ValueError, was reported

@@ -1,5 +1,8 @@
+import decimal
 import math
+from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -10,11 +13,16 @@ from hypothesis import example, given, settings, strategies as st
 from patrolplan.covariance import (
     ConvergenceError,
     EngineError,
+    _scalar_obs_coeff_arrays,
+    _scalar_obs_coeffs,
     _scalar_periodic_peaks,
+    _scalar_unobs_coeff_arrays,
+    _scalar_unobs_coeffs,
     cov_norm,
     lower_bound,
     observed_flow,
     periodic_steady_state,
+    scalar_flow_at,
     solve_steady_states,
     steady_states_for,
     unobserved_flow,
@@ -123,8 +131,11 @@ class TestPropagateObserved:
         assert out[0, 0] == pytest.approx(scalar_care(a, q, g), rel=1e-9)
 
 
-# drifts whose 2a (-1.7e308) or a^2 (-1e200) overflows
-EXTREME_DRIFTS = [TargetSpec(id=1, A=-1.7e308, Q=1.0, H=1.0, R=1.0),
+# drifts whose 2a (-1.7e308) or a^2 (-1e200) overflows; the first one's
+# always-observed steady state underflows to 0, so an instance cannot hold
+# it, and the kernels get its bare matrices
+EXTREME_DRIFTS = [SimpleNamespace(A=np.array([[-1.7e308]]), Q=np.array([[1.0]]), G=np.array([[1.0]]),
+                                  H=np.array([[1.0]]), R=np.array([[1.0]])),
                   TargetSpec(id=1, A=-1e200, Q=1e300, H=1.0, R=1.0)]
 
 
@@ -150,6 +161,91 @@ class TestZeroLengthFlows:
         peaks = periodic_steady_state(t.A, t.Q, t.G, [1.0, 0.0], [0.5, 0.5])
         for w in peaks.upper + peaks.lower:
             assert w[0, 0] == pytest.approx(5e99, rel=1e-12)
+
+
+def _ulps(got, want, scale=0.0):
+    """|got - want| in units in the last place of the larger of them and
+    ``scale``; 0 for equal values (infinities included), inf otherwise
+    when either is not finite."""
+    if got == want:
+        return 0.0
+    if not (math.isfinite(got) and math.isfinite(want)):
+        return math.inf
+    return abs(got - want) / float(np.spacing(max(abs(got), abs(want), scale)))
+
+
+class TestScalarFlowOverTimes:
+    """The array kernel: the scalar kernels' branches elementwise, and the
+    flow over an array of durations from one start state."""
+
+    def test_coefficients_match_the_scalar_kernels(self):
+        rng = np.random.default_rng(32)
+        draws = [(a, q, g) for a in (0.0, 1e-300, -1e-300) for q, g in ((1.0, 1.0), (1e160, 1e160))]
+        for _ in range(400):
+            a = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, 3))
+            draws.append((a, *(10.0 ** rng.uniform(-6, 6, 2)).tolist()))
+        branches = set()
+        for a, q, g in draws:
+            # t = 0, the |2at| < 1e-8 series, and 2at past 700
+            t = np.concatenate([[0.0, 1e-12, 3e-9], 10.0 ** rng.uniform(-12, 4, 30)])
+            alpha, beta = _scalar_unobs_coeff_arrays(a, q, t)
+            m = _scalar_obs_coeff_arrays(a, q, g, t)
+            for k, tk in enumerate(t.tolist()):
+                x = 2.0 * (a * tk)
+                branches.add("inf" if x > 700.0 else "series" if abs(x) < 1e-8 else "exp")
+                ref = _scalar_unobs_coeffs(a, q, tk)
+                assert _ulps(float(alpha[k]), ref[0]) <= 4 and _ulps(float(beta[k]), ref[1]) <= 4
+                ref = _scalar_obs_coeffs(a, q, g, tk)
+                # 1 -+ a u cancels where a u is near 1, so m11 and m22 are
+                # held to ulps of their terms, 1 and a u
+                terms = 1.0 + abs(ref[3] - 1.0)
+                for j, scale in enumerate((terms, 0.0, 0.0, terms)):
+                    assert _ulps(float(m[j][k]), ref[j], scale) <= 4, (a, q, g, tk, j)
+        assert branches == {"inf", "series", "exp"}
+
+    def test_overflowing_rate_and_zero_duration(self):
+        # s = sqrt(a^2 + q g) overflows: the rate comes from _riccati_rate,
+        # and at t = 0 u is t, not inf * 0
+        t = np.array([0.0, 1e-170, 1.0])
+        m = _scalar_obs_coeff_arrays(0.3, 1e160, 1e160, t)
+        for k, tk in enumerate(t.tolist()):
+            ref = _scalar_obs_coeffs(0.3, 1e160, 1e160, tk)
+            assert [float(c[k]) for c in m] == pytest.approx(ref, rel=1e-15)
+        assert [float(c[0]) for c in m] == [1.0, 0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("a, q, g, w0", [(0.42, 1.5, 0.5, 2.3), (-0.8, 0.6, 1.3, 0.05)])
+    @pytest.mark.parametrize("observed", [True, False], ids=["observed", "unobserved"])
+    def test_samples_match_a_40_digit_reference(self, a, q, g, w0, observed):
+        d, n = 3.7, 2000
+        t = d * (np.arange(1, n + 1) / n)
+        got = scalar_flow_at(a, q, g if observed else None, t)(w0)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            A, Q, G, W = (Decimal(v) for v in (a, q, g, w0))
+            s = (A * A + Q * G).sqrt()
+            worst = 0.0
+            for tk, value in zip(t.tolist(), got.tolist()):
+                if observed:
+                    e = (2 * s * Decimal(tk)).exp()
+                    u = (e - 1) / ((e + 1) * s)
+                    want = (Q * u + (1 + A * u) * W) / ((1 - A * u) + G * u * W)
+                else:
+                    e = (2 * A * Decimal(tk)).exp()
+                    want = e * W + Q * (e - 1) / (2 * A)
+                worst = max(worst, float(abs((Decimal(value) - want) / want)))
+        assert worst <= 1e-14
+
+    def test_growth_past_700_is_infinite_from_that_sample_on(self):
+        # 2 a t_k passes 700 after t_k = 350, where e^{2 a t} is still a
+        # finite double: the samples there are inf, as _scalar_unobs_coeffs
+        # rules, and the ones before are finite
+        a, t = 1.0, 400.0 * (np.arange(1, 1001) / 1000)
+        got = scalar_flow_at(a, 1.0, None, t)(2.0)
+        past = 2.0 * (a * t) > 700.0
+        assert past.any() and not past[:875].any()
+        assert np.isinf(got[past]).all()
+        assert np.isfinite(got[~past]).all()
+        assert _scalar_unobs_coeffs(a, 1.0, float(t[past][0])) == (math.inf, math.inf)
 
 
 class TestSteadyStates:

@@ -85,6 +85,25 @@ class TestLoadInstance:
         with pytest.raises(InstanceError, match="target 7.*observable"):
             load_instance(doc)
 
+    @pytest.mark.parametrize("q", [1.0, 1e300])
+    def test_underflowing_steady_state_rejected_naming_a(self, q):
+        # the Riccati root q / (s - a) is 0 once s - a overflows
+        doc = table1_document()
+        doc["targets"][1].update(A=-1.7e308, Q=q)
+        with pytest.raises(InstanceError, match=r"target 2: A = -1\.7e\+308 .*underflow"):
+            load_instance(doc)
+
+    @pytest.mark.parametrize("fields", [
+        {"A": -1e300}, {"A": -1e307}, {"A": -5e-324},
+        # a root that overflows is left to the planner
+        {"A": -1e-10, "Q": 1e300, "H": 1e-160, "R": 1.0},
+    ])
+    def test_stable_drifts_with_a_normal_or_overflowing_root_load(self, fields):
+        doc = table1_document()
+        doc["targets"][1].update(fields)
+        network, _ = load_instance(doc)
+        assert network.target(2).A[0, 0] == fields["A"]
+
     def test_disconnected_graph_rejected(self):
         doc = {
             "targets": [{"id": k, "A": 0.1, "Q": 1.0, "H": 1.0, "R": 1.0} for k in (1, 2, 3)],

@@ -231,6 +231,21 @@ class TestValidate:
         trace = simulate(plan, net, cache=cache, num_periods=200)
         assert validate(plan, trace)["max_peak_switch_offset"] <= 1e-12
 
+    @pytest.mark.parametrize("num_periods", [20, 60])
+    def test_always_observed_target_has_no_switch(self, num_periods):
+        # one target dwelled for the whole period: its norm is constant but
+        # for rounding, so its worst sample may fall anywhere; it is never
+        # unobserved, so it has no off->on switch to check a peak against
+        net, _ = generate_random_instance(1, seed=3)
+        _, cache, plan = _planned(net)
+        assert plan.cycle.legs == [0.0] and plan.dwells[0] == plan.period
+        trace = simulate(plan, net, cache=cache, num_periods=num_periods)
+        assert trace.switch_times == {}
+        report = validate(plan, trace)
+        assert report["peak_switch_offsets"] == {}
+        assert report["peaks_at_switches"]
+        assert report["prediction_consistent"]
+
     def test_fleet_plans_validate_per_cluster(self):
         net, _ = generate_random_instance(8, seed=31)
         part = plan_fleet(net, 2)
@@ -334,8 +349,8 @@ class TestRepeatedCycles:
 
     def test_scalar_two_period_cycle(self):
         # w -> 1/w, one substep per period: 2, 0.5, 2, ...
-        advance = simulate_module._scalar_advance([((0.0, 1.0, 1.0, 0.0), 1)])
-        col = simulate_module._column(2.0, advance, 7)
+        segment = simulate_module._scalar_segment(lambda w: np.array([1.0 / w]))
+        col = simulate_module._column(2.0, [segment], 7)
         assert col.tolist() == [2.0, 0.5, 2.0, 0.5, 2.0, 0.5, 2.0, 0.5]
 
     def test_matrix_cycle_keeps_the_stepwise_states(self):
@@ -344,7 +359,8 @@ class TestRepeatedCycles:
         flows = [(SimpleNamespace(apply=lambda w: swap @ w), 1),
                  (SimpleNamespace(apply=lambda w: w + 0.0), 2)]
         w0 = np.array([[1.0, 0.25], [0.25, 0.5]])
-        col = simulate_module._column(w0, simulate_module._matrix_advance(flows), 5)
+        segments = [simulate_module._matrix_segment(flow, n_sub) for flow, n_sub in flows]
+        col = simulate_module._column(w0, segments, 5)
         states, w = [w0], w0
         for _ in range(5):
             for flow, n_sub in flows:
