@@ -10,8 +10,11 @@ single block matrix exponential:
 * observed: ``Omega(t) = (E21 + E22 Omega0)(E11 + E12 Omega0)^{-1}`` with the
   ``E`` blocks from ``expm([[-A', G], [Q, A]] t)``.
 
-Scalar (1x1) targets get closed float kernels (exp / tanh forms) instead;
-``scalar_flow_at`` evaluates them over a whole array of durations at once.
+Scalar (1x1) targets get closed float kernels (exp / tanh forms) instead.
+Both flows take one duration or a 1-D array of durations: over an array,
+``apply`` returns the state after each duration, stacked along a leading
+axis, from one stacked ``expm`` (scipy's scaling and squaring, Al-Mohy &
+Higham 2009) or the scalar kernels elementwise.
 
 The always-observed (algebraic Riccati) and never-observed (Lyapunov) steady
 states of a scalar target are in closed form too: the positive root of a
@@ -59,7 +62,6 @@ __all__ = [
     "scalar_lower_bound",
     "observed_flow",
     "unobserved_flow",
-    "scalar_flow_at",
 ]
 
 
@@ -76,13 +78,12 @@ class ConvergenceError(EngineError):
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
+    """The symmetric part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
-def cov_norm(mat: np.ndarray | float) -> float:
-    """Matrix norm used by the cost: the trace (identity on scalars)."""
-    if isinstance(mat, (int, float)):
-        return float(mat)
+def cov_norm(mat: np.ndarray) -> float:
+    """Matrix norm used by the cost: the trace."""
     return float(np.trace(mat))
 
 
@@ -195,25 +196,27 @@ def _rescaled(mat: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# phase flows (precomputed propagators for a fixed duration)
+# phase flows (precomputed propagators for a duration or an array of them)
 # ---------------------------------------------------------------------------
 
+@dataclass
 class _ScalarFlow:
-    """Projective map on scalar covariances."""
+    """Affine map ``beta + alpha w`` for ``m = (alpha, beta)`` (unobserved),
+    else projective map (observed), on scalar covariances."""
 
-    __slots__ = ("m",)
+    m: tuple
 
-    def __init__(self, m: tuple[float, float, float, float]):
-        self.m = m
-
-    def apply(self, omega: float) -> float:
+    def apply(self, omega):
+        if len(self.m) == 2:
+            alpha, beta = self.m
+            return beta + alpha * omega
         return _scalar_apply(self.m, omega)
 
 
 class _MatrixUnobservedFlow:
     __slots__ = ("E", "F", "V")
 
-    def __init__(self, A: np.ndarray, Q: np.ndarray, t: float):
+    def __init__(self, A: np.ndarray, Q: np.ndarray, t):
         dim = A.shape[0]
         block = np.zeros((2 * dim, 2 * dim))
         block[:dim, :dim] = A
@@ -222,16 +225,16 @@ class _MatrixUnobservedFlow:
         import scipy.linalg
         with np.errstate(over="ignore", invalid="ignore"):
             self.E = scipy.linalg.expm(block * t)
-        self.F = self.E[:dim, :dim]
-        self.V = symmetrize(self.E[:dim, dim:] @ self.F.T)
+        self.F = self.E[..., :dim, :dim]
+        self.V = symmetrize(self.E[..., :dim, dim:] @ self.F.swapaxes(-1, -2))
 
     def apply(self, omega: np.ndarray) -> np.ndarray:
-        return symmetrize(self.F @ omega @ self.F.T + self.V)
+        return symmetrize(self.F @ omega @ self.F.swapaxes(-1, -2) + self.V)
 
     def homogeneous(self) -> np.ndarray:
         """The flow on ``[X; Y]`` with ``omega = Y X^-1``:
         ``[[e^{-A't}, 0], [V e^{-A't}, F]]``, where ``V e^{-A't}`` is the
-        exponential's upper-right block."""
+        exponential's upper-right block (one duration only)."""
         dim = self.F.shape[0]
         E = self.E
         return np.block([[E[dim:, dim:], np.zeros((dim, dim))], [E[:dim, dim:], self.F]])
@@ -240,7 +243,7 @@ class _MatrixUnobservedFlow:
 class _MatrixObservedFlow:
     __slots__ = ("E", "E11", "E12", "E21", "E22", "chunks")
 
-    def __init__(self, A: np.ndarray, Q: np.ndarray, G: np.ndarray, t: float):
+    def __init__(self, A: np.ndarray, Q: np.ndarray, G: np.ndarray, t):
         dim = A.shape[0]
         M = np.zeros((2 * dim, 2 * dim))
         M[:dim, :dim] = -A.T
@@ -248,26 +251,28 @@ class _MatrixObservedFlow:
         M[dim:, :dim] = Q
         M[dim:, dim:] = A
         # keep per-chunk exponent moderate so the X-block solve stays well
-        # conditioned over long dwells
-        scale = float(np.abs(M).sum(axis=1).max()) * t
+        # conditioned over long dwells; a stack of durations takes the count
+        # of its longest
+        scale = float(np.abs(M).sum(axis=1).max()) * (t.max() if isinstance(t, np.ndarray) else t)
         self.chunks = max(1, min(100_000, math.ceil(scale / 20.0)))
         import scipy.linalg
         self.E = E = scipy.linalg.expm(M * (t / self.chunks))
-        self.E11 = E[:dim, :dim]
-        self.E12 = E[:dim, dim:]
-        self.E21 = E[dim:, :dim]
-        self.E22 = E[dim:, dim:]
+        self.E11 = E[..., :dim, :dim]
+        self.E12 = E[..., :dim, dim:]
+        self.E21 = E[..., dim:, :dim]
+        self.E22 = E[..., dim:, dim:]
 
     def apply(self, omega: np.ndarray) -> np.ndarray:
         for _ in range(self.chunks):
             num = self.E21 + self.E22 @ omega
             den = self.E11 + self.E12 @ omega
-            omega = symmetrize(np.linalg.solve(den.T, num.T).T)
+            omega = symmetrize(np.linalg.solve(den.swapaxes(-1, -2), num.swapaxes(-1, -2)).swapaxes(-1, -2))
         return omega
 
     def homogeneous(self) -> np.ndarray:
         """The flow on ``[X; Y]`` with ``omega = Y X^-1``: the chunk
-        exponential to the power ``chunks``, up to a positive scale."""
+        exponential to the power ``chunks``, up to a positive scale (one
+        duration only)."""
         out = None
         base, k = self.E, self.chunks
         while True:
@@ -279,33 +284,30 @@ class _MatrixObservedFlow:
             base = _rescaled(base @ base)
 
 
-def unobserved_flow(A: np.ndarray, Q: np.ndarray, t: float):
-    """Reusable propagator for an unobserved stretch of length ``t``."""
+def _durations(t):
+    """One duration as it is; a 1-D array of them shaped to scale a stack."""
+    return t[:, None, None] if isinstance(t, np.ndarray) else t
+
+
+def unobserved_flow(A: np.ndarray, Q: np.ndarray, t: float | np.ndarray):
+    """Reusable propagator for an unobserved stretch of length ``t``, or of
+    each length in the 1-D array ``t``: its ``apply`` then returns the state
+    after each one, stacked along a leading axis."""
+    t = _durations(t)
     if A.shape == (1, 1):
-        a, b = _scalar_unobs_coeffs(float(A[0, 0]), float(Q[0, 0]), t)
-        return _ScalarFlow((1.0, 0.0, b, a))
+        coeffs = _scalar_unobs_coeff_arrays if isinstance(t, np.ndarray) else _scalar_unobs_coeffs
+        return _ScalarFlow(coeffs(float(A[0, 0]), float(Q[0, 0]), t))
     return _MatrixUnobservedFlow(A, Q, t)
 
 
-def observed_flow(A: np.ndarray, Q: np.ndarray, G: np.ndarray, t: float):
-    """Reusable propagator for an observed stretch of length ``t``."""
+def observed_flow(A: np.ndarray, Q: np.ndarray, G: np.ndarray, t: float | np.ndarray):
+    """Reusable propagator for an observed stretch of length ``t``, or of
+    each length in the 1-D array ``t``, as ``unobserved_flow``."""
+    t = _durations(t)
     if A.shape == (1, 1):
-        m = _scalar_obs_coeffs(float(A[0, 0]), float(Q[0, 0]), float(G[0, 0]), t)
-        return _ScalarFlow(m)
+        coeffs = _scalar_obs_coeff_arrays if isinstance(t, np.ndarray) else _scalar_obs_coeffs
+        return _ScalarFlow(coeffs(float(A[0, 0]), float(Q[0, 0]), float(G[0, 0]), t))
     return _MatrixObservedFlow(A, Q, G, t)
-
-
-def scalar_flow_at(a: float, q: float, g: float | None, t: np.ndarray) -> Callable[[float], np.ndarray]:
-    """The scalar flow over every duration of the array ``t`` at once,
-    observed with ``g`` or unobserved for ``g=None``: a function from a
-    start state ``w`` to the array of its images, ``beta + alpha w``
-    unobserved and ``(m21 + m22 w) / (m11 + m12 w)`` observed.  The
-    coefficient arrays are built once, by the call."""
-    if g is None:
-        alpha, beta = _scalar_unobs_coeff_arrays(a, q, t)
-        return lambda w: beta + alpha * w
-    m11, m12, m21, m22 = _scalar_obs_coeff_arrays(a, q, g, t)
-    return lambda w: (m21 + m22 * w) / (m11 + m12 * w)
 
 
 # ---------------------------------------------------------------------------

@@ -400,16 +400,21 @@ def tes_refine(partition: Partition, cache: SteadyStateCache | None = None) -> P
             break
         members_a = clusters[a_star]
         cycle_a, metric_a = built[members_a]
-        candidates = []
-        for j in _critical_span_targets(cycle_a, metric_a):
-            removal = metric_a.value - _reexpanded(network, cache, cycle_a, members_a - {j})[1].value
-            for b, members_b in enumerate(clusters):
-                if b == a_star:
-                    continue
+        # receivers outside, critical targets inside: a removal estimate is
+        # made only for a target that some other cluster could receive
+        critical = _critical_span_targets(cycle_a, metric_a)
+        candidates, removals = [], {}
+        for b, members_b in enumerate(clusters):
+            if b == a_star:
+                continue
+            for j in critical:
+                if j not in removals:
+                    rest = _reexpanded(network, cache, cycle_a, members_a - {j})[1]
+                    removals[j] = metric_a.value - rest.value
                 if (members_b, j) not in annex_gains:
                     annex_gains[members_b, j] = _annex_gain(network, cache, built[members_b][0],
                                                             members_b, j)
-                candidates.append((removal + annex_gains[members_b, j], j, b))
+                candidates.append((removals[j] + annex_gains[members_b, j], j, b))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         for est_gain, j, b in candidates:
             new_clusters = list(clusters)

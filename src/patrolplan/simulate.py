@@ -14,16 +14,17 @@ trace would hold more than ``MAX_TRACE_VALUES`` samples (rows times
 targets) is refused before anything is allocated.
 
 The trace is columnar: ``_column`` builds each target's norms one period at
-a time, one array chunk per segment.  A scalar target's samples are closed
-forms: sample ``k`` of ``n`` in a segment of length ``d`` is the segment's
-flow over ``d (k / n)`` applied to its start state
-(``covariance.scalar_flow_at``, whose coefficient arrays are built once per
-target and segment), so each rounds once, and the last one is the next
-segment's start state.  A matrix target takes ``n`` substeps of the
-engine's flow.  Once a period starts from bitwise the state some earlier
-period started from, the periods since then repeat exactly, so the rest of
-the column is tiled from them instead of computed.  Times, the one observed
-column and the per-period statistics are array operations.
+a time, one array chunk per segment.  Every sample is a closed form: sample
+``k`` of ``n`` in a segment of length ``d`` is the engine's flow over
+``d (k / n)`` applied to the segment's start state, the flow taken over all
+of the segment's sample offsets at once (``observed_flow`` and
+``unobserved_flow`` over an array of durations: the scalar kernels
+elementwise, or one stacked ``expm`` for a matrix target).  So each sample
+rounds once, and the last one is the next segment's start state.  Once a
+period starts from bitwise the state some earlier period started from, the
+periods since then repeat exactly, so the rest of the column is tiled from
+them instead of computed.  Times, the one observed column and the
+per-period statistics are array operations.
 Costs are weights times norms, not columns; a realized cost is the last
 period's maximum, and every period has the same rows, so the last one is
 found by its row (``_last_period_row``).
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .covariance import cov_norm, observed_flow, unobserved_flow, periodic_steady_state, scalar_flow_at
+from .covariance import cov_norm, observed_flow, unobserved_flow, periodic_steady_state
 from .cycles import SteadyStateCache
 from .dwell import Plan
 from .model import TargetNetwork
@@ -167,43 +168,25 @@ def _repeat_cycle(col: np.ndarray, first: int, done: int, num_periods: int) -> n
     return np.concatenate([col, np.resize(cycle, (num_periods - done) * period_rows)])
 
 
-def _column(w, segments, num_periods: int) -> np.ndarray:
+def _column(w, flows, num_periods: int) -> np.ndarray:
     """Norm of one target's covariance at every sample of ``num_periods``
-    periods from state ``w``; each of ``segments`` maps the state at its
-    start to the array of its samples' norms and the state at its end.  A
-    period's samples depend on its start state alone, so a period that
-    starts from bitwise the state an earlier one started from repeats the
-    periods since then exactly: the column stops there and repeats them."""
+    periods from state ``w``; each of ``flows``, one per segment, maps the
+    state at its start to the stack of its samples' states, the last of
+    which is its end state.  A period's samples depend on its start state
+    alone, so a period that starts from bitwise the state an earlier one
+    started from repeats the periods since then exactly: the column stops
+    there and repeats them."""
     chunks = [np.array([cov_norm(w)])]
     seen: dict[bytes, int] = {}
     for done in range(num_periods):
-        first = seen.setdefault(np.asarray(w).tobytes(), done)
+        first = seen.setdefault(w.tobytes(), done)
         if first < done:
             return _repeat_cycle(np.concatenate(chunks), first, done, num_periods)
-        for segment in segments:
-            norms, w = segment(w)
-            chunks.append(norms)
+        for flow in flows:
+            states = flow.apply(w)
+            chunks.append(np.trace(states, axis1=1, axis2=2))
+            w = states[-1]
     return np.concatenate(chunks)
-
-
-def _scalar_segment(flow):
-    """A scalar segment for ``_column``: its samples, the flow over every
-    offset from its start, are the norms, and the last one is its end state."""
-    def segment(w):
-        norms = flow(w)
-        return norms, norms[-1]
-    return segment
-
-
-def _matrix_segment(flow, n_sub: int):
-    """A matrix segment for ``_column``: ``n_sub`` substeps of ``flow``."""
-    def segment(w):
-        norms = np.empty(n_sub)
-        for k in range(n_sub):
-            w = flow.apply(w)
-            norms[k] = cov_norm(w)
-        return norms, w
-    return segment
 
 
 def simulate(
@@ -270,20 +253,10 @@ def simulate(
     norms: dict[int, np.ndarray] = {}
     for tid in targets:
         spec = network.target(tid)
-        w0 = np.atleast_2d(np.asarray(initial[tid], dtype=float))
-        if spec.is_scalar:
-            a, q, g = float(spec.A[0, 0]), float(spec.Q[0, 0]), float(spec.G[0, 0])
-            w = float(w0[0, 0])
-            pieces = [_scalar_segment(scalar_flow_at(a, q, g if tid == obs_tid else None, t))
-                      for (_, obs_tid), t in zip(segments, offsets)]
-        else:
-            w = w0
-            pieces = [
-                _matrix_segment(observed_flow(spec.A, spec.Q, spec.G, duration / n_sub) if tid == obs_tid
-                                else unobserved_flow(spec.A, spec.Q, duration / n_sub), n_sub)
-                for (duration, obs_tid), n_sub in zip(segments, sub_counts)
-            ]
-        norms[tid] = _column(w, pieces, num_periods)
+        flows = [observed_flow(spec.A, spec.Q, spec.G, t) if tid == obs_tid
+                 else unobserved_flow(spec.A, spec.Q, t)
+                 for (_, obs_tid), t in zip(segments, offsets)]
+        norms[tid] = _column(np.atleast_2d(np.asarray(initial[tid], dtype=float)), flows, num_periods)
     weights = {tid: float(network.target(tid).weight_alpha) for tid in targets}
 
     # per period, the maximum over its rows and the sample that ends it;

@@ -335,7 +335,8 @@ def _scalar_sample(spec, observed: bool, offset: float):
     """A scalar target's covariance ``offset`` into a segment, as a function
     of its state at the segment's start: the package's array kernel on the
     one-entry array ``[offset]``, applied in Python floats (the same
-    operations as ``scalar_flow_at``'s maps, so the same bits)."""
+    operations as the scalar flows over an array of durations, so the same
+    bits)."""
     a, q, at = float(spec.A[0, 0]), float(spec.Q[0, 0]), np.array([offset])
     if observed:
         m = tuple(float(c[0]) for c in _scalar_obs_coeff_arrays(a, q, float(spec.G[0, 0]), at))
@@ -349,10 +350,10 @@ def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONF
     """``simulate`` as a loop over substeps that computes every target's
     next sample and records one sample per target at a time, appended to
     ``array('d')`` columns (``array('i')`` for the observed positions).  A
-    scalar target's sample ``k`` of ``n`` in a segment of length ``d`` is its
-    flow over ``d (k / n)`` from the segment's start state
-    (``_scalar_sample``); a matrix target takes one substep of the package's
-    flow per sample.  It finds the last period by its start time, and takes
+    target's sample ``k`` of ``n`` in a segment of length ``d`` is its flow
+    over ``d (k / n)`` from the segment's start state: a scalar's through
+    ``_scalar_sample``, a matrix's through the package's flow over that one
+    duration.  It finds the last period by its start time, and takes
     maxima of the weighted costs (held here only) rather than weighting
     maxima of the norms.  It shares the package's kernels and schedule
     helpers: it checks the columnar loop, not the propagators.
@@ -374,22 +375,22 @@ def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONF
     targets = sorted(network.ids)
     specs = {t.id: t for t in network.targets}
     scalar = {tid: specs[tid].is_scalar for tid in targets}
+
+    def sampler(spec, observed, offset):
+        if spec.is_scalar:
+            return _scalar_sample(spec, observed, offset)
+        if observed:
+            return observed_flow(spec.A, spec.Q, spec.G, offset).apply
+        return unobserved_flow(spec.A, spec.Q, offset).apply
+
     seg_plans = []
     for duration, obs_tid in segments:
         n_sub = max(1, math.ceil(duration / dt - 1e-9))
-        step = duration / n_sub
-        # per target, the function that takes it to its sample k from its
-        # state at the segment's start (scalar) or at sample k - 1 (matrix)
-        samplers = {}
-        for tid in targets:
-            spec = specs[tid]
-            if scalar[tid]:
-                samplers[tid] = [_scalar_sample(spec, tid == obs_tid, duration * (k / n_sub))
-                                 for k in range(1, n_sub + 1)]
-            elif tid == obs_tid:
-                samplers[tid] = observed_flow(spec.A, spec.Q, spec.G, step).apply
-            else:
-                samplers[tid] = unobserved_flow(spec.A, spec.Q, step).apply
+        # per target, the functions that take it to its sample k from its
+        # state at the segment's start
+        samplers = {tid: [sampler(specs[tid], tid == obs_tid, duration * (k / n_sub))
+                          for k in range(1, n_sub + 1)]
+                    for tid in targets}
         seg_plans.append((duration, obs_tid, n_sub, samplers))
 
     state = {}
@@ -427,10 +428,7 @@ def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONF
             start = dict(state)
             for k in range(n_sub):
                 for tid in targets:
-                    if scalar[tid]:
-                        state[tid] = samplers[tid][k](start[tid])
-                    else:
-                        state[tid] = samplers[tid](state[tid])
+                    state[tid] = samplers[tid][k](start[tid])
                 t += step
                 times.append(t)
                 nxt = seg_plans[(si + 1) % len(seg_plans)][1] if k == n_sub - 1 else obs_tid

@@ -22,7 +22,6 @@ from patrolplan.covariance import (
     lower_bound,
     observed_flow,
     periodic_steady_state,
-    scalar_flow_at,
     solve_steady_states,
     steady_states_for,
     unobserved_flow,
@@ -36,6 +35,7 @@ from oracles import (
     propagate_observed,
     propagate_unobserved,
     rk4_propagate,
+    rk4_propagate_batch,
     scalar_care,
     scalar_observed,
     scalar_single_visit_peak,
@@ -174,6 +174,15 @@ def _ulps(got, want, scale=0.0):
     return abs(got - want) / float(np.spacing(max(abs(got), abs(want), scale)))
 
 
+def _scalar_flow_over(a, q, g, t):
+    """The scalar target ``(a, q, g)``'s flow over each duration of ``t``,
+    observed with ``g`` or unobserved for ``g=None``, as a function of the
+    start state, with the stack of 1x1 states flattened."""
+    A, Q = np.array([[a]]), np.array([[q]])
+    flow = unobserved_flow(A, Q, t) if g is None else observed_flow(A, Q, np.array([[g]]), t)
+    return lambda w: flow.apply(w).ravel()
+
+
 class TestScalarFlowOverTimes:
     """The array kernel: the scalar kernels' branches elementwise, and the
     flow over an array of durations from one start state."""
@@ -218,7 +227,7 @@ class TestScalarFlowOverTimes:
     def test_samples_match_a_40_digit_reference(self, a, q, g, w0, observed):
         d, n = 3.7, 2000
         t = d * (np.arange(1, n + 1) / n)
-        got = scalar_flow_at(a, q, g if observed else None, t)(w0)
+        got = _scalar_flow_over(a, q, g if observed else None, t)(w0)
         with decimal.localcontext() as ctx:
             ctx.prec = 40
             A, Q, G, W = (Decimal(v) for v in (a, q, g, w0))
@@ -240,12 +249,60 @@ class TestScalarFlowOverTimes:
         # finite double: the samples there are inf, as _scalar_unobs_coeffs
         # rules, and the ones before are finite
         a, t = 1.0, 400.0 * (np.arange(1, 1001) / 1000)
-        got = scalar_flow_at(a, 1.0, None, t)(2.0)
+        got = _scalar_flow_over(a, 1.0, None, t)(2.0)
         past = 2.0 * (a * t) > 700.0
         assert past.any() and not past[:875].any()
         assert np.isinf(got[past]).all()
         assert np.isfinite(got[~past]).all()
         assert _scalar_unobs_coeffs(a, 1.0, float(t[past][0])) == (math.inf, math.inf)
+
+
+class TestMatrixFlowOverTimes:
+    """A matrix flow over an array of durations: one stacked exponential,
+    whose slices are the flows over each single duration."""
+
+    @pytest.fixture(scope="class")
+    def systems(self):
+        rng = np.random.default_rng(33)
+        return [random_matrix_system(rng, dim) for dim in (2,) * 5 + (3,) * 5]
+
+    # the longest duration takes several chunks, the shortest one
+    T = 6.0 * (np.arange(1, 101) / 100)
+
+    def test_slices_are_the_single_duration_flows(self, systems):
+        agree = differ = 0
+        for A, Q, G in systems:
+            w0 = np.eye(len(A)) * 1.7
+            for flow_of in (lambda t: observed_flow(A, Q, G, t), lambda t: unobserved_flow(A, Q, t)):
+                stacked = flow_of(self.T)
+                got = stacked.apply(w0)
+                assert got.shape == (len(self.T), len(A), len(A))
+                for k, tk in enumerate(self.T.tolist()):
+                    single = flow_of(tk)
+                    want = single.apply(w0)
+                    # the stack takes its longest duration's chunk count
+                    if getattr(single, "chunks", 1) == getattr(stacked, "chunks", 1):
+                        agree += 1
+                        assert got[k].tobytes() == want.tobytes(), (k, tk)
+                    else:
+                        differ += 1
+                        assert np.abs(got[k] - want).max() <= 1e-13 * np.abs(want).max()
+        assert agree >= 1000 and differ > 0
+
+    def test_within_rk4(self, systems):
+        worst = 0.0
+        for dim in (2, 3):
+            A, Q, G = (np.stack([s[j] for s in systems if len(s[0]) == dim]) for j in range(3))
+            W0 = np.stack([np.eye(dim) * 1.3] * len(A))
+            for k in (49, 99):
+                for observed in (True, False):
+                    ref = rk4_propagate_batch(W0, A, Q, G if observed else None, float(self.T[k]), 2e-3)
+                    for j in range(len(A)):
+                        flow = (observed_flow(A[j], Q[j], G[j], self.T) if observed
+                                else unobserved_flow(A[j], Q[j], self.T))
+                        got = flow.apply(W0[j])[k]
+                        worst = max(worst, float(np.abs(got - ref[j]).max() / np.abs(ref[j]).max()))
+        assert worst <= 1e-10
 
 
 class TestSteadyStates:

@@ -614,6 +614,21 @@ class TestTesRefine:
         assert len(builds) == len(set(builds))
         assert len(annexes) == len(set(annexes))
 
+    def test_one_cluster_estimates_no_removal(self):
+        # with no other cluster to receive a target, no removal is estimated,
+        # and the fleet is the greedy cycle of the whole network and its plan
+        net, _ = generate_random_instance(20, 1)
+        cache = SteadyStateCache(net)
+        with mock.patch.object(fleet, "_reexpanded", wraps=fleet._reexpanded) as reexpanded:
+            part = plan_fleet(net, 1, cache=cache)
+        assert reexpanded.call_count == 0
+        cycle, metric, _ = greedy_construct(cluster_subnetwork(net, set(net.ids)), sorted(net.ids), cache)
+        assert part.clusters == [set(net.ids)] and part.tes_log == []
+        assert part.cycles[0].sequence() == cycle.sequence()
+        assert part.metrics[0].value == metric.value
+        plan = dwell.plan_for_cycle(cycle, cache)
+        assert (part.plans[0].dwells, part.plans[0].j_pred) == (plan.dwells, plan.j_pred)
+
     def test_clusters_stay_valid_after_commits(self):
         net, _ = generate_random_instance(12, seed=23)
         cache = SteadyStateCache(net)

@@ -273,19 +273,18 @@ class TestTraceExport:
 
 
 class TestSandwichOnTrace:
-    def test_projected_profile_between_bounds(self, sandwich_plan):
+    def test_unvisited_stable_target_rests_at_its_ceiling(self, sandwich_plan):
         net, cache, plan = sandwich_plan
         trace = simulate(plan, net, cache=cache, num_periods=4)
         report = validate(plan, trace)
         assert report["prediction_consistent"]
-        # scalar projections of the trace norms sit between the two resting
-        # costs for the stable target
-        ss1 = cache.steady(1)
-        lo = cov_norm(ss1.omega_ss)
-        hi = cov_norm(ss1.omega_inf_finite)
-        settled = [n for t, n in zip(trace.times, trace.norms[1])
-                   if t >= trace.period]
-        assert all(lo < v < hi for v in settled)
+        # the cycle dwells on target 2 alone, so the stable target 1 starts
+        # at its never-observed covariance and stays there: every settled
+        # norm is its resting trace, up to the rounding of each sample
+        assert {inst.target for inst in plan.cycle.instances} == {2}
+        hi = cov_norm(cache.steady(1).omega_inf_finite)
+        settled = trace.norms[1][trace.times >= trace.period]
+        assert len(settled) and np.all(np.abs(settled - hi) <= 1e-14 * hi)
 
 
 def _assert_matches_stepwise(got, ref):
@@ -345,30 +344,42 @@ class TestColumnarMatchesStepwise:
 
 class TestRepeatedCycles:
     """A state that comes back after several periods: the periods since it
-    repeat, cut off wherever the run ends."""
+    repeat, cut off wherever the run ends.  Scalar and matrix states take
+    the one path: each flow maps a segment's start state to the stack of
+    its samples' states."""
 
     def test_scalar_two_period_cycle(self):
-        # w -> 1/w, one substep per period: 2, 0.5, 2, ...
-        segment = simulate_module._scalar_segment(lambda w: np.array([1.0 / w]))
-        col = simulate_module._column(2.0, [segment], 7)
+        # w -> 1/w, one sample per period: 2, 0.5, 2, ...
+        flow = SimpleNamespace(apply=lambda w: (1.0 / w)[None])
+        col = simulate_module._column(np.array([[2.0]]), [flow], 7)
         assert col.tolist() == [2.0, 0.5, 2.0, 0.5, 2.0, 0.5, 2.0, 0.5]
 
     def test_matrix_cycle_keeps_the_stepwise_states(self):
         # swapping the rows every period: the trace alternates 1.5 / 0.5
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        flows = [(SimpleNamespace(apply=lambda w: swap @ w), 1),
-                 (SimpleNamespace(apply=lambda w: w + 0.0), 2)]
+        flows = [SimpleNamespace(apply=lambda w: (swap @ w)[None]),
+                 SimpleNamespace(apply=lambda w: np.stack([w + 0.0, w + 0.0]))]
         w0 = np.array([[1.0, 0.25], [0.25, 0.5]])
-        segments = [simulate_module._matrix_segment(flow, n_sub) for flow, n_sub in flows]
-        col = simulate_module._column(w0, segments, 5)
+        col = simulate_module._column(w0, flows, 5)
         states, w = [w0], w0
         for _ in range(5):
-            for flow, n_sub in flows:
-                for _ in range(n_sub):
-                    w = flow.apply(w)
-                    states.append(w)
+            for flow in flows:
+                states += list(flow.apply(w))
+                w = states[-1]
         assert col.tolist() == [cov_norm(w) for w in states]
         assert col[1:4].tolist() != col[4:7].tolist()
+
+    def test_bundled_matrix_columns_are_tiled(self):
+        # each of duo2x2's 2x2 columns has a period whose rows are, bit for
+        # bit, an earlier period's: its start state came back, and the rest
+        # of the column was tiled
+        net, cache, plan = _planned(load_instance_file(str(INSTANCES / "duo2x2.json"))[0])
+        trace = simulate(plan, net, cache=cache, num_periods=40)
+        rows = (len(trace.times) - 1) // 40
+        for tid, col in trace.norms.items():
+            assert not net.target(tid).is_scalar
+            periods = [col[1 + p * rows:1 + (p + 1) * rows].tobytes() for p in range(40)]
+            assert len(set(periods)) < 40, tid
 
 
 def _formatted(values, precision):
