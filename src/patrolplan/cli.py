@@ -142,9 +142,8 @@ def cmd_plan_fleet(args) -> int:
             f"-> {out / 'plan.json'}"
         )
         return 0
-    cache = SteadyStateCache(network)
-    partition = plan_fleet(network, agents, cache, cfg)
-    _write_json(out / "fleet.json", partition_to_document(partition, cache))
+    partition = plan_fleet(network, agents, config=cfg)
+    _write_json(out / "fleet.json", partition_to_document(partition))
     for k, plan in enumerate(partition.plans):
         _write_json(out / f"plan_agent{k + 1}.json", plan.to_document())
     print(
@@ -169,16 +168,16 @@ def _load_plan(args):
                          f"got {doc['covers']!r}")
     if covers != set(network.ids):
         network = cluster_subnetwork(network, covers)
-    return network, Plan.from_document(network, doc)
+    return Plan.from_document(network, doc)
 
 
 def _simulate_plan(args, write_trace: bool):
     """Load the plan, simulate it (writing ``trace.csv`` if asked) and write
     ``validation.json``; returns the trace, the report and the output dir."""
-    network, plan = _load_plan(args)
+    plan = _load_plan(args)
     cfg = _config_from_args(args)
     out = _out_dir(args, ("trace.csv", "validation.json") if write_trace else ("validation.json",))
-    trace = simulate(plan, network, num_periods=cfg.num_periods)
+    trace = simulate(plan, num_periods=cfg.num_periods)
     if write_trace:
         # one block of rows at a time: the file's text is never held whole
         with open(out / "trace.csv", "wb") as fh:

@@ -561,12 +561,12 @@ def _contenders(
     best-scored one by more than the scorer's error, the rounding of a gain
     and the ``1e-15`` tie margin together, so in enumeration order a
     best-gain rule (ties to the earlier) and a best value pick what they
-    would pick from every candidate.  When the base metric is not finite,
-    every splice is built.
+    would pick from every candidate.  An infinite base metric gives an
+    infinite band, so every splice is scored and every one is built.
     """
     built: dict[int, tuple[Cycle, CycleMetric]] = {}
     keep = range(len(splices))
-    if len(splices) > 1 and math.isfinite(metric.value):
+    if len(splices) > 1:
         table = _GapTable(cycle, metric, cache)
         scores = []
         best = math.inf
@@ -598,12 +598,12 @@ def improve_cycle(
     """Apply best-gain modifications until none improves."""
     trace = []
     while True:
-        eps = GREEDY_GAIN_REL * abs(metric.value) if math.isfinite(metric.value) else 0.0
+        eps = GREEDY_GAIN_REL * abs(metric.value)
         splices = [s for _, s in enumerate_cmos(cycle, metric)]
         best = None
         for _, cand, cand_metric in _contenders(cycle, metric, splices, cache):
-            gain = _gain(metric.value, cand_metric.value)
-            if gain >= max(eps, 0.0) and gain > 0 and (best is None or gain > best[0] + 1e-15):
+            gain = metric.value - cand_metric.value
+            if gain >= eps and gain > 0 and (best is None or gain > best[0] + 1e-15):
                 best = (gain, cand, cand_metric)
         if best is None:
             return cycle, metric, trace
@@ -626,14 +626,6 @@ def greedy_construct(
     trace = [metric.value]
     cycle, metric, steps = improve_cycle(cycle, metric, cache)
     return cycle, metric, trace + steps
-
-
-def _gain(old: float, new: float) -> float:
-    if math.isinf(old) and math.isinf(new):
-        return 0.0
-    if math.isinf(old):
-        return math.inf
-    return old - new
 
 
 # ---------------------------------------------------------------------------

@@ -154,8 +154,6 @@ def _geometric_mean(values: list[float]) -> float:
 
 
 def _log_ratio(cost: float, g_avg: float) -> float:
-    if math.isinf(cost):
-        return LOG_RATIO_CAP
     r = math.log(cost / g_avg)
     return max(-LOG_RATIO_CAP, min(LOG_RATIO_CAP, r))
 
@@ -565,8 +563,7 @@ def balance_level_set(
             for k, i in zip(groups[tid], visit[tid]):
                 logs[k] = math.log(vcosts[i])
         new_x = None
-        # a multi-slot target's eligible peaks are at most its cost
-        if steps < LEVEL_NEWTON_STEPS and all(math.isfinite(costs[tid]) for tid in active):
+        if steps < LEVEL_NEWTON_STEPS:
             # one finite difference per slot: a single-slot row on the first
             # step only, every multi-slot row on every step
             if prev is None or multi:

@@ -465,8 +465,9 @@ def _critical_span_targets(cycle: Cycle, metric: CycleMetric) -> list[int]:
 # report
 # ---------------------------------------------------------------------------
 
-def partition_to_document(partition: Partition, cache: SteadyStateCache | None = None) -> dict:
-    cache = cache or SteadyStateCache(partition.network)
+def partition_to_document(partition: Partition) -> dict:
+    """The fleet document of ``partition``, its floors from a fresh cache."""
+    cache = SteadyStateCache(partition.network)
     doc = {
         "format": "fleet-plan",
         "num_agents": len(partition.clusters),

@@ -50,7 +50,6 @@ from .config import DEFAULT_CONFIG
 from .covariance import cov_norm, observed_flow, unobserved_flow, periodic_steady_state
 from .cycles import SteadyStateCache
 from .dwell import Plan
-from .model import TargetNetwork
 
 __all__ = ["SimTrace", "simulate", "validate", "trace_to_csv", "steady_initial_covariances"]
 
@@ -131,16 +130,12 @@ def _phases(segments, tid: int) -> tuple[list[float], list[float], list[float], 
     return t_on, t_off, starts, tail
 
 
-def steady_initial_covariances(
-    plan: Plan,
-    network: TargetNetwork | None = None,
-    cache: SteadyStateCache | None = None,
-) -> dict[int, np.ndarray]:
-    """Per-target covariance at the schedule start, on the periodic orbit,
-    as fresh arrays.  Never-visited Hurwitz targets start at their resting
-    covariance."""
-    network = network or plan.cycle.network
-    cache = cache or SteadyStateCache(network)
+def steady_initial_covariances(plan: Plan) -> dict[int, np.ndarray]:
+    """Covariance of each target of ``plan.cycle.network`` at the schedule
+    start, on the periodic orbit, as fresh arrays.  Never-visited Hurwitz
+    targets start at their resting covariance."""
+    network = plan.cycle.network
+    cache = SteadyStateCache(network)
     segments = _schedule_segments(plan)
     out: dict[int, np.ndarray] = {}
     for target in network.targets:
@@ -148,8 +143,7 @@ def steady_initial_covariances(
         t_on, t_off, starts, tail = _phases(segments, tid)
         if not t_on:
             ss = cache.steady(tid)
-            # a copy: the cache's own arrays must not leave it
-            out[tid] = np.array(ss.omega_inf_finite if ss.a_is_hurwitz else ss.omega_ss)
+            out[tid] = ss.omega_inf_finite if ss.a_is_hurwitz else ss.omega_ss
             continue
         peaks = periodic_steady_state(target.A, target.Q, target.G, t_on, t_off)
         if starts[0] == 0.0:
@@ -191,21 +185,19 @@ def _column(w, flows, num_periods: int) -> np.ndarray:
 
 def simulate(
     plan: Plan,
-    network: TargetNetwork | None = None,
     initial: dict[int, np.ndarray] | None = None,
     num_periods: int = DEFAULT_CONFIG.num_periods,
     dt: float | None = None,
-    cache: SteadyStateCache | None = None,
 ) -> SimTrace:
-    """Integrate all target covariances for ``num_periods`` periods.
+    """Integrate the covariances of ``plan.cycle.network`` for ``num_periods`` periods.
 
     ``initial`` defaults to the planned periodic steady state.  Sampling uses
     uniform substeps of at most ``dt`` inside each dwell/travel segment, with
-    segment boundaries always sampled exactly.  ``ValueError`` if the trace
-    would hold more than ``MAX_TRACE_VALUES`` samples.
+    segment boundaries always sampled exactly (``dt = inf``: only they).
+    ``ValueError`` unless ``dt > 0``, or if the trace would hold more than
+    ``MAX_TRACE_VALUES`` samples.
     """
-    network = network or plan.cycle.network
-    cache = cache or SteadyStateCache(network)
+    network = plan.cycle.network
     if num_periods < 2:
         raise ValueError("num_periods must be at least 2")
     period = plan.period
@@ -216,6 +208,8 @@ def simulate(
     if dt is None:
         dt = min(period / GRID_POINTS_PER_PERIOD, min_seg / 50.0)
         dt = max(dt, period / 200_000.0)
+    elif not dt > 0.0:   # NaN included
+        raise ValueError(f"dt must be positive, got {dt!r}")
     targets = sorted(network.ids)
     sub_counts = [max(1, math.ceil(duration / dt - 1e-9)) for duration, _ in segments]
     rows_per_period = sum(sub_counts)
@@ -226,7 +220,7 @@ def simulate(
             f"exceed the trace limit of {MAX_TRACE_VALUES} values"
         )
     if initial is None:
-        initial = steady_initial_covariances(plan, network, cache)
+        initial = steady_initial_covariances(plan)
 
     position = {tid: k for k, tid in enumerate(targets)}
     # one period of substeps: length, and the position of the target observed

@@ -73,7 +73,6 @@ from patrolplan.cycles import (
     Splice,
     SteadyStateCache,
     _detour,
-    _gain,
     _splice,
     _visit_between,
     cycle_lower_bound,
@@ -345,8 +344,8 @@ def _scalar_sample(spec, observed: bool, offset: float):
     return lambda w: beta + alpha * w
 
 
-def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONFIG.num_periods,
-                      dt=None, cache=None, record_states=0):
+def stepwise_simulate(plan, initial=None, num_periods=DEFAULT_CONFIG.num_periods, dt=None,
+                      record_states=0):
     """``simulate`` as a loop over substeps that computes every target's
     next sample and records one sample per target at a time, appended to
     ``array('d')`` columns (``array('i')`` for the observed positions).  A
@@ -361,8 +360,7 @@ def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONF
 
     Returns the trace and, per target, the ``(time, covariance)`` of every
     ``record_states``-th sample (none for 0); a scalar's is a 1x1 array."""
-    network = network or plan.cycle.network
-    cache = cache or SteadyStateCache(network)
+    network = plan.cycle.network
     period = plan.period
     segments = _schedule_segments(plan)
     min_seg = min(d for d, _ in segments)
@@ -370,7 +368,7 @@ def stepwise_simulate(plan, network=None, initial=None, num_periods=DEFAULT_CONF
         dt = min(period / GRID_POINTS_PER_PERIOD, min_seg / 50.0)
         dt = max(dt, period / 200_000.0)
     if initial is None:
-        initial = steady_initial_covariances(plan, network, cache)
+        initial = steady_initial_covariances(plan)
 
     targets = sorted(network.ids)
     specs = {t.id: t for t in network.targets}
@@ -645,13 +643,13 @@ def reference_improve_cycle(cycle, metric, cache):
     """``cycles.improve_cycle`` with every candidate built and costed."""
     trace = []
     while True:
-        eps = GREEDY_GAIN_REL * abs(metric.value) if math.isfinite(metric.value) else 0.0
+        eps = GREEDY_GAIN_REL * abs(metric.value)
         best = None
         for _, splice in enumerate_cmos(cycle, metric):
             cand = _splice(cycle, *splice)
             cand_metric = cycle_lower_bound(cand, cache)
-            gain = _gain(metric.value, cand_metric.value)
-            if gain >= max(eps, 0.0) and gain > 0 and (best is None or gain > best[0] + 1e-15):
+            gain = metric.value - cand_metric.value
+            if gain >= eps and gain > 0 and (best is None or gain > best[0] + 1e-15):
                 best = (gain, cand, cand_metric)
         if best is None:
             return cycle, metric, trace

@@ -228,7 +228,7 @@ def test_criterion_07_lower_bound_never_exceeded():
         net, _ = generate_random_instance(4, seed=7700 + seed)
         cache = SteadyStateCache(net)
         plan = plan_single_agent(net, cache)
-        trace = simulate(plan, net, cache=cache, num_periods=4)
+        trace = simulate(plan, num_periods=4)
         worst_violation = max(worst_violation, plan.metric_value - trace.realized_cost)
     report(7, worst_violation <= 1e-6,
            f"50 plans: max (cost floor - realized cost) = {worst_violation:.2e} (<=1e-6)")
@@ -325,13 +325,13 @@ def bundled_runs():
     """Plan + 20-period simulation for every bundled instance (fleet one per cluster)."""
     runs = []
     for name, net, cache, plan in _bundled_single_agent_plans():
-        trace = simulate(plan, net, cache=cache)
+        trace = simulate(plan)
         runs.append((name, net, cache, plan, trace))
     net, fleet = load_instance_file(f"{INSTANCE_DIR}/fleet15.json")
     cache = SteadyStateCache(net)
     partition = plan_fleet(net, fleet.num_agents, cache=cache)
     for k, plan in enumerate(partition.plans):
-        trace = simulate(plan, plan.cycle.network)
+        trace = simulate(plan)
         runs.append((f"fleet15/agent{k + 1}", plan.cycle.network, cache, plan, trace))
     return runs
 
@@ -362,7 +362,7 @@ def test_criterion_12_steady_state_sandwich(bundled_runs):
         from patrolplan.dwell import timeline_from_schedule
 
         # every 25th covariance of the same run, from the per-sample oracle
-        _, states = stepwise_simulate(plan, net, num_periods=trace.num_periods, record_states=25)
+        _, states = stepwise_simulate(plan, num_periods=trace.num_periods, record_states=25)
         timelines = timeline_from_schedule(plan.cycle, plan.dwells)
         for target in net.targets:
             tid = target.id

@@ -1,9 +1,11 @@
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from patrolplan import cycles
 from patrolplan.covariance import cov_norm
 from patrolplan.cycles import (
     Cycle,
@@ -24,7 +26,7 @@ from patrolplan.cycles import (
 from patrolplan.fleet import cluster_subnetwork
 from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance
 
-from oracles import enumerate_cycles, propagate_unobserved, steady_cost
+from oracles import enumerate_cycles, propagate_unobserved, reference_improve_cycle, steady_cost
 
 
 def simple_network(edges, ids=None, a=0.2):
@@ -340,6 +342,42 @@ class TestGreedyConstruct:
         assert metric.value >= best - 1e-9
         gap = (metric.value - best) / best
         print(f"greedy vs brute-force gap: {gap:.2%}")
+
+    def test_infinite_floor_gains_by_subtraction(self):
+        # target 1 is unstable: the tour 1-2-3 leaves it a gap of 1,000, whose
+        # floor overflows, so the seed metric is inf.  Of its three splices,
+        # the one that visits 1 between 2 and 3 gains inf - finite = inf and
+        # is taken; the other two stay infinite, and inf - inf = NaN fails
+        # the gain test.
+        net = TargetNetwork(
+            targets=[TargetSpec(id=1, A=0.5, Q=1.0, H=1.0, R=1.0),
+                     TargetSpec(id=2, A=-0.5, Q=1.0, H=1.0, R=1.0),
+                     TargetSpec(id=3, A=-0.5, Q=1.0, H=1.0, R=1.0)],
+            edges=[(1, 2, 250.0), (1, 3, 250.0), (2, 3, 500.0)],
+        )
+        costed = []
+        contenders = cycles._contenders
+
+        def costed_contenders(cycle, metric, splices, cache):
+            out = contenders(cycle, metric, splices, cache)
+            costed.append((metric.value, [m.value for _, _, m in out]))
+            return out
+
+        with mock.patch.object(cycles, "_contenders", costed_contenders):
+            cycle, metric, trace = greedy_construct(net, net.ids)
+        floor = 3.6746521326835755e+217
+        assert repr(cycle) == "Cycle[1^1,2^1,1^2,3^1]"
+        assert metric.value == floor
+        assert trace == [math.inf, floor]
+        assert costed[0] == (math.inf, [floor, math.inf, math.inf])
+        # every candidate built and costed gives the same choices
+        cache = SteadyStateCache(net)
+        seed = tsp_heuristic(net, net.ids)
+        seed_metric = cycle_lower_bound(seed, cache)
+        assert seed_metric.max_gap[1] == 1000.0 and seed_metric.value == math.inf
+        ref_cycle, ref_metric, ref_trace = reference_improve_cycle(seed, seed_metric, cache)
+        assert repr(ref_cycle) == repr(cycle)
+        assert ref_metric.value == floor and ref_trace == [floor]
 
 
 class TestCycleExport:

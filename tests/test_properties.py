@@ -559,7 +559,7 @@ def test_a_dwell_moves_only_the_gaps_that_contain_it(case, data):
 def test_floor_at_most_realized_cost(num_targets, seed):
     network, _ = generate_random_instance(num_targets, seed)
     plan = plan_single_agent(network, SteadyStateCache(network))
-    report = validate(plan, simulate(plan, network, dt=plan.period, num_periods=3))
+    report = validate(plan, simulate(plan, dt=plan.period, num_periods=3))
     assert report["metric_floor_holds"]
     assert report["prediction_consistent"]
 
@@ -593,9 +593,8 @@ def test_simulated_trace_starts_on_its_orbit(plans):
     # one sample per segment, so the switch instants, where a scalar
     # target's peaks sit, are sampled
     for plan in plans:
-        network = plan.cycle.network
-        initial = steady_initial_covariances(plan, network)
-        trace = simulate(plan, network, initial=initial, num_periods=2, dt=plan.period)
+        initial = steady_initial_covariances(plan)
+        trace = simulate(plan, initial=initial, num_periods=2, dt=plan.period)
         end = (len(trace.times) - 1) // 2   # the sample that ends period 1
         dwelled = {inst.target for pos, inst in enumerate(plan.cycle.instances)
                    if plan.dwells[pos] > 1e-12}
@@ -671,8 +670,8 @@ def test_fleet_plan_documents_round_trip(num_targets, num_agents, seed):
             doc = json_round_trip(plan.to_document())
             path = Path(folder) / f"plan_agent{k + 1}.json"
             path.write_text(json.dumps(doc))
-            view, loaded = _load_plan(SimpleNamespace(instance=str(instance), plan=str(path)))
-            assert sorted(view.ids) == doc["covers"]
+            loaded = _load_plan(SimpleNamespace(instance=str(instance), plan=str(path)))
+            assert sorted(loaded.cycle.network.ids) == doc["covers"]
             assert loaded.to_document() == doc
 
 

@@ -88,34 +88,34 @@ def fleet_cluster_plan():
 class TestSimulate:
     def test_steady_init_matches_prediction_from_first_period(self, small_plan):
         net, cache, plan = small_plan
-        trace = simulate(plan, net, cache=cache, num_periods=2)
+        trace = simulate(plan, num_periods=2)
         report = validate(plan, trace)
         assert report["relative_error"] <= 1e-6
         assert trace.settle_period == 1
 
     def test_scaled_init_converges(self, small_plan):
         net, cache, plan = small_plan
-        init = {tid: 10.0 * w for tid, w in steady_initial_covariances(plan, net, cache).items()}
-        trace = simulate(plan, net, initial=init, cache=cache)
+        init = {tid: 10.0 * w for tid, w in steady_initial_covariances(plan).items()}
+        trace = simulate(plan, initial=init)
         for tid, peak in trace.per_target_realized.items():
             if tid in plan.active:
                 assert peak == pytest.approx(plan.costs[tid], rel=1e-5)
 
     def test_doubling_periods_stable(self, small_plan):
         net, cache, plan = small_plan
-        t1 = simulate(plan, net, cache=cache, num_periods=10)
-        t2 = simulate(plan, net, cache=cache, num_periods=20)
+        t1 = simulate(plan, num_periods=10)
+        t2 = simulate(plan, num_periods=20)
         assert abs(t1.realized_cost - t2.realized_cost) <= 1e-8 * t2.realized_cost
 
     def test_trace_size_limit_is_checked_before_any_work(self, small_plan, monkeypatch):
         net, cache, plan = small_plan
-        rows = len(simulate(plan, net, cache=cache, num_periods=2).times)
+        rows = len(simulate(plan, num_periods=2).times)
         monkeypatch.setattr(simulate_module, "MAX_TRACE_VALUES", rows * len(net.ids))
-        assert len(simulate(plan, net, cache=cache, num_periods=2).times) == rows
+        assert len(simulate(plan, num_periods=2).times) == rows
         monkeypatch.setattr(simulate_module, "MAX_TRACE_VALUES", rows * len(net.ids) - 1)
         monkeypatch.setattr(simulate_module, "steady_initial_covariances", None)
         with pytest.raises(ValueError, match="^2 periods of"):
-            simulate(plan, net, cache=cache, num_periods=2)
+            simulate(plan, num_periods=2)
 
     def test_never_visited_stable_target_rests_at_limit(self):
         net = TargetNetwork(
@@ -129,18 +129,18 @@ class TestSimulate:
         cache = SteadyStateCache(net)
         plan = plan_single_agent(net, cache)
         assert 3 in plan.excluded
-        trace = simulate(plan, net, cache=cache)
+        trace = simulate(plan)
         ss = cache.steady(3)
         resting = cov_norm(ss.omega_inf_finite)
         assert trace.norms[3][-1] == pytest.approx(resting, rel=1e-6)
         # the start is the resting covariance, in an array the cache does not own
-        start = steady_initial_covariances(plan, net, cache)[3]
+        start = steady_initial_covariances(plan)[3]
         assert np.array_equal(start, ss.omega_inf_finite)
         assert not np.shares_memory(start, ss.omega_inf_finite)
 
     def test_eta_matches_dwell_intervals(self, small_plan):
         net, cache, plan = small_plan
-        trace = simulate(plan, net, cache=cache, num_periods=2)
+        trace = simulate(plan, num_periods=2)
         tids = sorted(trace.norms)
         # within one period, each target is flagged once per substep of its
         # dwell segments, and no other row is flagged
@@ -170,7 +170,7 @@ class TestSimulate:
         dwells[there] += dwells[here] - 1e-13
         dwells[here] = 1e-13
         tiny = dataclasses.replace(plan, dwells=dwells)
-        trace = simulate(tiny, net, cache=cache, num_periods=2)
+        trace = simulate(tiny, num_periods=2)
         assert trace.switch_times[1] == [0.0]
         # one substep a period, plus the initial row, which the dwell opens
         assert int((trace.observed == sorted(net.ids).index(1)).sum()) == 3
@@ -179,13 +179,24 @@ class TestSimulate:
     def test_requires_two_periods(self, small_plan):
         net, cache, plan = small_plan
         with pytest.raises(ValueError):
-            simulate(plan, net, cache=cache, num_periods=1)
+            simulate(plan, num_periods=1)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
+    def test_requires_a_positive_step(self, small_plan, dt):
+        _, _, plan = small_plan
+        with pytest.raises(ValueError, match="^dt must be positive"):
+            simulate(plan, num_periods=2, dt=dt)
+
+    def test_infinite_step_samples_segment_ends(self, small_plan):
+        _, _, plan = small_plan
+        trace = simulate(plan, num_periods=2, dt=math.inf)
+        assert len(trace.times) == 1 + 2 * len(simulate_module._schedule_segments(plan))
 
 
 class TestValidate:
     def test_inflated_prediction_flagged(self, small_plan):
         net, cache, plan = small_plan
-        trace = simulate(plan, net, cache=cache, num_periods=4)
+        trace = simulate(plan, num_periods=4)
         import dataclasses
         bogus = dataclasses.replace(plan, j_pred=plan.j_pred * 2.0)
         report = validate(bogus, trace)
@@ -195,14 +206,14 @@ class TestValidate:
 
     def test_peaks_at_switch_instants(self, small_plan):
         net, cache, plan = small_plan
-        trace = simulate(plan, net, cache=cache, num_periods=4)
+        trace = simulate(plan, num_periods=4)
         report = validate(plan, trace)
         assert report["peaks_at_switches"]
         assert report["max_peak_switch_offset"] <= trace.dt + 1e-9
 
     def test_metric_floor_holds(self, small_plan):
         net, cache, plan = small_plan
-        trace = simulate(plan, net, cache=cache, num_periods=4)
+        trace = simulate(plan, num_periods=4)
         report = validate(plan, trace)
         assert report["metric_floor_holds"]
 
@@ -213,7 +224,7 @@ class TestValidate:
         period."""
         net, _ = load_instance_file(str(INSTANCES / "line3.json"))
         _, cache, plan = _planned(net)
-        trace = simulate(plan, net, cache=cache, num_periods=50)
+        trace = simulate(plan, num_periods=50)
         lo = 49 * ((len(trace.times) - 1) // 50)
         offsets = {}
         for tid, switches in trace.switch_times.items():
@@ -228,7 +239,7 @@ class TestValidate:
         # them: read there, table1's worst offset was 4.2e-10 at 200 periods
         net, _ = load_instance_file(str(INSTANCES / "table1.json"))
         _, cache, plan = _planned(net)
-        trace = simulate(plan, net, cache=cache, num_periods=200)
+        trace = simulate(plan, num_periods=200)
         assert validate(plan, trace)["max_peak_switch_offset"] <= 1e-12
 
     @pytest.mark.parametrize("num_periods", [20, 60])
@@ -239,7 +250,7 @@ class TestValidate:
         net, _ = generate_random_instance(1, seed=3)
         _, cache, plan = _planned(net)
         assert plan.cycle.legs == [0.0] and plan.dwells[0] == plan.period
-        trace = simulate(plan, net, cache=cache, num_periods=num_periods)
+        trace = simulate(plan, num_periods=num_periods)
         assert trace.switch_times == {}
         report = validate(plan, trace)
         assert report["peak_switch_offsets"] == {}
@@ -250,7 +261,7 @@ class TestValidate:
         net, _ = generate_random_instance(8, seed=31)
         part = plan_fleet(net, 2)
         for plan in part.plans:
-            trace = simulate(plan, plan.cycle.network, num_periods=4)
+            trace = simulate(plan, num_periods=4)
             report = validate(plan, trace)
             assert report["prediction_consistent"]
             assert report["metric_floor_holds"]
@@ -259,7 +270,7 @@ class TestValidate:
 class TestTraceExport:
     def test_csv_shape(self, small_plan):
         net, cache, plan = small_plan
-        trace = simulate(plan, net, cache=cache, num_periods=2)
+        trace = simulate(plan, num_periods=2)
         csv = trace_to_csv(trace).decode("ascii")
         lines = csv.strip().splitlines()
         header = lines[0].split(",")
@@ -275,7 +286,7 @@ class TestTraceExport:
 class TestSandwichOnTrace:
     def test_unvisited_stable_target_rests_at_its_ceiling(self, sandwich_plan):
         net, cache, plan = sandwich_plan
-        trace = simulate(plan, net, cache=cache, num_periods=4)
+        trace = simulate(plan, num_periods=4)
         report = validate(plan, trace)
         assert report["prediction_consistent"]
         # the cycle dwells on target 2 alone, so the stable target 1 starts
@@ -309,8 +320,8 @@ class TestColumnarMatchesStepwise:
     )
     def test_identical_trace_and_csv(self, case, request, monkeypatch):
         net, cache, plan = request.getfixturevalue(case)
-        got = simulate(plan, net, cache=cache, num_periods=3)
-        ref, _ = stepwise_simulate(plan, net, cache=cache, num_periods=3)
+        got = simulate(plan, num_periods=3)
+        ref, _ = stepwise_simulate(plan, num_periods=3)
         _assert_matches_stepwise(got, ref)
         expected = rowwise_trace_csv(ref).encode("ascii")
         assert trace_to_csv(got) == expected
@@ -333,8 +344,8 @@ class TestColumnarMatchesStepwise:
         plan starts some period where the one before started, so the rest
         of its column is tiled."""
         net, cache, plan = request.getfixturevalue(case)
-        got = simulate(plan, net, cache=cache, num_periods=12)
-        ref, _ = stepwise_simulate(plan, net, cache=cache, num_periods=12)
+        got = simulate(plan, num_periods=12)
+        ref, _ = stepwise_simulate(plan, num_periods=12)
         rows = (len(ref.times) - 1) // 12
         last, before = slice(-rows, None), slice(-2 * rows, -rows)
         assert any(col[last] == col[before] for col in ref.norms.values())
@@ -374,7 +385,7 @@ class TestRepeatedCycles:
         # bit, an earlier period's: its start state came back, and the rest
         # of the column was tiled
         net, cache, plan = _planned(load_instance_file(str(INSTANCES / "duo2x2.json"))[0])
-        trace = simulate(plan, net, cache=cache, num_periods=40)
+        trace = simulate(plan, num_periods=40)
         rows = (len(trace.times) - 1) // 40
         for tid, col in trace.norms.items():
             assert not net.target(tid).is_scalar
