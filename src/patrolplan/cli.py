@@ -29,7 +29,7 @@ from .model import (
     load_instance_file,
     read_json_file,
 )
-from .simulate import CSV_CHUNK_ROWS, simulate, trace_to_csv, validate
+from .simulate import csv_row_blocks, simulate, trace_to_csv, validate
 
 
 def _config_from_args(args) -> PlannerConfig:
@@ -179,10 +179,11 @@ def _simulate_plan(args, write_trace: bool):
     out = _out_dir(args, ("trace.csv", "validation.json") if write_trace else ("validation.json",))
     trace = simulate(plan, num_periods=cfg.num_periods)
     if write_trace:
-        # one block of rows at a time: the file's text is never held whole
+        # one block of rows at a time: the file's text is never held whole,
+        # and a repeated period's blocks reuse the text of the one it repeats
         with open(out / "trace.csv", "wb") as fh:
-            for lo in range(0, len(trace.times), CSV_CHUNK_ROWS):
-                fh.write(trace_to_csv(trace, lo, lo + CSV_CHUNK_ROWS))
+            for lo, hi in csv_row_blocks(trace):
+                fh.write(trace_to_csv(trace, lo, hi))
     report = validate(plan, trace)
     _write_json(out / "validation.json", report)
     return trace, report, out

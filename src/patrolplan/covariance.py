@@ -48,6 +48,7 @@ from .model import TargetSpec
 RESIDUAL_TOL = 1e-8   # relative residual of the algebraic steady-state equations
 PSD_TOL = 1e-10       # eigenvalue floor for a positive semidefinite covariance
 PERIODIC_TOL = 1e-9   # one period's max-abs drift, relative to max(1, |omega|)
+FLOW_BLOCK = 4_096     # durations a stacked matrix flow maps at a time
 
 __all__ = [
     "EngineError",
@@ -213,6 +214,21 @@ class _ScalarFlow:
         return _scalar_apply(self.m, omega)
 
 
+def _blockwise(at, stack: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """A matrix flow's ``apply``: ``at(rows, omega)`` maps ``omega`` through
+    the flow's durations ``rows`` (``...``: its one duration).  Over a stack
+    of durations it runs on blocks of ``FLOW_BLOCK`` of them, written into
+    one stack, so its temporaries stay the size of a block; each state is
+    computed on its own, so the blocks change no bit of it."""
+    if stack.ndim == 2:
+        return at(..., omega)
+    out = np.empty((len(stack), *omega.shape))
+    for lo in range(0, len(stack), FLOW_BLOCK):
+        rows = slice(lo, lo + FLOW_BLOCK)
+        out[rows] = at(rows, omega)
+    return out
+
+
 class _MatrixUnobservedFlow:
     __slots__ = ("E", "F", "V")
 
@@ -229,7 +245,10 @@ class _MatrixUnobservedFlow:
         self.V = symmetrize(self.E[..., :dim, dim:] @ self.F.swapaxes(-1, -2))
 
     def apply(self, omega: np.ndarray) -> np.ndarray:
-        return symmetrize(self.F @ omega @ self.F.swapaxes(-1, -2) + self.V)
+        def at(rows, w):
+            F = self.F[rows]
+            return symmetrize(F @ w @ F.swapaxes(-1, -2) + self.V[rows])
+        return _blockwise(at, self.F, omega)
 
     def homogeneous(self) -> np.ndarray:
         """The flow on ``[X; Y]`` with ``omega = Y X^-1``:
@@ -263,11 +282,14 @@ class _MatrixObservedFlow:
         self.E22 = E[..., dim:, dim:]
 
     def apply(self, omega: np.ndarray) -> np.ndarray:
-        for _ in range(self.chunks):
-            num = self.E21 + self.E22 @ omega
-            den = self.E11 + self.E12 @ omega
-            omega = symmetrize(np.linalg.solve(den.swapaxes(-1, -2), num.swapaxes(-1, -2)).swapaxes(-1, -2))
-        return omega
+        def at(rows, w):
+            E11, E12, E21, E22 = self.E11[rows], self.E12[rows], self.E21[rows], self.E22[rows]
+            for _ in range(self.chunks):
+                num = E21 + E22 @ w
+                den = E11 + E12 @ w
+                w = symmetrize(np.linalg.solve(den.swapaxes(-1, -2), num.swapaxes(-1, -2)).swapaxes(-1, -2))
+            return w
+        return _blockwise(at, self.E, omega)
 
     def homogeneous(self) -> np.ndarray:
         """The flow on ``[X; Y]`` with ``omega = Y X^-1``: the chunk

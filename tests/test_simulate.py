@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -7,14 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patrolplan import simulate as simulate_module
+from patrolplan import cli, simulate as simulate_module
 from patrolplan.covariance import cov_norm
 from patrolplan.cycles import SteadyStateCache
-from patrolplan.dwell import plan_single_agent
+from patrolplan.dwell import Plan, plan_single_agent
 from patrolplan.fleet import plan_fleet
 from patrolplan.model import TargetSpec, TargetNetwork, generate_random_instance, load_instance_file
 from patrolplan.simulate import (
     SimTrace,
+    csv_row_blocks,
     simulate,
     steady_initial_covariances,
     trace_to_csv,
@@ -464,3 +466,101 @@ class TestFormatter:
         )
         monkeypatch.setattr(simulate_module, "CSV_CHUNK_ROWS", 997)
         assert trace_to_csv(trace) == rowwise_trace_csv(trace).encode("ascii")
+
+
+PERIOD_ROWS = 3001   # more rows than a block, at either block size
+TIE, ZERO = 2600, 2999   # rows of an exact 12-digit tie and of a zero
+
+
+def _base_period(seed):
+    """One period's samples, over the formatter's fast and slow paths."""
+    values = 10.0 ** np.random.default_rng(seed).uniform(-3, 13, PERIOD_ROWS)
+    values[[5, TIE]] = 123456789012.5   # %.12g: ...012, and one ulp up ...013
+    values[[7, ZERO]] = 0.0
+    return values
+
+
+def _periodic_trace(columns, weights, extra_rows=0):
+    """A hand-built trace: per target, its periods' samples after an
+    initial row, then ``extra_rows`` more rows."""
+    num_periods = len(next(iter(columns.values())))
+    rows = 1 + num_periods * PERIOD_ROWS + extra_rows
+    rng = np.random.default_rng(0)
+    norms = {tid: np.concatenate([[1.5], *periods, rng.uniform(0.5, 2.0, extra_rows)])
+             for tid, periods in columns.items()}
+    return SimTrace(
+        times=np.cumsum(rng.uniform(0.0, 0.05, rows)),
+        norms=norms, weights=weights,
+        observed=rng.integers(-1, len(columns), rows).astype(np.int32),
+        period=1.0, num_periods=num_periods, dt=0.01, switch_times={}, realized_cost=0.0,
+        per_target_realized={}, settle_period=1, converged=True,
+    )
+
+
+def _reuse_cases():
+    a, b = _base_period(1), _base_period(2)
+    ulp, neg = a.copy(), a.copy()
+    ulp[TIE] = np.nextafter(a[TIE], np.inf)
+    neg[ZERO] = -0.0
+    assert f"{ulp[TIE]:.12g}" != f"{a[TIE]:.12g}" and f"{neg[ZERO]:.12g}" == "-0"
+    steady = [b] * 6
+    # case: (columns, weights, rows after the periods, target 1's first copies)
+    return {
+        "repeat": ({1: [a, b, b, b, b, b], 2: steady}, {1: 1.0, 2: 1.0}, 0, [0, 1, 1, 1, 1, 1]),
+        "one_ulp": ({1: [a, ulp, a, ulp, ulp, a], 2: steady}, {1: 1.0, 2: 1.0}, 0,
+                    [0, 1, 0, 1, 1, 0]),
+        "zero_sign": ({1: [a, neg, neg, a, neg, a], 2: steady}, {1: 1.0, 2: 1.0}, 0,
+                      [0, 1, 1, 0, 1, 0]),
+        "two_period_cycle": ({1: [b, a, b, a, b, a], 2: steady}, {1: 1.0, 2: 1.0}, 0,
+                             [0, 1, 0, 1, 0, 1]),
+        "weighted": ({1: [b, a, b, a, b, a], 2: steady}, {1: 2.5, 2: 0.3}, 0, [0, 1, 0, 1, 0, 1]),
+        "ragged": ({1: [a, b, b, b, b, b], 2: steady}, {1: 1.0, 2: 2.5}, 1, None),
+    }
+
+
+class TestCsvReuse:
+    """A repeated period's text is reused only where its samples have the
+    same bits, and every block is the row-by-row text."""
+
+    @pytest.mark.parametrize("chunk", [None, 997])
+    @pytest.mark.parametrize("case", list(_reuse_cases()))
+    def test_matches_rowwise(self, case, chunk, monkeypatch):
+        columns, weights, extra_rows, copies = _reuse_cases()[case]
+        if chunk:
+            monkeypatch.setattr(simulate_module, "CSV_CHUNK_ROWS", chunk)
+        trace = _periodic_trace(columns, weights, extra_rows)
+        expected = rowwise_trace_csv(trace).encode("ascii")
+        assert trace_to_csv(trace) == expected
+        memo = trace._csv
+        if copies is None:
+            # not a whole number of periods: blocks from row 0, nothing reused
+            assert memo.period_rows == 0
+        else:
+            assert memo.period_rows == PERIOD_ROWS
+            assert memo.sources == {1: copies, 2: [0] * 6}
+        # block by block in row order, as the simulate command writes it
+        blocks = csv_row_blocks(trace)
+        assert all(0 < hi - lo <= simulate_module.CSV_CHUNK_ROWS for lo, hi in blocks)
+        assert b"".join(trace_to_csv(trace, lo, hi) for lo, hi in blocks) == expected
+        # each text is dropped once the last period that copies it is written
+        assert memo.texts == {}
+
+    def test_blocks_never_cross_a_period(self):
+        columns, weights, _, _ = _reuse_cases()["repeat"]
+        blocks = csv_row_blocks(_periodic_trace(columns, weights))
+        assert blocks[0] == (0, 1)
+        assert all((lo - 1) // PERIOD_ROWS == (hi - 2) // PERIOD_ROWS for lo, hi in blocks[1:])
+        assert [lo for lo, hi in blocks][1:4] == [1, 1 + simulate_module.CSV_CHUNK_ROWS, 1 + PERIOD_ROWS]
+
+    def test_duo2x2_at_40_periods_through_the_cli(self, tmp_path):
+        instance = str(INSTANCES / "duo2x2.json")
+        assert cli.main(["plan-single", "--instance", instance, "--out", str(tmp_path)]) == 0
+        assert cli.main(["simulate", "--instance", instance, "--plan", str(tmp_path / "plan.json"),
+                         "--periods", "40", "--out", str(tmp_path / "sim")]) == 0
+        net, _ = load_instance_file(instance)
+        plan = Plan.from_document(net, json.loads((tmp_path / "plan.json").read_text()))
+        trace = simulate(plan, num_periods=40)
+        assert (tmp_path / "sim" / "trace.csv").read_bytes() == rowwise_trace_csv(trace).encode("ascii")
+        # both 2x2 columns tile, so most periods were copied text
+        csv_row_blocks(trace)
+        assert all(len(set(src)) < 10 for src in trace._csv.sources.values())
